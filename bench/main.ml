@@ -49,9 +49,10 @@ module Recorder = struct
   let add ~label data = records := (!target, label, data) :: !records
 
   (* Targets whose --json output must be bit-identical across repeated
-     runs (the load baseline) set this; the envelope then reports a fixed
-     wall_seconds instead of the measured one — the only field of the
-     document that is not a deterministic function of the seed. *)
+     runs (the smoke, load and attribution baselines) set this; the
+     envelope then reports a fixed wall_seconds instead of the measured
+     one — the only field of the document that is not a deterministic
+     function of the seed. *)
   let fixed_wall = ref false
 
   let write ~path ~wall_seconds =
@@ -1847,10 +1848,12 @@ let () =
     | "observe" -> observe ~full ~trace_file ~metrics_file ()
     | "smoke" ->
         Recorder.set_target "smoke";
+        Recorder.fixed_wall := true;
         ignore (smoke () : (string * string) list)
     | "spans" -> spans ~trace_file ~windows:windows_flag ()
     | "regress" ->
         Recorder.set_target "smoke";
+        Recorder.fixed_wall := true;
         (* the fresh records keep the smoke target so a --json of this
            run can itself serve as a re-blessed baseline *)
         regress_failures := !regress_failures + regress ~baseline ~tolerance ()
