@@ -14,94 +14,31 @@ end
 module Make (Mode : MODE) = struct
   let name = Mode.name
 type t = {
-  cfg : C.config;
-  auth : Auth.t;
-  store : Block_store.t;
-  com : Committer.t;
-  votes : Vote_collector.t;
-  pacemaker : Pacemaker.t;
-  mutable cview : int;
+  rep : Replica.t;
   mutable prepare_qc : Qc.t;  (* highest prepareQC (highQC) *)
   mutable locked_qc : Qc.t;  (* precommitQC of the locked block *)
   mutable last_voted : int * int;  (* (view, height) of the last PREPARE vote *)
   mutable in_flight : Sha256.t option;
   mutable collecting_new_view : bool;
-  new_views : (int, (int * Qc.t) list) Hashtbl.t;  (* view -> (sender, qc) *)
+  new_views : Qc.t Replica.view_msgs;
   voted_phase : (string, unit) Hashtbl.t;  (* per-view (phase|digest) dedup *)
 }
 
 let create cfg =
-  let meter = Cpu_meter.create cfg.C.cost in
-  let auth = Auth.create ~keychain:cfg.C.keychain ~meter ~quorum:(C.quorum cfg) in
-  let store = Block_store.create () in
   {
-    cfg;
-    auth;
-    store;
-    com = Committer.create cfg store;
-    votes = Vote_collector.create auth;
-    pacemaker = Pacemaker.create ~base:cfg.C.base_timeout ~max:cfg.C.max_timeout;
-    cview = 0;
+    rep = Replica.create cfg;
     prepare_qc = Qc.genesis;
     locked_qc = Qc.genesis;
     last_voted = (0, 0);
     in_flight = None;
     collecting_new_view = false;
-    new_views = Hashtbl.create 4;
+    new_views = Replica.view_msgs ();
     voted_phase = Hashtbl.create 8;
   }
 
-(* ---------- introspection ---------- *)
-
-let current_view t = t.cview
-let is_leader t = C.leader_of t.cfg t.cview = t.cfg.C.id
-let committed_head t = Block_store.last_committed t.store
-let committed_count t = Committer.committed_count t.com
-let block_store t = t.store
 let locked_qc t = t.locked_qc
 let high_qc t = High_qc.Single t.prepare_qc
-let cpu_meter t = Auth.meter t.auth
 let prepare_qc t = t.prepare_qc
-
-(* ---------- helpers ---------- *)
-
-let me t = t.cfg.C.id
-let leader_of t view = C.leader_of t.cfg view
-let msg t payload = Message.make ~sender:(me t) ~view:t.cview payload
-
-let directly_extends ~(child : Block.t) ~(parent : Qc.block_ref) =
-  (match child.Block.pl with
-  | Block.Hash d -> Sha256.equal d parent.Qc.digest
-  | Block.Root | Block.Nil -> false)
-  && child.Block.height = parent.Qc.height + 1
-  && child.Block.pview = parent.Qc.block_view
-
-let finish_commits t (r : Committer.result) =
-  match r.Committer.committed with
-  | [] -> r.Committer.sends
-  | _ :: _ -> begin
-    Pacemaker.note_progress t.pacemaker;
-    if Obs.enabled t.cfg.C.obs then begin
-      let blocks = List.length r.Committer.committed in
-      let ops =
-        List.fold_left
-          (fun acc b -> acc + Batch.length b.Block.payload)
-          0 r.Committer.committed
-      in
-      let height =
-        List.fold_left
-          (fun acc b -> max acc b.Block.height)
-          0 r.Committer.committed
-      in
-      Obs.commit t.cfg.C.obs ~view:t.cview ~height ~blocks ~ops
-    end;
-    C.Commit r.Committer.committed
-    :: C.timer (Pacemaker.current_timeout t.pacemaker)
-    :: r.Committer.sends
-  end
-
-let note_block t b = finish_commits t (Committer.note_block t.com b)
-let deliver_commit t qc = finish_commits t (Committer.deliver t.com ~view:t.cview qc)
 
 (* Chained rules, driven by each newly learned prepareQC qc2 (for b2):
    - two-chain lock: if b2's justify certifies its direct parent b1, lock
@@ -111,24 +48,24 @@ let deliver_commit t qc = finish_commits t (Committer.deliver t.com ~view:t.cvie
 let process_chain_qc t (qc2 : Qc.t) =
   if not (Mode.chained && Qc.phase_equal qc2.Qc.phase Qc.Prepare) then []
   else
-    match Block_store.find t.store qc2.Qc.block.Qc.digest with
+    match Block_store.find t.rep.store qc2.Qc.block.Qc.digest with
     | None -> []
     | Some b2 -> (
         match b2.Block.justify with
         | Block.J_qc qc1
           when Qc.phase_equal qc1.Qc.phase Qc.Prepare
-               && directly_extends ~child:b2 ~parent:qc1.Qc.block -> (
+               && Block.directly_extends ~child:b2 ~parent:qc1.Qc.block -> (
             if Rank.qc_gt qc1 t.locked_qc then t.locked_qc <- qc1;
-            match Block_store.find t.store qc1.Qc.block.Qc.digest with
+            match Block_store.find t.rep.store qc1.Qc.block.Qc.digest with
             | None -> []
             | Some b1 -> (
                 match b1.Block.justify with
                 | Block.J_qc qc0
                   when Qc.phase_equal qc0.Qc.phase Qc.Prepare
-                       && directly_extends ~child:b1 ~parent:qc0.Qc.block
+                       && Block.directly_extends ~child:b1 ~parent:qc0.Qc.block
                        && qc0.Qc.view = qc1.Qc.view
                        && qc1.Qc.view = qc2.Qc.view ->
-                    deliver_commit t qc0
+                    Replica.deliver_commit t.rep qc0
                 | Block.J_qc _ | Block.J_paired _ | Block.J_genesis -> []))
         | Block.J_qc _ | Block.J_paired _ | Block.J_genesis -> [])
 
@@ -141,78 +78,41 @@ let phase_key phase digest =
     | Qc.Commit -> 3)
     (Sha256.to_raw digest)
 
-(* Static labels so emitting on the hot path allocates nothing. *)
-let phase_label = function
-  | Qc.Pre_prepare -> "pre-prepare"
-  | Qc.Prepare -> "prepare"
-  | Qc.Precommit -> "precommit"
-  | Qc.Commit -> "commit"
-
-let vote_to_leader t ~kind (block : Qc.block_ref) =
-  let partial = Auth.sign_vote t.auth ~signer:(me t) ~phase:kind ~view:t.cview block in
-  Obs.vote t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
-    ~phase:(phase_label kind);
-  [
-    C.Send
-      {
-        dst = leader_of t t.cview;
-        msg = msg t (Message.Vote { kind; block; partial; locked = None });
-      };
-  ]
-
-
-(* Chained pipelines commit block k only when a QC for a descendant forms;
-   when client load pauses, the leader flushes the tail with empty blocks
-   until every operation-bearing block is committed (Jolteon's "dummy
-   blocks"). Stop once only empty blocks hang uncommitted. *)
-let needs_flush t (tip : Qc.block_ref) =
-  Mode.chained
-  &&
-  let head = Block_store.last_committed t.store in
-  let rec go digest =
-    match Block_store.find t.store digest with
-    | None -> false
-    | Some b ->
-        b.Block.height > head.Block.height
-        && ((not (Batch.is_empty b.Block.payload))
-           ||
-           match b.Block.pl with
-           | Block.Hash d -> go d
-           | Block.Root | Block.Nil -> (
-               match Block_store.parent t.store b with
-               | Some p -> go (Block.digest p)
-               | None -> false))
-  in
-  go tip.Qc.digest
-
 (* ---------- leader ---------- *)
 
 let try_propose t =
-  if (not (is_leader t)) || t.in_flight <> None || t.collecting_new_view then []
+  let r = t.rep in
+  if (not (Replica.is_leader r)) || Option.is_some t.in_flight || t.collecting_new_view
+  then []
   else begin
     let qc = t.prepare_qc in
-    let payload = t.cfg.C.get_batch () in
-    if Batch.is_empty payload && not (needs_flush t qc.Qc.block) then []
+    let payload = r.cfg.C.get_batch () in
+    if
+      Batch.is_empty payload
+      && not (Replica.needs_flush r ~chained:Mode.chained qc.Qc.block)
+    then []
     else begin
       let b =
-        Block.make_child_of_ref ~parent:qc.Qc.block ~view:t.cview ~payload
+        Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
           ~justify:(Block.J_qc qc)
       in
       t.in_flight <- Some (Block.digest b);
-      ignore (note_block t b);
-      Obs.propose t.cfg.C.obs ~view:t.cview ~height:b.Block.height
+      ignore (Replica.note_block r b);
+      Obs.propose r.cfg.C.obs ~view:r.cview ~height:b.Block.height
         ~txs:(Batch.length payload);
-      [ C.Broadcast (msg t (Message.Propose { block = b; justify = High_qc.Single qc })) ]
+      let justify = High_qc.Single qc in
+      [ C.Broadcast (Replica.msg r (Message.Propose { block = b; justify })) ]
     end
   end
 
 let on_vote t kind (block : Qc.block_ref) partial =
-  if not (is_leader t) then []
+  let r = t.rep in
+  if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add t.votes ~phase:kind ~view:t.cview ~block partial with
+    match Vote_collector.add r.votes ~phase:kind ~view:r.cview ~block partial with
     | Vote_collector.Quorum qc -> (
-        Obs.qc_formed t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
-          ~phase:(phase_label kind);
+        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
+          ~phase:(Replica.phase_label kind);
         match kind with
         | Qc.Prepare ->
             if Rank.qc_gt qc t.prepare_qc then t.prepare_qc <- qc;
@@ -220,83 +120,54 @@ let on_vote t kind (block : Qc.block_ref) partial =
               t.in_flight <- None;
               let commits = process_chain_qc t qc in
               match try_propose t with
-              | [] -> commits @ [ C.Broadcast (msg t (Message.Phase_cert qc)) ]
+              | [] -> commits @ [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
               | next -> commits @ next
             end
-            else [ C.Broadcast (msg t (Message.Phase_cert qc)) ]
+            else [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
         | Qc.Precommit ->
             if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
-            [ C.Broadcast (msg t (Message.Phase_cert qc)) ]
+            [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
         | Qc.Commit ->
             if (match t.in_flight with
                | Some d -> Sha256.equal d block.Qc.digest
                | None -> false)
             then t.in_flight <- None;
-            C.Broadcast (msg t (Message.Phase_cert qc)) :: try_propose t
+            C.Broadcast (Replica.msg r (Message.Phase_cert qc)) :: try_propose t
         | Qc.Pre_prepare -> [])
     | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 let maybe_finish_new_view t =
-  if is_leader t && t.collecting_new_view then
-    match Hashtbl.find_opt t.new_views t.cview with
-    | Some entries when List.length entries >= C.quorum t.cfg ->
-        let high =
-          List.fold_left (fun acc (_, qc) -> Rank.max_qc acc qc) t.prepare_qc entries
-        in
-        t.prepare_qc <- high;
+  if Replica.is_leader t.rep && t.collecting_new_view then
+    match Replica.view_quorum t.rep t.new_views with
+    | Some qcs ->
+        t.prepare_qc <- List.fold_left Rank.max_qc t.prepare_qc qcs;
         t.collecting_new_view <- false;
-        Obs.view_change_exit t.cfg.C.obs ~view:t.cview;
+        Obs.view_change_exit t.rep.cfg.C.obs ~view:t.rep.cview;
         try_propose t
-    | Some _ | None -> []
+    | None -> []
   else []
 
-let reset_view_state t =
-  t.in_flight <- None;
-  t.collecting_new_view <- is_leader t;
-  Hashtbl.reset t.voted_phase;
-  Vote_collector.gc_below_view t.votes t.cview;
-  Hashtbl.iter
-    (fun v _ -> if v < t.cview then Hashtbl.remove t.new_views v)
-    (Hashtbl.copy t.new_views)
-
 let rec on_new_view_msg t (m : Message.t) (qc : Qc.t) =
-  if not (Auth.verify_qc t.auth qc) then []
-  else begin
-    let existing =
-      Option.value ~default:[] (Hashtbl.find_opt t.new_views m.Message.view)
-    in
-    if List.mem_assoc m.Message.sender existing then []
-    else begin
-      Hashtbl.replace t.new_views m.Message.view
-        ((m.Message.sender, qc) :: existing);
-      (* View synchronization: f+1 NEW-VIEW messages for a later view we
-         lead mean a correct replica timed out — join that view now. *)
-      if
-        m.Message.view > t.cview
-        && C.leader_of t.cfg m.Message.view = me t
-        && List.length existing + 1 >= C.weak_quorum t.cfg
-      then begin
-        Obs.view_enter t.cfg.C.obs ~view:m.Message.view ~cause:"sync";
-        enter_view t m.Message.view ~send_new_view:true
-      end
-      else maybe_finish_new_view t
-    end
-  end
+  if not (Auth.verify_qc t.rep.auth qc) then []
+  else
+    match Replica.store_view_msg t.rep t.new_views m qc with
+    | Replica.Duplicate -> []
+    | Replica.Join -> enter_view t m.Message.view ~send:true
+    | Replica.Stored -> maybe_finish_new_view t
 
-and enter_view t view ~send_new_view =
-  t.cview <- view;
-  reset_view_state t;
-  let timer =
-    C.timer
-      ~cause:(if send_new_view then C.View_change else C.View_progress)
-      (Pacemaker.current_timeout t.pacemaker)
-  in
+and enter_view t view ~send =
+  let r = t.rep in
+  Replica.enter r t.new_views view;
+  t.in_flight <- None;
+  t.collecting_new_view <- Replica.is_leader r;
+  Hashtbl.reset t.voted_phase;
+  let timer = Replica.view_timer r ~send in
   let nv_actions =
-    if send_new_view then begin
-      Obs.view_change_enter t.cfg.C.obs ~view;
-      let m = msg t (Message.New_view { justify = t.prepare_qc }) in
-      if leader_of t view = me t then on_new_view_msg t m t.prepare_qc
-      else [ C.Send { dst = leader_of t view; msg = m } ]
+    if send then begin
+      Obs.view_change_enter r.cfg.C.obs ~view;
+      let m = Replica.msg r (Message.New_view { justify = t.prepare_qc }) in
+      if Replica.is_leader r then on_new_view_msg t m t.prepare_qc
+      else [ C.Send { dst = Replica.leader_of r view; msg = m } ]
     end
     else begin
       t.collecting_new_view <- false;
@@ -304,7 +175,6 @@ and enter_view t view ~send_new_view =
     end
   in
   timer :: nv_actions
-
 
 (* ---------- replica ---------- *)
 
@@ -317,9 +187,9 @@ let safe_node t (block : Block.t) (qc : Qc.t) =
     Qc.is_genesis t.locked_qc
     || Sha256.equal qc.Qc.block.Qc.digest locked.Qc.digest
     ||
-    match Block_store.find t.store qc.Qc.block.Qc.digest with
+    match Block_store.find t.rep.store qc.Qc.block.Qc.digest with
     | Some parent ->
-        Block_store.extends t.store ~descendant:parent ~ancestor:locked.Qc.digest
+        Block_store.extends t.rep.store ~descendant:parent ~ancestor:locked.Qc.digest
     | None -> false
   in
   let unlocked_by_view = qc.Qc.view > t.locked_qc.Qc.view in
@@ -331,7 +201,7 @@ let safe_node t (block : Block.t) (qc : Qc.t) =
     qc.Qc.view = t.locked_qc.Qc.view
     && qc.Qc.block.Qc.height >= t.locked_qc.Qc.block.Qc.height
   in
-  directly_extends ~child:block ~parent:qc.Qc.block
+  Block.directly_extends ~child:block ~parent:qc.Qc.block
   && (extends_locked || unlocked_by_view || same_view_above)
 
 let accept_propose t (block : Block.t) (justify : High_qc.t) =
@@ -346,19 +216,21 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
       if
         fresh
         && Block.justify_equal block.Block.justify (Block.J_qc qc)
-        && Auth.verify_qc t.auth qc
+        && Auth.verify_qc t.rep.auth qc
         && safe_node t block qc
       then begin
-        let adds = note_block t block in
+        let adds = Replica.note_block t.rep block in
         if Rank.qc_gt qc t.prepare_qc then t.prepare_qc <- qc;
         t.last_voted <- (block.Block.view, block.Block.height);
         let chain_commits = process_chain_qc t qc in
-        adds @ chain_commits @ vote_to_leader t ~kind:Qc.Prepare (Block.to_ref block)
+        adds @ chain_commits
+        @ Replica.vote_to_leader t.rep ~kind:Qc.Prepare (Block.to_ref block)
       end
       else []
 
 let accept_phase_cert t (qc : Qc.t) =
-  if not (Auth.verify_qc t.auth qc) then []
+  let r = t.rep in
+  if not (Auth.verify_qc r.auth qc) then []
   else
     match qc.Qc.phase with
     | Qc.Prepare ->
@@ -368,102 +240,50 @@ let accept_phase_cert t (qc : Qc.t) =
         if Rank.qc_gt qc t.prepare_qc then t.prepare_qc <- qc;
         if Mode.chained then process_chain_qc t qc
         else if
-          qc.Qc.view = t.cview
-          && not (Hashtbl.mem t.voted_phase (phase_key Qc.Precommit qc.Qc.block.Qc.digest))
-        then begin
-          Hashtbl.replace t.voted_phase (phase_key Qc.Precommit qc.Qc.block.Qc.digest) ();
-          vote_to_leader t ~kind:Qc.Precommit qc.Qc.block
-        end
+          qc.Qc.view = r.cview
+          && Replica.first_vote t.voted_phase
+               (phase_key Qc.Precommit qc.Qc.block.Qc.digest)
+        then Replica.vote_to_leader r ~kind:Qc.Precommit qc.Qc.block
         else []
     | Qc.Precommit ->
         (* COMMIT message: lock, vote commit. *)
         if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
         if
-          qc.Qc.view = t.cview
-          && not (Hashtbl.mem t.voted_phase (phase_key Qc.Commit qc.Qc.block.Qc.digest))
-        then begin
-          Hashtbl.replace t.voted_phase (phase_key Qc.Commit qc.Qc.block.Qc.digest) ();
-          vote_to_leader t ~kind:Qc.Commit qc.Qc.block
-        end
+          qc.Qc.view = r.cview
+          && Replica.first_vote t.voted_phase (phase_key Qc.Commit qc.Qc.block.Qc.digest)
+        then Replica.vote_to_leader r ~kind:Qc.Commit qc.Qc.block
         else []
-    | Qc.Commit -> deliver_commit t qc
+    | Qc.Commit -> Replica.deliver_commit r qc
     | Qc.Pre_prepare -> []
-
-(* ---------- view entry & catch-up ---------- *)
-
-
-
-let maybe_fast_forward t (m : Message.t) =
-  if m.Message.view <= t.cview then []
-  else
-    let proof =
-      match m.Message.payload with
-      | Message.Propose { justify = High_qc.Single qc; _ } | Message.Phase_cert qc ->
-          if qc.Qc.view = m.Message.view && Auth.verify_qc t.auth qc then Some qc
-          else None
-      | Message.Propose _ | Message.Vote _ | Message.View_change _
-      | Message.Pre_prepare _ | Message.New_view _ | Message.New_view_proof _ | Message.Fetch _
-      | Message.Fetch_resp _ | Message.Client_op _ | Message.Client_reply _ ->
-          None
-    in
-    match proof with
-    | Some _ ->
-        Pacemaker.note_progress t.pacemaker;
-        Obs.view_enter t.cfg.C.obs ~view:m.Message.view ~cause:"fast-forward";
-        enter_view t m.Message.view ~send_new_view:false
-    | None -> []
 
 (* ---------- dispatch ---------- *)
 
-let on_message t (m : Message.t) =
-  let ff = maybe_fast_forward t m in
-  let main =
-    match m.Message.payload with
-    | Message.Client_op _ | Message.Client_reply _ | Message.View_change _
-    | Message.Pre_prepare _ | Message.New_view_proof _ ->
-        []
-    | Message.New_view { justify } ->
-        if m.Message.view >= t.cview && leader_of t m.Message.view = me t then
-          on_new_view_msg t m justify
-        else []
-    | Message.Propose { block; justify } ->
-        if m.Message.view = t.cview && m.Message.sender = leader_of t t.cview then
-          accept_propose t block justify
-        else []
-    | Message.Vote { kind; block; partial; locked = _ } ->
-        if m.Message.view = t.cview then on_vote t kind block partial else []
-    | Message.Phase_cert qc ->
-        (* Commit certificates apply at any view; phase votes are gated on
-           the current view inside. *)
-        accept_phase_cert t qc
-    | Message.Fetch { digest } ->
-        Committer.handle_fetch t.com ~sender:m.Message.sender ~view:t.cview digest
-    | Message.Fetch_resp { block } -> note_block t block
-  in
-  ff @ main
+let step t (m : Message.t) =
+  let r = t.rep in
+  match m.Message.payload with
+  | Message.Client_op _ | Message.Client_reply _ | Message.View_change _
+  | Message.Pre_prepare _ | Message.New_view_proof _ ->
+      []
+  | Message.New_view { justify } ->
+      if Replica.to_leader r m then on_new_view_msg t m justify else []
+  | Message.Propose { block; justify } ->
+      if Replica.from_leader r m then accept_propose t block justify else []
+  | Message.Vote { kind; block; partial; locked = _ } ->
+      if m.Message.view = r.cview then on_vote t kind block partial else []
+  | Message.Phase_cert qc ->
+      (* Commit certificates apply at any view; phase votes are gated on
+         the current view inside. *)
+      accept_phase_cert t qc
+  | Message.Fetch { digest } ->
+      Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
+  | Message.Fetch_resp { block } -> Replica.note_block r block
 
-let rec settle t actions =
-  List.concat_map
-    (function
-      | C.Send { dst; msg } when dst = me t -> settle t (on_message t msg)
-      | C.Broadcast msg as b -> b :: settle t (on_message t msg)
-      | (C.Send _ | C.Commit _ | C.Timer _) as a -> [ a ])
-    actions
-
-let on_message t m = settle t (on_message t m)
-
-let on_start t =
-  C.timer (Pacemaker.current_timeout t.pacemaker) :: settle t (try_propose t)
-
-let on_new_payload t = settle t (try_propose t)
-
-let force_view_change t =
-  Obs.view_enter t.cfg.C.obs ~view:(t.cview + 1) ~cause:"rotation";
-  settle t (enter_view t (t.cview + 1) ~send_new_view:true)
-
-let on_view_timeout t =
-  (* Timeouts always escalate; see Marlin_impl.on_view_timeout. *)
-  Pacemaker.note_view_change t.pacemaker;
-  Obs.view_enter t.cfg.C.obs ~view:(t.cview + 1) ~cause:"timeout";
-  settle t (enter_view t (t.cview + 1) ~send_new_view:true)
+include Replica.Drive (struct
+  type nonrec t = t
+  let replica t = t.rep
+  let verify_justify = Some Replica.verify_single
+  let step = step
+  let try_propose = try_propose
+  let enter_view = enter_view
+end)
 end

@@ -34,13 +34,7 @@ type mode =
   | Normal  (* normal-case leader *)
 
 type t = {
-  cfg : C.config;
-  auth : Auth.t;
-  store : Block_store.t;
-  com : Committer.t;
-  votes : Vote_collector.t;
-  pacemaker : Pacemaker.t;
-  mutable cview : int;
+  rep : Replica.t;
   mutable lb : Block.t;  (* last voted block (prepare phase) *)
   mutable locked_qc : Qc.t;
   mutable high : High_qc.t;
@@ -50,24 +44,15 @@ type t = {
   mutable current_proposals : Block.t list;  (* this view's PRE-PREPARE blocks *)
   mutable r2_locked : Qc.t option;  (* best prepareQC from R2 votes *)
   mutable formed_ppqcs : Qc.t list;  (* pre-prepareQCs formed this view *)
-  vc_msgs : (int, (int * vc_record) list) Hashtbl.t;  (* view -> msgs *)
+  vc_msgs : vc_record Replica.view_msgs;
   (* replica-side per-view vote dedup *)
   voted_pre_prepare : (string, unit) Hashtbl.t;
   voted_commit : (string, unit) Hashtbl.t;
 }
 
 let create cfg =
-  let meter = Cpu_meter.create cfg.C.cost in
-  let auth = Auth.create ~keychain:cfg.C.keychain ~meter ~quorum:(C.quorum cfg) in
-  let store = Block_store.create () in
   {
-    cfg;
-    auth;
-    store;
-    com = Committer.create cfg store;
-    votes = Vote_collector.create auth;
-    pacemaker = Pacemaker.create ~base:cfg.C.base_timeout ~max:cfg.C.max_timeout;
-    cview = 0;
+    rep = Replica.create cfg;
     lb = Block.genesis;
     locked_qc = Qc.genesis;
     high = High_qc.genesis;
@@ -76,41 +61,18 @@ let create cfg =
     current_proposals = [];
     r2_locked = None;
     formed_ppqcs = [];
-    vc_msgs = Hashtbl.create 4;
+    vc_msgs = Replica.view_msgs ();
     voted_pre_prepare = Hashtbl.create 8;
     voted_commit = Hashtbl.create 8;
   }
 
-(* ---------- introspection ---------- *)
-
-let current_view t = t.cview
-let is_leader t = C.leader_of t.cfg t.cview = t.cfg.C.id
-let committed_head t = Block_store.last_committed t.store
-let committed_count t = Committer.committed_count t.com
-let block_store t = t.store
 let locked_qc t = t.locked_qc
 let high_qc t = t.high
-let cpu_meter t = Auth.meter t.auth
 let last_voted t = t.lb
 let view_change_in_progress t =
   match t.mode with Collecting_vc | Pre_preparing -> true | Follower | Normal -> false
 
-(* ---------- small helpers ---------- *)
-
-let me t = t.cfg.C.id
-let leader_of t view = C.leader_of t.cfg view
-let quorum t = C.quorum t.cfg
-let msg t payload = Message.make ~sender:(me t) ~view:t.cview payload
-
 let digest_key d = Sha256.to_raw d
-
-(* [child] extends the block referenced by [parent] directly. *)
-let directly_extends ~(child : Block.t) ~(parent : Qc.block_ref) =
-  (match child.Block.pl with
-  | Block.Hash d -> Sha256.equal d parent.Qc.digest
-  | Block.Root | Block.Nil -> false)
-  && child.Block.height = parent.Qc.height + 1
-  && child.Block.pview = parent.Qc.block_view
 
 (* A well-formed virtual block relative to the prepareQC [qc] it justifies
    from: nil parent link, two heights above block(qc) (Case V1 shape). *)
@@ -128,41 +90,14 @@ let paired_consistent ~(qc : Qc.t) ~(vc : Qc.t) =
   && vc.Qc.view = qc.Qc.block.Qc.pview
   && vc.Qc.block.Qc.height = qc.Qc.block.Qc.height - 1
 
-let verify_high t (h : High_qc.t) =
+let verify_high auth (h : High_qc.t) =
   match h with
-  | High_qc.Single qc -> Auth.verify_qc t.auth qc
+  | High_qc.Single qc -> Auth.verify_qc auth qc
   | High_qc.Paired (qc, vc) ->
       paired_consistent ~qc ~vc
-      && Auth.verify_qc t.auth qc && Auth.verify_qc t.auth vc
+      && Auth.verify_qc auth qc && Auth.verify_qc auth vc
 
-(* Turn a committer result into actions; commits reset the pacemaker. *)
-let finish_commits t (r : Committer.result) =
-  match r.Committer.committed with
-  | [] -> r.Committer.sends
-  | _ :: _ -> begin
-    Pacemaker.note_progress t.pacemaker;
-    if Obs.enabled t.cfg.C.obs then begin
-      let blocks = List.length r.Committer.committed in
-      let ops =
-        List.fold_left
-          (fun acc b -> acc + Batch.length b.Block.payload)
-          0 r.Committer.committed
-      in
-      let height =
-        List.fold_left
-          (fun acc b -> max acc b.Block.height)
-          0 r.Committer.committed
-      in
-      Obs.commit t.cfg.C.obs ~view:t.cview ~height ~blocks ~ops
-    end;
-    C.Commit r.Committer.committed
-    :: C.timer (Pacemaker.current_timeout t.pacemaker)
-    :: r.Committer.sends
-  end
-
-let note_block t b = finish_commits t (Committer.note_block t.com b)
-let deliver_commit t qc = finish_commits t (Committer.deliver t.com ~view:t.cview qc)
-let retry_pending t = finish_commits t (Committer.retry t.com)
+let retry_pending t = Replica.finish_commits t.rep (Committer.retry t.rep.com)
 
 (* Chained commit rule (two-chain): a prepareQC for block c commits c's
    direct parent when c's own justify is the parent's prepareQC from the
@@ -171,131 +106,111 @@ let retry_pending t = finish_commits t (Committer.retry t.com)
 let process_chain_qc t (qc_c : Qc.t) =
   if not (Mode.chained && Qc.phase_equal qc_c.Qc.phase Qc.Prepare) then []
   else
-    match Block_store.find t.store qc_c.Qc.block.Qc.digest with
+    match Block_store.find t.rep.store qc_c.Qc.block.Qc.digest with
     | None -> []
     | Some c -> (
         match c.Block.justify with
         | Block.J_qc qc_p
           when Qc.phase_equal qc_p.Qc.phase Qc.Prepare
                && qc_p.Qc.view = qc_c.Qc.view
-               && directly_extends ~child:c ~parent:qc_p.Qc.block ->
-            deliver_commit t qc_p
+               && Block.directly_extends ~child:c ~parent:qc_p.Qc.block ->
+            Replica.deliver_commit t.rep qc_p
         | Block.J_qc _ | Block.J_paired _ | Block.J_genesis -> [])
 
-
-(* Chained pipelines commit block k only when a QC for a descendant forms;
-   when client load pauses, the leader flushes the tail with empty blocks
-   until every operation-bearing block is committed (Jolteon's "dummy
-   blocks"). Stop once only empty blocks hang uncommitted. *)
-let needs_flush t (tip : Qc.block_ref) =
-  Mode.chained
-  &&
-  let head = Block_store.last_committed t.store in
-  let rec go digest =
-    match Block_store.find t.store digest with
-    | None -> false
-    | Some b ->
-        b.Block.height > head.Block.height
-        && ((not (Batch.is_empty b.Block.payload))
-           ||
-           match b.Block.pl with
-           | Block.Hash d -> go d
-           | Block.Root | Block.Nil -> (
-               match Block_store.parent t.store b with
-               | Some p -> go (Block.digest p)
-               | None -> false))
-  in
-  go tip.Qc.digest
-
 (* ---------- proposing (leader) ---------- *)
+
+let broadcast_proposal t (b : Block.t) =
+  let r = t.rep in
+  t.in_flight <- Some (Block.digest b);
+  Obs.propose r.cfg.C.obs ~view:r.cview ~height:b.Block.height
+    ~txs:(Batch.length b.Block.payload);
+  [ C.Broadcast (Replica.msg r (Message.Propose { block = b; justify = t.high })) ]
 
 (* Propose per the normal case. Case N1: extend block(highQC) with fresh
    payload. Case N2: re-broadcast the block certified by the
    pre-prepareQC. *)
 let try_propose t =
+  let r = t.rep in
   if
-    (not (is_leader t))
-    || t.in_flight <> None
-    || (match t.mode with Normal -> false | Follower | Collecting_vc | Pre_preparing -> true)
+    (not (Replica.is_leader r))
+    || Option.is_some t.in_flight
+    || t.mode <> Normal
   then []
   else
     match t.high with
     | High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) ->
         (* Case N1 *)
-        let payload = t.cfg.C.get_batch () in
-        if Batch.is_empty payload && not (needs_flush t qc.Qc.block) then []
+        let payload = r.cfg.C.get_batch () in
+        if
+          Batch.is_empty payload
+          && not (Replica.needs_flush r ~chained:Mode.chained qc.Qc.block)
+        then []
         else begin
           let b =
-            Block.make_child_of_ref ~parent:qc.Qc.block ~view:t.cview ~payload
+            Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
               ~justify:(Block.J_qc qc)
           in
-          t.in_flight <- Some (Block.digest b);
-          ignore (note_block t b);
-          Obs.propose t.cfg.C.obs ~view:t.cview ~height:b.Block.height
-            ~txs:(Batch.length payload);
-          [ C.Broadcast (msg t (Message.Propose { block = b; justify = t.high })) ]
+          ignore (Replica.note_block r b);
+          broadcast_proposal t b
         end
     | High_qc.Single ({ Qc.phase = Qc.Pre_prepare; _ } as qc)
     | High_qc.Paired (qc, _) -> (
         (* Case N2: propose block(qc) itself. *)
-        match Block_store.find t.store qc.Qc.block.Qc.digest with
+        match Block_store.find r.store qc.Qc.block.Qc.digest with
         | None -> []
-        | Some b ->
-            t.in_flight <- Some (Block.digest b);
-            Obs.propose t.cfg.C.obs ~view:t.cview ~height:b.Block.height
-              ~txs:(Batch.length b.Block.payload);
-            [ C.Broadcast (msg t (Message.Propose { block = b; justify = t.high })) ])
+        | Some b -> broadcast_proposal t b)
     | High_qc.Single _ -> []
 
 (* ---------- prepare phase (replica side) ---------- *)
 
 let accept_propose t (block : Block.t) (justify : High_qc.t) =
+  let r = t.rep in
   let b_ref = Block.to_ref block in
   let justify_ok =
     match justify with
     | High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) ->
         (* Case N1 *)
-        directly_extends ~child:block ~parent:qc.Qc.block
-        && qc.Qc.view = t.cview
+        Block.directly_extends ~child:block ~parent:qc.Qc.block
+        && qc.Qc.view = r.cview
         && Rank.qc_geq qc t.locked_qc
-        && Auth.verify_qc t.auth qc
+        && Auth.verify_qc r.auth qc
         && Block.justify_equal block.Block.justify (Block.J_qc qc)
     | High_qc.Single ({ Qc.phase = Qc.Pre_prepare; _ } as qc) ->
         (* Case N2, normal block *)
         Sha256.equal qc.Qc.block.Qc.digest b_ref.Qc.digest
         && (not qc.Qc.block.Qc.is_virtual)
-        && qc.Qc.view = t.cview
+        && qc.Qc.view = r.cview
         && Rank.qc_geq qc t.locked_qc
-        && Auth.verify_qc t.auth qc
+        && Auth.verify_qc r.auth qc
     | High_qc.Paired (qc, vc) ->
         (* Case N2, virtual block: validate the pair. *)
         Sha256.equal qc.Qc.block.Qc.digest b_ref.Qc.digest
-        && qc.Qc.view = t.cview
+        && qc.Qc.view = r.cview
         && Rank.qc_geq qc t.locked_qc
         && paired_consistent ~qc ~vc
-        && Auth.verify_qc t.auth qc && Auth.verify_qc t.auth vc
+        && Auth.verify_qc r.auth qc && Auth.verify_qc r.auth vc
     | High_qc.Single _ -> false
   in
   if not justify_ok then begin
     Log.debug (fun l ->
         l "replica %d view %d: reject propose %a (justify invalid, locked=%a, justify=%a)"
-          (me t) t.cview Block.pp block Qc.pp t.locked_qc High_qc.pp justify);
+          (Replica.me r) r.cview Block.pp block Qc.pp t.locked_qc High_qc.pp justify);
     []
   end
   else if not (Rank.block_gt (Block.summary block) (Block.summary t.lb)) then begin
     Log.debug (fun l ->
         l "replica %d view %d: reject propose %a (rank not above lb %a)"
-          (me t) t.cview Block.pp block Block.pp t.lb);
+          (Replica.me r) r.cview Block.pp block Block.pp t.lb);
     []
   end
   else begin
-    let adds = note_block t block in
+    let adds = Replica.note_block r block in
     (* A virtual block now has a validated parent: graft it, and retry any
        commit that was waiting on the link. *)
     let adds =
       match justify with
       | High_qc.Paired (_, vc) ->
-          Block_store.resolve_virtual_parent t.store
+          Block_store.resolve_virtual_parent r.store
             ~virtual_digest:b_ref.Qc.digest ~parent_digest:vc.Qc.block.Qc.digest;
           adds @ retry_pending t
       | High_qc.Single _ -> adds
@@ -311,27 +226,14 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
       | High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) -> process_chain_qc t qc
       | High_qc.Single _ | High_qc.Paired _ -> []
     in
-    let partial =
-      Auth.sign_vote t.auth ~signer:(me t) ~phase:Qc.Prepare ~view:t.cview b_ref
-    in
-    Obs.vote t.cfg.C.obs ~view:t.cview ~height:b_ref.Qc.height ~phase:"prepare";
-    adds @ chain_commits
-    @ [
-        C.Send
-          {
-            dst = leader_of t t.cview;
-            msg =
-              msg t
-                (Message.Vote
-                   { kind = Qc.Prepare; block = b_ref; partial; locked = None });
-          };
-      ]
+    adds @ chain_commits @ Replica.vote_to_leader r ~kind:Qc.Prepare b_ref
   end
 
 (* ---------- commit phase (replica side) ---------- *)
 
 let accept_prepare_cert t (qc : Qc.t) =
-  if not (Auth.verify_qc t.auth qc) then []
+  let r = t.rep in
+  if not (Auth.verify_qc r.auth qc) then []
   else begin
     (* State updates are safe whenever the certificate outranks what we
        hold; the COMMIT vote itself requires the current view (paper:
@@ -340,38 +242,21 @@ let accept_prepare_cert t (qc : Qc.t) =
     if Rank.qc_gt qc (High_qc.primary t.high) then t.high <- High_qc.Single qc;
     if Mode.chained then process_chain_qc t qc
     else if
-      qc.Qc.view = t.cview
-      && not (Hashtbl.mem t.voted_commit (digest_key qc.Qc.block.Qc.digest))
-    then begin
-      Hashtbl.replace t.voted_commit (digest_key qc.Qc.block.Qc.digest) ();
-      let partial =
-        Auth.sign_vote t.auth ~signer:(me t) ~phase:Qc.Commit ~view:t.cview
-          qc.Qc.block
-      in
-      Obs.vote t.cfg.C.obs ~view:t.cview ~height:qc.Qc.block.Qc.height
-        ~phase:"commit";
-      [
-        C.Send
-          {
-            dst = leader_of t t.cview;
-            msg =
-              msg t
-                (Message.Vote
-                   { kind = Qc.Commit; block = qc.Qc.block; partial; locked = None });
-          };
-      ]
-    end
+      qc.Qc.view = r.cview
+      && Replica.first_vote t.voted_commit (digest_key qc.Qc.block.Qc.digest)
+    then Replica.vote_to_leader r ~kind:Qc.Commit qc.Qc.block
     else []
   end
 
 (* ---------- votes (leader side) ---------- *)
 
 let on_prepare_vote t (block : Qc.block_ref) partial =
-  if not (is_leader t) then []
+  let r = t.rep in
+  if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add t.votes ~phase:Qc.Prepare ~view:t.cview ~block partial with
+    match Vote_collector.add r.votes ~phase:Qc.Prepare ~view:r.cview ~block partial with
     | Vote_collector.Quorum qc ->
-        Obs.qc_formed t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
+        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
           ~phase:"prepare";
         t.high <- High_qc.Single qc;
         if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
@@ -381,24 +266,25 @@ let on_prepare_vote t (block : Qc.block_ref) partial =
           t.in_flight <- None;
           let commits = process_chain_qc t qc in
           match try_propose t with
-          | [] -> commits @ [ C.Broadcast (msg t (Message.Phase_cert qc)) ]
+          | [] -> commits @ [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
           | next -> commits @ next
         end
-        else [ C.Broadcast (msg t (Message.Phase_cert qc)) ]
+        else [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
     | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 let on_commit_vote t (block : Qc.block_ref) partial =
-  if not (is_leader t) then []
+  let r = t.rep in
+  if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add t.votes ~phase:Qc.Commit ~view:t.cview ~block partial with
+    match Vote_collector.add r.votes ~phase:Qc.Commit ~view:r.cview ~block partial with
     | Vote_collector.Quorum qc ->
-        Obs.qc_formed t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
+        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
           ~phase:"commit";
         if (match t.in_flight with
            | Some d -> Sha256.equal d block.Qc.digest
            | None -> false)
         then t.in_flight <- None;
-        C.Broadcast (msg t (Message.Phase_cert qc)) :: try_propose t
+        C.Broadcast (Replica.msg r (Message.Phase_cert qc)) :: try_propose t
     | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 (* ---------- view change: leader ---------- *)
@@ -408,7 +294,9 @@ let on_commit_vote t (block : Qc.block_ref) partial =
    pre-prepareQCs (Lemma 4), and remembering the paired vc for virtual
    ones. *)
 let select_high_qcv t (records : vc_record list) =
-  let highs = List.filter (verify_high t) (List.map (fun r -> r.vc_justify) records) in
+  let highs =
+    List.filter (verify_high t.rep.auth) (List.map (fun r -> r.vc_justify) records)
+  in
   match highs with
   | [] -> []
   | first :: rest ->
@@ -430,8 +318,9 @@ let select_high_qcv t (records : vc_record list) =
         equal_rank
 
 let start_pre_prepare t (records : vc_record list) =
+  let r = t.rep in
   Log.debug (fun l ->
-      l "replica %d view %d: start_pre_prepare with %d records" (me t) t.cview
+      l "replica %d view %d: start_pre_prepare with %d records" (Replica.me r) r.cview
         (List.length records));
   let bv =
     List.fold_left
@@ -441,8 +330,8 @@ let start_pre_prepare t (records : vc_record list) =
   let high_qcv = select_high_qcv t records in
   t.mode <- Pre_preparing;
   Log.debug (fun l ->
-      l "replica %d view %d: highQCv has %d entries, bv height %d" (me t) t.cview
-        (List.length high_qcv) bv.Block.b_ref.Qc.height);
+      l "replica %d view %d: highQCv has %d entries, bv height %d" (Replica.me r)
+        r.cview (List.length high_qcv) bv.Block.b_ref.Qc.height);
   match high_qcv with
   | [] -> []
   | [ High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) ]
@@ -450,52 +339,52 @@ let start_pre_prepare t (records : vc_record list) =
            { Block.b_ref = qc.Qc.block; justify_current = false } ->
       (* Case V1: someone voted above block(qc); propose a normal block and
          a virtual shadow sibling. *)
-      let payload = t.cfg.C.get_batch () in
+      let payload = r.cfg.C.get_batch () in
       let b1 =
-        Block.make_child_of_ref ~parent:qc.Qc.block ~view:t.cview ~payload
+        Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
           ~justify:(Block.J_qc qc)
       in
       let b2 =
-        Block.make_virtual ~pview:qc.Qc.block.Qc.block_view ~view:t.cview
+        Block.make_virtual ~pview:qc.Qc.block.Qc.block_view ~view:r.cview
           ~height:(qc.Qc.block.Qc.height + 2) ~payload ~justify:(Block.J_qc qc)
       in
       t.current_proposals <- [ b1; b2 ];
-      ignore (note_block t b1);
-      ignore (note_block t b2);
-      [ C.Broadcast (msg t (Message.Pre_prepare { proposals = [ b1; b2 ] })) ]
+      ignore (Replica.note_block r b1);
+      ignore (Replica.note_block r b2);
+      [ C.Broadcast (Replica.msg r (Message.Pre_prepare { proposals = [ b1; b2 ] })) ]
   | [ single ] ->
       (* Case V2: safe snapshot (prepareQC at least as high as any voted
          block) or a single pre-prepareQC: one proposal extending it. *)
       let qc = High_qc.primary single in
-      let payload = t.cfg.C.get_batch () in
+      let payload = r.cfg.C.get_batch () in
       let b =
-        Block.make_child_of_ref ~parent:qc.Qc.block ~view:t.cview ~payload
+        Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
           ~justify:(High_qc.to_justify single)
       in
       t.current_proposals <- [ b ];
-      ignore (note_block t b);
-      [ C.Broadcast (msg t (Message.Pre_prepare { proposals = [ b ] })) ]
+      ignore (Replica.note_block r b);
+      [ C.Broadcast (Replica.msg r (Message.Pre_prepare { proposals = [ b ] })) ]
   | two -> (
       (* Case V3: two equal-rank pre-prepareQCs (one normal, one virtual);
          extend both with shadow blocks. *)
-      let payload = t.cfg.C.get_batch () in
+      let payload = r.cfg.C.get_batch () in
       let extend h =
         let qc = High_qc.primary h in
-        Block.make_child_of_ref ~parent:qc.Qc.block ~view:t.cview ~payload
+        Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
           ~justify:(High_qc.to_justify h)
       in
       match List.map extend two with
       | [] -> []
       | proposals ->
           t.current_proposals <- proposals;
-          List.iter (fun b -> ignore (note_block t b)) proposals;
-          [ C.Broadcast (msg t (Message.Pre_prepare { proposals })) ])
+          List.iter (fun b -> ignore (Replica.note_block r b)) proposals;
+          [ C.Broadcast (Replica.msg r (Message.Pre_prepare { proposals })) ])
 
 let maybe_start_view_change_leadership t =
-  if leader_of t t.cview = me t && t.mode = Collecting_vc then
-    match Hashtbl.find_opt t.vc_msgs t.cview with
-    | Some msgs when List.length msgs >= quorum t ->
-        let records = List.map snd msgs in
+  let r = t.rep in
+  if Replica.is_leader r && t.mode = Collecting_vc then
+    match Replica.view_quorum r t.vc_msgs with
+    | Some records ->
         (* Happy path: everyone reports the same last voted block. *)
         let first = (List.hd records).vc_last in
         let all_same =
@@ -504,128 +393,85 @@ let maybe_start_view_change_leadership t =
         if all_same then begin
           let partials = List.map (fun r -> r.vc_parsig) records in
           match
-            Auth.combine t.auth ~phase:Qc.Prepare ~view:t.cview first.Block.b_ref
+            Auth.combine r.auth ~phase:Qc.Prepare ~view:r.cview first.Block.b_ref
               partials
           with
           | Ok qc ->
-              Log.debug (fun m -> m "view %d: happy-path view change" t.cview);
+              Log.debug (fun m -> m "view %d: happy-path view change" r.cview);
               t.high <- High_qc.Single qc;
               t.mode <- Normal;
-              Obs.view_change_exit t.cfg.C.obs ~view:t.cview;
+              Obs.view_change_exit r.cfg.C.obs ~view:r.cview;
               try_propose t
           | Error _ -> start_pre_prepare t records
         end
         else start_pre_prepare t records
-    | Some _ | None -> []
+    | None -> []
   else []
 
-let reset_view_state t =
-  t.mode <- (if is_leader t then Collecting_vc else Follower);
+let rec on_view_change_msg t (m : Message.t) last justify parsig =
+  let record = { vc_last = last; vc_justify = justify; vc_parsig = parsig } in
+  match Replica.store_view_msg t.rep t.vc_msgs m record with
+  | Replica.Duplicate -> []
+  | Replica.Join -> enter_view t m.Message.view ~send:true
+  | Replica.Stored -> maybe_start_view_change_leadership t
+
+and enter_view t view ~send =
+  let r = t.rep in
+  Replica.enter r t.vc_msgs view;
+  t.mode <- (if Replica.is_leader r then Collecting_vc else Follower);
   t.in_flight <- None;
   t.current_proposals <- [];
   t.r2_locked <- None;
   t.formed_ppqcs <- [];
   Hashtbl.reset t.voted_pre_prepare;
   Hashtbl.reset t.voted_commit;
-  Vote_collector.gc_below_view t.votes t.cview;
-  Hashtbl.iter
-    (fun v _ -> if v < t.cview then Hashtbl.remove t.vc_msgs v)
-    (Hashtbl.copy t.vc_msgs)
-
-
-let rec on_view_change_msg t (m : Message.t) last justify parsig =
-  let record = { vc_last = last; vc_justify = justify; vc_parsig = parsig } in
-  let existing = Option.value ~default:[] (Hashtbl.find_opt t.vc_msgs m.Message.view) in
-  if List.mem_assoc m.Message.sender existing then []
-  else begin
-    Hashtbl.replace t.vc_msgs m.Message.view ((m.Message.sender, record) :: existing);
-    Log.debug (fun l ->
-        l "replica %d view %d: stored VC from %d for view %d (now %d)" (me t)
-          t.cview m.Message.sender m.Message.view
-          (List.length existing + 1));
-    (* View synchronization: f+1 view-change messages for a later view we
-       lead contain at least one correct replica's timeout — join that
-       view instead of waiting for our own timer, or desynchronized
-       replicas can chase each other's views forever. *)
-    if
-      m.Message.view > t.cview
-      && C.leader_of t.cfg m.Message.view = me t
-      && List.length existing + 1 >= C.weak_quorum t.cfg
-    then begin
-      Obs.view_enter t.cfg.C.obs ~view:m.Message.view ~cause:"sync";
-      enter_view t m.Message.view ~send_vc:true
-    end
-    else maybe_start_view_change_leadership t
-  end
-
-and enter_view t view ~send_vc =
-  t.cview <- view;
-  reset_view_state t;
-  let timer =
-    C.timer
-      ~cause:(if send_vc then C.View_change else C.View_progress)
-      (Pacemaker.current_timeout t.pacemaker)
-  in
+  let timer = Replica.view_timer r ~send in
   let vc_actions =
-    if send_vc then begin
-      Obs.view_change_enter t.cfg.C.obs ~view;
+    if send then begin
+      Obs.view_change_enter r.cfg.C.obs ~view;
       let lb_ref = (Block.summary t.lb).Block.b_ref in
       let parsig =
-        Auth.sign_vote t.auth ~signer:(me t) ~phase:Qc.Prepare ~view lb_ref
+        Auth.sign_vote r.auth ~signer:(Replica.me r) ~phase:Qc.Prepare ~view lb_ref
       in
       let m =
-        msg t
+        Replica.msg r
           (Message.View_change
              { last = Block.summary t.lb; justify = t.high; parsig })
       in
-      if leader_of t view = me t then
+      if Replica.is_leader r then
         (* Handle our own view-change message directly. *)
         on_view_change_msg t m (Block.summary t.lb) t.high parsig
-      else [ C.Send { dst = leader_of t view; msg = m } ]
+      else [ C.Send { dst = Replica.leader_of r view; msg = m } ]
     end
     else maybe_start_view_change_leadership t
   in
   timer :: vc_actions
 
-
 (* ---------- view change: replica votes on PRE-PREPARE ---------- *)
 
-let pre_prepare_vote t (b : Block.t) (locked_attach : Qc.t option) =
-  let b_ref = Block.to_ref b in
-  let partial =
-    Auth.sign_vote t.auth ~signer:(me t) ~phase:Qc.Pre_prepare ~view:t.cview b_ref
-  in
-  ignore (note_block t b);
-  Obs.vote t.cfg.C.obs ~view:t.cview ~height:b_ref.Qc.height ~phase:"pre-prepare";
-  Hashtbl.replace t.voted_pre_prepare (digest_key b_ref.Qc.digest) ();
-  [
-    C.Send
-      {
-        dst = leader_of t t.cview;
-        msg =
-          msg t
-            (Message.Vote
-               { kind = Qc.Pre_prepare; block = b_ref; partial; locked = locked_attach });
-      };
-  ]
+let pre_prepare_vote t (b : Block.t) (locked : Qc.t option) =
+  ignore (Replica.note_block t.rep b);
+  Hashtbl.replace t.voted_pre_prepare (digest_key (Block.digest b)) ();
+  Replica.vote_to_leader t.rep ~kind:Qc.Pre_prepare ?locked (Block.to_ref b)
 
 let consider_pre_prepare_proposal t (b : Block.t) =
+  let r = t.rep in
   if Hashtbl.mem t.voted_pre_prepare (digest_key (Block.digest b)) then []
-  else if b.Block.view <> t.cview then []
+  else if b.Block.view <> r.cview then []
   else
     match High_qc.of_justify b.Block.justify with
     | None -> []
     | Some justify ->
         let qc = High_qc.primary justify in
         (* The justify must predate this view. *)
-        if qc.Qc.view >= t.cview then []
+        if qc.Qc.view >= r.cview then []
         else begin
           let shape_ok =
             if Block.is_virtual b then valid_virtual ~child:b ~qc
-            else directly_extends ~child:b ~parent:qc.Qc.block
+            else Block.directly_extends ~child:b ~parent:qc.Qc.block
           in
           if not shape_ok then []
-          else if not (verify_high t justify) then []
+          else if not (verify_high r.auth justify) then []
           else if
             (* Case R1: the justify outranks our lock. *)
             Rank.qc_geq qc t.locked_qc
@@ -676,33 +522,34 @@ let try_finish_pre_prepare t =
     | Some high ->
         t.high <- high;
         t.mode <- Normal;
-        Obs.view_change_exit t.cfg.C.obs ~view:t.cview;
+        Obs.view_change_exit t.rep.cfg.C.obs ~view:t.rep.cview;
         (match high with
         | High_qc.Paired (ppqc, vc) ->
-            Block_store.resolve_virtual_parent t.store
+            Block_store.resolve_virtual_parent t.rep.store
               ~virtual_digest:ppqc.Qc.block.Qc.digest
               ~parent_digest:vc.Qc.block.Qc.digest
         | High_qc.Single _ -> ());
         try_propose t
 
 let on_pre_prepare_vote t (block : Qc.block_ref) partial locked =
-  if not (is_leader t) then []
+  let r = t.rep in
+  if not (Replica.is_leader r) then []
   else begin
     (* Harvest the R2 lockedQC: a higher prepareQC we did not know about. *)
     (match locked with
     | Some vc
       when Qc.phase_equal vc.Qc.phase Qc.Prepare
            && Rank.qc_gt vc (High_qc.primary t.high)
-           && Auth.verify_qc t.auth vc ->
+           && Auth.verify_qc r.auth vc ->
         (match t.r2_locked with
         | Some cur when Rank.qc_geq cur vc -> ()
         | Some _ | None -> t.r2_locked <- Some vc)
     | Some _ | None -> ());
     match
-      Vote_collector.add t.votes ~phase:Qc.Pre_prepare ~view:t.cview ~block partial
+      Vote_collector.add r.votes ~phase:Qc.Pre_prepare ~view:r.cview ~block partial
     with
     | Vote_collector.Quorum ppqc ->
-        Obs.qc_formed t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
+        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
           ~phase:"pre-prepare";
         t.formed_ppqcs <- ppqc :: t.formed_ppqcs;
         try_finish_pre_prepare t
@@ -712,114 +559,50 @@ let on_pre_prepare_vote t (block : Qc.block_ref) partial locked =
     | Vote_collector.Rejected _ -> []
   end
 
-(* ---------- view entry ---------- *)
-
-
-(* Fast-forward: a verified QC formed in a later view proves a quorum moved
-   there; joining is safe and keeps lagging replicas in sync without extra
-   messages. *)
-let maybe_fast_forward t (m : Message.t) =
-  if m.Message.view <= t.cview then []
-  else
-    let proof =
-      match m.Message.payload with
-      | Message.Propose { justify; _ } ->
-          let qc = High_qc.primary justify in
-          if qc.Qc.view = m.Message.view && verify_high t justify then Some qc
-          else None
-      | Message.Phase_cert qc ->
-          if qc.Qc.view = m.Message.view && Auth.verify_qc t.auth qc then Some qc
-          else None
-      | Message.Vote _ | Message.View_change _ | Message.Pre_prepare _
-      | Message.New_view _ | Message.New_view_proof _ | Message.Fetch _ | Message.Fetch_resp _
-      | Message.Client_op _ | Message.Client_reply _ ->
-          None
-    in
-    match proof with
-    | Some qc ->
-        Log.debug (fun l ->
-            l "replica %d: fast-forward %d -> %d" (me t) t.cview qc.Qc.view);
-        Pacemaker.note_progress t.pacemaker;
-        Obs.view_enter t.cfg.C.obs ~view:m.Message.view ~cause:"fast-forward";
-        enter_view t m.Message.view ~send_vc:false
-    | None -> []
-
 (* ---------- dispatch ---------- *)
 
-let on_message t (m : Message.t) =
-  let ff = maybe_fast_forward t m in
-  let main =
-    match m.Message.payload with
-    | Message.Client_op _ | Message.Client_reply _ | Message.New_view _
-    | Message.New_view_proof _ ->
-        []
-    | Message.View_change { last; justify; parsig } ->
-        (* Only relevant if we are (or will be) that view's leader. *)
-        if m.Message.view >= t.cview && leader_of t m.Message.view = me t then
-          on_view_change_msg t m last justify parsig
-        else []
-    | Message.Propose { block; justify } ->
-        if m.Message.view = t.cview && m.Message.sender = leader_of t t.cview
-        then accept_propose t block justify
-        else []
-    | Message.Pre_prepare { proposals } ->
-        if
-          m.Message.view = t.cview
-          && m.Message.sender = leader_of t t.cview
-          && List.length proposals <= 2
-        then List.concat_map (consider_pre_prepare_proposal t) proposals
-        else []
-    | Message.Vote { kind; block; partial; locked } ->
-        if m.Message.view <> t.cview then []
-        else begin
-          match kind with
-          | Qc.Prepare -> on_prepare_vote t block partial
-          | Qc.Commit -> on_commit_vote t block partial
-          | Qc.Pre_prepare -> on_pre_prepare_vote t block partial locked
-          | Qc.Precommit -> []
-        end
-    | Message.Phase_cert qc -> (
-        match qc.Qc.phase with
-        | Qc.Prepare -> accept_prepare_cert t qc
-        | Qc.Commit ->
-            if Auth.verify_qc t.auth qc then deliver_commit t qc else []
-        | Qc.Pre_prepare | Qc.Precommit -> [])
-    | Message.Fetch { digest } ->
-        Committer.handle_fetch t.com ~sender:m.Message.sender ~view:t.cview digest
-    | Message.Fetch_resp { block } -> note_block t block
-  in
-  ff @ main
+let step t (m : Message.t) =
+  let r = t.rep in
+  match m.Message.payload with
+  | Message.Client_op _ | Message.Client_reply _ | Message.New_view _
+  | Message.New_view_proof _ ->
+      []
+  | Message.View_change { last; justify; parsig } ->
+      (* Only relevant if we are (or will be) that view's leader. *)
+      if Replica.to_leader r m then on_view_change_msg t m last justify parsig
+      else []
+  | Message.Propose { block; justify } ->
+      if Replica.from_leader r m then accept_propose t block justify else []
+  | Message.Pre_prepare { proposals } ->
+      if Replica.from_leader r m && List.length proposals <= 2 then
+        List.concat_map (consider_pre_prepare_proposal t) proposals
+      else []
+  | Message.Vote { kind; block; partial; locked } ->
+      if m.Message.view <> r.cview then []
+      else begin
+        match kind with
+        | Qc.Prepare -> on_prepare_vote t block partial
+        | Qc.Commit -> on_commit_vote t block partial
+        | Qc.Pre_prepare -> on_pre_prepare_vote t block partial locked
+        | Qc.Precommit -> []
+      end
+  | Message.Phase_cert qc -> (
+      match qc.Qc.phase with
+      | Qc.Prepare -> accept_prepare_cert t qc
+      | Qc.Commit ->
+          if Auth.verify_qc r.auth qc then Replica.deliver_commit r qc else []
+      | Qc.Pre_prepare | Qc.Precommit -> [])
+  | Message.Fetch { digest } ->
+      Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
+  | Message.Fetch_resp { block } -> Replica.note_block r block
 
-(* Process self-addressed sends — and the local copy of broadcasts —
-   internally, so the protocol is closed under its own messages and unit
-   tests can drive it without a network. A [Broadcast] in the returned
-   actions therefore means "deliver to every *other* replica". *)
-let rec settle t actions =
-  List.concat_map
-    (function
-      | C.Send { dst; msg } when dst = me t -> settle t (on_message t msg)
-      | C.Broadcast msg as b -> b :: settle t (on_message t msg)
-      | (C.Send _ | C.Commit _ | C.Timer _) as a -> [ a ])
-    actions
-
-let on_message t m = settle t (on_message t m)
-
-let on_start t =
-  C.timer (Pacemaker.current_timeout t.pacemaker) :: settle t (try_propose t)
-
-let on_new_payload t = settle t (try_propose t)
-
-let force_view_change t =
-  Obs.view_enter t.cfg.C.obs ~view:(t.cview + 1) ~cause:"rotation";
-  settle t (enter_view t (t.cview + 1) ~send_vc:true)
-
-let on_view_timeout t =
-  (* Timeouts always escalate (the paper's pacemaker): a replica cannot
-     tell locally whether the system is idle or the leader is failing
-     other replicas' operations. Idle clusters rotate views cheaply via
-     the happy path, with exponential backoff bounding the rate. *)
-  Pacemaker.note_view_change t.pacemaker;
-  Obs.view_enter t.cfg.C.obs ~view:(t.cview + 1) ~cause:"timeout";
-  settle t (enter_view t (t.cview + 1) ~send_vc:true)
+include Replica.Drive (struct
+  type nonrec t = t
+  let replica t = t.rep
+  let verify_justify = Some verify_high
+  let step = step
+  let try_propose = try_propose
+  let enter_view = enter_view
+end)
 
 end

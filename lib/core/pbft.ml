@@ -12,14 +12,8 @@ let name = "pbft"
 let window = 4
 
 type t = {
-  cfg : C.config;
-  auth : Auth.t;
-  store : Block_store.t;
-  com : Committer.t;
-  votes : Vote_collector.t;  (* prepare votes, keyed per slot *)
+  rep : Replica.t;  (* its [votes] collect prepare votes, keyed per slot *)
   commit_votes : Vote_collector.t;
-  pacemaker : Pacemaker.t;
-  mutable cview : int;
   mutable prepared : Qc.t;  (* highest prepared certificate *)
   mutable proposed_tip : Qc.block_ref;  (* leader: last slot proposed *)
   mutable anchor : Qc.block_ref option;
@@ -30,117 +24,59 @@ type t = {
       (* (view, height) -> digest: at most one pre-prepare per slot *)
   mutable commit_voted : (string, unit) Hashtbl.t;
   mutable collecting_vc : bool;
-  vc_msgs : (int, (int * Qc.t) list) Hashtbl.t;  (* view -> (sender, prepared qc) *)
+  vc_msgs : Qc.t Replica.view_msgs;  (* prepared qc per sender *)
   stash : (string, Block.t list) Hashtbl.t;
       (* pre-prepares that arrived before their parent (pipelining +
          network jitter reorder bursts), keyed by the missing parent *)
 }
 
 let create cfg =
-  let meter = Cpu_meter.create cfg.C.cost in
-  let auth = Auth.create ~keychain:cfg.C.keychain ~meter ~quorum:(C.quorum cfg) in
-  let store = Block_store.create () in
+  let rep = Replica.create cfg in
   {
-    cfg;
-    auth;
-    store;
-    com = Committer.create cfg store;
-    votes = Vote_collector.create auth;
-    commit_votes = Vote_collector.create auth;
-    pacemaker = Pacemaker.create ~base:cfg.C.base_timeout ~max:cfg.C.max_timeout;
-    cview = 0;
+    rep;
+    commit_votes = Vote_collector.create rep.auth;
     prepared = Qc.genesis;
     proposed_tip = Qc.genesis_ref;
     anchor = Some Qc.genesis_ref;
     accepted = Hashtbl.create 32;
     commit_voted = Hashtbl.create 32;
     collecting_vc = false;
-    vc_msgs = Hashtbl.create 4;
+    vc_msgs = Replica.view_msgs ();
     stash = Hashtbl.create 8;
   }
 
-(* ---------- introspection ---------- *)
-
-let current_view t = t.cview
-let is_leader t = C.leader_of t.cfg t.cview = t.cfg.C.id
-let committed_head t = Block_store.last_committed t.store
-let committed_count t = Committer.committed_count t.com
-let block_store t = t.store
 let locked_qc t = t.prepared
 let high_qc t = High_qc.Single t.prepared
-let cpu_meter t = Auth.meter t.auth
 let prepared_qc t = t.prepared
-
-(* ---------- helpers ---------- *)
-
-let me t = t.cfg.C.id
-let leader_of t view = C.leader_of t.cfg view
-let msg t payload = Message.make ~sender:(me t) ~view:t.cview payload
-
-let finish_commits t (r : Committer.result) =
-  match r.Committer.committed with
-  | [] -> r.Committer.sends
-  | _ :: _ -> begin
-    Pacemaker.note_progress t.pacemaker;
-    if Obs.enabled t.cfg.C.obs then begin
-      let blocks = List.length r.Committer.committed in
-      let ops =
-        List.fold_left
-          (fun acc b -> acc + Batch.length b.Block.payload)
-          0 r.Committer.committed
-      in
-      let height =
-        List.fold_left
-          (fun acc b -> max acc b.Block.height)
-          0 r.Committer.committed
-      in
-      Obs.commit t.cfg.C.obs ~view:t.cview ~height ~blocks ~ops
-    end;
-    C.Commit r.Committer.committed
-    :: C.timer (Pacemaker.current_timeout t.pacemaker)
-    :: r.Committer.sends
-  end
-
-let note_block t b = finish_commits t (Committer.note_block t.com b)
-let deliver_commit t qc = finish_commits t (Committer.deliver t.com ~view:t.cview qc)
 
 (* ---------- normal case ---------- *)
 
 (* PBFT pipelines: the leader keeps up to [window] slots in flight,
    proposing the next block as soon as it has operations for it. *)
 let rec try_propose t =
-  if (not (is_leader t)) || t.collecting_vc then []
-  else if t.proposed_tip.Qc.height - (committed_head t).Block.height >= window
+  let r = t.rep in
+  if (not (Replica.is_leader r)) || t.collecting_vc then []
+  else if
+    t.proposed_tip.Qc.height - (Block_store.last_committed r.store).Block.height
+    >= window
   then []
   else begin
-    let payload = t.cfg.C.get_batch () in
+    let payload = r.cfg.C.get_batch () in
     if Batch.is_empty payload then []
     else begin
       let b =
-        Block.make_child_of_ref ~parent:t.proposed_tip ~view:t.cview ~payload
+        Block.make_child_of_ref ~parent:t.proposed_tip ~view:r.cview ~payload
           ~justify:(Block.J_qc t.prepared)
       in
       t.proposed_tip <- Block.to_ref b;
-      ignore (note_block t b);
-      Obs.propose t.cfg.C.obs ~view:t.cview ~height:b.Block.height
+      ignore (Replica.note_block r b);
+      Obs.propose r.cfg.C.obs ~view:r.cview ~height:b.Block.height
         ~txs:(Batch.length payload);
-      C.Broadcast (msg t (Message.Propose { block = b; justify = High_qc.Single t.prepared }))
+      let justify = High_qc.Single t.prepared in
+      C.Broadcast (Replica.msg r (Message.Propose { block = b; justify }))
       :: try_propose t
     end
   end
-
-(* Static labels so emitting on the hot path allocates nothing. *)
-let phase_label = function
-  | Qc.Pre_prepare -> "pre-prepare"
-  | Qc.Prepare -> "prepare"
-  | Qc.Precommit -> "precommit"
-  | Qc.Commit -> "commit"
-
-let broadcast_vote t ~kind (block : Qc.block_ref) =
-  let partial = Auth.sign_vote t.auth ~signer:(me t) ~phase:kind ~view:t.cview block in
-  Obs.vote t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
-    ~phase:(phase_label kind);
-  C.Broadcast (msg t (Message.Vote { kind; block; partial; locked = None }))
 
 (* Replica accepts a pre-prepare: at most one per (view, slot), and the
    view's chain must be rooted at the NEW-VIEW anchor — either the block
@@ -148,9 +84,10 @@ let broadcast_vote t ~kind (block : Qc.block_ref) =
    below it. A proposal whose parent has not arrived yet (pipelining plus
    network jitter reorder bursts) is stashed and replayed once it does. *)
 let rec accept_pre_prepare t (block : Block.t) =
-  let slot = (t.cview, block.Block.height) in
+  let view = t.rep.cview in
+  let slot = (view, block.Block.height) in
   if Hashtbl.mem t.accepted slot then []
-  else if block.Block.view <> t.cview then []
+  else if block.Block.view <> view then []
   else begin
     match (block.Block.pl, t.anchor) with
     | (Block.Root | Block.Nil), _ | _, None -> []
@@ -160,14 +97,15 @@ let rec accept_pre_prepare t (block : Block.t) =
           && Sha256.equal parent_digest anchor.Qc.digest
         in
         let links_to_previous_slot =
-          match Hashtbl.find_opt t.accepted (t.cview, block.Block.height - 1) with
+          match Hashtbl.find_opt t.accepted (view, block.Block.height - 1) with
           | Some d -> String.equal d (Sha256.to_raw parent_digest)
           | None -> false
         in
         if links_to_anchor || links_to_previous_slot then begin
           Hashtbl.replace t.accepted slot (Sha256.to_raw (Block.digest block));
-          let adds = note_block t block in
-          let vote = broadcast_vote t ~kind:Qc.Prepare (Block.to_ref block) in
+          let adds = Replica.note_block t.rep block in
+          let b_ref = Block.to_ref block in
+          let vote = C.Broadcast (Replica.vote t.rep ~kind:Qc.Prepare b_ref) in
           let key = Sha256.to_raw (Block.digest block) in
           let stashed = Option.value ~default:[] (Hashtbl.find_opt t.stash key) in
           Hashtbl.remove t.stash key;
@@ -185,42 +123,41 @@ let rec accept_pre_prepare t (block : Block.t) =
 
 (* Every replica collects the all-to-all votes itself. *)
 let on_prepare_vote t (block : Qc.block_ref) partial =
-  match Vote_collector.add t.votes ~phase:Qc.Prepare ~view:t.cview ~block partial with
+  let r = t.rep in
+  match Vote_collector.add r.votes ~phase:Qc.Prepare ~view:r.cview ~block partial with
   | Vote_collector.Quorum qc ->
       (* prepared: remember the certificate, vote to commit *)
-      Obs.qc_formed t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
+      Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
         ~phase:"prepare";
       if Rank.qc_gt qc t.prepared then t.prepared <- qc;
-      let key = Sha256.to_raw block.Qc.digest in
-      if Hashtbl.mem t.commit_voted key then []
-      else begin
-        Hashtbl.replace t.commit_voted key ();
-        [ broadcast_vote t ~kind:Qc.Commit block ]
-      end
+      if Replica.first_vote t.commit_voted (Sha256.to_raw block.Qc.digest) then
+        [ C.Broadcast (Replica.vote r ~kind:Qc.Commit block) ]
+      else []
   | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 let on_commit_vote t (block : Qc.block_ref) partial =
+  let r = t.rep in
   match
-    Vote_collector.add t.commit_votes ~phase:Qc.Commit ~view:t.cview ~block partial
+    Vote_collector.add t.commit_votes ~phase:Qc.Commit ~view:r.cview ~block partial
   with
   | Vote_collector.Quorum qc ->
-      Obs.qc_formed t.cfg.C.obs ~view:t.cview ~height:block.Qc.height
+      Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
         ~phase:"commit";
-      let commits = deliver_commit t qc in
+      let commits = Replica.deliver_commit r qc in
       commits @ try_propose t
   | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 (* ---------- view change (broadcast, quadratic) ---------- *)
 
 let maybe_finish_vc t =
-  if is_leader t && t.collecting_vc then
-    match Hashtbl.find_opt t.vc_msgs t.cview with
-    | Some entries when List.length entries >= C.quorum t.cfg ->
-        let proof = List.map snd entries in
+  let r = t.rep in
+  if Replica.is_leader r && t.collecting_vc then
+    match Replica.view_quorum r t.vc_msgs with
+    | Some proof ->
         let high = List.fold_left Rank.max_qc t.prepared proof in
         t.prepared <- high;
         t.collecting_vc <- false;
-        Obs.view_change_exit t.cfg.C.obs ~view:t.cview;
+        Obs.view_change_exit r.cfg.C.obs ~view:r.cview;
         (* the new view's chain is anchored on the chosen certificate *)
         t.anchor <- Some high.Qc.block;
         t.proposed_tip <- high.Qc.block;
@@ -230,60 +167,41 @@ let maybe_finish_vc t =
            commit the whole branch and reopen the window *)
         let recommit =
           if Qc.is_genesis high then []
-          else [ broadcast_vote t ~kind:Qc.Commit high.Qc.block ]
+          else [ C.Broadcast (Replica.vote r ~kind:Qc.Commit high.Qc.block) ]
         in
-        (C.Broadcast (msg t (Message.New_view_proof { justify = high; proof }))
+        (C.Broadcast (Replica.msg r (Message.New_view_proof { justify = high; proof }))
         :: recommit)
         @ try_propose t
-    | Some _ | None -> []
+    | None -> []
   else []
 
+(* VIEW-CHANGE is broadcast, so every replica counts toward joining a
+   later view, not only its leader. *)
 let rec on_view_change_msg t (m : Message.t) qc =
-  if not (Auth.verify_qc t.auth qc) then []
-  else begin
-    let existing =
-      Option.value ~default:[] (Hashtbl.find_opt t.vc_msgs m.Message.view)
-    in
-    if List.mem_assoc m.Message.sender existing then []
-    else begin
-      Hashtbl.replace t.vc_msgs m.Message.view ((m.Message.sender, qc) :: existing);
-      (* VIEW-CHANGE is broadcast, so every replica can count: f+1
-         view-change messages for a later view justify joining it. *)
-      if
-        m.Message.view > t.cview
-        && List.length existing + 1 >= C.weak_quorum t.cfg
-      then begin
-        Obs.view_enter t.cfg.C.obs ~view:m.Message.view ~cause:"sync";
-        enter_view t m.Message.view ~send:true
-      end
-      else maybe_finish_vc t
-    end
-  end
+  if not (Auth.verify_qc t.rep.auth qc) then []
+  else
+    match Replica.store_view_msg t.rep t.vc_msgs m qc with
+    | Replica.Duplicate -> []
+    | Replica.Join -> enter_view t m.Message.view ~send:true
+    | Replica.Stored -> maybe_finish_vc t
 
 and enter_view t view ~send =
-  t.cview <- view;
-  t.collecting_vc <- is_leader t;
-  t.proposed_tip <- Block.to_ref (committed_head t);
+  let r = t.rep in
+  Replica.enter r t.vc_msgs view;
+  t.collecting_vc <- Replica.is_leader r;
+  t.proposed_tip <- Block.to_ref (Block_store.last_committed r.store);
   (* proposals are rejected until this view's NEW-VIEW sets the anchor *)
   t.anchor <- None;
   Hashtbl.reset t.accepted;
   Hashtbl.reset t.stash;
   Hashtbl.reset t.commit_voted;
-  Vote_collector.gc_below_view t.votes t.cview;
-  Vote_collector.gc_below_view t.commit_votes t.cview;
-  Hashtbl.iter
-    (fun v _ -> if v < t.cview then Hashtbl.remove t.vc_msgs v)
-    (Hashtbl.copy t.vc_msgs);
-  let timer =
-    C.timer
-      ~cause:(if send then C.View_change else C.View_progress)
-      (Pacemaker.current_timeout t.pacemaker)
-  in
+  Vote_collector.gc_below_view t.commit_votes view;
+  let timer = Replica.view_timer r ~send in
   let vc =
     if send then begin
-      Obs.view_change_enter t.cfg.C.obs ~view;
+      Obs.view_change_enter r.cfg.C.obs ~view;
       (* PBFT broadcasts view-change messages to everyone *)
-      let m = msg t (Message.New_view { justify = t.prepared }) in
+      let m = Replica.msg r (Message.New_view { justify = t.prepared }) in
       C.Broadcast m :: on_view_change_msg t m t.prepared
     end
     else begin
@@ -294,18 +212,19 @@ and enter_view t view ~send =
   timer :: vc
 
 let accept_new_view_proof t (m : Message.t) (justify : Qc.t) proof =
-  if m.Message.view < t.cview then []
-  else if m.Message.sender <> leader_of t m.Message.view then []
-  else if List.length proof < C.quorum t.cfg then []
-  else if not (List.for_all (Auth.verify_qc t.auth) (justify :: proof)) then []
+  let r = t.rep in
+  if m.Message.view < r.cview then []
+  else if m.Message.sender <> Replica.leader_of r m.Message.view then []
+  else if List.length proof < C.quorum r.cfg then []
+  else if not (List.for_all (Auth.verify_qc r.auth) (justify :: proof)) then []
   else if not (List.for_all (fun qc -> Rank.qc_geq justify qc) proof) then []
   else if not (Rank.qc_geq justify t.prepared) then
     (* the leader's choice misses something we prepared — refuse *)
     []
   else begin
-    if m.Message.view > t.cview then ignore (enter_view t m.Message.view ~send:false);
+    if m.Message.view > r.cview then ignore (enter_view t m.Message.view ~send:false);
     t.collecting_vc <- false;
-    Obs.view_change_exit t.cfg.C.obs ~view:t.cview;
+    Obs.view_change_exit r.cfg.C.obs ~view:r.cview;
     if Rank.qc_gt justify t.prepared then t.prepared <- justify;
     t.anchor <- Some justify.Qc.block;
     (* Join the new view's commit round for the in-flight backlog — even
@@ -313,21 +232,20 @@ let accept_new_view_proof t (m : Message.t) (justify : Qc.t) proof =
        view's traffic need a fresh quorum to pull them forward. *)
     let recommit =
       if Qc.is_genesis justify then []
-      else [ broadcast_vote t ~kind:Qc.Commit justify.Qc.block ]
+      else [ C.Broadcast (Replica.vote r ~kind:Qc.Commit justify.Qc.block) ]
     in
-    C.timer (Pacemaker.current_timeout t.pacemaker) :: recommit
+    C.timer (Pacemaker.current_timeout r.pacemaker) :: recommit
   end
 
 (* ---------- dispatch ---------- *)
 
-let on_message t (m : Message.t) =
+let step t (m : Message.t) =
+  let r = t.rep in
   match m.Message.payload with
   | Message.Propose { block; justify = _ } ->
-      if m.Message.view = t.cview && m.Message.sender = leader_of t t.cview then
-        accept_pre_prepare t block
-      else []
+      if Replica.from_leader r m then accept_pre_prepare t block else []
   | Message.Vote { kind; block; partial; locked = _ } ->
-      if m.Message.view <> t.cview then []
+      if m.Message.view <> r.cview then []
       else begin
         match kind with
         | Qc.Prepare -> on_prepare_vote t block partial
@@ -335,40 +253,25 @@ let on_message t (m : Message.t) =
         | Qc.Pre_prepare | Qc.Precommit -> []
       end
   | Message.New_view { justify } ->
-      if m.Message.view >= t.cview then on_view_change_msg t m justify else []
+      if m.Message.view >= r.cview then on_view_change_msg t m justify else []
   | Message.New_view_proof { justify; proof } ->
       accept_new_view_proof t m justify proof
   | Message.Phase_cert qc ->
-      if Qc.phase_equal qc.Qc.phase Qc.Commit && Auth.verify_qc t.auth qc then
-        deliver_commit t qc
+      if Qc.phase_equal qc.Qc.phase Qc.Commit && Auth.verify_qc r.auth qc then
+        Replica.deliver_commit r qc
       else []
   | Message.Fetch { digest } ->
-      Committer.handle_fetch t.com ~sender:m.Message.sender ~view:t.cview digest
-  | Message.Fetch_resp { block } -> note_block t block
+      Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
+  | Message.Fetch_resp { block } -> Replica.note_block r block
   | Message.View_change _ | Message.Pre_prepare _ | Message.Client_op _
   | Message.Client_reply _ ->
       []
 
-let rec settle t actions =
-  List.concat_map
-    (function
-      | C.Send { dst; msg } when dst = me t -> settle t (on_message t msg)
-      | C.Broadcast msg as b -> b :: settle t (on_message t msg)
-      | (C.Send _ | C.Commit _ | C.Timer _) as a -> [ a ])
-    actions
-
-let on_message t m = settle t (on_message t m)
-
-let on_start t =
-  C.timer (Pacemaker.current_timeout t.pacemaker) :: settle t (try_propose t)
-
-let on_new_payload t = settle t (try_propose t)
-
-let force_view_change t =
-  Obs.view_enter t.cfg.C.obs ~view:(t.cview + 1) ~cause:"rotation";
-  settle t (enter_view t (t.cview + 1) ~send:true)
-
-let on_view_timeout t =
-  Pacemaker.note_view_change t.pacemaker;
-  Obs.view_enter t.cfg.C.obs ~view:(t.cview + 1) ~cause:"timeout";
-  settle t (enter_view t (t.cview + 1) ~send:true)
+include Replica.Drive (struct
+  type nonrec t = t
+  let replica t = t.rep
+  let verify_justify = None
+  let step = step
+  let try_propose = try_propose
+  let enter_view = enter_view
+end)

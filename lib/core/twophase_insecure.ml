@@ -5,93 +5,50 @@ module C = Consensus_intf
 let name = "twophase-insecure"
 
 type t = {
-  cfg : C.config;
-  auth : Auth.t;
-  store : Block_store.t;
-  com : Committer.t;
-  votes : Vote_collector.t;
-  pacemaker : Pacemaker.t;
-  mutable cview : int;
+  rep : Replica.t;
   mutable lb : Block.t;
   mutable locked_qc : Qc.t;
   mutable high : Qc.t;
   mutable in_flight : Sha256.t option;
   mutable collecting_vc : bool;
-  vc_msgs : (int, (int * Qc.t) list) Hashtbl.t;
+  vc_msgs : Qc.t Replica.view_msgs;
   voted_commit : (string, unit) Hashtbl.t;
   mutable rejected : int;
 }
 
 let create cfg =
-  let meter = Cpu_meter.create cfg.C.cost in
-  let auth = Auth.create ~keychain:cfg.C.keychain ~meter ~quorum:(C.quorum cfg) in
-  let store = Block_store.create () in
   {
-    cfg;
-    auth;
-    store;
-    com = Committer.create cfg store;
-    votes = Vote_collector.create auth;
-    pacemaker = Pacemaker.create ~base:cfg.C.base_timeout ~max:cfg.C.max_timeout;
-    cview = 0;
+    rep = Replica.create cfg;
     lb = Block.genesis;
     locked_qc = Qc.genesis;
     high = Qc.genesis;
     in_flight = None;
     collecting_vc = false;
-    vc_msgs = Hashtbl.create 4;
+    vc_msgs = Replica.view_msgs ();
     voted_commit = Hashtbl.create 8;
     rejected = 0;
   }
 
-let current_view t = t.cview
-let is_leader t = C.leader_of t.cfg t.cview = t.cfg.C.id
-let committed_head t = Block_store.last_committed t.store
-let committed_count t = Committer.committed_count t.com
-let block_store t = t.store
 let locked_qc t = t.locked_qc
 let high_qc t = High_qc.Single t.high
-let cpu_meter t = Auth.meter t.auth
 let rejected_proposals t = t.rejected
 
-let me t = t.cfg.C.id
-let leader_of t view = C.leader_of t.cfg view
-let msg t payload = Message.make ~sender:(me t) ~view:t.cview payload
-
-let directly_extends ~(child : Block.t) ~(parent : Qc.block_ref) =
-  (match child.Block.pl with
-  | Block.Hash d -> Sha256.equal d parent.Qc.digest
-  | Block.Root | Block.Nil -> false)
-  && child.Block.height = parent.Qc.height + 1
-  && child.Block.pview = parent.Qc.block_view
-
-let finish_commits t (r : Committer.result) =
-  match r.Committer.committed with
-  | [] -> r.Committer.sends
-  | _ :: _ -> begin
-    Pacemaker.note_progress t.pacemaker;
-    C.Commit r.Committer.committed
-    :: C.timer (Pacemaker.current_timeout t.pacemaker)
-    :: r.Committer.sends
-  end
-
-let note_block t b = finish_commits t (Committer.note_block t.com b)
-let deliver_commit t qc = finish_commits t (Committer.deliver t.com ~view:t.cview qc)
-
 let try_propose t =
-  if (not (is_leader t)) || t.in_flight <> None || t.collecting_vc then []
+  let r = t.rep in
+  if (not (Replica.is_leader r)) || Option.is_some t.in_flight || t.collecting_vc then []
   else begin
-    let payload = t.cfg.C.get_batch () in
+    let payload = r.cfg.C.get_batch () in
     if Batch.is_empty payload then []
     else begin
       let qc = t.high in
       let b =
-        Block.make_child_of_ref ~parent:qc.Qc.block ~view:t.cview ~payload
+        Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
           ~justify:(Block.J_qc qc)
       in
       t.in_flight <- Some (Block.digest b);
-      ignore (note_block t b);
-      [ C.Broadcast (msg t (Message.Propose { block = b; justify = High_qc.Single qc })) ]
+      ignore (Replica.note_block r b);
+      let justify = High_qc.Single qc in
+      [ C.Broadcast (Replica.msg r (Message.Propose { block = b; justify })) ]
     end
   end
 
@@ -102,36 +59,17 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
   | High_qc.Paired _ -> []
   | High_qc.Single qc ->
       if
-        directly_extends ~child:block ~parent:qc.Qc.block
+        Block.directly_extends ~child:block ~parent:qc.Qc.block
         && Rank.block_gt (Block.summary block) (Block.summary t.lb)
         && Block.justify_equal block.Block.justify (Block.J_qc qc)
-        && Auth.verify_qc t.auth qc
+        && Auth.verify_qc t.rep.auth qc
       then
         if Rank.qc_geq qc t.locked_qc then begin
-          let adds = note_block t block in
+          let adds = Replica.note_block t.rep block in
           t.lb <- block;
           if Rank.qc_gt qc t.high then t.high <- qc;
           if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
-          let partial =
-            Auth.sign_vote t.auth ~signer:(me t) ~phase:Qc.Prepare ~view:t.cview
-              (Block.to_ref block)
-          in
-          adds
-          @ [
-              C.Send
-                {
-                  dst = leader_of t t.cview;
-                  msg =
-                    msg t
-                      (Message.Vote
-                         {
-                           kind = Qc.Prepare;
-                           block = Block.to_ref block;
-                           partial;
-                           locked = None;
-                         });
-                };
-            ]
+          adds @ Replica.vote_to_leader t.rep ~kind:Qc.Prepare (Block.to_ref block)
         end
         else begin
           t.rejected <- t.rejected + 1;
@@ -140,48 +78,35 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
       else []
 
 let accept_prepare_cert t (qc : Qc.t) =
-  if not (Auth.verify_qc t.auth qc) then []
+  let r = t.rep in
+  if not (Auth.verify_qc r.auth qc) then []
   else begin
     if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
     if Rank.qc_gt qc t.high then t.high <- qc;
     if
-      qc.Qc.view = t.cview
-      && not (Hashtbl.mem t.voted_commit (Sha256.to_raw qc.Qc.block.Qc.digest))
-    then begin
-      Hashtbl.replace t.voted_commit (Sha256.to_raw qc.Qc.block.Qc.digest) ();
-      let partial =
-        Auth.sign_vote t.auth ~signer:(me t) ~phase:Qc.Commit ~view:t.cview qc.Qc.block
-      in
-      [
-        C.Send
-          {
-            dst = leader_of t t.cview;
-            msg =
-              msg t
-                (Message.Vote
-                   { kind = Qc.Commit; block = qc.Qc.block; partial; locked = None });
-          };
-      ]
-    end
+      qc.Qc.view = r.cview
+      && Replica.first_vote t.voted_commit (Sha256.to_raw qc.Qc.block.Qc.digest)
+    then Replica.vote_to_leader r ~kind:Qc.Commit qc.Qc.block
     else []
   end
 
 let on_vote t kind (block : Qc.block_ref) partial =
-  if not (is_leader t) then []
+  let r = t.rep in
+  if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add t.votes ~phase:kind ~view:t.cview ~block partial with
+    match Vote_collector.add r.votes ~phase:kind ~view:r.cview ~block partial with
     | Vote_collector.Quorum qc -> (
         match kind with
         | Qc.Prepare ->
             if Rank.qc_gt qc t.high then t.high <- qc;
             if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
-            [ C.Broadcast (msg t (Message.Phase_cert qc)) ]
+            [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
         | Qc.Commit ->
             if (match t.in_flight with
                | Some d -> Sha256.equal d block.Qc.digest
                | None -> false)
             then t.in_flight <- None;
-            C.Broadcast (msg t (Message.Phase_cert qc)) :: try_propose t
+            C.Broadcast (Replica.msg r (Message.Phase_cert qc)) :: try_propose t
         | Qc.Pre_prepare | Qc.Precommit -> [])
     | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
@@ -189,52 +114,35 @@ let on_vote t kind (block : Qc.block_ref) partial =
    it. The unsafe snapshots of Figure 2b are exactly the ones where this
    misses somebody's lock. *)
 let maybe_finish_vc t =
-  if is_leader t && t.collecting_vc then
-    match Hashtbl.find_opt t.vc_msgs t.cview with
-    | Some entries when List.length entries >= C.quorum t.cfg ->
-        let high =
-          List.fold_left (fun acc (_, qc) -> Rank.max_qc acc qc) t.high entries
-        in
-        t.high <- high;
+  if Replica.is_leader t.rep && t.collecting_vc then
+    match Replica.view_quorum t.rep t.vc_msgs with
+    | Some qcs ->
+        t.high <- List.fold_left Rank.max_qc t.high qcs;
         t.collecting_vc <- false;
         try_propose t
-    | Some _ | None -> []
+    | None -> []
   else []
 
 let rec on_new_view_msg t (m : Message.t) qc =
-  if not (Auth.verify_qc t.auth qc) then []
-  else begin
-    let existing =
-      Option.value ~default:[] (Hashtbl.find_opt t.vc_msgs m.Message.view)
-    in
-    if List.mem_assoc m.Message.sender existing then []
-    else begin
-      Hashtbl.replace t.vc_msgs m.Message.view ((m.Message.sender, qc) :: existing);
-      if
-        m.Message.view > t.cview
-        && C.leader_of t.cfg m.Message.view = me t
-        && List.length existing + 1 >= C.weak_quorum t.cfg
-      then enter_view t m.Message.view ~send:true
-      else maybe_finish_vc t
-    end
-  end
+  if not (Auth.verify_qc t.rep.auth qc) then []
+  else
+    match Replica.store_view_msg t.rep t.vc_msgs m qc with
+    | Replica.Duplicate -> []
+    | Replica.Join -> enter_view t m.Message.view ~send:true
+    | Replica.Stored -> maybe_finish_vc t
 
 and enter_view t view ~send =
-  t.cview <- view;
+  let r = t.rep in
+  Replica.enter r t.vc_msgs view;
   t.in_flight <- None;
-  t.collecting_vc <- is_leader t;
+  t.collecting_vc <- Replica.is_leader r;
   Hashtbl.reset t.voted_commit;
-  Vote_collector.gc_below_view t.votes t.cview;
-  let timer =
-    C.timer
-      ~cause:(if send then C.View_change else C.View_progress)
-      (Pacemaker.current_timeout t.pacemaker)
-  in
+  let timer = Replica.view_timer r ~send in
   let nv =
     if send then begin
-      let m = msg t (Message.New_view { justify = t.high }) in
-      if leader_of t view = me t then on_new_view_msg t m t.high
-      else [ C.Send { dst = leader_of t view; msg = m } ]
+      let m = Replica.msg r (Message.New_view { justify = t.high }) in
+      if Replica.is_leader r then on_new_view_msg t m t.high
+      else [ C.Send { dst = Replica.leader_of r view; msg = m } ]
     end
     else begin
       t.collecting_vc <- false;
@@ -243,72 +151,33 @@ and enter_view t view ~send =
   in
   timer :: nv
 
+let step t (m : Message.t) =
+  let r = t.rep in
+  match m.Message.payload with
+  | Message.New_view { justify } ->
+      if Replica.to_leader r m then on_new_view_msg t m justify else []
+  | Message.Propose { block; justify } ->
+      if Replica.from_leader r m then accept_propose t block justify else []
+  | Message.Vote { kind; block; partial; locked = _ } ->
+      if m.Message.view = r.cview then on_vote t kind block partial else []
+  | Message.Phase_cert qc -> (
+      match qc.Qc.phase with
+      | Qc.Prepare -> accept_prepare_cert t qc
+      | Qc.Commit ->
+          if Auth.verify_qc r.auth qc then Replica.deliver_commit r qc else []
+      | Qc.Pre_prepare | Qc.Precommit -> [])
+  | Message.Fetch { digest } ->
+      Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
+  | Message.Fetch_resp { block } -> Replica.note_block r block
+  | Message.View_change _ | Message.Pre_prepare _ | Message.New_view_proof _
+  | Message.Client_op _ | Message.Client_reply _ ->
+      []
 
-
-let maybe_fast_forward t (m : Message.t) =
-  if m.Message.view <= t.cview then []
-  else
-    let proof =
-      match m.Message.payload with
-      | Message.Propose { justify = High_qc.Single qc; _ } | Message.Phase_cert qc ->
-          if qc.Qc.view = m.Message.view && Auth.verify_qc t.auth qc then Some qc
-          else None
-      | Message.Propose _ | Message.Vote _ | Message.View_change _
-      | Message.Pre_prepare _ | Message.New_view _ | Message.New_view_proof _ | Message.Fetch _
-      | Message.Fetch_resp _ | Message.Client_op _ | Message.Client_reply _ ->
-          None
-    in
-    match proof with
-    | Some _ ->
-        Pacemaker.note_progress t.pacemaker;
-        enter_view t m.Message.view ~send:false
-    | None -> []
-
-let on_message t (m : Message.t) =
-  let ff = maybe_fast_forward t m in
-  let main =
-    match m.Message.payload with
-    | Message.New_view { justify } ->
-        if m.Message.view >= t.cview && leader_of t m.Message.view = me t then
-          on_new_view_msg t m justify
-        else []
-    | Message.Propose { block; justify } ->
-        if m.Message.view = t.cview && m.Message.sender = leader_of t t.cview then
-          accept_propose t block justify
-        else []
-    | Message.Vote { kind; block; partial; locked = _ } ->
-        if m.Message.view = t.cview then on_vote t kind block partial else []
-    | Message.Phase_cert qc -> (
-        match qc.Qc.phase with
-        | Qc.Prepare -> accept_prepare_cert t qc
-        | Qc.Commit -> if Auth.verify_qc t.auth qc then deliver_commit t qc else []
-        | Qc.Pre_prepare | Qc.Precommit -> [])
-    | Message.Fetch { digest } ->
-        Committer.handle_fetch t.com ~sender:m.Message.sender ~view:t.cview digest
-    | Message.Fetch_resp { block } -> note_block t block
-    | Message.View_change _ | Message.Pre_prepare _ | Message.New_view_proof _
-    | Message.Client_op _ | Message.Client_reply _ ->
-        []
-  in
-  ff @ main
-
-let rec settle t actions =
-  List.concat_map
-    (function
-      | C.Send { dst; msg } when dst = me t -> settle t (on_message t msg)
-      | C.Broadcast msg as b -> b :: settle t (on_message t msg)
-      | (C.Send _ | C.Commit _ | C.Timer _) as a -> [ a ])
-    actions
-
-let on_message t m = settle t (on_message t m)
-
-let on_start t =
-  C.timer (Pacemaker.current_timeout t.pacemaker) :: settle t (try_propose t)
-
-let on_new_payload t = settle t (try_propose t)
-
-let force_view_change t = settle t (enter_view t (t.cview + 1) ~send:true)
-
-let on_view_timeout t =
-  Pacemaker.note_view_change t.pacemaker;
-  settle t (enter_view t (t.cview + 1) ~send:true)
+include Replica.Drive (struct
+  type nonrec t = t
+  let replica t = t.rep
+  let verify_justify = Some Replica.verify_single
+  let step = step
+  let try_propose = try_propose
+  let enter_view = enter_view
+end)

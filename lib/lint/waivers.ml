@@ -1,7 +1,8 @@
 (* Suppression filtering shared by the Parsetree and Typedtree passes:
-   drop diagnostics a waiver covers, and warn about waivers that name a
-   rule this pass runs but that matched nothing — a stale waiver hides
-   nothing today and will silently hide a real finding tomorrow.
+   drop diagnostics a waiver covers, and report as an error every waiver
+   that names a rule this pass runs but matched nothing — a stale waiver
+   hides nothing today and will silently hide a real finding tomorrow,
+   so it fails the gate like any other finding.
 
    Each pass only judges waivers naming rules it knows ([known_rules]):
    a typed-rule waiver (say, pbft's linearity allow-file) must not look
@@ -54,7 +55,7 @@ let filter ~known_rules ~source_of ~files diagnostics =
             then
               Some
                 (Diagnostic.make ~rule:stale_rule
-                   ~severity:Diagnostic.Warning ~file:rel
+                   ~severity:Diagnostic.Error ~file:rel
                    ~line:e.Suppress.line ~col:0
                    (Printf.sprintf
                       "stale waiver: rule '%s' is waived here but produced \
@@ -65,7 +66,7 @@ let filter ~known_rules ~source_of ~files diagnostics =
           (Suppress.entries sup))
       files
   in
-  (* Stale warnings are themselves waivable (rule name "stale-waiver") —
+  (* Stale findings are themselves waivable (rule name "stale-waiver") —
      e.g. a waiver kept deliberately for a rule that fires only on some
      configurations. *)
   let stale =

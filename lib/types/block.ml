@@ -93,6 +93,13 @@ let make_virtual ~pview ~view ~height ~payload ~justify =
 
 let is_virtual b = match b.pl with Nil -> true | Root | Hash _ -> false
 
+let directly_extends ~child ~(parent : Qc.block_ref) =
+  (match child.pl with
+  | Hash d -> Sha256.equal d parent.Qc.digest
+  | Root | Nil -> false)
+  && child.height = parent.Qc.height + 1
+  && child.pview = parent.Qc.block_view
+
 let to_ref b =
   {
     Qc.digest = digest b;

@@ -57,6 +57,10 @@ val digest : t -> Marlin_crypto.Sha256.t
 val to_ref : t -> Qc.block_ref
 val is_virtual : t -> bool
 
+val directly_extends : child:t -> parent:Qc.block_ref -> bool
+(** [child] links by hash to the block [parent] references, one height
+    above it, with [child.pview] the parent's view. *)
+
 val primary_justify : t -> Qc.t option
 (** The QC with the highest rank in the justify field ([None] for genesis).
     For [J_paired (qc, vc)] this is [qc] — the pre-prepareQC, which was

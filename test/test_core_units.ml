@@ -1,6 +1,7 @@
 (* Unit tests for the protocol-independent consensus machinery: the CPU
-   meter, the metered Auth wrapper, the vote collector, the pacemaker, and
-   the committer (commit ordering, fetch, held certificates). *)
+   meter, the metered Auth wrapper, the vote collector, the pacemaker, the
+   committer (commit ordering, fetch, held certificates), and the entry
+   points every registered protocol shares. *)
 
 open Marlin_types
 module Core = Marlin_core
@@ -234,6 +235,63 @@ let test_committer_handle_fetch () =
     (List.length
        (Core.Committer.handle_fetch com ~sender:2 ~view:1 (Sha256.string "nope")))
 
+(* ---------- entry points, for every registered protocol ---------- *)
+
+module Trace = Marlin_obs.Trace
+
+let test_entry_point_contract () =
+  List.iter
+    (fun (name, (module P : C.PROTOCOL)) ->
+      let run = Marlin_obs.Run.create ~trace:true ~n:4 () in
+      (* one operation, available once [on_start] has run *)
+      let pending = ref false in
+      let get_batch () =
+        if not !pending then Batch.empty
+        else begin
+          pending := false;
+          Batch.of_list [ Operation.make ~client:1 ~seq:1 ~body:"op" ]
+        end
+      in
+      let replica id =
+        let obs = Marlin_obs.Run.handle run ~clock:(fun () -> 0.) ~replica:id in
+        P.create (C.Config.make ~id ~n:4 ~f:1 ~keychain:kc ~get_batch ~obs ())
+      in
+      let check_bool what = Alcotest.(check bool) (name ^ ": " ^ what) true in
+      (* the view-0 leader: its proposal's local copy is delivered to
+         itself, and so is its own vote *)
+      let leader = replica 0 in
+      check_bool "on_start arms the view timer first"
+        (match P.on_start leader with C.Timer _ :: _ -> true | _ -> false);
+      pending := true;
+      let acts = P.on_new_payload leader in
+      check_bool "self-addressed sends are consumed"
+        (List.for_all (function C.Send { dst; _ } -> dst <> 0 | _ -> true) acts);
+      Alcotest.(check int) (name ^ ": the proposal is broadcast once") 1
+        (List.length
+           (List.filter
+              (function
+                | C.Broadcast { Message.payload = Message.Propose _; _ } -> true
+                | _ -> false)
+              acts));
+      (* a follower rotates, then times out *)
+      let r = replica 1 in
+      let entered () =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            match e.Trace.kind with
+            | Trace.View_enter { cause } when e.Trace.replica = 1 ->
+                Some (e.Trace.view, cause)
+            | _ -> None)
+          (Marlin_obs.Run.trace_events run)
+      in
+      ignore (P.force_view_change r);
+      Alcotest.(check int) (name ^ ": rotation advances one view") 1 (P.current_view r);
+      ignore (P.on_view_timeout r);
+      Alcotest.(check int) (name ^ ": timeout advances one view") 2 (P.current_view r);
+      Alcotest.(check (list (pair int string)))
+        (name ^ ": view-enter causes") [ (1, "rotation"); (2, "timeout") ] (entered ()))
+    (Marlin_runtime.Registry.all ())
+
 let suite =
   [
     ("cpu meter", `Quick, test_cpu_meter);
@@ -246,6 +304,7 @@ let suite =
     ("committer fetches missing bodies", `Quick, test_committer_fetches_missing);
     ("committer conflict is fatal", `Quick, test_committer_conflict_is_fatal);
     ("committer answers fetches", `Quick, test_committer_handle_fetch);
+    ("entry-point contract, every protocol", `Quick, test_entry_point_contract);
   ]
 
 let () = Alcotest.run "core-units" [ ("core-units", suite) ]

@@ -382,11 +382,18 @@ let test_typed_waiver_interaction () =
        (fun (f, _, _) -> f = "lib/core/waived_linearity.ml")
        (typed_anchors "linearity"));
   Alcotest.(check bool) "suppression is counted" true (r.Typed.suppressed >= 1);
-  (* stale_waiver.ml waives a rule that never fires: that surfaces as a
-     warning anchored at the directive line. *)
+  (* stale_waiver.ml waives a rule that never fires: that surfaces as an
+     error anchored at the directive line, so the gate fails on it. *)
   check_typed_anchors "unused waiver reported where it was written"
     [ ("lib/core/stale_waiver.ml", 5, 0) ]
-    "stale-waiver"
+    "stale-waiver";
+  Alcotest.(check (list string)) "stale waivers are errors" [ "error" ]
+    (List.filter_map
+       (fun d ->
+         if d.Diagnostic.rule = "stale-waiver" then
+           Some (Diagnostic.severity_label d.Diagnostic.severity)
+         else None)
+       r.Typed.diagnostics)
 
 let test_typed_rule_inventory () =
   Alcotest.(check int) "four typed rules ship" 4 (List.length Rules_typed.all);
@@ -462,11 +469,11 @@ let test_github_format () =
      100%25%0Anext"
     (Diagnostic.to_github d);
   let w =
-    Diagnostic.make ~rule:"stale-waiver" ~severity:Diagnostic.Warning
+    Diagnostic.make ~rule:"float-equality" ~severity:Diagnostic.Warning
       ~file:"lib/b,c.ml" ~line:1 ~col:0 "plain"
   in
   Alcotest.(check string) "warnings and property escaping"
-    "::warning file=lib/b%2Cc.ml,line=1,col=0,title=stale-waiver::plain"
+    "::warning file=lib/b%2Cc.ml,line=1,col=0,title=float-equality::plain"
     (Diagnostic.to_github w)
 
 let suite =

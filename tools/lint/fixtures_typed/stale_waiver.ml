@@ -1,5 +1,5 @@
 (* A waiver naming a typed rule that never fires in this file: the
-   engines must report it as a stale-waiver warning anchored at the
+   engines must report it as a stale-waiver error anchored at the
    directive's line. *)
 
 (* lint: allow quorum-provenance -- fixture: nothing fires below *)
