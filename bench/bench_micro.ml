@@ -70,18 +70,19 @@ let run () =
   Printf.printf "\n=== Micro-benchmarks (Bechamel; monotonic clock) ===\n%!";
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  List.iter
+  (* every estimate first, then printed in name order rather than in
+     hash-bucket order *)
+  List.concat_map
     (fun test ->
       let results = Benchmark.all cfg [ instance ] test in
       let ols =
         Analyze.ols ~bootstrap:0 ~r_square:false
           ~predictors:[| Measure.run |]
       in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-34s %12.1f ns/op\n%!" name est
-          | _ -> Printf.printf "%-34s (no estimate)\n%!" name)
-        analyzed)
+      List.of_seq (Hashtbl.to_seq (Analyze.all ols instance results)))
     tests
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (name, result) ->
+         match Analyze.OLS.estimates result with
+         | Some [ est ] -> Printf.printf "%-34s %12.1f ns/op\n%!" name est
+         | _ -> Printf.printf "%-34s (no estimate)\n%!" name)

@@ -27,9 +27,9 @@ module Arrival = Marlin_workload.Arrival
 (* Every target appends labelled records as it prints its tables; with
    --json FILE the collected records are written as one schema-versioned
    document. The committed regression baselines (bench/baselines/) are
-   exactly such documents, and the regress target reads them back. *)
+   exactly such documents, and the regression gates read them back. *)
 module Recorder = struct
-  let schema = "marlin-bench/1"
+  let schema = Test_support.Gate.schema
   let target = ref ""
   let set_target t = target := t
 
@@ -654,14 +654,14 @@ let observe ~full ~trace_file ~metrics_file () =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Smoke / spans / regress: the machine-readable bench pipeline        *)
+(* Smoke / spans: the machine-readable bench pipeline                  *)
 (* ------------------------------------------------------------------ *)
 
 (* A tiny deterministic pass: fully traced profile runs of the basic
    protocols (critical-path breakdown included) plus one quick point from
    each experiment family. Running this with --json produces the document
-   committed as bench/baselines/BENCH_smoke.json; regress re-runs it and
-   diffs. Returns the records for regress to compare. *)
+   committed as bench/baselines/BENCH_smoke.json; the regress gate re-runs
+   it and compares the returned records. *)
 let smoke () =
   section "Smoke: traced profile runs + one point per experiment family";
   let recs = ref [] in
@@ -676,8 +676,15 @@ let smoke () =
         Experiment.run_instrumented proto ~params ~warmup:1.0 ~duration:3.0
           ~trace:true ()
       in
-      Format.printf "%a%!" Obs.Critical_path.pp
-        (Experiment.critical_path ~label obs);
+      let cp = Experiment.critical_path ~label obs in
+      Format.printf "%a%!" Obs.Critical_path.pp cp;
+      (* the decomposition must stay exact, so no re-bless can record a
+         broken one *)
+      if cp.Obs.Critical_path.max_attribution_error > 1e-9 then begin
+        Printf.eprintf "%s: span attribution error %.3g s exceeds 1e-9\n" label
+          cp.Obs.Critical_path.max_attribution_error;
+        exit 1
+      end;
       put (label ^ "/profile")
         (Experiment.profile_json ~label ~sim_seconds:4.0 r obs))
     [ ("marlin", basic_marlin); ("hotstuff", basic_hotstuff); ("pbft", pbft) ];
@@ -774,162 +781,6 @@ let spans ~trace_file ~windows () =
                (Obs.Critical_path.to_json cp)
                (Obs.Timeseries.to_json ~label ts)))
     (Obs.Trace_reader.runs (Obs.Trace_reader.read_file path))
-
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* The regression gate: re-run smoke and compare every metric the baseline
-   recorded. Throughput and latency get the user-facing relative tolerance
-   (--tolerance, default 15%); per-block message/authenticator counts and
-   the critical path's quorum-wait count are structural consequences of
-   the protocol, so they get tight fixed tolerances — a change there is a
-   behaviour change, not noise. Returns the number of violations. *)
-let regress ~baseline ~tolerance () =
-  let module J = Obs.Json_lite in
-  let path =
-    Option.value ~default:"bench/baselines/BENCH_smoke.json" baseline
-  in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  section
-    (Printf.sprintf "Regression gate: fresh smoke run vs %s (tolerance %.0f%%)"
-       path (100. *. tol));
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- smoke --json %s)\n"
-        e path;
-      exit 2
-  in
-  let doc =
-    match J.parse text with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 2
-  in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | Some s ->
-      Printf.eprintf "%s: schema %S, this binary speaks %S\n" path s
-        Recorder.schema;
-      exit 2
-  | None ->
-      Printf.eprintf "%s: not a bench JSON document (no \"schema\" field)\n"
-        path;
-      exit 2);
-  let baseline_records =
-    match J.member "records" doc with
-    | Some records -> (
-        match J.to_list records with
-        | Some l ->
-            List.filter_map
-              (fun r ->
-                match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-                | Some "smoke", Some label ->
-                    Option.map (fun d -> (label, d)) (J.member "data" r)
-                | _ -> None)
-              l
-        | None -> [])
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no smoke records to compare against\n" path;
-    exit 2
-  end;
-  let fresh = smoke () in
-  let fresh_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* (path into the record, tolerance): a check applies to a record iff the
-     baseline record has that field *)
-  let checks =
-    [
-      ([ "throughput" ], tol);                    (* tput records *)
-      ([ "latency"; "mean" ], tol);
-      ([ "throughput"; "throughput" ], tol);      (* profile records *)
-      ([ "throughput"; "latency"; "mean" ], tol);
-      ([ "commit_latency"; "mean" ], tol);
-      ([ "msgs_per_block" ], 0.01);
-      ([ "auths_per_block" ], 0.01);
-      ([ "phase_breakdown"; "quorum_waits_per_commit" ], 1e-6);
-      ([ "vc_latency" ], tol);
-      ([ "vc_messages" ], 0.01);
-      ([ "vc_bytes" ], 0.05);
-      (* fault records: recovery is timing, traffic is structural *)
-      ([ "recovery_latency" ], tol);
-      ([ "vc_authenticators" ], 0.01);
-    ]
-  in
-  let checked = ref 0 and failures = ref 0 in
-  Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-22s missing from the fresh smoke run\n" label
-      | Some fdata ->
-          (* the decomposition must stay exact, whatever the baseline says *)
-          (match
-             J.float_at [ "phase_breakdown"; "max_attribution_error" ] fdata
-           with
-          | Some e when e > 1e-9 ->
-              incr failures;
-              Printf.printf
-                "  FAIL %-22s span attribution error %.3g s exceeds 1e-9\n"
-                label e
-          | _ -> ());
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-22s %-38s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      let scale = Float.max (Float.abs b) 1e-9 in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-22s %-38s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            checks)
-    baseline_records;
-  Printf.printf
-    "regress: %d records, %d metrics checked, %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: consensus traffic / latency / scheduler footprint vs n     *)
@@ -1094,156 +945,6 @@ let scaling ~smoke () =
   | _ -> ());
   List.rev !recs
 
-(* Regression gate over the committed scaling baseline: a fresh smoke-size
-   sweep, structural counts tight, timing at the user tolerance, plus an
-   absolute wall-clock budget so a scheduler complexity regression (the
-   event queue or broadcast fan-out going super-linear) fails loudly even
-   if every simulated metric still matches. *)
-let scaling_regress ~baseline ~tolerance ~budget () =
-  let module J = Obs.Json_lite in
-  let path =
-    Option.value ~default:"bench/baselines/BENCH_scaling.json" baseline
-  in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  let budget =
-    match budget with
-    | None -> 120.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some b when b > 0. -> b
-        | _ ->
-            Printf.eprintf "--budget wants a positive float (seconds), got %S\n" s;
-            exit 2)
-  in
-  section
-    (Printf.sprintf
-       "Scaling regression gate: fresh smoke sweep vs %s (tolerance %.0f%%, \
-        budget %.0f s)"
-       path (100. *. tol) budget);
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- scaling --smoke --json %s)\n"
-        e path;
-      exit 2
-  in
-  let doc =
-    match J.parse text with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 2
-  in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | _ ->
-      Printf.eprintf "%s: not a %S document\n" path Recorder.schema;
-      exit 2);
-  let baseline_records =
-    match Option.bind (J.member "records" doc) J.to_list with
-    | Some l ->
-        List.filter_map
-          (fun r ->
-            match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-            | Some "scaling", Some label ->
-                Option.map (fun d -> (label, d)) (J.member "data" r)
-            | _ -> None)
-          l
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no scaling records to compare against\n" path;
-    exit 2
-  end;
-  let t0 = Unix.gettimeofday () in
-  let fresh = scaling ~smoke:true () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fresh_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* structural counts are deterministic consequences of the protocol and
-     the scheduler; timing metrics get the user tolerance *)
-  let checks =
-    [
-      ([ "blocks" ], tol);
-      ([ "happy_msgs" ], 0.01);
-      ([ "happy_auths" ], 0.01);
-      ([ "msgs_per_block" ], 0.02);
-      ([ "auths_per_block" ], 0.02);
-      ([ "vc_msgs" ], 0.02);
-      ([ "vc_auths" ], 0.02);
-      ([ "vc_latency" ], tol);
-      ([ "throughput" ], tol);
-      ([ "latency_mean" ], tol);
-      ([ "peak_events" ], 0.10);
-    ]
-  in
-  let checked = ref 0 and failures = ref 0 in
-  Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-24s missing from the fresh sweep\n" label
-      | Some fdata ->
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-24s %-18s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      let scale = Float.max (Float.abs b) 1e-9 in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-24s %-18s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            checks)
-    baseline_records;
-  if wall > budget then begin
-    incr failures;
-    Printf.printf
-      "  FAIL wall-time budget: fresh sweep took %.1f s, budget %.1f s (the \
-       scheduler got slower)\n"
-      wall budget
-  end;
-  Printf.printf
-    "scaling-regress: %d records, %d metrics checked, %.1f s of %.0f s \
-     budget, %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked wall budget !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
-
 (* ------------------------------------------------------------------ *)
 (* Load: open-loop offered-load sweeps over the bounded mempool        *)
 (* ------------------------------------------------------------------ *)
@@ -1354,152 +1055,6 @@ let load ~smoke () =
     ];
   List.rev !recs
 
-(* Regression gate over the committed load baseline, scaling-regress
-   style: a fresh smoke-size sweep; deterministic inputs and counts get
-   tight tolerances, timing the user tolerance, plus a wall budget so a
-   generator or admission-path slowdown fails loudly. *)
-let load_regress ~baseline ~tolerance ~budget () =
-  let module J = Obs.Json_lite in
-  let path = Option.value ~default:"bench/baselines/BENCH_load.json" baseline in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  let budget =
-    match budget with
-    | None -> 120.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some b when b > 0. -> b
-        | _ ->
-            Printf.eprintf "--budget wants a positive float (seconds), got %S\n" s;
-            exit 2)
-  in
-  section
-    (Printf.sprintf
-       "Load regression gate: fresh smoke sweep vs %s (tolerance %.0f%%, \
-        budget %.0f s)"
-       path (100. *. tol) budget);
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- load --smoke --json %s)\n"
-        e path;
-      exit 2
-  in
-  let doc =
-    match J.parse text with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
-        exit 2
-  in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | _ ->
-      Printf.eprintf "%s: not a %S document\n" path Recorder.schema;
-      exit 2);
-  let baseline_records =
-    match Option.bind (J.member "records" doc) J.to_list with
-    | Some l ->
-        List.filter_map
-          (fun r ->
-            match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-            | Some "load", Some label ->
-                Option.map (fun d -> (label, d)) (J.member "data" r)
-            | _ -> None)
-          l
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no load records to compare against\n" path;
-    exit 2
-  end;
-  let t0 = Unix.gettimeofday () in
-  let fresh = load ~smoke:true () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fresh_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* the offered rate is an input and the arrival counts are deterministic
-     consequences of the seed; goodput/latency are timing *)
-  let checks =
-    [
-      ([ "offered" ], 1e-6);
-      ([ "generated" ], 0.01);
-      ([ "goodput" ], tol);
-      ([ "drop_rate" ], 0.02);
-      ([ "latency"; "p99" ], tol);
-      ([ "peak_occupancy" ], 0.10);
-      (* knee records nest the point *)
-      ([ "point"; "offered" ], 1e-6);
-      ([ "point"; "goodput" ], tol);
-      ([ "point"; "latency"; "p99" ], tol);
-    ]
-  in
-  let checked = ref 0 and failures = ref 0 in
-  Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-28s missing from the fresh sweep\n" label
-      | Some fdata ->
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-28s %-18s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      let scale = Float.max (Float.abs b) 1e-9 in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-28s %-18s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            checks)
-    baseline_records;
-  if wall > budget then begin
-    incr failures;
-    Printf.printf
-      "  FAIL wall-time budget: fresh sweep took %.1f s, budget %.1f s (the \
-       open-loop path got slower)\n"
-      wall budget
-  end;
-  Printf.printf
-    "load-regress: %d records, %d metrics checked, %.1f s of %.0f s budget, \
-     %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked wall budget !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
-
 (* ------------------------------------------------------------------ *)
 (* Attribution: what breaks first at the knee                          *)
 (* ------------------------------------------------------------------ *)
@@ -1607,190 +1162,72 @@ let attribution ~smoke () =
     (List.rev !rows);
   List.rev !recs
 
-(* Regression gate over the committed attribution baseline: verdicts are
-   behaviour and must match exactly; segment shares, knee goodput and the
-   latency tail get tolerances; the whole sweep sits under a wall
-   budget. *)
-let attribution_regress ~baseline ~tolerance ~budget () =
-  let module J = Obs.Json_lite in
-  let path =
-    Option.value ~default:"bench/baselines/BENCH_attribution.json" baseline
-  in
-  let tol =
-    match tolerance with
-    | None -> 0.15
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when t >= 0. -> t
-        | _ ->
-            Printf.eprintf "--tolerance wants a non-negative float, got %S\n" s;
-            exit 2)
-  in
-  let budget =
-    match budget with
-    | None -> 240.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some b when b > 0. -> b
-        | _ ->
-            Printf.eprintf "--budget wants a positive float (seconds), got %S\n"
-              s;
-            exit 2)
-  in
-  section
-    (Printf.sprintf
-       "Attribution regression gate: fresh smoke sweep vs %s (tolerance \
-        %.0f%%, budget %.0f s)"
-       path (100. *. tol) budget);
-  let text =
-    try read_all path
-    with Sys_error e ->
-      Printf.eprintf
-        "cannot read baseline: %s\n\
-         (record one with: bench/main.exe -- attribution --smoke --json %s)\n"
-        e path;
-      exit 2
+(* ------------------------------------------------------------------ *)
+(* Regression gates: fresh smoke-size runs vs committed baselines      *)
+(* ------------------------------------------------------------------ *)
+
+module Gate = Test_support.Gate
+
+(* One row per gate: (gate target, record target, default baseline, wall
+   budget, fixed_wall, fresh run). [Gate] compares every simulated field
+   exactly and ignores wall_seconds; the wall budget is the one non-exact
+   check, so a scheduler, open-loop or attribution slowdown fails loudly
+   even when every simulated number still matches. The fresh records keep
+   the record target, so a --json of a gate run is a re-blessed baseline. *)
+let gates =
+  [
+    ("regress", "smoke", "bench/baselines/BENCH_smoke.json", None, true, smoke);
+    ( "scaling-regress", "scaling", "bench/baselines/BENCH_scaling.json",
+      Some 120., false, scaling ~smoke:true );
+    ( "load-regress", "load", "bench/baselines/BENCH_load.json", Some 120.,
+      true, load ~smoke:true );
+    ( "attribution-regress", "attribution",
+      "bench/baselines/BENCH_attribution.json", Some 240., true,
+      attribution ~smoke:true );
+  ]
+
+(* Run one gate; returns the number of violations. *)
+let regress ~baseline (name, target, default, budget, fixed_wall, run) =
+  let path = Option.value ~default baseline in
+  Recorder.set_target target;
+  Recorder.fixed_wall := fixed_wall;
+  section (Printf.sprintf "Regression gate: fresh %s run vs %s" target path);
+  let unusable e =
+    Printf.eprintf "%s: %s\n" path e;
+    exit 2
   in
   let doc =
-    match J.parse text with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "%s: %s\n" path e;
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> Result.fold ~ok:Fun.id ~error:unusable (Obs.Json_lite.parse text)
+    | exception Sys_error e ->
+        prerr_endline e;
         exit 2
   in
-  (match J.string_at [ "schema" ] doc with
-  | Some s when s = Recorder.schema -> ()
-  | _ ->
-      Printf.eprintf "%s: not a %S document\n" path Recorder.schema;
-      exit 2);
-  let baseline_records =
-    match Option.bind (J.member "records" doc) J.to_list with
-    | Some l ->
-        List.filter_map
-          (fun r ->
-            match (J.string_at [ "target" ] r, J.string_at [ "label" ] r) with
-            | Some "attribution", Some label ->
-                Option.map (fun d -> (label, d)) (J.member "data" r)
-            | _ -> None)
-          l
-    | None -> []
-  in
-  if baseline_records = [] then begin
-    Printf.eprintf "%s: no attribution records to compare against\n" path;
-    exit 2
-  end;
+  (* reject an unusable baseline before the run, not after it *)
+  Result.iter_error unusable (Gate.check ~target doc []);
   let t0 = Unix.gettimeofday () in
-  let fresh = attribution ~smoke:true () in
+  let fresh = List.map (fun (l, d) -> (l, Obs.Json_lite.parse_exn d)) (run ()) in
   let wall = Unix.gettimeofday () -. t0 in
-  let fresh_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (label, data) ->
-      match J.parse data with
-      | Ok d -> Hashtbl.replace fresh_tbl label d
-      | Error _ -> ())
-    fresh;
-  (* verdicts are typed behaviour: exact. Shares/goodput/latency: timing *)
-  let share_checks point =
-    List.map
-      (fun comp ->
-        ( [ point; "verdict"; "shares"; Obs.Span.component_name comp ],
-          0.10 ))
-      Obs.Span.all_components
-  in
-  let float_checks =
-    [
-      ([ "n" ], 1e-9);
-      ([ "knee"; "offered" ], 1e-6);
-      ([ "knee"; "goodput" ], tol);
-      ([ "at_knee"; "point"; "goodput" ], tol);
-      ([ "at_knee"; "verdict"; "drop_rate" ], 0.05);
-      ([ "past_knee"; "point"; "goodput" ], tol);
-      ([ "past_knee"; "verdict"; "drop_rate" ], 0.05);
-      ([ "past_knee"; "verdict"; "latency_p99" ], tol);
-    ]
-    @ share_checks "at_knee" @ share_checks "past_knee"
-  in
-  let string_checks =
-    [
-      [ "verdict" ];
-      [ "at_knee"; "verdict"; "bottleneck" ];
-      [ "past_knee"; "verdict"; "bottleneck" ];
-    ]
-  in
-  let checked = ref 0 and failures = ref 0 in
+  let o = Result.fold ~ok:Fun.id ~error:unusable (Gate.check ~target doc fresh) in
   Printf.printf "\n";
-  List.iter
-    (fun (label, bdata) ->
-      match Hashtbl.find_opt fresh_tbl label with
-      | None ->
-          incr failures;
-          Printf.printf "  FAIL %-28s missing from the fresh sweep\n" label
-      | Some fdata ->
-          List.iter
-            (fun spath ->
-              let name = String.concat "." spath in
-              match J.string_at spath bdata with
-              | None -> ()
-              | Some b -> (
-                  match J.string_at spath fdata with
-                  | Some f when f = b -> incr checked
-                  | Some f ->
-                      incr failures;
-                      Printf.printf
-                        "  FAIL %-28s %-28s baseline %S fresh %S (verdicts \
-                         are exact)\n"
-                        label name b f
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-28s %-28s missing in fresh run\n"
-                        label name))
-            string_checks;
-          List.iter
-            (fun (fpath, ctol) ->
-              match J.float_at fpath bdata with
-              | None -> ()
-              | Some b -> (
-                  let name = String.concat "." fpath in
-                  match J.float_at fpath fdata with
-                  | None ->
-                      incr failures;
-                      Printf.printf "  FAIL %-28s %-28s missing in fresh run\n"
-                        label name
-                  | Some f ->
-                      incr checked;
-                      (* shares are fractions of 1: absolute tolerance; the
-                         rest relative, scaled as load-regress does *)
-                      let scale =
-                        if List.exists (fun seg -> seg = "shares") fpath then 1.
-                        else Float.max (Float.abs b) 1e-9
-                      in
-                      if Float.abs (f -. b) > (ctol *. scale) +. 1e-12
-                      then begin
-                        incr failures;
-                        Printf.printf
-                          "  FAIL %-28s %-28s baseline %-12.6g fresh %-12.6g \
-                           (%+.1f%%, tolerance %.1f%%)\n"
-                          label name b f
-                          (100. *. (f -. b) /. scale)
-                          (100. *. ctol)
-                      end))
-            float_checks)
-    baseline_records;
-  if wall > budget then begin
-    incr failures;
-    Printf.printf
-      "  FAIL wall-time budget: fresh sweep took %.1f s, budget %.1f s (the \
-       attribution path got slower)\n"
-      wall budget
-  end;
+  List.iter (Format.printf "  FAIL %a@." Gate.pp_mismatch) o.Gate.mismatches;
+  let over =
+    match budget with
+    | Some b when wall > b ->
+        Printf.printf "  FAIL wall time %.1f s exceeds the %.0f s budget\n" wall b;
+        1
+    | _ -> 0
+  in
+  let failures = List.length o.Gate.mismatches + over in
   Printf.printf
-    "attribution-regress: %d records, %d metrics checked, %.1f s of %.0f s \
-     budget, %d violation%s -> %s\n"
-    (List.length baseline_records)
-    !checked wall budget !failures
-    (if !failures = 1 then "" else "s")
-    (if !failures = 0 then "PASS" else "FAIL");
-  !failures
+    "%s: %d records, %d fields compared, %.1f s wall, %d violation%s -> %s\n"
+    name o.Gate.records o.Gate.leaves wall failures
+    (if failures = 1 then "" else "s")
+    (if failures = 0 then "PASS" else "FAIL");
+  if o.Gate.mismatches <> [] then
+    Printf.printf "re-bless after an intended change: bench/main.exe %s --json %s\n"
+      name path;
+  failures
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -1819,10 +1256,8 @@ let () =
   let metrics_file, args = take_opt "--metrics-out" args in
   let json_file, args = take_opt "--json" args in
   let baseline, args = take_opt "--baseline" args in
-  let tolerance, args = take_opt "--tolerance" args in
-  let budget, args = take_opt "--budget" args in
   let t0 = Unix.gettimeofday () in
-  (* regress reports its violations after the json is flushed *)
+  (* gates report their violations after the json is flushed *)
   let regress_failures = ref 0 in
   let dispatch name =
     Recorder.set_target name;
@@ -1847,56 +1282,34 @@ let () =
     | "micro" -> Bench_micro.run ()
     | "observe" -> observe ~full ~trace_file ~metrics_file ()
     | "smoke" ->
-        Recorder.set_target "smoke";
         Recorder.fixed_wall := true;
         ignore (smoke () : (string * string) list)
     | "spans" -> spans ~trace_file ~windows:windows_flag ()
-    | "regress" ->
-        Recorder.set_target "smoke";
-        Recorder.fixed_wall := true;
-        (* the fresh records keep the smoke target so a --json of this
-           run can itself serve as a re-blessed baseline *)
-        regress_failures := !regress_failures + regress ~baseline ~tolerance ()
     | "scaling" ->
         ignore (scaling ~smoke:smoke_flag () : (string * string) list)
-    | "scaling-regress" ->
-        Recorder.set_target "scaling";
-        (* as with regress: a --json of this run is a re-blessed baseline *)
-        regress_failures :=
-          !regress_failures + scaling_regress ~baseline ~tolerance ~budget ()
     | "load" ->
         Recorder.fixed_wall := true;
         ignore (load ~smoke:smoke_flag () : (string * string) list)
-    | "load-regress" ->
-        Recorder.set_target "load";
-        Recorder.fixed_wall := true;
-        (* as with regress: a --json of this run is a re-blessed baseline *)
-        regress_failures :=
-          !regress_failures + load_regress ~baseline ~tolerance ~budget ()
     | "attribution" ->
         Recorder.fixed_wall := true;
         ignore (attribution ~smoke:smoke_flag () : (string * string) list)
-    | "attribution-regress" ->
-        Recorder.set_target "attribution";
-        Recorder.fixed_wall := true;
-        (* as with regress: a --json of this run is a re-blessed baseline *)
-        regress_failures :=
-          !regress_failures
-          + attribution_regress ~baseline ~tolerance ~budget ()
-    | other ->
-        Printf.eprintf
-          "unknown target %S (try: table1 fig10a..fig10f fig10g fig10h \
-           fig10i fig10j related-work faults ablate-sigs ablate-shadow \
-           ablate-batch fig2-demo micro observe smoke spans regress scaling \
-           scaling-regress load load-regress attribution \
-           attribution-regress all; observe takes --trace FILE and \
-           --metrics-out FILE, spans reads --trace FILE and optionally \
-           --windows WIDTH, regress takes --baseline FILE and \
-           --tolerance X, scaling, load and attribution take --smoke, \
-           scaling-regress, load-regress and attribution-regress add \
-           --budget SECONDS, any run takes --json FILE)\n"
-          other;
-        exit 2
+    | other -> (
+        match List.find_opt (fun (g, _, _, _, _, _) -> g = other) gates with
+        | Some row -> regress_failures := !regress_failures + regress ~baseline row
+        | None ->
+            Printf.eprintf
+              "unknown target %S (try: table1 fig10a..fig10f fig10g fig10h \
+               fig10i fig10j related-work faults ablate-sigs ablate-shadow \
+               ablate-batch fig2-demo micro observe smoke spans regress \
+               scaling scaling-regress load load-regress attribution \
+               attribution-regress all; observe takes --trace FILE and \
+               --metrics-out FILE, spans reads --trace FILE and optionally \
+               --windows WIDTH, scaling, load and attribution take --smoke, \
+               regress, scaling-regress, load-regress and \
+               attribution-regress take --baseline FILE, any run takes \
+               --json FILE)\n"
+              other;
+            exit 2)
   in
   (match args with
   | [] when trace_file <> None || metrics_file <> None -> dispatch "observe"

@@ -287,6 +287,83 @@ let test_timer_shim () =
   Alcotest.(check string) "cause label" "view-change"
     (C.timer_cause_label C.View_change)
 
+(* ---------- the bench regression gate (Test_support.Gate) ---------- *)
+
+module Gate = Test_support.Gate
+module J = Obs.Json_lite
+
+(* A two-record marlin-bench/1 document in the shape the bench writes. *)
+let gate_doc ?(schema = Gate.schema) ?(wall = "0.0") ?(p99 = "0.123456")
+    ?(verdict = "nic-queue") ?(extra = "") () =
+  J.parse_exn
+    (Printf.sprintf
+       {|{"schema":"%s","wall_seconds":%s,"records":[
+  {"target":"load","label":"a n=4","data":{"offered":4000,"latency":{"p99":%s,"hist":[1,2,3]},"wall_seconds":%s}},
+  {"target":"load","label":"b n=4","data":{"verdict":"%s","sustainable":true}}%s
+]}|}
+       schema wall p99 wall verdict extra)
+
+let gate_fresh doc =
+  List.filter_map
+    (fun r ->
+      match (J.string_at [ "label" ] r, J.member "data" r) with
+      | Some l, Some d -> Some (l, d)
+      | _ -> None)
+    (Option.get (Option.bind (J.member "records" doc) J.to_list))
+
+let gate_paths ~baseline ~fresh =
+  match Gate.check ~target:"load" baseline (gate_fresh fresh) with
+  | Ok o ->
+      List.map (fun (m : Gate.mismatch) -> m.Gate.label ^ "|" ^ m.Gate.path)
+        o.Gate.mismatches
+  | Error e -> Alcotest.failf "unexpected gate error: %s" e
+
+let test_gate_exact () =
+  let base = gate_doc () in
+  let paths = Alcotest.(check (list string)) in
+  paths "identical documents pass" [] (gate_paths ~baseline:base ~fresh:base);
+  paths "wall_seconds differences are ignored" []
+    (gate_paths ~baseline:base ~fresh:(gate_doc ~wall:"42.5" ()));
+  paths "last digit of a nested number" [ "a n=4|latency.p99" ]
+    (gate_paths ~baseline:base ~fresh:(gate_doc ~p99:"0.123457" ()));
+  paths "changed verdict string" [ "b n=4|verdict" ]
+    (gate_paths ~baseline:base ~fresh:(gate_doc ~verdict:"propagate" ()));
+  (match Gate.check ~target:"load" base
+           (gate_fresh (gate_doc ~p99:"0.123457" ())) with
+  | Ok { Gate.mismatches = [ m ]; _ } ->
+      Alcotest.(check (option string)) "baseline value" (Some "0.123456")
+        m.Gate.baseline;
+      Alcotest.(check (option string)) "fresh value" (Some "0.123457")
+        m.Gate.fresh
+  | _ -> Alcotest.fail "expected exactly one mismatch");
+  let c = {|,
+  {"target":"load","label":"c n=4","data":{"offered":1}}|} in
+  paths "record missing from the fresh run" [ "c n=4|" ]
+    (gate_paths ~baseline:(gate_doc ~extra:c ()) ~fresh:base);
+  paths "extra record in the fresh run" [ "c n=4|" ]
+    (gate_paths ~baseline:base ~fresh:(gate_doc ~extra:c ()));
+  let fresh =
+    List.map
+      (fun (l, d) ->
+        match d with
+        | J.Obj fields when l = "b n=4" -> (l, J.Obj (("new", J.Num 1.) :: fields))
+        | _ -> (l, d))
+      (gate_fresh base)
+  in
+  (match Gate.check ~target:"load" base fresh with
+  | Ok { Gate.mismatches = [ m ]; _ } ->
+      Alcotest.(check string) "extra field named" "new" m.Gate.path;
+      Alcotest.(check (option string)) "absent in baseline" None m.Gate.baseline;
+      Alcotest.(check bool) "message says to re-bless" true
+        (contains (Format.asprintf "%a" Gate.pp_mismatch m) "re-bless")
+  | _ -> Alcotest.fail "expected exactly one mismatch for the extra field");
+  Alcotest.(check bool) "wrong schema rejected" true
+    (Result.is_error
+       (Gate.check ~target:"load" (gate_doc ~schema:"marlin-bench/0" ())
+          (gate_fresh base)));
+  Alcotest.(check bool) "no records of the target rejected" true
+    (Result.is_error (Gate.check ~target:"smoke" base []))
+
 let suite =
   [
     ("trace ordering", `Quick, test_trace_ordering);
@@ -300,6 +377,7 @@ let suite =
     ("exporters (CSV/JSON/JSONL)", `Quick, test_exporters);
     ("Config.make validation", `Quick, test_config_validation);
     ("timer cause shim", `Quick, test_timer_shim);
+    ("regression gate compares exactly", `Quick, test_gate_exact);
   ]
 
 let () = Alcotest.run "obs" [ ("obs", suite) ]

@@ -4,9 +4,11 @@
 # over lib/ bench/ test/ PLUS the typed interprocedural pass over every
 # lib/ .cmt: effect inference, quorum-arithmetic provenance, linearity,
 # exhaustive payload dispatch — and both seeded-violation fixture
-# checks), then tier-1 tests, then the bench smoke pipeline with its
-# regression check against the committed baselines
-# (bench/baselines/*.json). Any tolerance violation fails the script.
+# checks), then tier-1 tests, then the four bench regression gates
+# against the committed baselines (bench/baselines/*.json). Each gate
+# compares every simulated field exactly, ignores wall_seconds and holds
+# one wall budget per target (none for smoke; 120 s scaling and load;
+# 240 s attribution). Any difference fails the script.
 # Lint runs before the tests because it is the cheapest gate with the
 # highest signal-per-second: a raw `2*f` or a nested broadcast should
 # fail CI in seconds, not after the full suite.
@@ -22,26 +24,26 @@
 # message/authenticator counts from the marlin_faults subsystem.
 #
 # The scaling gate (`dune build @bench-scaling`) sweeps every registry
-# protocol over n up to 64 and diffs message/authenticator counts, peak
-# event-queue occupancy and wall time against its own baseline, so a
-# broadcast fan-out or calendar-queue regression fails CI even when the
-# small-n smoke numbers are unchanged.
+# protocol over n up to 64 and compares message/authenticator counts,
+# peak event-queue occupancy and the rest of each row with its own
+# baseline, under a wall budget, so a broadcast fan-out or calendar-queue
+# regression fails CI even when the small-n smoke numbers are unchanged.
 #
 # The load gate (`dune build @bench-load`) sweeps open-loop offered load
 # (Poisson arrivals, 1M client keys) over the bounded mempool for every
-# registry protocol at n in {4, 32}, and diffs goodput, drop accounting
-# and tail latency against its baseline — deterministic counts exact,
-# timing within tolerance, the sweep under a wall budget.
+# registry protocol at n in {4, 32}, and compares goodput, drop
+# accounting and tail latency with its baseline, the sweep under a wall
+# budget.
 #
 # The attribution gate (`dune build @bench-attribution`) locates each
 # protocol's saturation knee, re-runs traced at and past it with
-# windowed timeseries attached, and diffs the bottleneck verdicts
+# windowed timeseries attached, and compares the bottleneck verdicts
 # (which resource binds first: cpu / serialize / nic-queue / propagate /
 # quorum-wait / mempool-backpressure), knee rates and segment shares
 # against its baseline — so a change that silently moves a protocol's
 # binding resource fails CI.
 #
-# To re-bless the baselines after an intentional performance change:
+# To re-bless the baselines after an intentional change:
 #   dune exec bench/main.exe -- smoke --json bench/baselines/BENCH_smoke.json
 #   dune exec bench/main.exe -- scaling --smoke --json bench/baselines/BENCH_scaling.json
 #   dune exec bench/main.exe -- load --smoke --json bench/baselines/BENCH_load.json
