@@ -32,17 +32,37 @@ let encoded_msg = Message.encode_string sample_msg
 let partials =
   List.init 21 (fun i -> Threshold.sign kc ~signer:i "digest-to-certify")
 
+(* The hot call shapes of a run: a vote-sized MAC under a prepared replica
+   key, and a QC check at n = 256 with an n - f = 171 signer list. *)
+let payload_64 = String.make 64 'v'
+let kc_256 = Keychain.create ~n:256 ()
+
+let qc_256 =
+  let msg = "digest-to-certify" in
+  match
+    Threshold.combine kc_256 ~threshold:171 msg
+      (List.init 171 (fun i -> Threshold.sign kc_256 ~signer:i msg))
+  with
+  | Ok t -> t
+  | Error e -> failwith e
+
 let tests =
   [
     Test.make ~name:"sha256 1KiB" (Staged.stage (fun () -> Sha256.string payload_1k));
     Test.make ~name:"sha256 64KiB" (Staged.stage (fun () -> Sha256.string payload_64k));
     Test.make ~name:"hmac-sha256 1KiB"
       (Staged.stage (fun () -> Hmac.mac ~key:"k" payload_1k));
+    Test.make ~name:"hmac-sha256 prepared 64 B"
+      (Staged.stage (fun () ->
+           Hmac.mac_prepared ~key:(Keychain.key kc 3) payload_64));
     Test.make ~name:"sim-sign"
       (Staged.stage (fun () -> Marlin_crypto.Signature.sign kc ~signer:3 "msg"));
     Test.make ~name:"threshold combine (21/31)"
       (Staged.stage (fun () ->
            Threshold.combine kc ~threshold:21 "digest-to-certify" partials));
+    Test.make ~name:"threshold verify (171/256)"
+      (Staged.stage (fun () ->
+           Threshold.verify kc_256 ~threshold:171 "digest-to-certify" qc_256));
     Test.make ~name:"block digest (64 ops)"
       (Staged.stage (fun () ->
            (* defeat the cache: rebuild the block *)

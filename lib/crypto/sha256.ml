@@ -1,76 +1,78 @@
-(* SHA-256 per FIPS 180-4. The compression function operates on Int32 words;
-   message scheduling and padding follow the specification directly. *)
+(* SHA-256 per FIPS 180-4. Words are native ints holding 32-bit values:
+   every word stored in the state or the schedule is masked to 32 bits, so
+   the logical right shifts in the sigma functions see clean high bits.
+   Intermediate sums and left shifts may carry bits above bit 31; they
+   never reach a stored word unmasked, and the low 32 bits of a sum depend
+   only on the low 32 bits of its operands. Nothing in the compression
+   loop allocates. Requires 63-bit ints (a 64-bit platform). *)
 
 type t = string (* 32 raw bytes *)
 
 let digest_size = 32
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+     0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+     0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+     0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+     0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+     0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+     0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+     0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+     0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+     0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+let mask = 0xffffffff
 
 module Ctx = struct
   type ctx = {
-    h : int32 array; (* 8 working hash values *)
+    h : int array; (* 8 working hash values *)
     buf : Bytes.t; (* 64-byte block buffer *)
     mutable buf_len : int; (* bytes currently in [buf] *)
-    mutable total : int64; (* total message bytes fed *)
-    w : int32 array; (* 64-entry message schedule, reused *)
+    mutable total : int; (* total message bytes fed *)
+    w : int array; (* 64-entry message schedule, reused *)
   }
 
+  (* The 8 chaining words followed by the byte count. *)
+  type midstate = int array
+
+  let of_state h total =
+    { h; buf = Bytes.create 64; buf_len = 0; total; w = Array.make 64 0 }
+
   let create () =
-    {
-      h =
-        [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-           0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
-      buf = Bytes.create 64;
-      buf_len = 0;
-      total = 0L;
-      w = Array.make 64 0l;
-    }
+    of_state
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+      0
 
-  let ( &&& ) = Int32.logand
-  let ( ^^^ ) = Int32.logxor
-  let ( ||| ) = Int32.logor
-  let ( +% ) = Int32.add
-  let lnot32 = Int32.lognot
+  let copy c =
+    { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 64 0 }
 
-  let rotr x n =
-    Int32.shift_right_logical x n ||| Int32.shift_left x (32 - n)
+  let midstate c =
+    if c.buf_len <> 0 then
+      invalid_arg "Sha256.Ctx.midstate: input not a whole number of blocks";
+    Array.append c.h [| c.total |]
 
-  let shr = Int32.shift_right_logical
+  let resume m = of_state (Array.sub m 0 8) m.(8)
+
+  (* [rotr x n] for a clean 32-bit [x]; bits above 31 of the result are
+     garbage, so callers mask before storing. *)
+  let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
 
   (* Process one 64-byte block starting at [off] in [b]. *)
   let compress ctx b off =
     let w = ctx.w in
     for i = 0 to 15 do
-      let j = off + (i * 4) in
-      let byte n = Int32.of_int (Char.code (Bytes.get b (j + n))) in
-      w.(i) <-
-        Int32.shift_left (byte 0) 24
-        ||| Int32.shift_left (byte 1) 16
-        ||| Int32.shift_left (byte 2) 8
-        ||| byte 3
+      w.(i) <- Int32.to_int (Bytes.get_int32_be b (off + (i * 4))) land mask
     done;
     for i = 16 to 63 do
-      let s0 =
-        rotr w.(i - 15) 7 ^^^ rotr w.(i - 15) 18 ^^^ shr w.(i - 15) 3
-      in
-      let s1 =
-        rotr w.(i - 2) 17 ^^^ rotr w.(i - 2) 19 ^^^ shr w.(i - 2) 10
-      in
-      w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+      let x = w.(i - 15) and y = w.(i - 2) in
+      let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+      let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
     done;
     let h = ctx.h in
     let a = ref h.(0)
@@ -82,32 +84,32 @@ module Ctx = struct
     and g = ref h.(6)
     and hh = ref h.(7) in
     for i = 0 to 63 do
-      let s1 = rotr !e 6 ^^^ rotr !e 11 ^^^ rotr !e 25 in
-      let ch = (!e &&& !f) ^^^ (lnot32 !e &&& !g) in
-      let temp1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
-      let s0 = rotr !a 2 ^^^ rotr !a 13 ^^^ rotr !a 22 in
-      let maj = (!a &&& !bb) ^^^ (!a &&& !c) ^^^ (!bb &&& !c) in
-      let temp2 = s0 +% maj in
+      let e' = !e and a' = !a in
+      let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+      let ch = (e' land !f) lxor (lnot e' land !g) in
+      let temp1 = !hh + s1 + ch + k.(i) + w.(i) in
+      let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+      let maj = (a' land !bb) lxor (a' land !c) lxor (!bb land !c) in
       hh := !g;
       g := !f;
-      f := !e;
-      e := !d +% temp1;
+      f := e';
+      e := (!d + temp1) land mask;
       d := !c;
       c := !bb;
-      bb := !a;
-      a := temp1 +% temp2
+      bb := a';
+      a := (temp1 + s0 + maj) land mask
     done;
-    h.(0) <- h.(0) +% !a;
-    h.(1) <- h.(1) +% !bb;
-    h.(2) <- h.(2) +% !c;
-    h.(3) <- h.(3) +% !d;
-    h.(4) <- h.(4) +% !e;
-    h.(5) <- h.(5) +% !f;
-    h.(6) <- h.(6) +% !g;
-    h.(7) <- h.(7) +% !hh
+    h.(0) <- (h.(0) + !a) land mask;
+    h.(1) <- (h.(1) + !bb) land mask;
+    h.(2) <- (h.(2) + !c) land mask;
+    h.(3) <- (h.(3) + !d) land mask;
+    h.(4) <- (h.(4) + !e) land mask;
+    h.(5) <- (h.(5) + !f) land mask;
+    h.(6) <- (h.(6) + !g) land mask;
+    h.(7) <- (h.(7) + !hh) land mask
 
   let feed_sub ctx (src : bytes) pos len =
-    ctx.total <- Int64.add ctx.total (Int64.of_int len);
+    ctx.total <- ctx.total + len;
     let pos = ref pos and len = ref len in
     (* Fill a partially filled buffer first. *)
     if ctx.buf_len > 0 then begin
@@ -138,32 +140,23 @@ module Ctx = struct
   let feed_string ctx s =
     feed_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+  (* Padding, written into [buf]: 0x80, zeros, then the 64-bit big-endian
+     bit length in the last 8 bytes of the final block. *)
   let finalize ctx =
-    let bit_len = Int64.mul ctx.total 8L in
-    (* Padding: 0x80, zeros, then 64-bit big-endian length. *)
-    let pad_len =
-      let rem = (ctx.buf_len + 1 + 8) mod 64 in
-      if rem = 0 then 1 + 8 else 1 + 8 + (64 - rem)
-    in
-    let pad = Bytes.make pad_len '\000' in
-    Bytes.set pad 0 '\x80';
-    for i = 0 to 7 do
-      Bytes.set pad
-        (pad_len - 1 - i)
-        (Char.chr
-           (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len (8 * i)) 0xFFL)))
-    done;
-    feed_sub ctx pad 0 pad_len;
-    assert (ctx.buf_len = 0);
+    let buf = ctx.buf and len = ctx.buf_len in
+    Bytes.set buf len '\x80';
+    if len >= 56 then begin
+      Bytes.fill buf (len + 1) (63 - len) '\000';
+      compress ctx buf 0;
+      Bytes.fill buf 0 56 '\000'
+    end
+    else Bytes.fill buf (len + 1) (55 - len) '\000';
+    Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+    compress ctx buf 0;
+    ctx.buf_len <- 0;
     let out = Bytes.create 32 in
     for i = 0 to 7 do
-      let v = ctx.h.(i) in
-      let byte n =
-        Char.chr (Int32.to_int (Int32.logand (shr v (24 - (8 * n))) 0xFFl))
-      in
-      for n = 0 to 3 do
-        Bytes.set out ((i * 4) + n) (byte n)
-      done
+      Bytes.set_int32_be out (i * 4) (Int32.of_int ctx.h.(i))
     done;
     Bytes.unsafe_to_string out
 end

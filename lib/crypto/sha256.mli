@@ -2,8 +2,10 @@
 
     This is the only "real" cryptographic primitive in the repository: block
     hashes, parent links and HMAC-based simulated signatures are all built on
-    it. The implementation is pure OCaml over [Int32] words and is validated
-    against the NIST test vectors in the test suite. *)
+    it. The implementation is pure OCaml over native [int]s masked to 32
+    bits, so hashing allocates nothing beyond a context and the digest. It
+    is validated against the NIST test vectors in the test suite. Needs
+    63-bit native ints (a 64-bit platform). *)
 
 type t
 (** A 32-byte digest. *)
@@ -46,5 +48,24 @@ module Ctx : sig
   val create : unit -> ctx
   val feed_string : ctx -> string -> unit
   val feed_bytes : ctx -> bytes -> unit
+
   val finalize : ctx -> t
+  (** The digest of everything fed. The context must not be used after. *)
+
+  val copy : ctx -> ctx
+  (** [copy c] is an independent context in the state of [c]: feeding or
+      finalizing either one leaves the other unchanged. *)
+
+  type midstate
+  (** The chaining state of a context that has been fed a whole number of
+      64-byte blocks: 8 words and the byte count, without the block buffer
+      or message schedule a context carries. *)
+
+  val midstate : ctx -> midstate
+  (** @raise Invalid_argument if the bytes fed so far are not a multiple
+      of 64. *)
+
+  val resume : midstate -> ctx
+  (** A fresh context in the saved state, as if it had been fed the same
+      bytes. The midstate itself is not changed by feeding the result. *)
 end

@@ -15,10 +15,24 @@ let verify_partial kc msg p =
   && Sha256.equal p.tag
        (Hmac.mac_prepared ~key:(Keychain.key kc p.signer) (share_msg msg))
 
+(* Decimal digits of a non-negative [i], without an intermediate string. *)
+let rec add_id b i =
+  if i >= 10 then add_id b (i / 10);
+  Buffer.add_char b (Char.chr (Char.code '0' + (i mod 10)))
+
+(* The tag input is "tsig|<ids joined by ','>|<msg>"; [signers] are in
+   range, so non-negative. *)
 let combined_tag kc msg signers =
-  let ids = String.concat "," (List.map string_of_int signers) in
-  Hmac.mac_prepared ~key:(Keychain.system_key kc)
-    (Printf.sprintf "tsig|%s|%s" ids msg)
+  let b = Buffer.create (String.length msg + 8 + (4 * List.length signers)) in
+  Buffer.add_string b "tsig|";
+  List.iteri
+    (fun i id ->
+      if i > 0 then Buffer.add_char b ',';
+      add_id b id)
+    signers;
+  Buffer.add_char b '|';
+  Buffer.add_string b msg;
+  Hmac.mac_prepared ~key:(Keychain.system_key kc) (Buffer.contents b)
 
 let combine kc ~threshold msg partials =
   let valid = List.filter (verify_partial kc msg) partials in
@@ -31,10 +45,13 @@ let combine kc ~threshold msg partials =
 
 let verify kc ~threshold msg s =
   let n = Keychain.n kc in
-  let sorted = List.sort_uniq Int.compare s.signers in
-  List.length sorted >= threshold
-  && List.equal Int.equal sorted s.signers
-  && List.for_all (fun i -> i >= 0 && i < n) s.signers
+  (* One pass: strictly ascending from 0 (so duplicate-free and
+     non-negative), below [n], and at least [threshold] of them. *)
+  let rec well_formed prev count = function
+    | [] -> count >= threshold
+    | i :: rest -> i > prev && i < n && well_formed i (count + 1) rest
+  in
+  well_formed (-1) 0 s.signers
   && Sha256.equal s.tag (combined_tag kc msg s.signers)
 
 let equal a b =

@@ -43,6 +43,12 @@
 # against its baseline — so a change that silently moves a protocol's
 # binding resource fails CI.
 #
+# Last, `bash bench/perf/run.sh smoke` runs each repository-benchmark
+# workload (BENCHMARK.json) once at a twentieth of its length, untraced and
+# traced, and fails unless both give identical simulated results, span
+# self times sum to their roots, and perf.exe's metric and workload lists
+# match BENCHMARK.json. It takes about 6 s.
+#
 # To re-bless the baselines after an intentional change:
 #   dune exec bench/main.exe -- smoke --json bench/baselines/BENCH_smoke.json
 #   dune exec bench/main.exe -- scaling --smoke --json bench/baselines/BENCH_scaling.json
@@ -62,5 +68,6 @@ dune build @bench-smoke
 dune build @bench-scaling
 dune build @bench-load
 dune build @bench-attribution
+bash bench/perf/run.sh smoke
 
-echo "ci: build + lint + tests + bench-smoke + bench-scaling + bench-load + bench-attribution gates all green"
+echo "ci: build + lint + tests + bench-smoke + bench-scaling + bench-load + bench-attribution gates + perf smoke all green"
