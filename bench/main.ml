@@ -136,14 +136,15 @@ let table1 ~full =
       List.iter
         (fun (name, proto, force_unhappy) ->
           let r =
-            Experiment.run_view_change proto ~params:(bench_params f) ~force_unhappy
+            Experiment.run proto ~params:(bench_params f)
+              (Experiment.View_change { force_unhappy })
           in
           Printf.printf "%-22s %6d %12d %8d %8d\n" name ((3 * f) + 1)
             r.Experiment.vc_bytes r.Experiment.vc_authenticators
             r.Experiment.vc_messages;
           Recorder.add
             ~label:(Printf.sprintf "%s n=%d" name ((3 * f) + 1))
-            (Experiment.Result.view_change_to_json r))
+            (Experiment.view_change_to_json r))
         [
           ("marlin (happy)", basic_marlin, false);
           ("marlin (unhappy)", basic_marlin, true);
@@ -184,8 +185,8 @@ let tput_latency_figure ~full ~fig f =
   List.iter
     (fun clients ->
       let run proto =
-        Experiment.run_throughput proto ~params:(bench_params ~clients f)
-          ~warmup ~duration
+        Experiment.run proto ~params:(bench_params ~clients f)
+          (Experiment.Closed { warmup; duration; crashed = [] })
       in
       let m = run marlin and h = run hotstuff in
       if not (m.Experiment.agreement && h.Experiment.agreement) then
@@ -199,7 +200,7 @@ let tput_latency_figure ~full ~fig f =
         (fun (name, r) ->
           Recorder.add
             ~label:(Printf.sprintf "%s f=%d clients=%d" name f clients)
-            (Experiment.Result.throughput_to_json r))
+            (Experiment.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     (sweep_clients ~full f)
 
@@ -250,7 +251,7 @@ let fig10g ~full () =
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s peak f=%d" name f)
-            (Experiment.Result.throughput_to_json r))
+            (Experiment.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     fs
 
@@ -279,7 +280,7 @@ let fig10h ~full () =
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s noop peak f=%d" name f)
-            (Experiment.Result.throughput_to_json r))
+            (Experiment.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     [ 1; 2; 5 ]
 
@@ -295,15 +296,12 @@ let fig10i ~full () =
   List.iter
     (fun f ->
       let params = bench_params f in
-      let happy =
-        Experiment.run_view_change basic_marlin ~params ~force_unhappy:false
+      let vc proto force_unhappy =
+        Experiment.run proto ~params (Experiment.View_change { force_unhappy })
       in
-      let unhappy =
-        Experiment.run_view_change basic_marlin ~params ~force_unhappy:true
-      in
-      let hs =
-        Experiment.run_view_change basic_hotstuff ~params ~force_unhappy:false
-      in
+      let happy = vc basic_marlin false in
+      let unhappy = vc basic_marlin true in
+      let hs = vc basic_hotstuff false in
       let ms r =
         if Float.is_finite r.Experiment.vc_latency then
           Printf.sprintf "%.0f%s"
@@ -315,7 +313,7 @@ let fig10i ~full () =
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s f=%d" name f)
-            (Experiment.Result.view_change_to_json r))
+            (Experiment.view_change_to_json r))
         [ ("marlin-happy", happy); ("marlin-unhappy", unhappy); ("hotstuff", hs) ])
     fs;
   Printf.printf "(* = the PRE-PREPARE phase ran, i.e. the unhappy path)\n"
@@ -329,7 +327,6 @@ let fig10j ~full () =
     "Figure 10j: throughput (ktx/s), rotating leaders (1 s), f = 3, crashes at t=0";
   Printf.printf "%10s | %12s %12s\n" "crashed" "marlin" "hotstuff";
   let f = 3 in
-  let n = (3 * f) + 1 in
   let clients = if full then 4096 else 2048 in
   let params =
     {
@@ -339,25 +336,23 @@ let fig10j ~full () =
     }
   in
   let warmup = 2.0 and duration = if full then 60.0 else 24.0 in
-  ignore n;
   List.iter
     (fun k ->
       (* crash high ids (the f+1 lowest answer clients), spread out so dead
          views do not cluster *)
       let crashed = match k with 0 -> [] | 1 -> [ 9 ] | _ -> [ 5; 7; 9 ] in
-      let m =
-        Experiment.run_with_crashes marlin ~params ~crashed ~warmup ~duration
+      let run proto =
+        Experiment.run proto ~params
+          (Experiment.Closed { warmup; duration; crashed })
       in
-      let h =
-        Experiment.run_with_crashes hotstuff ~params ~crashed ~warmup ~duration
-      in
+      let m = run marlin and h = run hotstuff in
       Printf.printf "%10d | %12.2f %12.2f\n" k
         (m.Experiment.throughput /. 1000.)
         (h.Experiment.throughput /. 1000.);
       List.iter
         (fun (name, r) ->
           Recorder.add ~label:(Printf.sprintf "%s crashed=%d" name k)
-            (Experiment.Result.throughput_to_json r))
+            (Experiment.throughput_to_json r))
         [ ("marlin", m); ("hotstuff", h) ])
     [ 0; 1; 3 ]
 
@@ -430,16 +425,19 @@ let ablate_sigs ~full () =
                 "!! %s/%s: no sweep point under the 1 s cap; peak below is \
                  saturated, not sustainable\n"
                 name pname);
-          let vc = Experiment.run_view_change basic ~params ~force_unhappy:false in
+          let vc =
+            Experiment.run basic ~params
+              (Experiment.View_change { force_unhappy = false })
+          in
           Printf.printf "%-12s %-14s | %12.2f %8.0f | %14.0f
 " name pname
             (peak.Experiment.throughput /. 1000.)
             (peak.Experiment.latency.Stats.mean *. 1000.)
             (vc.Experiment.vc_latency *. 1000.);
           Recorder.add ~label:(Printf.sprintf "%s %s peak" name pname)
-            (Experiment.Result.throughput_to_json peak);
+            (Experiment.throughput_to_json peak);
           Recorder.add ~label:(Printf.sprintf "%s %s vc" name pname)
-            (Experiment.Result.view_change_to_json vc))
+            (Experiment.view_change_to_json vc))
         [ ("marlin", marlin, basic_marlin); ("hotstuff", hotstuff, basic_hotstuff) ])
     [
       ("ecdsa-group", Marlin_crypto.Cost_model.ecdsa_group);
@@ -506,13 +504,16 @@ let ablate_batch ~full () =
   List.iter
     (fun batch_max ->
       let params = { (bench_params ~clients 1) with Cluster.batch_max } in
-      let r = Experiment.run_throughput marlin ~params ~warmup:1.0 ~duration:4.0 in
+      let r =
+        Experiment.run marlin ~params
+          (Experiment.Closed { warmup = 1.0; duration = 4.0; crashed = [] })
+      in
       Printf.printf "%10d | %12.2f %8.0f
 " batch_max
         (r.Experiment.throughput /. 1000.)
         (r.Experiment.latency.Stats.mean *. 1000.);
       Recorder.add ~label:(Printf.sprintf "batch=%d" batch_max)
-        (Experiment.Result.throughput_to_json r))
+        (Experiment.throughput_to_json r))
     [ 125; 500; 2000; 8000 ]
 
 (* ------------------------------------------------------------------ *)
@@ -536,9 +537,9 @@ let faults ~full () =
       List.iter
         (fun pname ->
           let r =
-            Experiment.run_scenario
+            Experiment.run (Registry.find_exn pname)
               ~params:(bench_params sc.Faults.Scenario.f)
-              (Registry.find_exn pname) sc
+              (Experiment.Scenario sc)
           in
           Printf.printf "%-20s %-18s | %9s %6d %6d | %8.0f %6B\n"
             sc.Faults.Scenario.name pname
@@ -553,7 +554,7 @@ let faults ~full () =
               sc.Faults.Scenario.name pname;
           Recorder.add
             ~label:(Printf.sprintf "%s/%s" sc.Faults.Scenario.name pname)
-            (Experiment.Result.fault_to_json r))
+            (Experiment.fault_to_json r))
         protos)
     Faults.Catalogue.all
 
@@ -585,7 +586,10 @@ let observe ~full ~trace_file ~metrics_file () =
         let params =
           { (bench_params ~clients:1 1) with Cluster.obs = Some obs }
         in
-        let r = Experiment.run_throughput proto ~params ~warmup:1.0 ~duration in
+        let r =
+          Experiment.run proto ~params
+            (Experiment.Closed { warmup = 1.0; duration; crashed = [] })
+        in
         (label, cproto, obs, r))
       [
         ("marlin", basic_marlin, Complexity.Marlin);
@@ -672,9 +676,10 @@ let smoke () =
   List.iter
     (fun (label, proto) ->
       let params = bench_params ~clients:1 1 in
-      let r, obs =
-        Experiment.run_instrumented proto ~params ~warmup:1.0 ~duration:3.0
-          ~trace:true ()
+      let obs = Obs.Run.create ~trace:true ~n:params.Cluster.n () in
+      let r =
+        Experiment.run proto ~params:{ params with Cluster.obs = Some obs }
+          (Experiment.Closed { warmup = 1.0; duration = 3.0; crashed = [] })
       in
       let cp = Experiment.critical_path ~label obs in
       Format.printf "%a%!" Obs.Critical_path.pp cp;
@@ -691,22 +696,23 @@ let smoke () =
   List.iter
     (fun (label, proto) ->
       let r =
-        Experiment.run_throughput proto ~params:(bench_params ~clients:512 1)
-          ~warmup:1.0 ~duration:3.0
+        Experiment.run proto ~params:(bench_params ~clients:512 1)
+          (Experiment.Closed { warmup = 1.0; duration = 3.0; crashed = [] })
       in
       Printf.printf "%s loaded point: %.0f op/s, agreement %B\n" label
         r.Experiment.throughput r.Experiment.agreement;
-      put (label ^ "/tput") (Experiment.Result.throughput_to_json r))
+      put (label ^ "/tput") (Experiment.throughput_to_json r))
     [ ("marlin", marlin); ("hotstuff", hotstuff) ];
   List.iter
     (fun (label, proto, force_unhappy) ->
       let r =
-        Experiment.run_view_change proto ~params:(bench_params 1) ~force_unhappy
+        Experiment.run proto ~params:(bench_params 1)
+          (Experiment.View_change { force_unhappy })
       in
       Printf.printf "%s view change: %.0f ms (%s)\n" label
         (r.Experiment.vc_latency *. 1000.)
         (if r.Experiment.unhappy then "unhappy" else "happy");
-      put (label ^ "/vc") (Experiment.Result.view_change_to_json r))
+      put (label ^ "/vc") (Experiment.view_change_to_json r))
     [
       ("marlin", basic_marlin, false);
       ("marlin-unhappy", basic_marlin, true);
@@ -717,7 +723,9 @@ let smoke () =
   List.iter
     (fun (label, proto) ->
       let sc = Faults.Catalogue.leader_crash ~phase:`Prepare () in
-      let r = Experiment.run_scenario ~params:(bench_params 1) proto sc in
+      let r =
+        Experiment.run proto ~params:(bench_params 1) (Experiment.Scenario sc)
+      in
       Printf.printf "%s %s: %s, %d vc msgs, agreement %B\n" label
         sc.Faults.Scenario.name
         (if r.Experiment.recovered then
@@ -725,7 +733,7 @@ let smoke () =
              (r.Experiment.recovery_latency *. 1000.)
          else "NEVER RECOVERED")
         r.Experiment.vc_messages r.Experiment.agreement;
-      put (label ^ "/fault") (Experiment.Result.fault_to_json r))
+      put (label ^ "/fault") (Experiment.fault_to_json r))
     [ ("marlin", basic_marlin); ("hotstuff", basic_hotstuff) ];
   List.rev !recs
 
@@ -849,21 +857,22 @@ let scaling ~smoke () =
           (* happy-path window *)
           let obs = Obs.Run.create ~n () in
           let t = Cl.create { params with Cluster.obs = Some obs } in
-          let msgs = ref 0 and auths = ref 0 and bytes = ref 0 in
-          Marlin_sim.Netsim.on_send (Cl.net t)
-            (Some
-               (fun ~src:_ ~dst:_ ~size m ->
-                 if Obs.Metrics.is_consensus_message m then begin
-                   incr msgs;
-                   bytes := !bytes + size;
-                   auths := !auths + Marlin_types.Message.authenticators m
-                 end));
           let warm = 1.0 and dur = if smoke then 2.0 else 3.0 in
           Cl.run t ~until:(warm +. dur);
+          let metrics = Obs.Run.metrics obs in
+          let msgs, auths, bytes =
+            Array.fold_left
+              (fun (m, a, b) reg ->
+                let c = Obs.Metrics.consensus_sent reg in
+                ( m + c.Obs.Metrics.msgs,
+                  a + c.Obs.Metrics.auths,
+                  b + c.Obs.Metrics.bytes ))
+              (0, 0, 0) metrics
+          in
           let blocks =
             Array.fold_left
               (fun acc reg -> max acc (Obs.Metrics.blocks_committed reg))
-              0 (Obs.Run.metrics obs)
+              0 metrics
           in
           let executed =
             Cl.committed_ops_in t ~replica:0 ~since:warm ~until:(warm +. dur)
@@ -878,9 +887,9 @@ let scaling ~smoke () =
           in
           (* leader-crash view change, fresh cluster *)
           let vc =
-            Experiment.run_view_change proto
+            Experiment.run proto
               ~params:{ params with Cluster.obs = None }
-              ~force_unhappy:false
+              (Experiment.View_change { force_unhappy = false })
           in
           let vc_latency =
             if Float.is_finite vc.Experiment.vc_latency then
@@ -891,7 +900,7 @@ let scaling ~smoke () =
           let throughput = float_of_int executed /. dur in
           Printf.printf
             "%-18s %5d %10.1f %12.2f %12.2f %9.0f %8d %8d %10d %8.2f\n%!" name
-            n throughput (per_block !msgs) (per_block !auths)
+            n throughput (per_block msgs) (per_block auths)
             (vc_latency *. 1000.) vc.Experiment.vc_messages
             vc.Experiment.vc_authenticators peak_events wall;
           let label = Printf.sprintf "%s n=%d" name n in
@@ -901,8 +910,8 @@ let scaling ~smoke () =
               n params.Cluster.f
               (Workload.closed_clients params.Cluster.workload)
               throughput
-              latency.Stats.mean blocks !msgs !auths !bytes (per_block !msgs)
-              (per_block !auths) vc_latency vc.Experiment.vc_messages
+              latency.Stats.mean blocks msgs auths bytes (per_block msgs)
+              (per_block auths) vc_latency vc.Experiment.vc_messages
               vc.Experiment.vc_authenticators vc.Experiment.vc_bytes
               peak_events agreement wall
           in
@@ -1026,7 +1035,7 @@ let load ~smoke () =
                 Printf.printf "!! agreement violated\n";
               put
                 (Printf.sprintf "%s n=%d rate=%.0f" name n r.Experiment.offered)
-                (Experiment.Result.open_loop_to_json r))
+                (Experiment.open_loop_to_json r))
             points;
           let k, cap = Experiment.knee points in
           Printf.printf
@@ -1040,7 +1049,7 @@ let load ~smoke () =
             (Printf.sprintf "%s n=%d knee" name n)
             (Printf.sprintf {|{"sustainable":%b,"point":%s}|}
                (cap = `Within_cap)
-               (Experiment.Result.open_loop_to_json k)))
+               (Experiment.open_loop_to_json k)))
         load_ns)
     (* chained marlin/hotstuff first, under their PR 7 labels, so the
        records they produce stay byte-identical across the extension to

@@ -4,7 +4,7 @@
     A scenario is pure data — this module knows nothing about the
     simulator. [Marlin_runtime.Cluster.apply_scenario] interprets the
     network and crash events against {!Marlin_sim.Netsim.Fault}, and
-    [Marlin_runtime.Experiment.run_scenario] additionally wraps the
+    [Marlin_runtime.Experiment.run] on a [Scenario] additionally wraps the
     protocol with {!Byzantine} behaviours and measures recovery. *)
 
 (** How a Byzantine replica misbehaves (see {!Byzantine}). *)

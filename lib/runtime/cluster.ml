@@ -668,7 +668,7 @@ module Make (P : C.PROTOCOL) = struct
       invalid_arg
         "Cluster.apply_scenario: scenario has Byzantine steps but no \
          ~on_byzantine handler (wrap the protocol with \
-         Marlin_faults.Byzantine.wrap, as Experiment.run_scenario does)";
+         Marlin_faults.Byzantine.wrap, as Experiment.run does)";
     let execute (step : Scenario.step) =
       (match t.params.obs with
       | None -> ()

@@ -93,7 +93,7 @@ module Make (P : Marlin_core.Consensus_intf.PROTOCOL) : sig
       recorded as a [fault-injected] trace event when the cluster is
       observed. [Byzantine] steps are handed to [on_byzantine] (the caller
       must have wrapped the protocol with [Marlin_faults.Byzantine.wrap] —
-      see [Experiment.run_scenario]).
+      see [Experiment.run] with [Scenario]).
 
       Call before {!run}: steps at time 0 (or earlier) execute
       immediately so they are in force for the first protocol callback.

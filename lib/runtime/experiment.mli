@@ -1,126 +1,111 @@
 (** Experiment drivers: the reusable measurement procedures behind the
     paper's figures (throughput/latency sweeps, peak throughput,
-    view-change latency, rotating leaders under crash faults). *)
+    view-change latency, rotating leaders under crash faults), and their
+    result records with shared printers and JSON renderers so every
+    harness reports them the same way. *)
 
-(** The result records, with shared printers and JSON renderers so every
-    harness (bench targets, tests, ad-hoc scripts) reports them the same
-    way. *)
-module Result : sig
-  type throughput = {
-    clients : int;
-    throughput : float;  (** committed operations per second, steady state *)
-    latency : Marlin_analysis.Stats.summary;  (** client latency, seconds *)
-    agreement : bool;  (** did all live replicas agree? *)
-    executed : int;  (** ops executed in the window at the probe replica *)
-  }
-
-  type view_change = {
-    vc_latency : float;  (** seconds, view-change start to first commit *)
-    unhappy : bool;  (** did the PRE-PREPARE phase run (Marlin only)? *)
-    vc_bytes : int;  (** consensus bytes on the wire during the view change *)
-    vc_authenticators : int;
-    vc_messages : int;
-  }
-
-  type fault = {
-    scenario : string;  (** scenario name *)
-    recovered : bool;  (** did the probe replica commit after [settle_at]? *)
-    recovery_latency : float;
-        (** seconds from the scenario's [settle_at] to the probe replica's
-            first commit afterwards; [-1] when it never recovered *)
-    vc_messages : int;
-        (** consensus messages from the first fault to the recovery commit *)
-    vc_bytes : int;
-    vc_authenticators : int;
-    committed : int;  (** total ops executed at the probe replica *)
-    agreement : bool;
-    latency : Marlin_analysis.Stats.summary;
-        (** client latency over the whole run — the fault's commit-latency
-            impact *)
-  }
-
-  type open_loop = {
-    workload : string;  (** {!Marlin_workload.Workload.label} of the load *)
-    offered : float;  (** mean offered load, ops/s *)
-    goodput : float;  (** unique ops committed per second in the window *)
-    generated : int;  (** arrivals offered in the window *)
-    sent : int;  (** put on the wire (not shed) *)
-    shed : int;  (** shed at the source on backpressure *)
-    rejected : int;  (** rejected by admission control at the contact *)
-    drop_rate : float;  (** (shed + rejected) / generated *)
-    peak_occupancy : int;  (** max mempool occupancy at any replica *)
-    latency : Marlin_analysis.Stats.summary;
-        (** submit to first commit, seconds, with p999 — measured per
-            offered op: no coordinated omission *)
-    agreement : bool;
-  }
-
-  val pp_throughput : Format.formatter -> throughput -> unit
-  val pp_view_change : Format.formatter -> view_change -> unit
-  val pp_fault : Format.formatter -> fault -> unit
-  val pp_open_loop : Format.formatter -> open_loop -> unit
-  val summary_json : Marlin_analysis.Stats.summary -> string
-  val throughput_to_json : throughput -> string
-  val view_change_to_json : view_change -> string
-  val fault_to_json : fault -> string
-  val open_loop_to_json : open_loop -> string
-end
-
-type throughput_result = Result.throughput = {
+type throughput_result = {
   clients : int;
-  throughput : float;
-  latency : Marlin_analysis.Stats.summary;
-  agreement : bool;
-  executed : int;
+  throughput : float;  (** committed operations per second, steady state *)
+  latency : Marlin_analysis.Stats.summary;  (** client latency, seconds *)
+  agreement : bool;  (** did all live replicas agree? *)
+  executed : int;  (** ops executed in the window at the probe replica *)
 }
 
-type vc_result = Result.view_change = {
-  vc_latency : float;
-  unhappy : bool;
-  vc_bytes : int;
+type vc_result = {
+  vc_latency : float;  (** seconds, view-change start to first commit *)
+  unhappy : bool;  (** did the PRE-PREPARE phase run (Marlin only)? *)
+  vc_bytes : int;  (** consensus bytes on the wire during the view change *)
   vc_authenticators : int;
   vc_messages : int;
 }
 
-type fault_result = Result.fault = {
-  scenario : string;
-  recovered : bool;
+type fault_result = {
+  scenario : string;  (** scenario name *)
+  recovered : bool;  (** did the probe replica commit after [settle_at]? *)
   recovery_latency : float;
+      (** seconds from the scenario's [settle_at] to the probe replica's
+          first commit afterwards; [-1] when it never recovered *)
   vc_messages : int;
+      (** consensus messages from the first fault to the recovery commit *)
   vc_bytes : int;
   vc_authenticators : int;
-  committed : int;
+  committed : int;  (** total ops executed at the probe replica *)
   agreement : bool;
   latency : Marlin_analysis.Stats.summary;
+      (** client latency over the whole run — the fault's commit-latency
+          impact *)
 }
 
-type open_loop_result = Result.open_loop = {
-  workload : string;
-  offered : float;
-  goodput : float;
-  generated : int;
-  sent : int;
-  shed : int;
-  rejected : int;
-  drop_rate : float;
-  peak_occupancy : int;
+type open_loop_result = {
+  workload : string;  (** {!Marlin_workload.Workload.label} of the load *)
+  offered : float;  (** mean offered load, ops/s *)
+  goodput : float;  (** unique ops committed per second in the window *)
+  generated : int;  (** arrivals offered in the window *)
+  sent : int;  (** put on the wire (not shed) *)
+  shed : int;  (** shed at the source on backpressure *)
+  rejected : int;  (** rejected by admission control at the contact *)
+  drop_rate : float;  (** (shed + rejected) / generated *)
+  peak_occupancy : int;  (** max mempool occupancy at any replica *)
   latency : Marlin_analysis.Stats.summary;
+      (** submit to first commit, seconds, with p999 — measured per
+          offered op: no coordinated omission *)
   agreement : bool;
 }
 
-val run_throughput :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> throughput_result
-(** Run the cluster for [warmup + duration] simulated seconds and measure
-    over the steady-state window. *)
+val pp_throughput : Format.formatter -> throughput_result -> unit
+val pp_view_change : Format.formatter -> vc_result -> unit
+val pp_fault : Format.formatter -> fault_result -> unit
+val pp_open_loop : Format.formatter -> open_loop_result -> unit
+val throughput_to_json : throughput_result -> string
+val view_change_to_json : vc_result -> string
+val fault_to_json : fault_result -> string
+val open_loop_to_json : open_loop_result -> string
 
-val run_instrumented :
+(** {1 The driver} *)
+
+(** What one run measures, and so which result record it returns. Every
+    case builds a fresh cluster from [params]; observation (metrics,
+    trace, windows) comes only from [params.obs]. *)
+type _ measure =
+  | Closed : { warmup : float; duration : float; crashed : int list }
+      -> throughput_result measure
+      (** Closed-loop steady state: crash the [crashed] replicas at time 0
+          (rotating-leader experiments, Figure 10j), run for [warmup +
+          duration] simulated seconds and measure over the window after
+          [warmup], at the highest-id replica not crashed. *)
+  | Open : { warmup : float; duration : float } -> open_loop_result measure
+      (** Offered load, with the open-loop workload in [params.workload]:
+          reset the measurement window at [warmup], and report goodput,
+          drop accounting, mempool peak occupancy and the
+          submit-to-first-commit latency tail over the steady window. *)
+  | View_change : { force_unhappy : bool } -> vc_result measure
+      (** Warm the cluster up, crash the leader, and measure the paper's
+          view-change latency: from the instant a replica escalates its
+          timeout to the first block committed afterwards, plus the
+          consensus traffic in between. With [force_unhappy], the doomed
+          leader's final proposals reach a single replica, so view-change
+          snapshots disagree and Marlin's unhappy path (PRE-PREPARE)
+          runs. *)
+  | Scenario : Marlin_faults.Scenario.t -> fault_result measure
+      (** Run a fault scenario end to end: wrap the protocol with
+          [Marlin_faults.Byzantine.wrap] when the script has Byzantine
+          steps, interpret the script via [Cluster.apply_scenario], and
+          measure recovery latency at the highest-id replica neither
+          crashed at the end nor Byzantine, plus the consensus traffic
+          between the first fault and the recovery commit. [params]
+          should be sized for the scenario's [f]. *)
+
+val run :
   Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> ?trace:bool -> unit ->
-  throughput_result * Marlin_obs.Run.t
-(** [run_throughput] with a fresh observability run attached (replacing
-    any [params.obs]): per-replica metrics always, the event trace too
-    when [trace] (default [false]). *)
+  'a measure -> 'a
+(** One run of [measure]. When [params.obs] is traced and windowed, the
+    span profiler's critical-path segments are folded into its windows
+    after the run, so [Marlin_obs.Run.timeseries] returns per-window
+    commits, latency, drop mix, occupancy, NIC backlog {e and} segment
+    shares.
+    @raise Invalid_argument for [Open] when [params.workload] is
+    closed-loop. *)
 
 val critical_path :
   ?label:string -> Marlin_obs.Run.t -> Marlin_obs.Critical_path.t
@@ -139,7 +124,8 @@ val sweep :
   Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
   warmup:float -> duration:float -> client_counts:int list ->
   throughput_result list
-(** One throughput/latency point per client count (a figure 10a-f curve). *)
+(** One [Closed] point, nothing crashed, per client count (a figure
+    10a-f curve). *)
 
 val peak :
   ?latency_cap:float ->
@@ -153,21 +139,11 @@ val peak :
     saturated point, which callers must not report as a sustainable peak.
     @raise Invalid_argument on the empty list. *)
 
-val run_open_loop :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> open_loop_result
-(** Offered-load measurement: run for [warmup + duration] simulated
-    seconds with the open-loop workload in [params.workload], reset the
-    measurement window at [warmup], and report goodput, drop accounting,
-    mempool peak occupancy and the submit-to-first-commit latency tail
-    over the steady window.
-    @raise Invalid_argument when [params.workload] is closed-loop. *)
-
 val open_loop_sweep :
   Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
   warmup:float -> duration:float -> rates:float list ->
   open_loop_result list
-(** One {!run_open_loop} point per offered rate ([params.workload]
+(** One [Open] point per offered rate ([params.workload]
     re-targeted via {!Marlin_workload.Workload.with_rate}) — the
     goodput-vs-offered-load curve whose knee {!knee} finds. *)
 
@@ -182,17 +158,6 @@ val knee :
     @raise Invalid_argument on the empty list. *)
 
 (* -- bottleneck attribution at the knee -- *)
-
-val run_attributed :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  warmup:float -> duration:float -> ?window:float -> unit ->
-  open_loop_result * Marlin_obs.Run.t
-(** {!run_open_loop} with a fresh traced run carrying a windowed
-    {!Marlin_obs.Timeseries.t} of width [window] (default 0.25 s)
-    attached (replacing any [params.obs]); after the run the span
-    profiler's critical-path segments are folded into the windows, so
-    [Marlin_obs.Run.timeseries] returns per-window commits, latency,
-    drop mix, occupancy, NIC backlog {e and} segment shares. *)
 
 type attributed_point = {
   point : open_loop_result;
@@ -220,9 +185,10 @@ val attribute_knee :
   rates:float list -> attribution
 (** Run the open-loop ladder ({!open_loop_sweep} over [rates], untraced —
     locating the knee must not pay tracing costs), find the {!knee} under
-    [latency_cap] (default 1 s), then {!run_attributed} at the knee rate
-    and at the next ladder rate above it (knee × 1.5 when the knee is the
-    top rung) and {!Marlin_obs.Bottleneck.classify} both points. *)
+    [latency_cap] (default 1 s), then re-run at the knee rate and at the
+    next ladder rate above it (knee × 1.5 when the knee is the top rung),
+    each traced with windows of width [window] (default 0.25 s), and
+    {!Marlin_obs.Bottleneck.classify} both points. *)
 
 val attributed_point_to_json : ?windows:bool -> attributed_point -> string
 (** [windows] (default false) inlines the full per-window timeseries. *)
@@ -231,32 +197,3 @@ val attribution_to_json : attribution -> string
 (** The marlin-bench/1 record: protocol, n, sustainability, the headline
     verdict, the knee point, and both attributed points (per-window
     timeseries inlined for the past-knee point). *)
-
-val run_view_change :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  force_unhappy:bool -> vc_result
-(** Warm the cluster up, crash the leader, and measure the paper's
-    view-change latency: from the instant a replica escalates its timeout
-    to the first block committed afterwards. With [force_unhappy], the
-    doomed leader's final broadcasts are delivered to a single replica
-    first, so view-change snapshots disagree and Marlin's unhappy path
-    (PRE-PREPARE) runs. *)
-
-val run_scenario :
-  ?params:Cluster.params ->
-  ?obs:Marlin_obs.Run.t ->
-  Marlin_core.Consensus_intf.protocol ->
-  Marlin_faults.Scenario.t ->
-  fault_result
-(** Run a fault scenario end to end: size the cluster from the scenario's
-    [f] (unless [params] overrides), wrap the protocol with
-    [Marlin_faults.Byzantine.wrap] when the script has Byzantine steps,
-    interpret the script via [Cluster.apply_scenario], and measure recovery
-    latency plus the consensus traffic between the first fault and the
-    recovery commit. *)
-
-val run_with_crashes :
-  Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
-  crashed:int list -> warmup:float -> duration:float -> throughput_result
-(** Crash the given replicas at time 0 (rotating-leader experiments,
-    Figure 10j). *)

@@ -133,10 +133,11 @@ let test_marlin_same_schedule_recovers () =
    network is partitioned (no side holds a quorum) or pre-GST lossy, no
    progress is required — but once Netsim.Fault.heal fires, commits must
    resume, and nothing seen in between may violate agreement. *)
-let run_scenario_for name sc =
-  Marlin_runtime.Experiment.run_scenario
+let run_scenario_for name (sc : Marlin_faults.Scenario.t) =
+  Marlin_runtime.Experiment.run
     (Marlin_runtime.Registry.find_exn name)
-    sc
+    ~params:(Marlin_runtime.Cluster.params_for_f sc.Marlin_faults.Scenario.f)
+    (Marlin_runtime.Experiment.Scenario sc)
 
 let test_liveness_resumes_after_heal () =
   List.iter

@@ -27,7 +27,10 @@ let observed_run ?(trace = false) proto =
   let params =
     { (Cluster.params_for_f ~workload:(Marlin_workload.Workload.closed_loop ~clients:1) 1) with Cluster.seed = 9; obs = Some obs }
   in
-  let r = Experiment.run_throughput proto ~params ~warmup:0.5 ~duration:6.0 in
+  let r =
+    Experiment.run proto ~params
+      (Experiment.Closed { warmup = 0.5; duration = 6.0; crashed = [] })
+  in
   (obs, r)
 
 (* the accounting size the cluster uses for signatures on the wire *)

@@ -210,9 +210,11 @@ let test_critical_path_analysis () =
 (* ---------- real runs: the paper's phase counts, exactly ---------- *)
 
 let instrumented proto =
-  let params = { (Cluster.params_for_f ~workload:(Marlin_workload.Workload.closed_loop ~clients:1) 1) with Cluster.seed = 9 } in
-  Experiment.run_instrumented proto ~params ~warmup:0.5 ~duration:4.0
-    ~trace:true ()
+  let obs = Obs.Run.create ~trace:true ~n:4 () in
+  let params = { (Cluster.params_for_f ~workload:(Marlin_workload.Workload.closed_loop ~clients:1) 1) with Cluster.seed = 9; obs = Some obs } in
+  ( Experiment.run proto ~params
+      (Experiment.Closed { warmup = 0.5; duration = 4.0; crashed = [] }),
+    obs )
 
 (* Marlin's critical path carries exactly 2 quorum-wait segments per
    commit; HotStuff's carries 3 — the protocols' phase counts, measured

@@ -8,7 +8,7 @@
      NEW-VIEW carries O(n) view-change messages of O(n) prepared
      certificates each), diverging clearly from Marlin's line.
 
-   Measurement uses [Experiment.run_view_change] — crash the leader, time
+   Measurement uses [Experiment.View_change] — crash the leader, time
    from timeout escalation to the next commit, count the consensus traffic
    in between — the same probe as the [bench scaling] target.  PBFT stops
    at n = 34 because verifying its O(n^2) votes per block costs O(n^3)
@@ -32,8 +32,8 @@ let params_for n =
 
 let measure name n =
   let r =
-    Experiment.run_view_change (Registry.find_exn name) ~params:(params_for n)
-      ~force_unhappy:false
+    Experiment.run (Registry.find_exn name) ~params:(params_for n)
+      (Experiment.View_change { force_unhappy = false })
   in
   Alcotest.(check bool)
     (Printf.sprintf "%s n=%d view change completed" name n)

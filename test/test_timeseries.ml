@@ -217,14 +217,22 @@ let open_params =
     batch_max = 500;
   }
 
-let windowed_json () =
-  let _r, obs =
-    Experiment.run_attributed marlin ~params:open_params ~warmup:0.5
-      ~duration:1.0 ~window:0.25 ()
+(* a traced run with 0.25 s windows: the driver folds the span segments
+   into its windows *)
+let windowed_run () =
+  let obs =
+    Obs.Run.create ~trace:true ~windows:0.25 ~n:open_params.Cluster.n ()
   in
+  ignore
+    (Experiment.run marlin
+       ~params:{ open_params with Cluster.obs = Some obs }
+       (Experiment.Open { warmup = 0.5; duration = 1.0 })
+      : Experiment.open_loop_result);
   match Obs.Run.timeseries obs with
-  | Some ts -> Timeseries.to_json ts
-  | None -> Alcotest.fail "run_attributed did not attach a timeseries"
+  | Some ts -> ts
+  | None -> Alcotest.fail "the windowed run has no timeseries"
+
+let windowed_json () = Timeseries.to_json (windowed_run ())
 
 let test_same_seed_byte_identical () =
   let a = windowed_json () and b = windowed_json () in
@@ -233,14 +241,7 @@ let test_same_seed_byte_identical () =
   Alcotest.(check bool) "some window content" true (String.length a > 100)
 
 let test_live_run_conserves () =
-  let _r, obs =
-    Experiment.run_attributed marlin ~params:open_params ~warmup:0.5
-      ~duration:1.0 ~window:0.25 ()
-  in
-  let ts =
-    match Obs.Run.timeseries obs with Some ts -> ts | None -> assert false
-  in
-  let ws = Timeseries.windows ts in
+  let ws = Timeseries.windows (windowed_run ()) in
   Alcotest.(check bool) "windows exist" true (List.length ws > 3);
   List.iter
     (fun w ->

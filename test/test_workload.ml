@@ -1,5 +1,5 @@
 (* Tests for the open-loop workload engine: arrival-process constructors
-   and samplers, the typed Workload.t, the run_open_loop driver with its
+   and samplers, the typed Workload.t, the open-loop driver with its
    drop accounting, the knee finder, and end-to-end determinism. *)
 
 module Cluster = Marlin_runtime.Cluster
@@ -106,7 +106,7 @@ let test_with_mean_rate () =
     (Some 250.)
     (Workload.offered_rate (Workload.with_rate w ~rate:250.))
 
-(* ---------- run_open_loop ---------- *)
+(* ---------- open-loop runs ---------- *)
 
 let open_params ?(capacity = 100_000) ?(rate = 400.) () =
   {
@@ -120,11 +120,11 @@ let open_params ?(capacity = 100_000) ?(rate = 400.) () =
     mempool = Mempool.Config.make ~capacity ();
   }
 
+let run_open params ~warmup ~duration =
+  Experiment.run marlin ~params (Experiment.Open { warmup; duration })
+
 let test_open_loop_run () =
-  let r =
-    Experiment.run_open_loop marlin ~params:(open_params ()) ~warmup:1.0
-      ~duration:4.0
-  in
+  let r = run_open (open_params ()) ~warmup:1.0 ~duration:4.0 in
   Alcotest.(check bool) "agreement" true r.Experiment.agreement;
   Alcotest.(check bool) "arrivals generated" true (r.Experiment.generated > 0);
   Alcotest.(check bool) "goodput positive" true (r.Experiment.goodput > 0.);
@@ -147,9 +147,7 @@ let test_open_loop_overload_drops () =
      bound must hold *)
   let capacity = 50 in
   let r =
-    Experiment.run_open_loop marlin
-      ~params:(open_params ~capacity ~rate:20_000. ())
-      ~warmup:1.0 ~duration:3.0
+    run_open (open_params ~capacity ~rate:20_000. ()) ~warmup:1.0 ~duration:3.0
   in
   Alcotest.(check bool) "drops past saturation" true
     (r.Experiment.drop_rate > 0.);
@@ -161,16 +159,12 @@ let test_open_loop_overload_drops () =
 let test_open_loop_requires_open () =
   Alcotest.(check bool) "closed-loop params rejected" true
     (raises_invalid (fun () ->
-         Experiment.run_open_loop marlin
-           ~params:(Cluster.params_for_f 1)
-           ~warmup:0.5 ~duration:1.0))
+         run_open (Cluster.params_for_f 1) ~warmup:0.5 ~duration:1.0))
 
 let test_open_loop_deterministic () =
   let run () =
-    Experiment.Result.open_loop_to_json
-      (Experiment.run_open_loop marlin
-         ~params:(open_params ~rate:2_000. ())
-         ~warmup:1.0 ~duration:3.0)
+    Experiment.open_loop_to_json
+      (run_open (open_params ~rate:2_000. ()) ~warmup:1.0 ~duration:3.0)
   in
   Alcotest.(check string) "same seed, byte-identical record" (run ()) (run ())
 

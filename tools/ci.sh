@@ -43,6 +43,11 @@
 # against its baseline — so a change that silently moves a protocol's
 # binding resource fails CI.
 #
+# The tests run under one qcheck seed: QCHECK_SEED when set, else one
+# drawn here and echoed first. They also run under a 600 s limit, far
+# above the suite's normal time of seconds, so a property that hangs on
+# some seed fails CI with that seed to replay instead of stalling it.
+#
 # Last, `bash bench/perf/run.sh smoke` runs each repository-benchmark
 # workload (BENCHMARK.json) once at a twentieth of its length, untraced and
 # traced, and fails unless both give identical simulated results, span
@@ -63,7 +68,18 @@ dune build @lint
  && ./tools/lint/main.exe --quiet --time --json ../lint-report.json \
       lib bench test --typed lib)
 echo "ci: lint report with per-rule timings at _build/lint-report.json"
-dune runtest
+QCHECK_SEED=${QCHECK_SEED:-$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')}
+export QCHECK_SEED
+echo "ci: QCHECK_SEED=$QCHECK_SEED"
+status=0
+timeout --kill-after=10 600 dune runtest || status=$?
+if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+  echo "ci: dune runtest exceeded 600 s; replay: QCHECK_SEED=$QCHECK_SEED dune runtest" >&2
+  exit 1
+elif [ "$status" -ne 0 ]; then
+  echo "ci: dune runtest failed; replay: QCHECK_SEED=$QCHECK_SEED dune runtest" >&2
+  exit "$status"
+fi
 dune build @bench-smoke
 dune build @bench-scaling
 dune build @bench-load
