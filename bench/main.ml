@@ -1288,7 +1288,11 @@ let () =
     | "ablate-shadow" -> ablate_shadow ()
     | "ablate-batch" -> ablate_batch ~full ()
     | "fig2-demo" -> Bench_demo.run ()
-    | "micro" -> Bench_micro.run ()
+    | "micro" ->
+        List.iter
+          (fun (name, ns) ->
+            Recorder.add ~label:name (Printf.sprintf {|{"ns_per_op":%.1f}|} ns))
+          (Bench_micro.run ())
     | "observe" -> observe ~full ~trace_file ~metrics_file ()
     | "smoke" ->
         Recorder.fixed_wall := true;

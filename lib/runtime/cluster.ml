@@ -82,7 +82,6 @@ module Make (P : C.PROTOCOL) = struct
     mutable crashed : bool;
     mutable executed : int;
     mutable commit_log : (float * int) list; (* (time, ops) newest first *)
-    exec_seen : (int * int, unit) Hashtbl.t;
   }
 
   type client = {
@@ -113,7 +112,7 @@ module Make (P : C.PROTOCOL) = struct
     (* submit time of every op on the wire, keyed by (client, seq);
        removed at first commit or ingress rejection, so the table is
        bounded by true in-flight, not by key space *)
-    inflight : (int * int, float) Hashtbl.t;
+    inflight : float Operation.Key_tbl.t;
     lat : Stats.Reservoir.t;
     mutable generated : int;
     mutable sent : int;
@@ -172,23 +171,17 @@ module Make (P : C.PROTOCOL) = struct
        the CPU-completion instant. *)
     let crypto_cost = Cpu_meter.take (P.cpu_meter r.proto) in
     let commit_cost = ref 0. in
-    let commits = ref [] in
+    let commits_rev = ref [] in
     List.iter
       (fun a ->
         match a with
         | C.Commit blocks ->
             List.iter
               (fun b ->
+                (* executes each op once per replica: the mempool returns
+                   only first-time commits *)
                 let ops =
-                  List.filter
-                    (fun op ->
-                      let key = Operation.key op in
-                      if Hashtbl.mem r.exec_seen key then false
-                      else begin
-                        Hashtbl.replace r.exec_seen key ();
-                        true
-                      end)
-                    (Batch.to_list b.Block.payload)
+                  Mempool.mark_committed r.mempool (Batch.to_list b.Block.payload)
                 in
                 let block_bytes =
                   Block.wire_size ~sig_bytes:t.sig_bytes b
@@ -199,30 +192,31 @@ module Make (P : C.PROTOCOL) = struct
                   +. Sim_disk.commit_cost r.disk ~bytes:block_bytes
                   +. (float_of_int (List.length ops) *. t.params.exec_cost)
                   +. Cost_model.hash_cost ~bytes:block_bytes;
-                Mempool.mark_committed r.mempool ops;
-                commits := !commits @ ops)
+                commits_rev := List.rev_append ops !commits_rev)
               blocks
         | C.Send _ | C.Broadcast _ | C.Timer _ -> ())
       actions;
+    let commits = List.rev !commits_rev in
     let finish = start +. crypto_cost +. !commit_cost in
     r.cpu_free <- finish;
     (* record metrics *)
-    (match !commits with
+    (match commits with
     | [] -> ()
     | _ :: _ ->
-        r.executed <- r.executed + List.length !commits;
-        r.commit_log <- (finish, List.length !commits) :: r.commit_log);
+        r.executed <- r.executed + List.length commits;
+        r.commit_log <- (finish, List.length commits) :: r.commit_log);
     (* open loop: the first replica to execute an op closes its latency
-       measurement (exec_seen dedup means each op lands here once per
-       replica, and the inflight lookup makes the first one win) *)
-    (match (t.open_loop, !commits) with
+       measurement (the mempool's first-commit filter means each op lands
+       here once per replica, and the inflight lookup makes the first one
+       win) *)
+    (match (t.open_loop, commits) with
     | Some os, _ :: _ ->
         List.iter
           (fun (op : Operation.t) ->
             let key = Operation.key op in
-            match Hashtbl.find_opt os.inflight key with
+            match Operation.Key_tbl.find_opt os.inflight key with
             | Some t0 ->
-                Hashtbl.remove os.inflight key;
+                Operation.Key_tbl.remove os.inflight key;
                 os.completed_ops <- os.completed_ops + 1;
                 Stats.Reservoir.add os.lat (finish -. t0);
                 (match t.params.obs with
@@ -234,7 +228,7 @@ module Make (P : C.PROTOCOL) = struct
                         Marlin_obs.Timeseries.note_completion ts ~time:finish
                           ~latency:(finish -. t0)))
             | None -> ())
-          !commits
+          commits
     | _ -> ());
     (* emit *)
     List.iter
@@ -277,7 +271,7 @@ module Make (P : C.PROTOCOL) = struct
             (Message.make ~sender:r.id ~view:0
                (Message.Client_reply
                   { client = op.Operation.client; seq = op.Operation.seq })))
-      !commits
+      commits
 
   and handle_replica t (r : replica) ~src (m : Message.t) =
     if not r.crashed then begin
@@ -320,7 +314,7 @@ module Make (P : C.PROTOCOL) = struct
               match t.open_loop with
               | Some os when src >= t.params.n ->
                   os.ingress_rejected <- os.ingress_rejected + 1;
-                  Hashtbl.remove os.inflight (Operation.key op)
+                  Operation.Key_tbl.remove os.inflight (Operation.key op)
               | _ -> ()))
       | _ ->
           let view_before = P.current_view r.proto in
@@ -434,7 +428,7 @@ module Make (P : C.PROTOCOL) = struct
     else begin
       os.sent <- os.sent + 1;
       let op = Operation.make ~client ~seq ~body:"" in
-      Hashtbl.replace os.inflight (Operation.key op) now;
+      Operation.Key_tbl.replace os.inflight (Operation.key op) now;
       send t ~earliest:now ~src:s.s_endpoint ~dst:contact
         (Message.make ~sender:s.s_endpoint ~view:0 (Message.Client_op op))
     end;
@@ -504,7 +498,6 @@ module Make (P : C.PROTOCOL) = struct
         crashed = false;
         executed = 0;
         commit_log = [];
-        exec_seen = Hashtbl.create 1024;
       }
     in
     let make_client index =
@@ -543,7 +536,7 @@ module Make (P : C.PROTOCOL) = struct
                         Arrival.Sampler.create per_source ~rng:(Rng.split rng);
                       s_next_seq = 0;
                     });
-              inflight = Hashtbl.create 4096;
+              inflight = Operation.Key_tbl.create 4096;
               lat = Stats.Reservoir.create ~capacity:8192 ();
               generated = 0;
               sent = 0;
@@ -759,7 +752,7 @@ module Make (P : C.PROTOCOL) = struct
       completed = os.completed_ops - os.base_completed;
       latency = Stats.Reservoir.summarize os.lat;
       peak_occupancy = os.peak_occ;
-      inflight = Hashtbl.length os.inflight;
+      inflight = Operation.Key_tbl.length os.inflight;
     }
 
   let mempool_stats t =

@@ -29,12 +29,21 @@ type stats = {
 
 type status = In_pool | Taken | Committed
 
+module Key_tbl = Operation.Key_tbl
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash c = c land max_int
+end)
+
 type t = {
   config : Config.t;
   queue : Operation.t Queue.t;
-  seen : (int * int, status) Hashtbl.t;
-  taken : (int * int, Operation.t) Hashtbl.t; (* taken, not yet committed *)
-  held : (int, int) Hashtbl.t; (* in-flight (In_pool + Taken) ops per client *)
+  seen : status Key_tbl.t;
+  taken : Operation.t Key_tbl.t; (* taken, not yet committed *)
+  held : int Int_tbl.t; (* in-flight (In_pool + Taken) ops per client *)
   mutable stale : int; (* committed ops still sitting in [queue] *)
   mutable s_admitted : int;
   mutable s_duplicates : int;
@@ -47,9 +56,9 @@ let create ?(config = Config.unbounded) () =
   {
     config;
     queue = Queue.create ();
-    seen = Hashtbl.create 256;
-    taken = Hashtbl.create 64;
-    held = Hashtbl.create 64;
+    seen = Key_tbl.create 256;
+    taken = Key_tbl.create 64;
+    held = Int_tbl.create 64;
     stale = 0;
     s_admitted = 0;
     s_duplicates = 0;
@@ -62,23 +71,23 @@ let config t = t.config
 
 (* In-flight operations this pool is responsible for: queued and not yet
    committed, plus taken into a block and not yet committed. *)
-let occupancy t = Queue.length t.queue - t.stale + Hashtbl.length t.taken
+let occupancy t = Queue.length t.queue - t.stale + Key_tbl.length t.taken
 
 let backpressure t = occupancy t >= t.config.Config.capacity
 
 let held_by t client =
-  match Hashtbl.find_opt t.held client with Some k -> k | None -> 0
+  match Int_tbl.find_opt t.held client with Some k -> k | None -> 0
 
-let incr_held t client = Hashtbl.replace t.held client (held_by t client + 1)
+let incr_held t client = Int_tbl.replace t.held client (held_by t client + 1)
 
 let decr_held t client =
   match held_by t client - 1 with
-  | 0 -> Hashtbl.remove t.held client (* keep [held] bounded by in-flight *)
-  | k -> Hashtbl.replace t.held client k
+  | 0 -> Int_tbl.remove t.held client (* keep [held] bounded by in-flight *)
+  | k -> Int_tbl.replace t.held client k
 
 let add t op =
   let key = Operation.key op in
-  if Hashtbl.mem t.seen key then begin
+  if Key_tbl.mem t.seen key then begin
     t.s_duplicates <- t.s_duplicates + 1;
     Duplicate
   end
@@ -92,7 +101,7 @@ let add t op =
     Rejected Per_client_cap
   end
   else begin
-    Hashtbl.replace t.seen key In_pool;
+    Key_tbl.replace t.seen key In_pool;
     Queue.push op t.queue;
     incr_held t op.Operation.client;
     t.s_admitted <- t.s_admitted + 1;
@@ -124,10 +133,11 @@ let take t ~max =
     if k = 0 || Queue.is_empty t.queue then List.rev acc
     else
       let op = Queue.pop t.queue in
-      match Hashtbl.find_opt t.seen (Operation.key op) with
+      let key = Operation.key op in
+      match Key_tbl.find_opt t.seen key with
       | Some In_pool ->
-          Hashtbl.replace t.seen (Operation.key op) Taken;
-          Hashtbl.replace t.taken (Operation.key op) op;
+          Key_tbl.replace t.seen key Taken;
+          Key_tbl.replace t.taken key op;
           go (k - 1) (op :: acc)
       | Some Committed ->
           t.stale <- t.stale - 1;
@@ -136,26 +146,31 @@ let take t ~max =
   in
   sort_by_key (go max [])
 
+(* A repeat commit costs one [seen] lookup; a first commit also writes
+   the status in place, and only a [Taken] op touches [taken]. *)
 let mark_committed t ops =
-  List.iter
-    (fun op ->
+  List.filter
+    (fun (op : Operation.t) ->
       let key = Operation.key op in
-      (match Hashtbl.find_opt t.seen key with
-      | Some In_pool ->
-          t.stale <- t.stale + 1;
-          decr_held t op.Operation.client
-      | Some Taken -> decr_held t op.Operation.client
-      | Some Committed | None -> ());
-      Hashtbl.remove t.taken key;
-      Hashtbl.replace t.seen key Committed)
+      match Key_tbl.find t.seen key with
+      | Committed -> false
+      | exception Not_found ->
+          Key_tbl.add t.seen key Committed;
+          true
+      | (In_pool | Taken) as status ->
+          if status = In_pool then t.stale <- t.stale + 1
+          else Key_tbl.remove t.taken key;
+          decr_held t op.client;
+          Key_tbl.replace t.seen key Committed;
+          true)
     ops
 
 let pending t = Queue.length t.queue - t.stale
 
 let is_committed t op =
-  match Hashtbl.find_opt t.seen (Operation.key op) with
+  match Key_tbl.find_opt t.seen (Operation.key op) with
   | Some Committed -> true
-  | Some In_pool | Some Taken | None -> false
+  | Some (In_pool | Taken) | None -> false
 
 let requeue_taken t =
   (* the fold's order is a hashtable artifact; sort so the re-queued ops
@@ -163,20 +178,20 @@ let requeue_taken t =
      already admitted, so neither capacity nor per-client caps re-apply:
      occupancy is unchanged by In_pool <-> Taken moves. *)
   let ops =
-    Hashtbl.fold (fun _ op acc -> op :: acc) t.taken [] |> sort_by_key
+    Key_tbl.fold (fun _ op acc -> op :: acc) t.taken [] |> sort_by_key
   in
-  Hashtbl.reset t.taken;
+  Key_tbl.reset t.taken;
   List.iter
     (fun op ->
-      Hashtbl.replace t.seen (Operation.key op) In_pool;
+      Key_tbl.replace t.seen (Operation.key op) In_pool;
       Queue.push op t.queue)
     ops
 
 let snapshot t =
   Queue.fold
     (fun acc op ->
-      match Hashtbl.find_opt t.seen (Operation.key op) with
+      match Key_tbl.find_opt t.seen (Operation.key op) with
       | Some In_pool -> op :: acc
-      | Some Taken | Some Committed | None -> acc)
+      | Some (Taken | Committed) | None -> acc)
     [] t.queue
   |> List.rev

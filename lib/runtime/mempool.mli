@@ -77,9 +77,13 @@ val take : t -> max:int -> Marlin_types.Operation.t list
     interleavings propose byte-identical batches (the simulator's
     regression gate diffs whole runs, so this matters). *)
 
-val mark_committed : t -> Marlin_types.Operation.t list -> unit
+val mark_committed :
+  t -> Marlin_types.Operation.t list -> Marlin_types.Operation.t list
 (** Remove committed operations, remember their keys, and release their
-    occupancy and per-client budget. *)
+    occupancy and per-client budget. Returns, in order, the operations
+    committed here for the first time, which are the ones to execute: a
+    repeat commit returns nothing and changes nothing, and an operation
+    this pool never saw (its block was fetched) is returned. *)
 
 val pending : t -> int
 

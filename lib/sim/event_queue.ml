@@ -1,184 +1,100 @@
-(* A calendar queue (Brown 1988): an array of time buckets, each holding a
-   sorted list of entries, scanned by a cursor that walks one bucket-width
-   "epoch" at a time.
-
-   The design here is chosen so dequeue order is *provably* the exact
-   (time, seq) order the old binary heap produced, with no floating-point
-   window arithmetic to trust:
-
-   - an entry's epoch is [Float.floor (time /. width)] — a float-valued
-     integer, computed deterministically and monotone in [time];
-   - an entry lives in bucket [epoch mod nbuckets], so all entries of one
-     epoch share one bucket, where they sit in exact (time, seq) order;
-   - the cursor holds the current epoch and only pops bucket heads whose
-     epoch matches it, so cross-epoch order reduces to epoch order, which
-     is time order by monotonicity.
-
-   Entries pushed before the cursor's epoch rewind the cursor (the event
-   loop clamps times to "now", but this structure stays correct for
-   arbitrary pushes). Long empty stretches fall back to a direct search
-   over bucket heads after one full cursor cycle, so sparse queues do not
-   spin. Resizing keeps the bucket count within a constant factor of the
-   population and re-estimates the bucket width from the content's time
-   span. *)
-
-type 'a entry = { time : float; seq : int; value : 'a }
+(* A binary min-heap ordered by (time, seq), in three parallel arrays: once
+   they have grown, push and pop allocate nothing (times sit unboxed, sifts
+   move a hole, and no helper takes a float argument, which would be boxed).
+   Live entries have distinct seqs, so (time, seq) is a total order and the
+   pop sequence is exactly the sorted one, whatever the heap's shape. *)
 
 type 'a t = {
-  mutable buckets : 'a entry list array;
-  mutable width : float; (* bucket time width, > 0 *)
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
-  mutable cur_epoch : float; (* float-valued integer; scan position *)
   mutable peak : int;
 }
 
-let initial_buckets = 16
-let min_width = 1e-9
+(* Fills every slot at or past [size]: an immediate, so no popped value
+   stays reachable from its old slot. [grow] builds [values] from it, so
+   that array is never a flat float array, whatever ['a] is. *)
+let vacant () : 'a = Obj.magic ()
 
 let create () =
-  {
-    buckets = Array.make initial_buckets [];
-    width = 1.0;
-    size = 0;
-    next_seq = 0;
-    cur_epoch = 0.;
-    peak = 0;
-  }
+  { times = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0; peak = 0 }
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-(* The epoch of a timestamp. Monotone in [time]; equal epochs share a
-   bucket. Non-finite times degrade to epoch 0 / bucket 0 and are found by
-   the direct search, never mis-ordered (order checks compare entries, not
-   buckets). *)
-let epoch_of t time =
-  let e = Float.floor (time /. t.width) in
-  if Float.is_finite e then e else 0.
-
-let bucket_of_epoch t e =
-  let nb = Array.length t.buckets in
-  let r = Float.rem e (float_of_int nb) in
-  let r = if r < 0. then r +. float_of_int nb else r in
-  let i = int_of_float r in
-  if i >= nb then nb - 1 else if i < 0 then 0 else i
-
-let rec insert_sorted e = function
-  | [] -> [ e ]
-  | x :: _ as l when before e x -> e :: l
-  | x :: rest -> x :: insert_sorted e rest
-
-let insert t e =
-  let b = bucket_of_epoch t (epoch_of t e.time) in
-  t.buckets.(b) <- insert_sorted e t.buckets.(b)
-
-(* Re-bucket every entry under a new geometry. Width comes from the
-   content: spread the population's time span over ~half the buckets so a
-   bucket epoch holds a couple of entries. Identical times collapse to one
-   epoch (a sorted list — still correct, just not O(1)). *)
-let resize t nbuckets =
-  let entries =
-    Array.fold_left (fun acc l -> List.rev_append l acc) [] t.buckets
+let grow t =
+  let cap = Int.max 16 (2 * Array.length t.times) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.size;
+    b
   in
-  let tmin, tmax =
-    List.fold_left
-      (fun (lo, hi) e ->
-        if Float.is_finite e.time then (Float.min lo e.time, Float.max hi e.time)
-        else (lo, hi))
-      (infinity, neg_infinity) entries
-  in
-  let span = tmax -. tmin in
-  t.width <-
-    (if t.size > 0 && Float.is_finite span && span > 0. then
-       Float.max min_width (span /. float_of_int (max 1 (t.size / 2)))
-     else 1.0);
-  t.buckets <- Array.make nbuckets [];
-  List.iter (insert t) entries;
-  (* the cursor's epoch scale changed with the width: restart at the
-     earliest entry (found by direct search on the next pop) *)
-  let lo = if Float.is_finite tmin then tmin else 0. in
-  t.cur_epoch <- epoch_of t lo
+  t.times <- extend t.times 0.;
+  t.seqs <- extend t.seqs 0;
+  t.values <- extend t.values (vacant ())
 
-let push_entry t e =
-  insert t e;
+(* Does slot [i] sort before slot [j]? *)
+let[@inline] lt t i j =
+  t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
+
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.values.(dst) <- t.values.(src)
+
+let push_at t ~time ~seq v =
+  if t.size = Array.length t.times then grow t;
+  (* sift up: walk the hole from the new leaf towards the root *)
+  let i = ref t.size and p = ref ((t.size - 1) / 2) in
+  while !i > 0 && (time < t.times.(!p) || (time = t.times.(!p) && seq < t.seqs.(!p))) do
+    move t ~src:!p ~dst:!i;
+    i := !p;
+    p := (!p - 1) / 2
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.values.(!i) <- v;
   t.size <- t.size + 1;
-  if t.size > t.peak then t.peak <- t.size;
-  (* rewind: no entry may sit before the cursor's epoch *)
-  let ep = epoch_of t e.time in
-  if ep < t.cur_epoch then t.cur_epoch <- ep;
-  if t.size > 2 * Array.length t.buckets then
-    resize t (2 * Array.length t.buckets)
+  if t.size > t.peak then t.peak <- t.size
 
-let push_keyed t ~time value =
+let push_keyed t ~time v =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  push_entry t { time; seq; value };
+  push_at t ~time ~seq v;
   seq
 
-let push t ~time value = ignore (push_keyed t ~time value : int)
-let push_at t ~time ~seq value = push_entry t { time; seq; value }
+let push t ~time v = ignore (push_keyed t ~time v : int)
+let next_time t = if t.size = 0 then infinity else t.times.(0)
 
-(* Find the bucket holding the minimum entry, advancing the cursor to its
-   epoch. O(1) amortized: each cursor step crosses an epoch that stays
-   empty until the next resize; a full fruitless cycle falls back to one
-   direct O(nbuckets) search. Every entry's epoch is >= cur_epoch (push
-   rewinds), all entries of the minimum epoch share one sorted bucket, and
-   epoch order is time order — so the head found is the global (time, seq)
-   minimum. *)
-let find_min_bucket t =
-  if t.size = 0 then None
-  else begin
-    let nb = Array.length t.buckets in
-    let result = ref None in
-    let scanned = ref 0 in
-    while !result = None && !scanned < nb do
-      let b = bucket_of_epoch t t.cur_epoch in
-      (match t.buckets.(b) with
-      | e :: _ when epoch_of t e.time <= t.cur_epoch -> result := Some b
-      | _ ->
-          t.cur_epoch <- t.cur_epoch +. 1.;
-          incr scanned)
-    done;
-    match !result with
-    | Some _ as r -> r
-    | None ->
-        (* a sparse stretch longer than one cycle: jump to the true
-           minimum over all bucket heads *)
-        let best = ref None in
-        Array.iteri
-          (fun b l ->
-            match (l, !best) with
-            | [], _ -> ()
-            | e :: _, Some (_, m) when not (before e m) -> ()
-            | e :: _, _ -> best := Some (b, e))
-          t.buckets;
-        (match !best with
-        | Some (b, e) ->
-            t.cur_epoch <- epoch_of t e.time;
-            result := Some b
-        | None -> ());
-        !result
-  end
+let pop_min t =
+  if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  let top = t.values.(0) and n = t.size - 1 in
+  (* sift down: re-seat the last entry, from the root, in a heap of n *)
+  let time = t.times.(n) and seq = t.seqs.(n) and v = t.values.(n) in
+  t.values.(n) <- vacant ();
+  t.size <- n;
+  let i = ref 0 and c = ref 1 in
+  while
+    if !c + 1 < n && lt t (!c + 1) !c then incr c;
+    !c < n && (t.times.(!c) < time || (t.times.(!c) = time && t.seqs.(!c) < seq))
+  do
+    move t ~src:!c ~dst:!i;
+    i := !c;
+    c := (2 * !c) + 1
+  done;
+  if n > 0 then begin
+    t.times.(!i) <- time;
+    t.seqs.(!i) <- seq;
+    t.values.(!i) <- v
+  end;
+  top
 
 let pop t =
-  match find_min_bucket t with
-  | None -> None
-  | Some b -> (
-      match t.buckets.(b) with
-      | [] -> None (* unreachable: find_min_bucket returns non-empty *)
-      | e :: rest ->
-          t.buckets.(b) <- rest;
-          t.size <- t.size - 1;
-          let nb = Array.length t.buckets in
-          if nb > initial_buckets && t.size < nb / 4 then resize t (nb / 2);
-          Some (e.time, e.value))
+  if t.size = 0 then None
+  else
+    let time = t.times.(0) in
+    Some (time, pop_min t)
 
-let peek_time t =
-  match find_min_bucket t with
-  | None -> None
-  | Some b -> (
-      match t.buckets.(b) with [] -> None | e :: _ -> Some e.time)
-
+let peek_time t = if t.size = 0 then None else Some t.times.(0)
 let length t = t.size
 let is_empty t = t.size = 0
 let max_length t = t.peak

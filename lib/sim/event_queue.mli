@@ -1,6 +1,7 @@
-(** A priority queue of timestamped events — a calendar queue with O(1)
-    amortized push/pop. Ties break by insertion order (a monotonically
-    increasing sequence number), which keeps simulations deterministic. *)
+(** A priority queue of timestamped events — an array-backed binary heap
+    with O(log n) push/pop that allocates nothing once its arrays have
+    grown. Ties break by insertion order (a monotonically increasing
+    sequence number), which keeps simulations deterministic. *)
 
 type 'a t
 
@@ -21,6 +22,14 @@ val push_at : 'a t -> time:float -> seq:int -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
 (** The earliest event, or [None] when empty. *)
+
+val next_time : 'a t -> float
+(** The earliest event's time, or [infinity] when empty. With [pop_min],
+    the event loop's allocation-free pair. *)
+
+val pop_min : 'a t -> 'a
+(** Remove the earliest event and return its value.
+    @raise Invalid_argument when empty. *)
 
 val peek_time : 'a t -> float option
 val length : 'a t -> int

@@ -14,24 +14,27 @@ let schedule_keyed t ~time thunk =
 let reschedule t ~time ~key thunk =
   Event_queue.push_at t.queue ~time:(Float.max time t.now) ~seq:key thunk
 
-let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, thunk) ->
-      t.now <- Float.max t.now time;
-      thunk ();
-      true
+(* Run the earliest event when it is due by [limit]. [next_time] is read
+   once per event (it returns a boxed float), and the clock field is only
+   written when it advances. *)
+let fire t ~limit =
+  (not (Event_queue.is_empty t.queue))
+  &&
+  let time = Event_queue.next_time t.queue in
+  time <= limit
+  &&
+  let thunk = Event_queue.pop_min t.queue in
+  if time > t.now then t.now <- time;
+  thunk ();
+  true
+
+let step t = fire t ~limit:infinity
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-      let continue = ref true in
-      while !continue do
-        match Event_queue.peek_time t.queue with
-        | Some time when time <= limit -> ignore (step t)
-        | Some _ | None -> continue := false
-      done;
+      while fire t ~limit do () done;
       t.now <- Float.max t.now limit
 
 let pending t = Event_queue.length t.queue

@@ -9,6 +9,9 @@ val make : client:int -> seq:int -> body:string -> t
 val key : t -> int * int
 (** [(client, seq)] — the deduplication key. *)
 
+module Key_tbl : Hashtbl.S with type key = int * int
+(** Hash tables on {!key}, without the polymorphic hash and equality. *)
+
 val encode : Wire.Enc.t -> t -> unit
 val decode : Wire.Dec.t -> t
 val wire_size : t -> int

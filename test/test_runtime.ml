@@ -8,6 +8,8 @@ module Experiment = Marlin_runtime.Experiment
 module Workload = Marlin_workload.Workload
 
 let op ?(client = 1) seq = Operation.make ~client ~seq ~body:""
+let seqs ops = List.map (fun o -> o.Operation.seq) ops
+let commit m ops = ignore (Mempool.mark_committed m ops : Operation.t list)
 
 let admission =
   Alcotest.testable
@@ -44,7 +46,8 @@ let test_mempool_commit_clears () =
   let m = Mempool.create () in
   List.iter (fun s -> ignore (Mempool.add m (op s))) [ 1; 2; 3 ];
   (* op 2 commits while still queued (another replica proposed it) *)
-  Mempool.mark_committed m [ op 2 ];
+  Alcotest.(check (list int)) "first commit returned" [ 2 ]
+    (seqs (Mempool.mark_committed m [ op 2 ]));
   Alcotest.(check int) "pending drops" 2 (Mempool.pending m);
   let taken = Mempool.take m ~max:10 in
   Alcotest.(check (list int)) "committed op skipped" [ 1; 3 ]
@@ -60,7 +63,7 @@ let test_mempool_requeue_taken () =
   let taken = Mempool.take m ~max:2 in
   Alcotest.(check int) "took two" 2 (List.length taken);
   (* op 1 commits; op 2's block was orphaned by a view change *)
-  Mempool.mark_committed m [ op 1 ];
+  commit m [ op 1 ];
   Mempool.requeue_taken m;
   Alcotest.(check int) "op 2 back + op 3" 2 (Mempool.pending m);
   let again = Mempool.take m ~max:10 in
@@ -90,7 +93,7 @@ let test_mempool_snapshot () =
   let m = Mempool.create () in
   List.iter (fun s -> ignore (Mempool.add m (op s))) [ 1; 2; 3 ];
   ignore (Mempool.take m ~max:1);
-  Mempool.mark_committed m [ op 3 ];
+  commit m [ op 3 ];
   let snap = Mempool.snapshot m in
   Alcotest.(check (list int)) "snapshot = pooled, uncommitted" [ 2 ]
     (List.map (fun o -> o.Operation.seq) snap);
@@ -116,7 +119,7 @@ let test_mempool_capacity () =
   Alcotest.check admission "still full after take"
     (Mempool.Rejected Mempool.Pool_full) (Mempool.add m (op 4));
   (* commit releases occupancy and lifts the backpressure *)
-  Mempool.mark_committed m [ op 1 ];
+  commit m [ op 1 ];
   Alcotest.(check bool) "backpressure released" false (Mempool.backpressure m);
   Alcotest.check admission "capacity freed by commit" Mempool.Admitted
     (Mempool.add m (op 4));
@@ -135,11 +138,51 @@ let test_mempool_per_client_cap () =
   Alcotest.check admission "other client unaffected" Mempool.Admitted
     (Mempool.add m (op ~client:2 1));
   (* committing one of client 1's ops releases one slot *)
-  Mempool.mark_committed m [ op 1 ];
+  commit m [ op 1 ];
   Alcotest.check admission "slot released by commit" Mempool.Admitted
     (Mempool.add m (op 3));
   Alcotest.(check int) "rejected_client_cap" 1
     (Mempool.stats m).Mempool.rejected_client_cap
+
+(* ---------- mark_committed: first commits only ---------- *)
+
+let test_mempool_commit_once () =
+  let m = Mempool.create () in
+  List.iter (fun s -> ignore (Mempool.add m (op s))) [ 1; 2 ];
+  ignore (Mempool.take m ~max:1);
+  Alcotest.(check (list int)) "taken and pooled ops commit once, in order"
+    [ 2; 1 ]
+    (seqs (Mempool.mark_committed m [ op 2; op 1; op 2 ]));
+  Alcotest.(check (list int)) "second commit returns nothing" []
+    (seqs (Mempool.mark_committed m [ op 1; op 2 ]))
+
+let test_mempool_repeat_commit_accounting () =
+  let m =
+    Mempool.create ~config:(Mempool.Config.make ~per_client_cap:2 ()) ()
+  in
+  List.iter (fun s -> ignore (Mempool.add m (op s))) [ 1; 2 ];
+  ignore (Mempool.take m ~max:1);
+  commit m [ op 1 ];
+  let occupancy = Mempool.occupancy m and pending = Mempool.pending m in
+  commit m [ op 1 ];
+  Alcotest.(check int) "occupancy unchanged" occupancy (Mempool.occupancy m);
+  Alcotest.(check int) "pending unchanged" pending (Mempool.pending m);
+  (* client 1 holds op 2 only: a repeat commit must not free a second
+     slot, so one admission fits under the cap of 2 and the next does not *)
+  Alcotest.check admission "one slot free" Mempool.Admitted
+    (Mempool.add m (op 4));
+  Alcotest.check admission "cap still binds"
+    (Mempool.Rejected Mempool.Per_client_cap) (Mempool.add m (op 5))
+
+let test_mempool_commit_unseen () =
+  (* a block fetched from the leader carries ops this pool never held *)
+  let m = Mempool.create () in
+  Alcotest.(check (list int)) "unseen op returned" [ 7 ]
+    (seqs (Mempool.mark_committed m [ op 7 ]));
+  Alcotest.(check bool) "now committed" true (Mempool.is_committed m (op 7));
+  Alcotest.(check int) "no occupancy" 0 (Mempool.occupancy m);
+  Alcotest.check admission "cannot enter later" Mempool.Duplicate
+    (Mempool.add m (op 7))
 
 (* ---------- bounded pool under pressure: qcheck invariants ---------- *)
 
@@ -218,7 +261,7 @@ let run_pool_script script =
             QCheck.Test.fail_report "batch not in canonical key order";
           taken := batch @ !taken
       | E_commit_taken ->
-          Mempool.mark_committed m !taken;
+          commit m !taken;
           committed := List.map Operation.key !taken @ !committed;
           taken := []
       | E_requeue ->
@@ -336,6 +379,10 @@ let suite =
     ("cluster crash plumbing", `Quick, test_cluster_crash_plumbing);
     ("experiment peak selection", `Quick, test_peak_selection);
     ("experiment sweep shape", `Quick, test_sweep_shape);
+    ("mempool commits each op once", `Quick, test_mempool_commit_once);
+    ("mempool repeat commit keeps accounting", `Quick,
+      test_mempool_repeat_commit_accounting);
+    ("mempool commits unseen ops", `Quick, test_mempool_commit_unseen);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]

@@ -117,15 +117,61 @@ let test_event_queue_keyed_ties () =
   Alcotest.(check (list string)) "old seq wins the tie" [ "a2"; "later" ]
     (List.rev !order)
 
+let test_event_queue_releases_popped () =
+  (* Popped values must not stay reachable from the queue's vacated
+     slots: every popped value is collectable while the rest stay held. *)
+  let q = Event_queue.create () in
+  let n = 200 in
+  let weak = Weak.create n in
+  let fill () =
+    let rng = Rng.create ~seed:4 in
+    for i = 0 to n - 1 do
+      let v = ref i in
+      Weak.set weak i (Some v);
+      Event_queue.push q ~time:(float_of_int (Rng.int rng 50)) v
+    done
+  in
+  let popped = Array.make n false in
+  let pop_some k =
+    for _ = 1 to k do
+      match Event_queue.pop q with
+      | Some (_, v) -> popped.(!v) <- true
+      | None -> Alcotest.fail "queue ran dry"
+    done
+  in
+  fill ();
+  pop_some (n - 7);
+  Gc.full_major ();
+  Alcotest.(check int) "seven still queued" 7 (Event_queue.length q);
+  for i = 0 to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "value %d held iff still queued" i)
+      (not popped.(i)) (Weak.check weak i)
+  done
+
+let test_event_queue_high_water () =
+  let q = Event_queue.create () in
+  let push k = for i = 1 to k do Event_queue.push q ~time:(float_of_int i) i done in
+  let drain () = while not (Event_queue.is_empty q) do ignore (Event_queue.pop_min q) done in
+  push 40;
+  drain ();
+  Alcotest.(check int) "drained" 0 (Event_queue.length q);
+  Alcotest.(check int) "mark survives the drain" 40 (Event_queue.max_length q);
+  push 10;
+  Alcotest.(check int) "refill below the mark" 40 (Event_queue.max_length q);
+  push 50;
+  Alcotest.(check int) "regrow past the mark" 60 (Event_queue.max_length q);
+  drain ();
+  Alcotest.(check (float 0.)) "next_time of empty" infinity
+    (Event_queue.next_time q)
+
 (* Naive reference model: a sorted association list keyed by (time, seq). *)
 module Naive = struct
   type 'a t = { mutable entries : (float * int * 'a) list; mutable next : int }
 
   let create () = { entries = []; next = 0 }
 
-  let push t ~time v =
-    let seq = t.next in
-    t.next <- seq + 1;
+  let push_at t ~time ~seq v =
     let rec ins = function
       | [] -> [ (time, seq, v) ]
       | (t', s', _) :: _ as rest when time < t' || (time = t' && seq < s') ->
@@ -133,6 +179,12 @@ module Naive = struct
       | e :: rest -> e :: ins rest
     in
     t.entries <- ins t.entries
+
+  let push_keyed t ~time v =
+    let seq = t.next in
+    t.next <- seq + 1;
+    push_at t ~time ~seq v;
+    seq
 
   let pop t =
     match t.entries with
@@ -146,50 +198,98 @@ module Naive = struct
 end
 
 let queue_model_test =
-  (* Drive the calendar queue and the naive model with the same random
-     op sequence and require identical observable behaviour. Times are
-     quantised (i/8) to force (time, seq) ties, mixed with occasional
-     huge values to force cross-bucket rollover and resizes, and pops
-     interleave with pushes so the cursor must rewind for entries pushed
-     into already-visited epochs. *)
+  (* Drive the event queue and the naive model with the same random op
+     sequence and require identical observable behaviour. Times are
+     quantised (i/8 over a narrow range) so (time, seq) ties are common,
+     with a sparse far tail. Keyed entries, once popped, are re-inserted
+     later under their own seq with [push_at] (the broadcast fan-out
+     record's path), sometimes at the very time they fired. Peeks, both
+     pop forms and full drains followed by refills interleave freely. *)
   let open QCheck in
+  let tie_time = Gen.map (fun i -> float_of_int i /. 8.) (Gen.int_bound 24) in
   let op_gen =
     Gen.(
       frequency
         [
-          (6, map (fun i -> `Push (float_of_int i /. 8.)) (int_bound 400));
+          (5, map (fun t -> `Push t) tie_time);
           (1, map (fun i -> `Push (1e6 +. (float_of_int i *. 64.))) (int_bound 50));
-          (4, return `Pop);
-          (1, return `Peek);
+          (2, map (fun t -> `Keyed t) tie_time);
+          (2, map (fun i -> `Reinsert (float_of_int i /. 8.)) (int_bound 3));
+          (3, return `Pop);
+          (2, return `Pop_min);
+          (2, return `Peek);
+          (1, return `Drain);
         ])
   in
-  Test.make ~count:200 ~name:"calendar queue == naive sorted list"
+  Test.make ~count:200 ~name:"event queue == naive sorted list"
     (make
        ~print:(fun l -> string_of_int (List.length l) ^ " ops")
        (Gen.list_size Gen.(10 -- 200) op_gen))
     (fun ops ->
       let q = Event_queue.create () in
       let m = Naive.create () in
+      let next_value = ref 0 in
+      let fresh () =
+        incr next_value;
+        !next_value
+      in
+      (* value -> seq of every keyed entry; (seq, time) of the popped ones
+         waiting for re-insertion *)
+      let keyed = Hashtbl.create 16 and fired = Queue.create () in
+      let note = function
+        | Some (time, v) -> (
+            match Hashtbl.find_opt keyed v with
+            | Some seq -> Queue.push (seq, time) fired
+            | None -> ())
+        | None -> ()
+      in
+      let pop () =
+        let a = Event_queue.pop q and b = Naive.pop m in
+        note b;
+        a = b
+      in
+      let agree () =
+        Event_queue.peek_time q = Naive.peek_time m
+        && Event_queue.next_time q
+           = Option.value ~default:infinity (Naive.peek_time m)
+        && Event_queue.length q = List.length Naive.(m.entries)
+      in
+      let rec drain () = agree () && (Event_queue.is_empty q || (pop () && drain ())) in
       List.for_all
         (fun op ->
           match op with
           | `Push time ->
-              let v = Naive.(m.next) in
-              Naive.push m ~time v;
+              let v = fresh () in
+              ignore (Naive.push_keyed m ~time v : int);
               Event_queue.push q ~time v;
               true
-          | `Pop -> Event_queue.pop q = Naive.pop m
-          | `Peek ->
-              Event_queue.peek_time q = Naive.peek_time m
-              && Event_queue.length q = List.length Naive.(m.entries))
+          | `Keyed time ->
+              let v = fresh () in
+              let seq = Event_queue.push_keyed q ~time v in
+              Hashtbl.replace keyed v seq;
+              Naive.push_keyed m ~time v = seq
+          | `Reinsert dt -> (
+              match Queue.take_opt fired with
+              | None -> true
+              | Some (seq, fired_at) ->
+                  let v = fresh () and time = fired_at +. dt in
+                  Hashtbl.replace keyed v seq;
+                  Naive.push_at m ~time ~seq v;
+                  Event_queue.push_at q ~time ~seq v;
+                  true)
+          | `Pop -> pop ()
+          | `Pop_min -> (
+              match Naive.pop m with
+              | None -> Event_queue.is_empty q
+              | Some (time, _) as b ->
+                  note b;
+                  let t = Event_queue.next_time q in
+                  let v = Event_queue.pop_min q in
+                  b = Some (t, v) && time = t)
+          | `Peek -> agree ()
+          | `Drain -> drain ())
         ops
-      &&
-      (* full drain must agree too *)
-      let rec drain () =
-        let a = Event_queue.pop q and b = Naive.pop m in
-        a = b && (a = None || drain ())
-      in
-      drain ())
+      && drain ())
 
 (* ---------- sim clock ---------- *)
 
@@ -518,5 +618,10 @@ let suite =
     ("broadcast O(1) queue occupancy", `Quick, test_broadcast_occupancy);
   ]
   @ List.map QCheck_alcotest.to_alcotest (queue_model_test :: qcheck_cases)
+  @ [
+      ("event queue releases popped values", `Quick,
+        test_event_queue_releases_popped);
+      ("event queue high-water mark", `Quick, test_event_queue_high_water);
+    ]
 
 let () = Alcotest.run "sim" [ ("sim", suite) ]
