@@ -6,7 +6,7 @@ open Marlin_types
 module Qc = Marlin_types.Qc
 
 module I = Marlin_core.Twophase_insecure
-module M = Marlin_core.Marlin
+module M = Marlin_runtime.Registry.Marlin
 module HI = Test_support.Harness.Make (I)
 module HM = Test_support.Harness.Make (M)
 

@@ -11,7 +11,7 @@
    match. *)
 
 open Marlin_types
-module P = Marlin_core.Marlin
+module P = Marlin_runtime.Registry.Marlin
 module H = Test_support.Harness.Make (P)
 module Log_store = Marlin_store.Log_store
 

@@ -8,7 +8,7 @@
    seconds, and prints what the cluster did. *)
 
 module Cluster = Marlin_runtime.Cluster
-module P = Marlin_core.Chained_marlin
+module P = Marlin_runtime.Registry.Chained_marlin
 module Cl = Cluster.Make (P)
 module Stats = Marlin_analysis.Stats
 

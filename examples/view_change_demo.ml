@@ -10,7 +10,7 @@
 
 open Marlin_types
 module Cluster = Marlin_runtime.Cluster
-module P = Marlin_core.Marlin
+module P = Marlin_runtime.Registry.Marlin
 module Cl = Cluster.Make (P)
 module Sim = Marlin_sim.Sim
 module Netsim = Marlin_sim.Netsim

@@ -112,6 +112,13 @@ end
 
 type protocol = (module PROTOCOL)
 
+(** One variant of a protocol family: its registry name, and basic or
+    chained (pipelined) mode. *)
+module type MODE = sig
+  val name : string
+  val chained : bool
+end
+
 let pp_action fmt = function
   | Send { dst; msg } -> Format.fprintf fmt "send[->%d] %a" dst Message.pp msg
   | Broadcast msg -> Format.fprintf fmt "broadcast %a" Message.pp msg

@@ -3,15 +3,16 @@ module Sha256 = Marlin_crypto.Sha256
 module C = Consensus_intf
 module Obs = Marlin_obs.Sink
 
-(* Basic vs chained (pipelined) mode. Chained HotStuff has one generic
-   voting round per block; a block locks on a two-chain and commits on a
-   three-chain of same-view, direct-parent prepareQCs. *)
-module type MODE = sig
-  val name : string
-  val chained : bool
+module type S = sig
+  include C.PROTOCOL
+
+  val prepare_qc : t -> Qc.t
 end
 
-module Make (Mode : MODE) = struct
+(* Chained HotStuff has one generic voting round per block; a block locks
+   on a two-chain and commits on a three-chain of same-view, direct-parent
+   prepareQCs. *)
+module Make (Mode : C.MODE) : S = struct
   let name = Mode.name
 type t = {
   rep : Replica.t;
@@ -21,7 +22,6 @@ type t = {
   mutable in_flight : Sha256.t option;
   mutable collecting_new_view : bool;
   new_views : Qc.t Replica.view_msgs;
-  voted_phase : (string, unit) Hashtbl.t;  (* per-view (phase|digest) dedup *)
 }
 
 let create cfg =
@@ -33,7 +33,6 @@ let create cfg =
     in_flight = None;
     collecting_new_view = false;
     new_views = Replica.view_msgs ();
-    voted_phase = Hashtbl.create 8;
   }
 
 let locked_qc t = t.locked_qc
@@ -69,15 +68,6 @@ let process_chain_qc t (qc2 : Qc.t) =
                 | Block.J_qc _ | Block.J_paired _ | Block.J_genesis -> []))
         | Block.J_qc _ | Block.J_paired _ | Block.J_genesis -> [])
 
-let phase_key phase digest =
-  Printf.sprintf "%d|%s"
-    (match phase with
-    | Qc.Pre_prepare -> 0
-    | Qc.Prepare -> 1
-    | Qc.Precommit -> 2
-    | Qc.Commit -> 3)
-    (Sha256.to_raw digest)
-
 (* ---------- leader ---------- *)
 
 let try_propose t =
@@ -98,10 +88,7 @@ let try_propose t =
       in
       t.in_flight <- Some (Block.digest b);
       ignore (Replica.note_block r b);
-      Obs.propose r.cfg.C.obs ~view:r.cview ~height:b.Block.height
-        ~txs:(Batch.length payload);
-      let justify = High_qc.Single qc in
-      [ C.Broadcast (Replica.msg r (Message.Propose { block = b; justify })) ]
+      [ Replica.propose r b ~justify:(High_qc.Single qc) ]
     end
   end
 
@@ -109,10 +96,8 @@ let on_vote t kind (block : Qc.block_ref) partial =
   let r = t.rep in
   if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add r.votes ~phase:kind ~view:r.cview ~block partial with
+    match Replica.add_vote r r.votes ~phase:kind ~block partial with
     | Vote_collector.Quorum qc -> (
-        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
-          ~phase:(Replica.phase_label kind);
         match kind with
         | Qc.Prepare ->
             if Rank.qc_gt qc t.prepare_qc then t.prepare_qc <- qc;
@@ -157,14 +142,11 @@ let rec on_new_view_msg t (m : Message.t) (qc : Qc.t) =
 
 and enter_view t view ~send =
   let r = t.rep in
-  Replica.enter r t.new_views view;
+  let timer = Replica.enter r t.new_views view ~send in
   t.in_flight <- None;
   t.collecting_new_view <- Replica.is_leader r;
-  Hashtbl.reset t.voted_phase;
-  let timer = Replica.view_timer r ~send in
   let nv_actions =
     if send then begin
-      Obs.view_change_enter r.cfg.C.obs ~view;
       let m = Replica.msg r (Message.New_view { justify = t.prepare_qc }) in
       if Replica.is_leader r then on_new_view_msg t m t.prepare_qc
       else [ C.Send { dst = Replica.leader_of r view; msg = m } ]
@@ -241,8 +223,7 @@ let accept_phase_cert t (qc : Qc.t) =
         if Mode.chained then process_chain_qc t qc
         else if
           qc.Qc.view = r.cview
-          && Replica.first_vote t.voted_phase
-               (phase_key Qc.Precommit qc.Qc.block.Qc.digest)
+          && Replica.first_vote r Qc.Precommit qc.Qc.block.Qc.digest
         then Replica.vote_to_leader r ~kind:Qc.Precommit qc.Qc.block
         else []
     | Qc.Precommit ->
@@ -250,7 +231,7 @@ let accept_phase_cert t (qc : Qc.t) =
         if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
         if
           qc.Qc.view = r.cview
-          && Replica.first_vote t.voted_phase (phase_key Qc.Commit qc.Qc.block.Qc.digest)
+          && Replica.first_vote r Qc.Commit qc.Qc.block.Qc.digest
         then Replica.vote_to_leader r ~kind:Qc.Commit qc.Qc.block
         else []
     | Qc.Commit -> Replica.deliver_commit r qc

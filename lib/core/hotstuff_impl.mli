@@ -1,17 +1,25 @@
-(** The shared HotStuff state machine behind {!Hotstuff} (basic, three
-    voting phases per block) and {!Chained_hotstuff} (pipelined, one
-    generic round per block, commit on a three-chain). The two public
-    modules are [Make] applied to the matching {!MODE}. *)
+(** HotStuff (Yin et al., PODC 2019), the paper's baseline.
 
-(** Basic vs chained (pipelined) mode. *)
-module type MODE = sig
-  val name : string
-  val chained : bool
-end
+    Basic mode ([Registry.Hotstuff]) has three voting phases per block
+    (PREPARE, PRE-COMMIT, COMMIT) plus the DECIDE broadcast; replicas lock
+    on the precommitQC and unlock when shown a QC from a higher view.
+    Chained mode ([Registry.Chained_hotstuff], the baseline the paper's
+    evaluation runs) has one generic voting round per block, locks on a
+    two-chain and commits on a three-chain of same-view direct-parent
+    prepareQCs.
 
-module Make (_ : MODE) : sig
+    View changes are linear: each replica sends its latest prepareQC in a
+    NEW-VIEW message, and the new leader extends the highest one. Like
+    {!Marlin_impl}, this implementation runs multi-block views with a
+    stable leader (the mode both protocols are benchmarked in), so the two
+    differ by exactly what the paper varies: the number of phases and the
+    view-change rule. *)
+
+module type S = sig
   include Consensus_intf.PROTOCOL
 
   val prepare_qc : t -> Marlin_types.Qc.t
   (** The highest prepareQC this replica holds (its NEW-VIEW payload). *)
 end
+
+module Make (_ : Consensus_intf.MODE) : S

@@ -7,17 +7,19 @@ let src = Logs.Src.create "marlin" ~doc:"Marlin protocol"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Basic vs chained (pipelined) mode. In chained mode there is no COMMIT
-   voting phase: the leader proposes the next block as soon as a prepareQC
-   forms, and a block commits on a two-chain — a prepareQC for a direct
-   child formed in the same view (the child's voters locked the parent's
-   QC, which is what the basic commit phase establishes too). *)
-module type MODE = sig
-  val name : string
-  val chained : bool
+module type S = sig
+  include C.PROTOCOL
+
+  val last_voted : t -> Block.t
+  val view_change_in_progress : t -> bool
 end
 
-module Make (Mode : MODE) = struct
+(* In chained mode there is no COMMIT voting phase: the leader proposes
+   the next block as soon as a prepareQC forms, and a block commits on a
+   two-chain — a prepareQC for a direct child formed in the same view (the
+   child's voters locked the parent's QC, which is what the basic commit
+   phase establishes too). *)
+module Make (Mode : C.MODE) : S = struct
   let name = Mode.name
 (* A view-change record: what one replica told the new leader. *)
 type vc_record = {
@@ -45,9 +47,6 @@ type t = {
   mutable r2_locked : Qc.t option;  (* best prepareQC from R2 votes *)
   mutable formed_ppqcs : Qc.t list;  (* pre-prepareQCs formed this view *)
   vc_msgs : vc_record Replica.view_msgs;
-  (* replica-side per-view vote dedup *)
-  voted_pre_prepare : (string, unit) Hashtbl.t;
-  voted_commit : (string, unit) Hashtbl.t;
 }
 
 let create cfg =
@@ -62,8 +61,6 @@ let create cfg =
     r2_locked = None;
     formed_ppqcs = [];
     vc_msgs = Replica.view_msgs ();
-    voted_pre_prepare = Hashtbl.create 8;
-    voted_commit = Hashtbl.create 8;
   }
 
 let locked_qc t = t.locked_qc
@@ -71,8 +68,6 @@ let high_qc t = t.high
 let last_voted t = t.lb
 let view_change_in_progress t =
   match t.mode with Collecting_vc | Pre_preparing -> true | Follower | Normal -> false
-
-let digest_key d = Sha256.to_raw d
 
 (* A well-formed virtual block relative to the prepareQC [qc] it justifies
    from: nil parent link, two heights above block(qc) (Case V1 shape). *)
@@ -122,9 +117,7 @@ let process_chain_qc t (qc_c : Qc.t) =
 let broadcast_proposal t (b : Block.t) =
   let r = t.rep in
   t.in_flight <- Some (Block.digest b);
-  Obs.propose r.cfg.C.obs ~view:r.cview ~height:b.Block.height
-    ~txs:(Batch.length b.Block.payload);
-  [ C.Broadcast (Replica.msg r (Message.Propose { block = b; justify = t.high })) ]
+  [ Replica.propose r b ~justify:t.high ]
 
 (* Propose per the normal case. Case N1: extend block(highQC) with fresh
    payload. Case N2: re-broadcast the block certified by the
@@ -243,7 +236,7 @@ let accept_prepare_cert t (qc : Qc.t) =
     if Mode.chained then process_chain_qc t qc
     else if
       qc.Qc.view = r.cview
-      && Replica.first_vote t.voted_commit (digest_key qc.Qc.block.Qc.digest)
+      && Replica.first_vote r Qc.Commit qc.Qc.block.Qc.digest
     then Replica.vote_to_leader r ~kind:Qc.Commit qc.Qc.block
     else []
   end
@@ -254,10 +247,8 @@ let on_prepare_vote t (block : Qc.block_ref) partial =
   let r = t.rep in
   if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add r.votes ~phase:Qc.Prepare ~view:r.cview ~block partial with
+    match Replica.add_vote r r.votes ~phase:Qc.Prepare ~block partial with
     | Vote_collector.Quorum qc ->
-        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
-          ~phase:"prepare";
         t.high <- High_qc.Single qc;
         if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
         if Mode.chained then begin
@@ -276,10 +267,8 @@ let on_commit_vote t (block : Qc.block_ref) partial =
   let r = t.rep in
   if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add r.votes ~phase:Qc.Commit ~view:r.cview ~block partial with
+    match Replica.add_vote r r.votes ~phase:Qc.Commit ~block partial with
     | Vote_collector.Quorum qc ->
-        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
-          ~phase:"commit";
         if (match t.in_flight with
            | Some d -> Sha256.equal d block.Qc.digest
            | None -> false)
@@ -309,7 +298,7 @@ let select_high_qcv t (records : vc_record list) =
       let seen = Hashtbl.create 4 in
       List.filter
         (fun h ->
-          let d = digest_key (High_qc.primary h).Qc.block.Qc.digest in
+          let d = Sha256.to_raw (High_qc.primary h).Qc.block.Qc.digest in
           if Hashtbl.mem seen d then false
           else begin
             Hashtbl.replace seen d ();
@@ -417,18 +406,14 @@ let rec on_view_change_msg t (m : Message.t) last justify parsig =
 
 and enter_view t view ~send =
   let r = t.rep in
-  Replica.enter r t.vc_msgs view;
+  let timer = Replica.enter r t.vc_msgs view ~send in
   t.mode <- (if Replica.is_leader r then Collecting_vc else Follower);
   t.in_flight <- None;
   t.current_proposals <- [];
   t.r2_locked <- None;
   t.formed_ppqcs <- [];
-  Hashtbl.reset t.voted_pre_prepare;
-  Hashtbl.reset t.voted_commit;
-  let timer = Replica.view_timer r ~send in
   let vc_actions =
     if send then begin
-      Obs.view_change_enter r.cfg.C.obs ~view;
       let lb_ref = (Block.summary t.lb).Block.b_ref in
       let parsig =
         Auth.sign_vote r.auth ~signer:(Replica.me r) ~phase:Qc.Prepare ~view lb_ref
@@ -451,12 +436,12 @@ and enter_view t view ~send =
 
 let pre_prepare_vote t (b : Block.t) (locked : Qc.t option) =
   ignore (Replica.note_block t.rep b);
-  Hashtbl.replace t.voted_pre_prepare (digest_key (Block.digest b)) ();
+  ignore (Replica.first_vote t.rep Qc.Pre_prepare (Block.digest b));
   Replica.vote_to_leader t.rep ~kind:Qc.Pre_prepare ?locked (Block.to_ref b)
 
 let consider_pre_prepare_proposal t (b : Block.t) =
   let r = t.rep in
-  if Hashtbl.mem t.voted_pre_prepare (digest_key (Block.digest b)) then []
+  if Replica.voted r Qc.Pre_prepare (Block.digest b) then []
   else if b.Block.view <> r.cview then []
   else
     match High_qc.of_justify b.Block.justify with
@@ -545,12 +530,8 @@ let on_pre_prepare_vote t (block : Qc.block_ref) partial locked =
         | Some cur when Rank.qc_geq cur vc -> ()
         | Some _ | None -> t.r2_locked <- Some vc)
     | Some _ | None -> ());
-    match
-      Vote_collector.add r.votes ~phase:Qc.Pre_prepare ~view:r.cview ~block partial
-    with
+    match Replica.add_vote r r.votes ~phase:Qc.Pre_prepare ~block partial with
     | Vote_collector.Quorum ppqc ->
-        Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
-          ~phase:"pre-prepare";
         t.formed_ppqcs <- ppqc :: t.formed_ppqcs;
         try_finish_pre_prepare t
     | Vote_collector.Counted _ ->

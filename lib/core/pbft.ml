@@ -22,7 +22,6 @@ type t = {
          arrives — proposals are not accepted without it *)
   mutable accepted : (int * int, string) Hashtbl.t;
       (* (view, height) -> digest: at most one pre-prepare per slot *)
-  mutable commit_voted : (string, unit) Hashtbl.t;
   mutable collecting_vc : bool;
   vc_msgs : Qc.t Replica.view_msgs;  (* prepared qc per sender *)
   stash : (string, Block.t list) Hashtbl.t;
@@ -39,7 +38,6 @@ let create cfg =
     proposed_tip = Qc.genesis_ref;
     anchor = Some Qc.genesis_ref;
     accepted = Hashtbl.create 32;
-    commit_voted = Hashtbl.create 32;
     collecting_vc = false;
     vc_msgs = Replica.view_msgs ();
     stash = Hashtbl.create 8;
@@ -70,11 +68,7 @@ let rec try_propose t =
       in
       t.proposed_tip <- Block.to_ref b;
       ignore (Replica.note_block r b);
-      Obs.propose r.cfg.C.obs ~view:r.cview ~height:b.Block.height
-        ~txs:(Batch.length payload);
-      let justify = High_qc.Single t.prepared in
-      C.Broadcast (Replica.msg r (Message.Propose { block = b; justify }))
-      :: try_propose t
+      Replica.propose r b ~justify:(High_qc.Single t.prepared) :: try_propose t
     end
   end
 
@@ -124,25 +118,19 @@ let rec accept_pre_prepare t (block : Block.t) =
 (* Every replica collects the all-to-all votes itself. *)
 let on_prepare_vote t (block : Qc.block_ref) partial =
   let r = t.rep in
-  match Vote_collector.add r.votes ~phase:Qc.Prepare ~view:r.cview ~block partial with
+  match Replica.add_vote r r.votes ~phase:Qc.Prepare ~block partial with
   | Vote_collector.Quorum qc ->
       (* prepared: remember the certificate, vote to commit *)
-      Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
-        ~phase:"prepare";
       if Rank.qc_gt qc t.prepared then t.prepared <- qc;
-      if Replica.first_vote t.commit_voted (Sha256.to_raw block.Qc.digest) then
+      if Replica.first_vote r Qc.Commit block.Qc.digest then
         [ C.Broadcast (Replica.vote r ~kind:Qc.Commit block) ]
       else []
   | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 let on_commit_vote t (block : Qc.block_ref) partial =
   let r = t.rep in
-  match
-    Vote_collector.add t.commit_votes ~phase:Qc.Commit ~view:r.cview ~block partial
-  with
+  match Replica.add_vote r t.commit_votes ~phase:Qc.Commit ~block partial with
   | Vote_collector.Quorum qc ->
-      Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
-        ~phase:"commit";
       let commits = Replica.deliver_commit r qc in
       commits @ try_propose t
   | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
@@ -187,19 +175,16 @@ let rec on_view_change_msg t (m : Message.t) qc =
 
 and enter_view t view ~send =
   let r = t.rep in
-  Replica.enter r t.vc_msgs view;
+  let timer = Replica.enter r t.vc_msgs view ~send in
   t.collecting_vc <- Replica.is_leader r;
   t.proposed_tip <- Block.to_ref (Block_store.last_committed r.store);
   (* proposals are rejected until this view's NEW-VIEW sets the anchor *)
   t.anchor <- None;
   Hashtbl.reset t.accepted;
   Hashtbl.reset t.stash;
-  Hashtbl.reset t.commit_voted;
   Vote_collector.gc_below_view t.commit_votes view;
-  let timer = Replica.view_timer r ~send in
   let vc =
     if send then begin
-      Obs.view_change_enter r.cfg.C.obs ~view;
       (* PBFT broadcasts view-change messages to everyone *)
       let m = Replica.msg r (Message.New_view { justify = t.prepared }) in
       C.Broadcast m :: on_view_change_msg t m t.prepared

@@ -3,6 +3,7 @@
    entry points. A protocol file keeps only its phase logic. *)
 
 open Marlin_types
+module Sha256 = Marlin_crypto.Sha256
 module C = Consensus_intf
 module Obs = Marlin_obs.Sink
 
@@ -12,6 +13,7 @@ type t = {
   store : Block_store.t;
   com : Committer.t;
   votes : Vote_collector.t;
+  voted : (string, int) Hashtbl.t;
   pacemaker : Pacemaker.t;
   mutable cview : int;
 }
@@ -26,6 +28,7 @@ let create cfg =
     store;
     com = Committer.create cfg store;
     votes = Vote_collector.create auth;
+    voted = Hashtbl.create 8;
     pacemaker = Pacemaker.create ~base:cfg.C.base_timeout ~max:cfg.C.max_timeout;
     cview = 0;
   }
@@ -98,6 +101,11 @@ let phase_label = function
   | Qc.Precommit -> "precommit"
   | Qc.Commit -> "commit"
 
+let propose r (b : Block.t) ~justify =
+  Obs.propose r.cfg.C.obs ~view:r.cview ~height:b.Block.height
+    ~txs:(Batch.length b.Block.payload);
+  C.Broadcast (msg r (Message.Propose { block = b; justify }))
+
 let vote r ~kind ?locked (block : Qc.block_ref) =
   let partial = Auth.sign_vote r.auth ~signer:(me r) ~phase:kind ~view:r.cview block in
   Obs.vote r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
@@ -107,9 +115,29 @@ let vote r ~kind ?locked (block : Qc.block_ref) =
 let vote_to_leader r ~kind ?locked block =
   [ C.Send { dst = leader_of r r.cview; msg = vote r ~kind ?locked block } ]
 
-(* One vote per key (phase and block) and view: [false] once recorded. *)
-let first_vote seen key =
-  (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true)
+(* This view's own votes: the phases voted per raw digest, as a bit set. *)
+let phase_bit phase = 1 lsl Qc.phase_to_int phase
+
+let voted_phases r digest =
+  match Hashtbl.find r.voted (Sha256.to_raw digest) with
+  | phases -> phases
+  | exception Not_found -> 0
+
+let voted r phase digest = voted_phases r digest land phase_bit phase <> 0
+
+let first_vote r phase digest =
+  let phases = voted_phases r digest in
+  phases land phase_bit phase = 0
+  && (Hashtbl.replace r.voted (Sha256.to_raw digest) (phases lor phase_bit phase);
+      true)
+
+let add_vote r votes ~phase ~(block : Qc.block_ref) partial =
+  match Vote_collector.add votes ~phase ~view:r.cview ~block partial with
+  | Vote_collector.Quorum _ as quorum ->
+      Obs.qc_formed r.cfg.C.obs ~view:r.cview ~height:block.Qc.height
+        ~phase:(phase_label phase);
+      quorum
+  | (Vote_collector.Counted _ | Vote_collector.Rejected _) as other -> other
 
 let verify_single auth = function
   | High_qc.Single qc -> Auth.verify_qc auth qc
@@ -149,14 +177,14 @@ let view_quorum r vm =
   | Some msgs when List.length msgs >= C.quorum r.cfg -> Some (List.map snd msgs)
   | Some _ | None -> None
 
-let enter r vm view =
+let enter r vm view ~send =
   r.cview <- view;
   Vote_collector.gc_below_view r.votes view;
+  Hashtbl.reset r.voted;
   Hashtbl.filter_map_inplace
     (fun v msgs -> if v < view then None else Some msgs)
-    vm
-
-let view_timer r ~send =
+    vm;
+  if send then Obs.view_change_enter r.cfg.C.obs ~view;
   C.timer
     ~cause:(if send then C.View_change else C.View_progress)
     (Pacemaker.current_timeout r.pacemaker)

@@ -14,6 +14,9 @@ type t = {
   store : Block_store.t;
   com : Committer.t;
   votes : Vote_collector.t;
+  voted : (string, int) Hashtbl.t;
+      (** this view's own votes: the phases voted per raw digest, as a bit
+          set; use {!voted} and {!first_vote} *)
   pacemaker : Pacemaker.t;
   mutable cview : int;
 }
@@ -46,9 +49,13 @@ val needs_flush : t -> chained:bool -> Qc.block_ref -> bool
     an operation-bearing block above the committed head hangs on [tip]'s
     branch. Always [false] unless [chained]. *)
 
-(** {1 Votes} *)
+(** {1 Proposals and votes}
 
-val phase_label : Qc.phase -> string
+    Every protocol proposes, votes and forms certificates through these
+    functions, so each step emits its sink event in exactly one place. *)
+
+val propose : t -> Block.t -> justify:High_qc.t -> Consensus_intf.action
+(** Emit the [propose] sink event and broadcast the proposal. *)
 
 val vote : t -> kind:Qc.phase -> ?locked:Qc.t -> Qc.block_ref -> Message.t
 (** Sign a [kind] vote for the block in the current view and emit the
@@ -58,8 +65,18 @@ val vote_to_leader :
   t -> kind:Qc.phase -> ?locked:Qc.t -> Qc.block_ref -> Consensus_intf.action list
 (** {!vote}, sent to the view's leader. *)
 
-val first_vote : (string, unit) Hashtbl.t -> string -> bool
-(** Record [key] in the per-view vote table; [false] if already there. *)
+val voted : t -> Qc.phase -> Marlin_crypto.Sha256.t -> bool
+(** Has this replica recorded a [phase] vote for the digest in this view? *)
+
+val first_vote : t -> Qc.phase -> Marlin_crypto.Sha256.t -> bool
+(** Record a [phase] vote for the digest in this view; [false] if one was
+    already recorded. {!enter} clears the record. *)
+
+val add_vote :
+  t -> Vote_collector.t -> phase:Qc.phase -> block:Qc.block_ref ->
+  Marlin_crypto.Threshold.partial -> Vote_collector.outcome
+(** Count a vote of the current view in the given collector; a [Quorum]
+    emits the [qc_formed] sink event. *)
 
 val verify_single : Auth.t -> High_qc.t -> bool
 (** A [Single] justify whose QC verifies; [Paired] never does. *)
@@ -83,13 +100,10 @@ val store_view_msg : t -> 'a view_msgs -> Message.t -> 'a -> stored
 val view_quorum : t -> 'a view_msgs -> 'a list option
 (** The current view's messages, newest first, once a quorum arrived. *)
 
-val enter : t -> 'a view_msgs -> int -> unit
-(** Set the current view; drop votes and view-change messages of older
-    views. *)
-
-val view_timer : t -> send:bool -> Consensus_intf.action
-(** The timer armed on view entry; [send] means a view change is under
-    way. *)
+val enter : t -> 'a view_msgs -> int -> send:bool -> Consensus_intf.action
+(** Set the current view; drop votes, the vote record and view-change
+    messages of older views. [send] means a view change is under way: it
+    emits the [view-change-enter] sink event. Returns the view timer. *)
 
 (** {1 Entry points} *)
 

@@ -1,6 +1,7 @@
 open Marlin_types
 module Sha256 = Marlin_crypto.Sha256
 module C = Consensus_intf
+module Obs = Marlin_obs.Sink
 
 let name = "twophase-insecure"
 
@@ -12,7 +13,6 @@ type t = {
   mutable in_flight : Sha256.t option;
   mutable collecting_vc : bool;
   vc_msgs : Qc.t Replica.view_msgs;
-  voted_commit : (string, unit) Hashtbl.t;
   mutable rejected : int;
 }
 
@@ -25,7 +25,6 @@ let create cfg =
     in_flight = None;
     collecting_vc = false;
     vc_msgs = Replica.view_msgs ();
-    voted_commit = Hashtbl.create 8;
     rejected = 0;
   }
 
@@ -47,8 +46,7 @@ let try_propose t =
       in
       t.in_flight <- Some (Block.digest b);
       ignore (Replica.note_block r b);
-      let justify = High_qc.Single qc in
-      [ C.Broadcast (Replica.msg r (Message.Propose { block = b; justify })) ]
+      [ Replica.propose r b ~justify:(High_qc.Single qc) ]
     end
   end
 
@@ -85,7 +83,7 @@ let accept_prepare_cert t (qc : Qc.t) =
     if Rank.qc_gt qc t.high then t.high <- qc;
     if
       qc.Qc.view = r.cview
-      && Replica.first_vote t.voted_commit (Sha256.to_raw qc.Qc.block.Qc.digest)
+      && Replica.first_vote r Qc.Commit qc.Qc.block.Qc.digest
     then Replica.vote_to_leader r ~kind:Qc.Commit qc.Qc.block
     else []
   end
@@ -94,7 +92,7 @@ let on_vote t kind (block : Qc.block_ref) partial =
   let r = t.rep in
   if not (Replica.is_leader r) then []
   else
-    match Vote_collector.add r.votes ~phase:kind ~view:r.cview ~block partial with
+    match Replica.add_vote r r.votes ~phase:kind ~block partial with
     | Vote_collector.Quorum qc -> (
         match kind with
         | Qc.Prepare ->
@@ -119,6 +117,7 @@ let maybe_finish_vc t =
     | Some qcs ->
         t.high <- List.fold_left Rank.max_qc t.high qcs;
         t.collecting_vc <- false;
+        Obs.view_change_exit t.rep.cfg.C.obs ~view:t.rep.cview;
         try_propose t
     | None -> []
   else []
@@ -133,11 +132,9 @@ let rec on_new_view_msg t (m : Message.t) qc =
 
 and enter_view t view ~send =
   let r = t.rep in
-  Replica.enter r t.vc_msgs view;
+  let timer = Replica.enter r t.vc_msgs view ~send in
   t.in_flight <- None;
   t.collecting_vc <- Replica.is_leader r;
-  Hashtbl.reset t.voted_commit;
-  let timer = Replica.view_timer r ~send in
   let nv =
     if send then begin
       let m = Replica.msg r (Message.New_view { justify = t.high }) in

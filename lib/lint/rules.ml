@@ -237,58 +237,7 @@ let rec hashtbl_order =
             !diags);
   }
 
-(* ---------- rule 3: wall-clock ---------- *)
-
-let wall_clock_allowed rel =
-  (* bench/main.ml reports human wall time; lib/store talks to a real
-     filesystem. Neither feeds simulated time. *)
-  rel = "bench/main.ml" || under "lib/store" rel
-
-let ambient_ident lid =
-  let path = flatten lid in
-  match path with
-  | [ "Unix"; ("gettimeofday" | "time") ]
-  | [ "Stdlib"; "Unix"; ("gettimeofday" | "time") ]
-  | [ "Sys"; "time" ]
-  | [ "Stdlib"; "Sys"; "time" ] ->
-      true
-  | _ -> (
-      (* every global-state Random.* entry point; Random.State.* is the
-         explicit, seedable API and stays legal *)
-      match path with
-      | [ "Random"; f ] | [ "Stdlib"; "Random"; f ] -> f <> "State"
-      | _ -> false)
-
-let rec wall_clock =
-  {
-    name = "wall-clock";
-    severity = Diagnostic.Error;
-    doc =
-      "no wall-clock reads or ambient randomness in simulation code: use \
-       Sim.now and the seeded Rng (bench/main.ml wall timing and lib/store \
-       I/O are allowlisted)";
-    applies = (fun rel -> everywhere rel && not (wall_clock_allowed rel));
-    check =
-      (fun _project file ->
-        match file.ast with
-        | Intf _ | Broken _ -> []
-        | Impl str ->
-            let diags = ref [] in
-            iter_expressions str ~on_expr:(fun e ~recurse ->
-                (match e.pexp_desc with
-                | Pexp_ident { txt; loc } when ambient_ident txt ->
-                    diags :=
-                      mk wall_clock file loc
-                        (dotted txt
-                       ^ " is nondeterministic under simulation; use \
-                          Sim.now / the seeded Rng stream")
-                      :: !diags
-                | _ -> ());
-                recurse ());
-            !diags);
-  }
-
-(* ---------- rule 4: float-equality ---------- *)
+(* ---------- rule 3: float-equality ---------- *)
 
 let rec is_floaty e =
   match e.pexp_desc with
@@ -333,7 +282,7 @@ let rec float_equality =
             !diags);
   }
 
-(* ---------- rule 5: deprecated-alias ---------- *)
+(* ---------- rule 4: deprecated-alias ---------- *)
 
 let rec deprecated_alias =
   {
@@ -367,11 +316,7 @@ let rec deprecated_alias =
             !diags);
   }
 
-(* ---------- rule 6: toplevel-state ---------- *)
-
-let toplevel_state_allowed rel =
-  (* the protocol registry is the one sanctioned process-global table *)
-  rel = "lib/runtime/registry.ml"
+(* ---------- rule 5: toplevel-state ---------- *)
 
 let mutable_ctor lid =
   (match flatten lid with [ "ref" ] -> true | _ -> false)
@@ -393,7 +338,7 @@ let rec toplevel_state =
       "no mutable state at module top level in lib/ (refs, hashtables, \
        queues created once per process break run isolation); allocate \
        inside create () so every run gets a fresh instance";
-    applies = (fun rel -> in_lib rel && not (toplevel_state_allowed rel));
+    applies = in_lib;
     check =
       (fun _project file ->
         match file.ast with
@@ -428,49 +373,7 @@ let rec toplevel_state =
             !diags);
   }
 
-(* ---------- rule 7: workload-rng ---------- *)
-
-(* Arrival samplers are the one place where a stray ambient draw would
-   silently decorrelate every offered-load curve from its seed, so the
-   whole stdlib Random module — the seedable Random.State API included —
-   is off limits here: lib/workload draws only from Marlin_sim.Rng
-   streams passed in by the caller. *)
-let is_stdlib_random lid =
-  match flatten lid with
-  | "Random" :: _ :: _ | "Stdlib" :: "Random" :: _ :: _ -> true
-  | [ "Random" ] | [ "Stdlib"; "Random" ] -> true
-  | _ -> false
-
-let rec workload_rng =
-  {
-    name = "workload-rng";
-    severity = Diagnostic.Error;
-    doc =
-      "lib/workload draws randomness only from seeded Marlin_sim.Rng \
-       streams handed in by the caller; any stdlib Random use (including \
-       Random.State) is ambient relative to the simulation seed";
-    applies = (fun rel -> under "lib/workload" rel);
-    check =
-      (fun _project file ->
-        match file.ast with
-        | Intf _ | Broken _ -> []
-        | Impl str ->
-            let diags = ref [] in
-            iter_expressions str ~on_expr:(fun e ~recurse ->
-                (match e.pexp_desc with
-                | Pexp_ident { txt; loc } when is_stdlib_random txt ->
-                    diags :=
-                      mk workload_rng file loc
-                        (dotted txt
-                       ^ " in lib/workload: sample from the Marlin_sim.Rng \
-                          stream the caller supplies (split per source)")
-                      :: !diags
-                | _ -> ());
-                recurse ());
-            !diags);
-  }
-
-(* ---------- rule 8: missing-mli ---------- *)
+(* ---------- rule 6: missing-mli ---------- *)
 
 let rec missing_mli =
   {
@@ -505,11 +408,9 @@ let all =
   [
     poly_compare;
     hashtbl_order;
-    wall_clock;
     float_equality;
     deprecated_alias;
     toplevel_state;
-    workload_rng;
     missing_mli;
   ]
 

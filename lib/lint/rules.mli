@@ -1,4 +1,4 @@
-(** The rule set: seven repo-specific static checks over the untyped
+(** The rule set: six repo-specific static checks over the untyped
     Parsetree. Detection is syntactic and conservative; waivers are inline
     [(* lint: allow <rule> — reason *)] comments (see {!Suppress}).
 
@@ -7,15 +7,16 @@
       structured values in [lib/]
     - [hashtbl-order] — no [Hashtbl.fold]/[iter] building lists in
       hash-bucket order without an explicit sort
-    - [wall-clock] — no [Unix.gettimeofday]/[Sys.time]/global [Random.*]
-      outside the allowlist (bench wall timing, [lib/store] I/O)
     - [float-equality] — no exact [=]/[<>] against float literals
     - [deprecated-alias] — no calls to values marked [@@ocaml.deprecated]
       in an .mli of the scanned tree
     - [toplevel-state] — no module-toplevel refs/hashtables in [lib/]
-      (process-global state breaks run isolation); the protocol registry
-      is allowlisted
-    - [missing-mli] — every [lib/] module has an .mli ([*_intf] exempt) *)
+      (process-global state breaks run isolation)
+    - [missing-mli] — every [lib/] module has an .mli ([*_intf] exempt)
+
+    Determinism (no wall clock, no stdlib [Random], no ambient I/O) is
+    checked by the typed pass only: [Marlin_lint_typed]'s
+    [transitive-impurity] follows calls across modules. *)
 
 type ast =
   | Impl of Parsetree.structure

@@ -1,16 +1,17 @@
 (* Transitive determinism-effect inference.
 
    The lattice is two-point (pure < impure); a node is impure iff it
-   references an impurity root — ambient time, the global Random state,
+   references an impurity root — ambient time, stdlib Random,
    console/file/system I/O — or (least fixpoint) any node already
    impure. Each verdict carries the root and the call chain that
    reaches it, so the diagnostic can say WHY a function two modules up
    is impure.
 
-   Deliberately not roots: [Random.State.*] (a passed generator state is
-   the sanctioned source, cf. Marlin_sim.Rng), [Logs.*] (no-op unless a
-   reporter is installed, which only bench/test harnesses do), and
-   exceptions (deterministic). *)
+   Every stdlib [Random.*] reference is a root, [Random.State] included:
+   the one sanctioned source is a Marlin_sim.Rng stream (SplitMix64)
+   derived from the run's seed. Deliberately not roots: [Logs.*] (no-op
+   unless a reporter is installed, which only bench/test harnesses do)
+   and exceptions (deterministic). *)
 
 type verdict = { root : string; why : string; via : string list }
 
@@ -48,14 +49,10 @@ let root_of comps =
   | "Unix" :: _ -> Some "ambient time / system I/O (Unix)"
   | [ "Sys"; f ] when List.mem f sys_impure ->
       Some ("ambient system state (Sys." ^ f ^ ")")
-  | "Random" :: rest -> (
-      match rest with
-      | [] | [ "State" ] -> None
-      | "State" :: f :: _ ->
-          if f = "make_self_init" then
-            Some "ambient randomness (Random.State.make_self_init)"
-          else None
-      | f :: _ -> Some ("ambient randomness (global Random." ^ f ^ ")"))
+  | "Random" :: _ ->
+      Some
+        ("stdlib randomness (" ^ String.concat "." comps
+       ^ "); draw from a seeded Marlin_sim.Rng stream")
   | [ g ] when List.mem g io_globals -> Some ("console/file I/O (" ^ g ^ ")")
   | [ "Printf"; ("printf" | "eprintf") ] -> Some "console I/O (Printf)"
   | [ "Format"; f ] when List.mem f format_impure ->

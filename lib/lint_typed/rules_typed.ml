@@ -53,18 +53,20 @@ let short key =
 
 (* ---------- transitive-impurity ---------- *)
 
+(* All of lib/ but the real filesystem (lib/store) and the linter itself. *)
 let deterministic_scope rel =
-  under "lib/core" rel || under "lib/sim" rel || under "lib/workload" rel
+  under "lib" rel
+  && not (under "lib/store" rel || under "lib/lint" rel || under "lib/lint_typed" rel)
 
 let transitive_impurity =
   {
     name = "transitive-impurity";
     severity = Diagnostic.Error;
     doc =
-      "deterministic substrate (lib/core, lib/sim, lib/workload) must not \
-       reach wall-clock time, global Random, or ambient I/O — not even \
-       transitively through other modules; pass Rng streams and simulated \
-       time explicitly";
+      "lib/ (except lib/store and the linter) must not reach wall-clock \
+       time, stdlib Random (Random.State included), or ambient I/O — not \
+       even transitively through other modules; pass Rng streams and \
+       simulated time explicitly";
     applies = deterministic_scope;
     check =
       (fun ctx ->

@@ -4,9 +4,11 @@
     set — call graph, effect verdicts, linearity costs — and scopes its
     own diagnostics by rel path:
 
-    - [transitive-impurity]: lib/core, lib/sim and lib/workload must not
-      reach wall-clock time, global Random, or ambient I/O, even through
-      calls into other modules ({!Effects}).
+    - [transitive-impurity]: lib/, except lib/store (real file I/O) and
+      the linter, must not reach wall-clock time, stdlib [Random]
+      ([Random.State] included) or ambient I/O, even through calls into
+      other modules ({!Effects}). This is the repository's only
+      determinism check.
     - [quorum-provenance]: protocol modules (lib/core, minus
       consensus_intf.ml where the thresholds are defined) must not
       re-derive vote thresholds as [k*f], [f+k] or [n-f].

@@ -66,6 +66,7 @@ let fault_injected t ~time ?(target = -1) ~label () =
 
 (* -- exporters -- *)
 
+(* lint: allow transitive-impurity -- exporter: writes to the caller's channel after the run *)
 let write_trace ?run oc t =
   match t.trace with None -> () | Some b -> Trace.write_jsonl ?run oc b
 

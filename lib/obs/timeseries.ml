@@ -250,6 +250,7 @@ let to_json ?(label = "run") t =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
+(* lint: allow transitive-impurity -- exporter: writes to the caller's channel after the run *)
 let write_jsonl ?run oc t =
   List.iter
     (fun w ->

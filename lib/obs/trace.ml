@@ -86,6 +86,7 @@ let add b e =
 let length b = b.count
 let events b = List.rev b.rev_events
 
+(* lint: allow transitive-impurity -- exporter: writes to the caller's channel after the run *)
 let write_jsonl ?run oc b =
   let run_field =
     match run with

@@ -64,6 +64,7 @@ let parse_line line =
         Ok (run, event)
       with Failure e -> Error e)
 
+(* lint: allow transitive-impurity -- reads a finished run's trace, outside any simulation *)
 let read_channel ic =
   let rec go acc lineno =
     match input_line ic with
@@ -77,6 +78,7 @@ let read_channel ic =
   in
   go [] 1
 
+(* lint: allow transitive-impurity -- reads a finished run's trace, outside any simulation *)
 let read_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->

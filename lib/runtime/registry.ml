@@ -1,36 +1,46 @@
 module C = Marlin_core.Consensus_intf
+module Marlin_impl = Marlin_core.Marlin_impl
+module Hotstuff_impl = Marlin_core.Hotstuff_impl
 
-let table : (string, C.protocol) Hashtbl.t = Hashtbl.create 16
+module Marlin = Marlin_impl.Make (struct
+  let name = "marlin"
+  let chained = false
+end)
 
-let names () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) table [] |> List.sort String.compare
+module Chained_marlin = Marlin_impl.Make (struct
+  let name = "chained-marlin"
+  let chained = true
+end)
 
-let register ~name proto =
-  if Hashtbl.mem table name then
-    invalid_arg
-      (Printf.sprintf "Registry.register: %S is already registered" name);
-  Hashtbl.replace table name proto
+module Hotstuff = Hotstuff_impl.Make (struct
+  let name = "hotstuff"
+  let chained = false
+end)
 
-let find name = Hashtbl.find_opt table name
+module Chained_hotstuff = Hotstuff_impl.Make (struct
+  let name = "chained-hotstuff"
+  let chained = true
+end)
+
+(* Sorted by name. *)
+let table =
+  List.map
+    (fun ((module P : C.PROTOCOL) as p) -> (P.name, p))
+    [
+      (module Chained_hotstuff : C.PROTOCOL);
+      (module Chained_marlin);
+      (module Hotstuff);
+      (module Marlin);
+      (module Marlin_core.Pbft);
+      (module Marlin_core.Twophase_insecure);
+    ]
 
 let find_exn name =
-  match Hashtbl.find_opt table name with
+  match List.assoc_opt name table with
   | Some p -> p
   | None ->
       invalid_arg
         (Printf.sprintf "Registry: unknown protocol %S (known: %s)" name
-           (String.concat ", " (names ())))
+           (String.concat ", " (List.map fst table)))
 
-let all () = List.map (fun name -> (name, find_exn name)) (names ())
-
-let () =
-  List.iter
-    (fun (name, proto) -> register ~name proto)
-    [
-      ("marlin", (module Marlin_core.Marlin : C.PROTOCOL));
-      ("hotstuff", (module Marlin_core.Hotstuff : C.PROTOCOL));
-      ("chained-marlin", (module Marlin_core.Chained_marlin : C.PROTOCOL));
-      ("chained-hotstuff", (module Marlin_core.Chained_hotstuff : C.PROTOCOL));
-      ("pbft", (module Marlin_core.Pbft : C.PROTOCOL));
-      ("twophase-insecure", (module Marlin_core.Twophase_insecure : C.PROTOCOL));
-    ]
+let all () = table

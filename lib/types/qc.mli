@@ -64,6 +64,10 @@ val genesis : t
 
 val is_genesis : t -> bool
 val phase_equal : phase -> phase -> bool
+
+val phase_to_int : phase -> int
+(** The phase's wire tag, 0 to 3. *)
+
 val block_ref_equal : block_ref -> block_ref -> bool
 val equal : t -> t -> bool
 val encode : Wire.Enc.t -> t -> unit

@@ -73,8 +73,10 @@ module Dec = struct
 
   let varint d =
     let rec go shift acc =
-      if shift > 56 then raise (Decode_error "varint too long");
       let b = u8 d in
+      (* A ninth byte holds bits 56..61: a continuation or bit 62 would
+         overflow the int or make it negative. *)
+      if shift = 56 && b > 0x3F then raise (Decode_error "varint overflows int");
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
     in

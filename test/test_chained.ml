@@ -3,8 +3,8 @@
    three-chain (HotStuff) commit rules, tail flushing, and view changes. *)
 
 open Marlin_types
-module CM = Marlin_core.Chained_marlin
-module CH = Marlin_core.Chained_hotstuff
+module CM = Marlin_runtime.Registry.Chained_marlin
+module CH = Marlin_runtime.Registry.Chained_hotstuff
 module HM = Test_support.Harness.Make (CM)
 module HH = Test_support.Harness.Make (CH)
 

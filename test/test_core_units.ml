@@ -292,6 +292,40 @@ let test_entry_point_contract () =
         (name ^ ": view-enter causes") [ (1, "rotation"); (2, "timeout") ] (entered ()))
     (Marlin_runtime.Registry.all ())
 
+(* ---------- the replica's vote record ---------- *)
+
+let test_vote_record () =
+  let run = Marlin_obs.Run.create ~trace:true ~n:4 () in
+  let obs = Marlin_obs.Run.handle run ~clock:(fun () -> 0.) ~replica:0 in
+  let r = Core.Replica.create (C.Config.make ~id:0 ~n:4 ~f:1 ~keychain:kc ~obs ()) in
+  let vm = Core.Replica.view_msgs () in
+  let d = (block_ref ()).Qc.digest in
+  let check what = Alcotest.(check bool) what true in
+  check "first commit vote recorded" (Core.Replica.first_vote r Qc.Commit d);
+  check "second commit vote refused" (not (Core.Replica.first_vote r Qc.Commit d));
+  check "recorded" (Core.Replica.voted r Qc.Commit d);
+  check "other phases are separate" (Core.Replica.first_vote r Qc.Precommit d);
+  let vc_enters () =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+           match e.Trace.kind with Trace.View_change_enter -> true | _ -> false)
+         (Marlin_obs.Run.trace_events run))
+  in
+  check "send:false arms a progress timer"
+    (match Core.Replica.enter r vm 1 ~send:false with
+    | C.Timer { cause = C.View_progress; _ } -> true
+    | _ -> false);
+  Alcotest.(check int) "send:false emits no view-change-enter" 0 (vc_enters ());
+  check "enter clears the record" (not (Core.Replica.voted r Qc.Commit d));
+  check "a vote is allowed again" (Core.Replica.first_vote r Qc.Commit d);
+  check "send:true arms a view-change timer"
+    (match Core.Replica.enter r vm 2 ~send:true with
+    | C.Timer { cause = C.View_change; _ } -> true
+    | _ -> false);
+  Alcotest.(check int) "send:true emits one view-change-enter" 1 (vc_enters ());
+  Alcotest.(check int) "enter sets the view" 2 r.Core.Replica.cview
+
 let suite =
   [
     ("cpu meter", `Quick, test_cpu_meter);
@@ -305,6 +339,7 @@ let suite =
     ("committer conflict is fatal", `Quick, test_committer_conflict_is_fatal);
     ("committer answers fetches", `Quick, test_committer_handle_fetch);
     ("entry-point contract, every protocol", `Quick, test_entry_point_contract);
+    ("replica vote record and view entry", `Quick, test_vote_record);
   ]
 
 let () = Alcotest.run "core-units" [ ("core-units", suite) ]

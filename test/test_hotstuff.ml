@@ -2,7 +2,7 @@
    voting phases), NEW-VIEW based view changes, locking, and catch-up. *)
 
 open Marlin_types
-module P = Marlin_core.Hotstuff
+module P = Marlin_runtime.Registry.Hotstuff
 module H = Test_support.Harness.Make (P)
 module Qc = Marlin_types.Qc
 

@@ -7,10 +7,10 @@ module Cluster = Marlin_runtime.Cluster
 module Experiment = Marlin_runtime.Experiment
 module Netsim = Marlin_sim.Netsim
 
-let marlin : C.protocol = (module Marlin_core.Chained_marlin)
-let hotstuff : C.protocol = (module Marlin_core.Chained_hotstuff)
-let basic_marlin : C.protocol = (module Marlin_core.Marlin)
-let basic_hotstuff : C.protocol = (module Marlin_core.Hotstuff)
+let marlin : C.protocol = (module Marlin_runtime.Registry.Chained_marlin)
+let hotstuff : C.protocol = (module Marlin_runtime.Registry.Chained_hotstuff)
+let basic_marlin : C.protocol = (module Marlin_runtime.Registry.Marlin)
+let basic_hotstuff : C.protocol = (module Marlin_runtime.Registry.Hotstuff)
 let pbft : C.protocol = (module Marlin_core.Pbft)
 
 let small_params ?(clients = 16) () =

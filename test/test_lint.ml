@@ -83,43 +83,6 @@ let test_hashtbl_order () =
   (* folds that do not build a list (sums, counts) are order-insensitive *)
   clean "hashtbl-order" "let n t = Hashtbl.fold (fun _ _ acc -> acc + 1) t 0\n"
 
-(* ---------- wall-clock ---------- *)
-
-let test_wall_clock () =
-  check_anchors "Unix.gettimeofday flagged" [ (1, 13) ]
-    (flags "wall-clock" "let now () = Unix.gettimeofday ()\n");
-  check_anchors "global Random flagged" [ (1, 12) ]
-    (flags "wall-clock" "let r () = (Random.int 10 : int)\n");
-  clean "wall-clock" "let r st = Random.State.int st 10\n";
-  (* allowlist: bench/main.ml reports human wall time *)
-  check_anchors "bench/main.ml allowlisted" []
-    (anchors "wall-clock"
-       (lint ~path:"bench/main.ml" "let now () = Unix.gettimeofday ()\n"));
-  (* allowlist: lib/store does real filesystem I/O *)
-  check_anchors "lib/store allowlisted" []
-    (anchors "wall-clock"
-       (lint ~path:"lib/store/wal.ml" "let now () = Unix.gettimeofday ()\n"))
-
-(* ---------- workload-rng ---------- *)
-
-let test_workload_rng () =
-  (* lib/workload must draw only from caller-supplied Marlin_sim.Rng
-     streams: even Random.State (legal elsewhere) is flagged there *)
-  check_anchors "Random.State flagged under lib/workload" [ (1, 11) ]
-    (anchors "workload-rng"
-       (lint ~path:"lib/workload/arrival.ml" "let r st = Random.State.int st 10\n"));
-  check_anchors "global Random flagged under lib/workload" [ (1, 11) ]
-    (anchors "workload-rng"
-       (lint ~path:"lib/workload/arrival.ml" "let r () = Random.float 1.0\n"));
-  check_anchors "Rng streams are the sanctioned source" []
-    (anchors "workload-rng"
-       (lint ~path:"lib/workload/arrival.ml"
-          "let r rng = Marlin_sim.Rng.float rng 1.0\n"));
-  (* scope: the rule applies only under lib/workload *)
-  check_anchors "lib/runtime is out of scope" []
-    (anchors "workload-rng"
-       (lint ~path:"lib/runtime/cluster.ml" "let r st = Random.State.int st 10\n"))
-
 (* ---------- float-equality ---------- *)
 
 let test_float_equality () =
@@ -138,10 +101,6 @@ let test_toplevel_state () =
   check_anchors "toplevel ref flagged" [ (1, 0) ]
     (flags "toplevel-state" "let hits = ref 0\n");
   clean "toplevel-state" "let create () = Hashtbl.create 16\n";
-  (* the registry is the one sanctioned process-global table *)
-  check_anchors "registry allowlisted" []
-    (anchors "toplevel-state"
-       (lint ~path:"lib/runtime/registry.ml" "let t = Hashtbl.create 7\n"));
   (* out of scope outside lib/ *)
   check_anchors "test/ is out of scope" []
     (anchors "toplevel-state"
@@ -294,11 +253,13 @@ let test_broken_source_reported () =
     (Engine.errors r > 0)
 
 let test_rule_inventory () =
-  Alcotest.(check int) "eight rules ship" 8 (List.length Rules.all);
+  Alcotest.(check int) "six rules ship" 6 (List.length Rules.all);
   Alcotest.(check bool) "find knows poly-compare" true
     (Option.is_some (Rules.find "poly-compare"));
-  Alcotest.(check bool) "find knows workload-rng" true
-    (Option.is_some (Rules.find "workload-rng"));
+  (* determinism is the typed pass's job alone *)
+  Alcotest.(check bool) "no syntactic determinism rules" true
+    (Option.is_none (Rules.find "wall-clock")
+    && Option.is_none (Rules.find "workload-rng"));
   Alcotest.(check bool) "find rejects unknowns" true
     (Option.is_none (Rules.find "no-such-rule"))
 
@@ -329,26 +290,58 @@ let check_typed_anchors msg expected rule =
   Alcotest.(check (list (triple string int int))) msg expected
     (typed_anchors rule)
 
+let impurity_message line =
+  let r = Lazy.force typed_result in
+  (List.find
+     (fun d ->
+       d.Diagnostic.rule = "transitive-impurity" && d.Diagnostic.line = line)
+     r.Typed.diagnostics)
+    .Diagnostic.message
+
+let mentions sub msg =
+  let ls = String.length sub and l = String.length msg in
+  let rec scan i = i + ls <= l && (String.sub msg i ls = sub || scan (i + 1)) in
+  scan 0
+
+let impurity_scope rel =
+  (Option.get (Rules_typed.find "transitive-impurity")).Rules_typed.applies rel
+
 let test_typed_transitive_impurity () =
   check_typed_anchors "direct and transitive impurity anchored at the binding"
     [
       ("lib/core/bad_transitive_impure.ml", 6, 4);
       ("lib/core/bad_transitive_impure.ml", 8, 4);
+      ("lib/core/bad_transitive_impure.ml", 10, 4);
+      ("lib/core/bad_transitive_impure.ml", 12, 4);
     ]
     "transitive-impurity";
-  let r = Lazy.force typed_result in
-  let transitive =
-    List.find
-      (fun d ->
-        d.Diagnostic.rule = "transitive-impurity" && d.Diagnostic.line = 8)
-      r.Typed.diagnostics
-  in
   Alcotest.(check bool) "message names the witness call chain" true
-    (let msg = transitive.Diagnostic.message in
-     let sub = "via Bad_transitive_impure.jitter" in
-     let ls = String.length sub and l = String.length msg in
-     let rec scan i = i + ls <= l && (String.sub msg i ls = sub || scan (i + 1)) in
-     scan 0)
+    (mentions "via Bad_transitive_impure.jitter" (impurity_message 8))
+
+(* Wall-clock reads are impurity roots of the typed pass, which covers
+   every lib/ directory but the real filesystem and the linter. *)
+let test_wall_clock () =
+  Alcotest.(check bool) "Unix.gettimeofday flagged" true
+    (mentions "Unix.gettimeofday" (impurity_message 10));
+  List.iter
+    (fun (rel, expected) ->
+      Alcotest.(check bool) ("scope: " ^ rel) expected (impurity_scope rel))
+    [
+      ("lib/runtime/cluster.ml", true);
+      ("lib/obs/trace.ml", true);
+      ("lib/store/log_store.ml", false);
+      ("lib/lint/rules.ml", false);
+      ("lib/lint_typed/effects.ml", false);
+      ("bench/main.ml", false);
+    ]
+
+(* Every stdlib Random reference is a root, Random.State included: the
+   one sanctioned source is a seeded Marlin_sim.Rng stream. *)
+let test_workload_rng () =
+  Alcotest.(check bool) "Random.State.int flagged" true
+    (mentions "Random.State.int" (impurity_message 12));
+  Alcotest.(check bool) "lib/workload in scope" true
+    (impurity_scope "lib/workload/arrival.ml")
 
 let test_typed_quorum_provenance () =
   check_typed_anchors "2*f and n-f both flagged at the operator application"

@@ -26,7 +26,7 @@ module Insecure = struct
 end
 
 module M = struct
-  module P = Marlin_core.Marlin
+  module P = Marlin_runtime.Registry.Marlin
   module H = Test_support.Harness.Make (P)
 end
 

@@ -4,7 +4,7 @@
    QC-hiding Byzantine replica and a virtual-block commit. *)
 
 open Marlin_types
-module P = Marlin_core.Marlin
+module P = Marlin_runtime.Registry.Marlin
 module H = Test_support.Harness.Make (P)
 module Qc = Marlin_types.Qc
 

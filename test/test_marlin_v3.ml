@@ -17,7 +17,7 @@
      pre-prepareQCs — Case V3 — and the system must recover. *)
 
 open Marlin_types
-module P = Marlin_core.Marlin
+module P = Marlin_runtime.Registry.Marlin
 module H = Test_support.Harness.Make (P)
 module Qc = Marlin_types.Qc
 module Threshold = Marlin_crypto.Threshold

@@ -11,8 +11,8 @@ module Obs = Marlin_obs
 module Complexity = Marlin_analysis.Complexity
 module Cost_model = Marlin_crypto.Cost_model
 
-let basic_marlin : C.protocol = (module Marlin_core.Marlin)
-let basic_hotstuff : C.protocol = (module Marlin_core.Hotstuff)
+let basic_marlin : C.protocol = (module Marlin_runtime.Registry.Marlin)
+let basic_hotstuff : C.protocol = (module Marlin_runtime.Registry.Hotstuff)
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -73,6 +73,31 @@ let test_trace_ordering () =
             (depart >= e.Obs.Trace.time)
       | _ -> ())
     events
+
+(* Every protocol proposes, votes, forms certificates and commits through
+   Replica, so each one emits all four events and its spans reach their
+   proposal. *)
+let test_every_protocol_emits () =
+  List.iter
+    (fun (name, proto) ->
+      let obs, _ = observed_run ~trace:true proto in
+      let events = Obs.Run.trace_events obs in
+      let count p =
+        List.length
+          (List.filter (fun (e : Obs.Trace.event) -> p e.Obs.Trace.kind) events)
+      in
+      List.iter
+        (fun (kind, p) ->
+          Alcotest.(check bool) (name ^ ": " ^ kind ^ " emitted") true (count p >= 1))
+        [
+          ("propose", function Obs.Trace.Propose _ -> true | _ -> false);
+          ("vote", function Obs.Trace.Vote_sent _ -> true | _ -> false);
+          ("qc", function Obs.Trace.Qc_formed _ -> true | _ -> false);
+          ("commit", function Obs.Trace.Commit _ -> true | _ -> false);
+        ];
+      Alcotest.(check bool) (name ^ ": a span completes") true
+        (List.exists (fun sp -> sp.Obs.Span.complete) (Obs.Span.reconstruct events)))
+    (Marlin_runtime.Registry.all ())
 
 (* ---------- counter reconciliation ---------- *)
 
@@ -370,6 +395,7 @@ let test_gate_exact () =
 let suite =
   [
     ("trace ordering", `Quick, test_trace_ordering);
+    ("every protocol emits propose, vote, qc, commit", `Quick, test_every_protocol_emits);
     ("counters reconcile with happy-path model", `Quick, test_counters_reconcile);
     ("vote bytes reconcile with wire size", `Quick, test_vote_bytes_reconcile);
     ("commit latency histogram", `Quick, test_commit_latency_histogram);

@@ -12,9 +12,9 @@ module Trace = Marlin_obs.Trace
 module J = Marlin_obs.Json_lite
 module Stats = Marlin_analysis.Stats
 
-let basic_marlin : C.protocol = (module Marlin_core.Marlin)
-let basic_hotstuff : C.protocol = (module Marlin_core.Hotstuff)
-let chained_marlin : C.protocol = (module Marlin_core.Chained_marlin)
+let basic_marlin : C.protocol = (module Marlin_runtime.Registry.Marlin)
+let basic_hotstuff : C.protocol = (module Marlin_runtime.Registry.Hotstuff)
+let chained_marlin : C.protocol = (module Marlin_runtime.Registry.Chained_marlin)
 let pbft : C.protocol = (module Marlin_core.Pbft)
 
 let feq = Alcotest.check (Alcotest.float 1e-9)

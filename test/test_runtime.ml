@@ -285,7 +285,7 @@ let qcheck_pool_pressure =
 
 (* ---------- cluster measurement plumbing ---------- *)
 
-module Cl = Cluster.Make (Marlin_core.Chained_marlin)
+module Cl = Cluster.Make (Marlin_runtime.Registry.Chained_marlin)
 
 let test_cluster_windows () =
   let params = { (Cluster.params_for_f ~workload:(Workload.closed_loop ~clients:16) 1) with Cluster.seed = 5 } in
@@ -353,7 +353,7 @@ let test_peak_selection () =
 
 let test_sweep_shape () =
   let marlin : Marlin_core.Consensus_intf.protocol =
-    (module Marlin_core.Chained_marlin)
+    (module Marlin_runtime.Registry.Chained_marlin)
   in
   let results =
     Experiment.sweep marlin

@@ -161,10 +161,10 @@ module Run (P : Marlin_core.Consensus_intf.PROTOCOL) = struct
     (safety_mid && H.check_safety t, all_live_have_everything ())
 end
 
-module Run_marlin = Run (Marlin_core.Marlin)
-module Run_chained_marlin = Run (Marlin_core.Chained_marlin)
-module Run_hotstuff = Run (Marlin_core.Hotstuff)
-module Run_chained_hotstuff = Run (Marlin_core.Chained_hotstuff)
+module Run_marlin = Run (Marlin_runtime.Registry.Marlin)
+module Run_chained_marlin = Run (Marlin_runtime.Registry.Chained_marlin)
+module Run_hotstuff = Run (Marlin_runtime.Registry.Hotstuff)
+module Run_chained_hotstuff = Run (Marlin_runtime.Registry.Chained_hotstuff)
 module Run_pbft = Run (Marlin_core.Pbft)
 
 let safety_and_liveness name execute =

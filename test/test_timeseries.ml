@@ -16,7 +16,7 @@ module Arrival = Marlin_workload.Arrival
 module Stats = Marlin_analysis.Stats
 
 let marlin : Marlin_core.Consensus_intf.protocol =
-  (module Marlin_core.Chained_marlin)
+  (module Marlin_runtime.Registry.Chained_marlin)
 
 (* ---------- window bucketing ---------- *)
 

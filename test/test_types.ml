@@ -492,6 +492,27 @@ let qcheck_cases =
         Batch.equal b (Batch.decode (Wire.Dec.of_string (Wire.Enc.contents enc))));
   ]
 
+(* Fixed cases for the junk property above: nine-byte varints whose last
+   byte sets bit 62 once decoded to a negative length, which String.sub
+   and List.init rejected with Invalid_argument. Random junk almost never
+   has eight continuation bytes in a row. *)
+let test_varint_overflow () =
+  let of_hex hex =
+    String.init (String.length hex / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+  in
+  let overflow = "80808080808080807f" in
+  List.iter
+    (fun hex ->
+      match Message.decode_string (of_hex hex) with
+      | (_ : Message.t) -> Alcotest.failf "%s decoded" hex
+      | exception Wire.Dec.Decode_error _ -> ())
+    [ "0000060000" ^ overflow; "000004" ^ overflow ];
+  let enc = Wire.Enc.create () in
+  Wire.Enc.varint enc max_int;
+  Alcotest.(check int) "max_int still round-trips" max_int
+    (Wire.Dec.varint (Wire.Dec.of_string (Wire.Enc.contents enc)))
+
 let suite =
   [
     ("wire roundtrip", `Quick, test_wire_roundtrip);
@@ -518,5 +539,6 @@ let suite =
     ("block store virtual resolution", `Quick, test_block_store_virtual_resolution);
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
+  @ [ ("decoder rejects overflowing varints", `Quick, test_varint_overflow) ]
 
 let () = Alcotest.run "types" [ ("types", suite) ]

@@ -11,7 +11,7 @@ module Rng = Marlin_sim.Rng
 module Stats = Marlin_analysis.Stats
 
 let marlin : Marlin_core.Consensus_intf.protocol =
-  (module Marlin_core.Chained_marlin)
+  (module Marlin_runtime.Registry.Chained_marlin)
 
 (* ---------- constructors validate ---------- *)
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # The full gate: build, then the marlin_lint static-analysis pass
-# (`dune build @lint` — the Parsetree determinism/protocol-safety idioms
-# over lib/ bench/ test/ PLUS the typed interprocedural pass over every
-# lib/ .cmt: effect inference, quorum-arithmetic provenance, linearity,
+# (`dune build @lint` — the Parsetree idiom rules (ordering, comparison,
+# top-level state, interfaces) over lib/ bench/ test/ PLUS the typed
+# interprocedural pass over every lib/ .cmt: effect inference (the one
+# determinism check), quorum-arithmetic provenance, linearity,
 # exhaustive payload dispatch — and both seeded-violation fixture
 # checks), then tier-1 tests, then the four bench regression gates
 # against the committed baselines (bench/baselines/*.json). Each gate
