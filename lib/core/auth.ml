@@ -5,7 +5,7 @@ type t = {
   kc : Marlin_crypto.Keychain.t;
   meter : Cpu_meter.t;
   quorum : int;
-  verified : (string, unit) Hashtbl.t; (* QC tags already checked *)
+  verified : (string, Qc.t) Hashtbl.t; (* checked QCs, by tag *)
 }
 
 let create ~keychain ~meter ~quorum =
@@ -30,11 +30,13 @@ let verify_qc t qc =
   if Qc.is_genesis qc then true
   else
     let key = Sha256.to_raw qc.Qc.tsig.Marlin_crypto.Threshold.tag in
-    if Hashtbl.mem t.verified key then true
-    else begin
-      Cpu_meter.charge_combined_verify t.meter
-        ~shares:(List.length qc.Qc.tsig.Marlin_crypto.Threshold.signers);
-      let ok = Qc.verify t.kc ~threshold:t.quorum qc in
-      if ok then Hashtbl.replace t.verified key ();
-      ok
-    end
+    match Hashtbl.find_opt t.verified key with
+    (* the tag alone is not enough: a copy with another block or view
+       under a checked tag must be checked in full (and fail) *)
+    | Some seen when Qc.equal seen qc -> true
+    | _ ->
+        Cpu_meter.charge_combined_verify t.meter
+          ~shares:(List.length qc.Qc.tsig.Marlin_crypto.Threshold.signers);
+        let ok = Qc.verify t.kc ~threshold:t.quorum qc in
+        if ok then Hashtbl.replace t.verified key qc;
+        ok

@@ -2,9 +2,11 @@
 
     Thin wrappers over [Qc]'s vote/combine/verify that also charge the
     {!Cpu_meter} — using these (and only these) from protocol code keeps
-    the simulated CPU accounting honest. Verified QCs are cached by tag so
-    re-verifying a certificate a replica has already checked is free, as in
-    a real implementation. *)
+    the simulated CPU accounting honest. Each replica keeps the QCs it has
+    verified, so re-verifying a certificate it has already checked is
+    free, as in a real implementation. A cache hit needs the whole
+    certificate to be equal, not just its tag: a copy of a checked QC
+    with another block, view or phase is verified (and charged) in full. *)
 
 open Marlin_types
 

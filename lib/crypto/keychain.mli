@@ -34,3 +34,23 @@ val key : t -> int -> Hmac.key
 
 val system_key : t -> Hmac.key
 (** {!system_secret} in prepared form. *)
+
+val system : int
+(** The key index {!mac} reads as the system key ([-1]). *)
+
+val mac : t -> int -> string -> Sha256.t
+(** [mac kc i input] is [Hmac.mac_prepared ~key input], where [key] is
+    [key kc i], or [system_key kc] when [i = system]. Every tag the
+    signature schemes compute goes through here.
+
+    Results are memoised per keychain by [i] and the exact bytes of
+    [input]. A MAC is a pure function of key and input, so the answer is
+    the one a fresh computation gives, forged inputs included; the memo
+    only spares the host the repeats when the replicas of one simulated
+    cluster check the same share or certificate. Simulated CPU time is
+    charged per replica by the callers, memo or not. The memo holds a
+    fixed number of entries and is emptied when full.
+    @raise Invalid_argument if [i] is neither [system] nor in range. *)
+
+val memo_capacity : int
+(** Entries {!mac}'s memo holds before it is emptied (2048). *)

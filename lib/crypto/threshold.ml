@@ -7,13 +7,12 @@ let size_bytes ~n = 64 + ((n + 7) / 8)
 let share_msg msg = "tshare|" ^ msg
 
 let sign kc ~signer msg =
-  { signer; tag = Hmac.mac_prepared ~key:(Keychain.key kc signer) (share_msg msg) }
+  { signer; tag = Keychain.mac kc signer (share_msg msg) }
 
 let verify_partial kc msg p =
   p.signer >= 0
   && p.signer < Keychain.n kc
-  && Sha256.equal p.tag
-       (Hmac.mac_prepared ~key:(Keychain.key kc p.signer) (share_msg msg))
+  && Sha256.equal p.tag (Keychain.mac kc p.signer (share_msg msg))
 
 (* Decimal digits of a non-negative [i], without an intermediate string. *)
 let rec add_id b i =
@@ -32,7 +31,7 @@ let combined_tag kc msg signers =
     signers;
   Buffer.add_char b '|';
   Buffer.add_string b msg;
-  Hmac.mac_prepared ~key:(Keychain.system_key kc) (Buffer.contents b)
+  Keychain.mac kc Keychain.system (Buffer.contents b)
 
 let combine kc ~threshold msg partials =
   let valid = List.filter (verify_partial kc msg) partials in

@@ -18,6 +18,12 @@ let encode enc b =
 
 let decode dec =
   let n = Wire.Dec.varint dec in
+  (* An op takes at least 3 bytes (client, seq, body length), so a count
+     the input cannot hold is rejected before the array is allocated. *)
+  if n > Wire.Dec.remaining dec / 3 then
+    raise
+      (Wire.Dec.Decode_error
+         (Printf.sprintf "batch of %d ops in %d bytes" n (Wire.Dec.remaining dec)));
   let ops = Array.init n (fun _ -> Operation.decode dec) in
   { ops; cached_digest = None; cached_wire_size = -1 }
 

@@ -12,6 +12,8 @@ val digest : t -> Marlin_crypto.Sha256.t
 
 val encode : Wire.Enc.t -> t -> unit
 val decode : Wire.Dec.t -> t
+(** @raise Wire.Dec.Decode_error on malformed input, including an op count
+    larger than the remaining bytes can hold, before allocating for it. *)
 
 val wire_size : t -> int
 (** Size of the canonical encoding in bytes; cached after the first call

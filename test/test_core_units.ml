@@ -70,6 +70,21 @@ let test_auth_verify_cache () =
   Alcotest.(check int) "cached verify is free" ops1 (Core.Cpu_meter.op_count meter);
   Alcotest.(check bool) "genesis free" true (Core.Auth.verify_qc a Qc.genesis)
 
+(* A checked QC's tag spliced onto another block and view is no
+   certificate: the verified-QC cache must not vouch for it. *)
+let test_auth_cache_rejects_spliced_tag () =
+  let a = auth () in
+  let qc = make_qc (block_ref ()) in
+  let forged = { qc with Qc.block = block_ref ~height:2 ~view:7 (); view = 7 } in
+  Alcotest.(check bool) "genuine verifies" true (Core.Auth.verify_qc a qc);
+  Alcotest.(check bool) "fresh replica rejects the copy" false
+    (Core.Auth.verify_qc (auth ()) forged);
+  Alcotest.(check bool) "Qc.verify rejects the copy" false
+    (Qc.verify kc ~threshold:3 forged);
+  Alcotest.(check bool) "replica that checked the genuine one rejects the copy"
+    false (Core.Auth.verify_qc a forged);
+  Alcotest.(check bool) "genuine still verifies" true (Core.Auth.verify_qc a qc)
+
 (* ---------- vote collector ---------- *)
 
 let test_vote_collector_quorum () =
@@ -340,6 +355,7 @@ let suite =
     ("committer answers fetches", `Quick, test_committer_handle_fetch);
     ("entry-point contract, every protocol", `Quick, test_entry_point_contract);
     ("replica vote record and view entry", `Quick, test_vote_record);
+    ("auth cache rejects a spliced tag", `Quick, test_auth_cache_rejects_spliced_tag);
   ]
 
 let () = Alcotest.run "core-units" [ ("core-units", suite) ]

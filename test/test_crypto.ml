@@ -189,6 +189,65 @@ let test_keychain_determinism () =
     (Invalid_argument "Keychain.create: n must be positive") (fun () ->
       ignore (Keychain.create ~n:0 ()))
 
+(* ---------- the keychain's MAC memo ---------- *)
+
+(* What [Keychain.mac kc i] must equal, computed without the memo. *)
+let direct_mac kc i input =
+  let key = if i = Keychain.system then Keychain.system_key kc else Keychain.key kc i in
+  Hmac.mac_prepared ~key input
+
+let check_mac kc what i input =
+  Alcotest.(check string) what
+    (Sha256.to_hex (direct_mac kc i input))
+    (Sha256.to_hex (Keychain.mac kc i input))
+
+let test_mac_memo_exact () =
+  let n = 5 in
+  let kc = Keychain.create ~n () in
+  let keys = Keychain.system :: List.init n Fun.id in
+  let inputs = [ ""; "m"; "tshare|m"; String.make 700 'x' ] in
+  (* every key over the same inputs, so a memo that ignored the key index
+     would answer a later key with an earlier key's tag *)
+  List.iter
+    (fun pass ->
+      List.iter
+        (fun input ->
+          List.iter
+            (fun i -> check_mac kc (Printf.sprintf "%s key %d" pass i) i input)
+            keys)
+        inputs)
+    [ "cold"; "warm" ];
+  Alcotest.check_raises "index below system"
+    (Invalid_argument "Keychain.mac: key index out of range") (fun () ->
+      ignore (Keychain.mac kc (-2) "m"));
+  Alcotest.check_raises "index n"
+    (Invalid_argument "Keychain.mac: key index out of range") (fun () ->
+      ignore (Keychain.mac kc n "m"))
+
+let test_mac_memo_bounded () =
+  let kc = Keychain.create ~n:4 () in
+  let count = (3 * Keychain.memo_capacity) + 1 in
+  let input k = Printf.sprintf "input-%d" k in
+  for k = 0 to count - 1 do
+    check_mac kc "past capacity" (k mod 4) (input k)
+  done;
+  (* again, now that the early inputs have been evicted and the late
+     ones are held *)
+  for k = 0 to count - 1 do
+    check_mac kc "second pass" (k mod 4) (input k)
+  done
+
+let test_mac_memo_per_keychain () =
+  let a = Keychain.create ~seed:"a" ~n:4 () and b = Keychain.create ~seed:"b" ~n:4 () in
+  List.iter
+    (fun i ->
+      let ta = Keychain.mac a i "same input" in
+      let tb = Keychain.mac b i "same input" in
+      Alcotest.(check bool) (Printf.sprintf "key %d differs across seeds" i) false
+        (Sha256.equal ta tb);
+      check_mac b "second keychain warm" i "same input")
+    [ Keychain.system; 0; 3 ]
+
 let test_threshold_combine () =
   let kc = Keychain.create ~n:4 () in
   let msg = "block-digest" in
@@ -311,6 +370,55 @@ let test_cost_model () =
     (hash_cost ~bytes:2000 > hash_cost ~bytes:1000
     && hash_cost ~bytes:1000 > 0.)
 
+(* One bit of a digest flipped. *)
+let flip tag =
+  let raw = Bytes.of_string (Sha256.to_raw tag) in
+  Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) lxor 1));
+  Sha256.of_raw (Bytes.to_string raw)
+
+(* Every check on genuine and tampered shares and certificates, answered
+   by a keychain that has signed, combined and verified [msg] (and then
+   answered the checks once already) and by a fresh one with the same
+   seed: the memo must not change a single answer. *)
+let memo_transparent (msg, other, who) =
+  let n = 7 and threshold = 5 in
+  let warm = Keychain.create ~n () in
+  let partials = List.init n (fun i -> Threshold.sign warm ~signer:i msg) in
+  let t =
+    match Threshold.combine warm ~threshold msg partials with
+    | Ok t -> t
+    | Error e -> failwith e
+  in
+  let p = List.nth partials who in
+  let shares =
+    [
+      (msg, p);
+      (other, p);
+      (msg, { p with Threshold.signer = (who + 1) mod n });
+      (msg, { p with tag = flip p.tag });
+      (msg, { p with signer = n });
+      (msg, { p with tag = (List.nth partials ((who + 1) mod n)).tag });
+    ]
+  in
+  let certs =
+    [
+      (msg, t);
+      (other, t);
+      (msg, { t with Threshold.tag = flip t.tag });
+      (msg, { t with signers = List.tl t.signers });
+      (msg, { t with signers = List.rev t.signers });
+      (msg, { t with signers = List.filter (fun i -> i <> who) t.signers });
+    ]
+  in
+  let answers kc =
+    List.map (fun (m, p) -> Threshold.verify_partial kc m p) shares
+    @ List.map (fun (m, s) -> Threshold.verify kc ~threshold m s) certs
+  in
+  let once = answers warm in
+  let fresh = answers (Keychain.create ~n ()) in
+  List.hd once && List.equal Bool.equal once fresh
+  && List.equal Bool.equal (answers warm) fresh
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -340,6 +448,10 @@ let qcheck_cases =
         match Threshold.combine kc ~threshold:5 msg partials with
         | Error _ -> false
         | Ok t -> Threshold.verify kc ~threshold:5 msg t);
+    Test.make ~count:100 ~name:"warm keychain answers as a fresh one"
+      (triple (string_of_size Gen.(1 -- 100)) (string_of_size Gen.(1 -- 100))
+         (int_range 0 6))
+      memo_transparent;
   ]
 
 let suite =
@@ -360,5 +472,10 @@ let suite =
     ("tag formats pinned", `Quick, test_tag_golden);
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
+  @ [
+      ("mac memo equals a fresh mac, cold and warm", `Quick, test_mac_memo_exact);
+      ("mac memo past its capacity", `Quick, test_mac_memo_bounded);
+      ("mac memo is per keychain", `Quick, test_mac_memo_per_keychain);
+    ]
 
 let () = Alcotest.run "crypto" [ ("crypto", suite) ]

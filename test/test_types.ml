@@ -492,15 +492,15 @@ let qcheck_cases =
         Batch.equal b (Batch.decode (Wire.Dec.of_string (Wire.Enc.contents enc))));
   ]
 
+let of_hex hex =
+  String.init (String.length hex / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+
 (* Fixed cases for the junk property above: nine-byte varints whose last
    byte sets bit 62 once decoded to a negative length, which String.sub
    and List.init rejected with Invalid_argument. Random junk almost never
    has eight continuation bytes in a row. *)
 let test_varint_overflow () =
-  let of_hex hex =
-    String.init (String.length hex / 2) (fun i ->
-        Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
-  in
   let overflow = "80808080808080807f" in
   List.iter
     (fun hex ->
@@ -512,6 +512,24 @@ let test_varint_overflow () =
   Wire.Enc.varint enc max_int;
   Alcotest.(check int) "max_int still round-trips" max_int
     (Wire.Dec.varint (Wire.Dec.of_string (Wire.Enc.contents enc)))
+
+let test_batch_count_bound () =
+  (* Propose headers whose batch claims 2^26, 2^40 and 2^55 ops, followed
+     by one 3-byte op. The count must be rejected before an array of that
+     length is allocated: it would take 512 MB, or raise Out_of_memory or
+     Invalid_argument, none of them a Decode_error. *)
+  let propose = "00000000000000" and one_op = "000000" in
+  List.iter
+    (fun count ->
+      let hex = propose ^ count ^ one_op in
+      let before = Gc.allocated_bytes () in
+      (match Message.decode_string (of_hex hex) with
+      | (_ : Message.t) -> Alcotest.failf "%s decoded" hex
+      | exception Wire.Dec.Decode_error _ -> ());
+      if Gc.allocated_bytes () -. before > 1e6 then
+        Alcotest.failf "%s allocated %.0f bytes before failing" hex
+          (Gc.allocated_bytes () -. before))
+    [ "80808020"; "808080808020"; "8080808080808040" ]
 
 let suite =
   [
@@ -539,6 +557,7 @@ let suite =
     ("block store virtual resolution", `Quick, test_block_store_virtual_resolution);
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
-  @ [ ("decoder rejects overflowing varints", `Quick, test_varint_overflow) ]
+  @ [ ("decoder rejects overflowing varints", `Quick, test_varint_overflow);
+      ("decoder rejects batch counts the input cannot hold", `Quick, test_batch_count_bound) ]
 
 let () = Alcotest.run "types" [ ("types", suite) ]

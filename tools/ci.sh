@@ -53,13 +53,18 @@
 # workload (BENCHMARK.json) once at a twentieth of its length, untraced and
 # traced, and fails unless both give identical simulated results, span
 # self times sum to their roots, and perf.exe's metric and workload lists
-# match BENCHMARK.json. It takes about 6 s.
+# match BENCHMARK.json. It takes about 6 s. Its four fingerprints (one
+# per workload, a digest of every simulated result) must then equal
+# bench/baselines/perf_smoke_fingerprints.txt, so a change meant to cost
+# only host time (crypto, codec, queue) fails CI if it moves any
+# simulated number.
 #
 # To re-bless the baselines after an intentional change:
 #   dune exec bench/main.exe -- smoke --json bench/baselines/BENCH_smoke.json
 #   dune exec bench/main.exe -- scaling --smoke --json bench/baselines/BENCH_scaling.json
 #   dune exec bench/main.exe -- load --smoke --json bench/baselines/BENCH_load.json
 #   dune exec bench/main.exe -- attribution --smoke --json bench/baselines/BENCH_attribution.json
+#   bash bench/perf/run.sh smoke | awk '/fingerprint/ {print $2, $NF}' > bench/baselines/perf_smoke_fingerprints.txt
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -85,6 +90,14 @@ dune build @bench-smoke
 dune build @bench-scaling
 dune build @bench-load
 dune build @bench-attribution
-bash bench/perf/run.sh smoke
+status=0
+bash bench/perf/run.sh smoke > _build/perf-smoke.txt || status=$?
+cat _build/perf-smoke.txt
+[ "$status" -eq 0 ] || exit "$status"
+awk '/fingerprint/ {print $2, $NF}' _build/perf-smoke.txt > _build/perf-smoke-fingerprints.txt
+if ! diff -u bench/baselines/perf_smoke_fingerprints.txt _build/perf-smoke-fingerprints.txt; then
+  echo "ci: perf smoke fingerprints differ from bench/baselines/perf_smoke_fingerprints.txt" >&2
+  exit 1
+fi
 
-echo "ci: build + lint + tests + bench-smoke + bench-scaling + bench-load + bench-attribution gates + perf smoke all green"
+echo "ci: build + lint + tests + bench-smoke + bench-scaling + bench-load + bench-attribution gates + perf smoke fingerprints all green"
