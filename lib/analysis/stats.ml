@@ -70,11 +70,6 @@ let summarize = function
         max = maximum xs;
       }
 
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.4f p50=%.4f p95=%.4f p99=%.4f p999=%.4f min=%.4f max=%.4f"
-    s.count s.mean s.p50 s.p95 s.p99 s.p999 s.min s.max
-
 module Reservoir = struct
   type t = {
     capacity : int;

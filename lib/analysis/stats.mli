@@ -28,7 +28,6 @@ val empty_summary : summary
 (** All-zero: what [summarize] returns for no samples. *)
 
 val summarize : float list -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 (** Bounded reservoir over a float stream (Vitter's Algorithm R): O(capacity)
     memory however long the run, exact streaming count/mean/min/max, and

@@ -27,8 +27,6 @@ let charge_combine t ~shares = charge_op t (Cost_model.combine_cost t.cost ~shar
 let charge_combined_verify t ~shares =
   charge_op t (Cost_model.combined_verify_cost t.cost ~shares)
 
-let charge_hash t ~bytes = charge t (Cost_model.hash_cost ~bytes)
-
 let take t =
   let p = t.pending in
   t.pending <- 0.;

@@ -16,7 +16,6 @@ val charge_partial_sign : t -> unit
 val charge_partial_verify : t -> unit
 val charge_combine : t -> shares:int -> unit
 val charge_combined_verify : t -> shares:int -> unit
-val charge_hash : t -> bytes:int -> unit
 val charge : t -> float -> unit
 (** Arbitrary extra seconds (e.g. execution or disk cost). *)
 

@@ -63,8 +63,6 @@ let combined_verify_cost m ~shares =
 (* SHA-256 runs at roughly 400 MB/s on one core. *)
 let hash_cost ~bytes = float_of_int bytes /. 4e8
 
-let signature_size m = m.sig_size
-
 let combined_size m ~n ~shares =
   match m.scheme with
   | Ecdsa_group -> shares * m.sig_size

@@ -50,9 +50,6 @@ val combined_verify_cost : t -> shares:int -> float
 val hash_cost : bytes:int -> float
 (** Seconds to hash a [bytes]-long message (SHA-256 throughput). *)
 
-val signature_size : t -> int
-(** Wire bytes of one conventional signature or threshold share. *)
-
 val combined_size : t -> n:int -> shares:int -> int
 (** Wire bytes of a combined certificate: [shares * 64] for
     {!ecdsa_group}, [48 + n/8] for {!bls_pairing}. *)

@@ -206,4 +206,3 @@ let compare = String.compare
 (* lint: allow poly-compare — a digest is a flat string; this {e is} the keyed hash *)
 let hash d = Hashtbl.hash d
 let pp fmt d = Format.pp_print_string fmt (String.sub (to_hex d) 0 8)
-let pp_full fmt d = Format.pp_print_string fmt (to_hex d)

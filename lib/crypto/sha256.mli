@@ -38,9 +38,6 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints the first 8 hex characters — enough to identify a block in logs. *)
 
-val pp_full : Format.formatter -> t -> unit
-(** Prints all 64 hex characters. *)
-
 (** Incremental interface, used by {!Hmac} and the wire codec. *)
 module Ctx : sig
   type ctx

@@ -182,7 +182,6 @@ let to_int = function Num f -> Some (int_of_float f) | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
-let to_obj = function Obj l -> Some l | _ -> None
 
 let float_at path v = Option.bind (mem path v) to_float
 let int_at path v = Option.bind (mem path v) to_int

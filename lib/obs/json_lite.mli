@@ -28,7 +28,6 @@ val to_int : t -> int option
 val to_string : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option
 
 val float_at : string list -> t -> float option
 val int_at : string list -> t -> int option

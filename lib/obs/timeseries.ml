@@ -208,10 +208,6 @@ let windows t =
 
 let component_seconds w comp = w.segment_seconds.(comp_index comp)
 
-let segment_share w comp =
-  if w.attributed <= 0. then 0.
-  else w.segment_seconds.(comp_index comp) /. w.attributed
-
 (* -- JSON (same conventions as Critical_path.to_json: fixed decimals so
    output is deterministic and diff-friendly) -- *)
 

@@ -96,10 +96,6 @@ val component_seconds : window -> Span.component -> float
 (** The window's critical-path seconds for one component (an indexed read
     of [segment_seconds]). *)
 
-val segment_share : window -> Span.component -> float
-(** Fraction of the window's attributed seconds; 0 when nothing was
-    attributed. *)
-
 val to_json : ?label:string -> t -> string
 (** One object: [{"label":…,"width":…,"windows":[…]}] — deterministic, so
     same-seed runs render byte-identically. *)

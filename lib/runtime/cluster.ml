@@ -236,7 +236,7 @@ module Make (P : C.PROTOCOL) = struct
         match a with
         | C.Send { dst; msg } -> send t ~earliest:finish ~src:r.id ~dst msg
         | C.Broadcast msg ->
-            (* one size computation and one fan-out record for all peers *)
+            (* one size computation for all peers *)
             Netsim.broadcast t.net ~earliest:finish ~src:r.id ~dsts:r.peers
               ~size:(message_size t msg) msg
         | C.Timer { duration = d; cause } ->

@@ -125,37 +125,6 @@ let open_loop_to_json (r : open_loop_result) =
       fld_bool "agreement" r.agreement;
     ]
 
-(* -- pretty printers -- *)
-
-let pp_throughput fmt (r : throughput_result) =
-  Format.fprintf fmt
-    "clients=%d throughput=%.0f ops/s latency(mean=%.4fs p95=%.4fs) %s"
-    r.clients r.throughput r.latency.Stats.mean r.latency.Stats.p95
-    (if r.agreement then "agreement=ok" else "AGREEMENT VIOLATED")
-
-let pp_view_change fmt (r : vc_result) =
-  Format.fprintf fmt
-    "vc_latency=%.4fs path=%s messages=%d bytes=%d authenticators=%d"
-    r.vc_latency
-    (if r.unhappy then "unhappy" else "happy")
-    r.vc_messages r.vc_bytes r.vc_authenticators
-
-let pp_fault fmt (r : fault_result) =
-  Format.fprintf fmt
-    "%s: %s messages=%d authenticators=%d committed=%d %s" r.scenario
-    (if r.recovered then Printf.sprintf "recovered in %.4fs" r.recovery_latency
-     else "NEVER RECOVERED")
-    r.vc_messages r.vc_authenticators r.committed
-    (if r.agreement then "agreement=ok" else "AGREEMENT VIOLATED")
-
-let pp_open_loop fmt (r : open_loop_result) =
-  Format.fprintf fmt
-    "%s offered=%.0f/s goodput=%.0f/s drop=%.1f%% p99=%.4fs p999=%.4fs \
-     peak_occ=%d %s"
-    r.workload r.offered r.goodput (100. *. r.drop_rate)
-    r.latency.Stats.p99 r.latency.Stats.p999 r.peak_occupancy
-    (if r.agreement then "agreement=ok" else "AGREEMENT VIOLATED")
-
 (* ---------- the driver ---------- *)
 
 type _ measure =

@@ -53,10 +53,6 @@ type open_loop_result = {
   agreement : bool;
 }
 
-val pp_throughput : Format.formatter -> throughput_result -> unit
-val pp_view_change : Format.formatter -> vc_result -> unit
-val pp_fault : Format.formatter -> fault_result -> unit
-val pp_open_loop : Format.formatter -> open_loop_result -> unit
 val throughput_to_json : throughput_result -> string
 val view_change_to_json : vc_result -> string
 val fault_to_json : fault_result -> string

@@ -1,7 +1,7 @@
 (* A binary min-heap ordered by (time, seq), in three parallel arrays: once
    they have grown, push and pop allocate nothing (times sit unboxed, sifts
    move a hole, and no helper takes a float argument, which would be boxed).
-   Live entries have distinct seqs, so (time, seq) is a total order and the
+   Every push takes a fresh seq, so (time, seq) is a total order and the
    pop sequence is exactly the sorted one, whatever the heap's shape. *)
 
 type 'a t = {
@@ -41,11 +41,14 @@ let[@inline] move t ~src ~dst =
   t.seqs.(dst) <- t.seqs.(src);
   t.values.(dst) <- t.values.(src)
 
-let push_at t ~time ~seq v =
+let push t ~time v =
   if t.size = Array.length t.times then grow t;
-  (* sift up: walk the hole from the new leaf towards the root *)
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* sift up: walk the hole from the new leaf towards the root; the new
+     seq is the largest, so it loses every tie on time *)
   let i = ref t.size and p = ref ((t.size - 1) / 2) in
-  while !i > 0 && (time < t.times.(!p) || (time = t.times.(!p) && seq < t.seqs.(!p))) do
+  while !i > 0 && time < t.times.(!p) do
     move t ~src:!p ~dst:!i;
     i := !p;
     p := (!p - 1) / 2
@@ -56,13 +59,6 @@ let push_at t ~time ~seq v =
   t.size <- t.size + 1;
   if t.size > t.peak then t.peak <- t.size
 
-let push_keyed t ~time v =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  push_at t ~time ~seq v;
-  seq
-
-let push t ~time v = ignore (push_keyed t ~time v : int)
 let next_time t = if t.size = 0 then infinity else t.times.(0)
 
 let pop_min t =

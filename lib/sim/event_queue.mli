@@ -8,18 +8,6 @@ type 'a t
 val create : unit -> 'a t
 val push : 'a t -> time:float -> 'a -> unit
 
-val push_keyed : 'a t -> time:float -> 'a -> int
-(** Like [push], but returns the sequence number allocated to the entry.
-    The (time, seq) pair is the queue's total order; holding the seq lets a
-    popped entry be re-inserted at a later time with [push_at] while
-    keeping its original position in any tie. *)
-
-val push_at : 'a t -> time:float -> seq:int -> 'a -> unit
-(** Insert with an explicit sequence number previously allocated by
-    [push_keyed] on this queue. The caller must ensure the seq is not held
-    by a live entry (i.e. its original entry was already popped); reusing a
-    live seq makes tie order between the two entries unspecified. *)
-
 val pop : 'a t -> (float * 'a) option
 (** The earliest event, or [None] when empty. *)
 

@@ -4,7 +4,6 @@ type config = {
   bandwidth_bps : float;
   gst : float;
   pre_gst_extra : float;
-  fanout_broadcast : bool;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     bandwidth_bps = 200e6;
     gst = 0.;
     pre_gst_extra = 0.;
-    fanout_broadcast = true;
   }
 
 type stats = { messages : int; bytes : int; authenticators : int }
@@ -93,21 +91,13 @@ let partition_allows t ~src ~dst =
       let gs = g src and gd = g dst in
       gs < 0 || gd < 0 || gs = gd
 
-(* Admission control + accounting for one (src, dst) copy of a message.
-   [auths] is the message's authenticator count, computed once by the
-   caller (for broadcasts, once for the whole fan-out). Performs the
-   filter/partition/loss checks, updates stats and meters, allocates the
-   queue/deliver pairing id, emits the [net-queued] trace event, charges
-   the NIC, and draws the per-recipient randomness (jitter, pre-GST,
-   duplication) in exactly the order the pre-fan-out scheduler did — this
-   is what keeps RNG streams bit-identical between the reference and
-   fan-out paths.
-
-   Self sends are scheduled here and report [None]. Accepted network sends
-   report [Some (id, arrival)] and leave scheduling the primary delivery
-   to the caller (a plain event, or one slot of a fan-out record); a drawn
-   duplicate is scheduled here, off-trace, as in the reference path. *)
-let admit t ~now ~earliest ~auths ~src ~dst ~size msg =
+(* One (src, dst) copy of a message, for [send] and [broadcast] alike: the
+   filter, partition and loss checks, then stats, metering, the
+   queue/deliver pairing id, the [net-queued] trace event, NIC charging,
+   the per-copy randomness (jitter, pre-GST, duplication) and the delivery
+   event. [auths] is the message's authenticator count, computed once per
+   broadcast. Self sends deliver at [earliest] with no network cost. *)
+let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
   let allowed =
     (match t.link_filter with None -> true | Some f -> f ~src ~dst msg)
     && partition_allows t ~src ~dst
@@ -116,8 +106,7 @@ let admit t ~now ~earliest ~auths ~src ~dst ~size msg =
          && src <> dst
          && Rng.bool t.rng t.faults.drop_fraction)
   in
-  if not allowed then None
-  else begin
+  if allowed then begin
     t.stats <-
       {
         messages = t.stats.messages + 1;
@@ -134,8 +123,7 @@ let admit t ~now ~earliest ~auths ~src ~dst ~size msg =
             ~ready:earliest ~depart:earliest ~tx:0. msg
       | None -> ());
       Sim.schedule_at t.sim ~time:earliest (fun () ->
-          deliver t ~id ~src ~dst ~size msg);
-      None
+          deliver t ~id ~src ~dst ~size msg)
     end
     else begin
       let depart = Float.max earliest t.nic_free.(src) in
@@ -167,95 +155,26 @@ let admit t ~now ~earliest ~auths ~src ~dst ~size msg =
         Sim.schedule_at t.sim ~time:(arrival +. dup_jitter) (fun () ->
             deliver ~observe:false t ~id ~src ~dst ~size msg)
       end;
-      Some (id, arrival)
+      Sim.schedule_at t.sim ~time:arrival (fun () ->
+          deliver t ~id ~src ~dst ~size msg)
     end
   end
 
 let send t ?earliest ~src ~dst ~size msg =
-  let now = Sim.now t.sim in
-  let earliest = match earliest with None -> now | Some e -> Float.max e now in
   if not t.crashed.(src) then
+    let now = Sim.now t.sim in
+    let earliest = match earliest with None -> now | Some e -> Float.max e now in
     let auths = Marlin_types.Message.authenticators msg in
-    match admit t ~now ~earliest ~auths ~src ~dst ~size msg with
-    | None -> ()
-    | Some (id, arrival) ->
-        Sim.schedule_at t.sim ~time:arrival (fun () ->
-            deliver t ~id ~src ~dst ~size msg)
+    transmit t ~now ~earliest ~auths ~src ~dst ~size msg
 
-(* O(1) broadcast fan-out: the message is admitted per recipient (so
-   stats, metering, trace events, NIC charging and RNG draws are exactly
-   those of n-1 reference sends), but instead of n-1 delivery closures the
-   queue holds ONE record that walks its recipients in (arrival, recipient
-   rank) order, re-inserting itself under its original queue sequence
-   number between steps. Preserving the seq preserves FIFO tie-breaking
-   against every other event: the reference path's n-1 deliveries occupy
-   consecutive seqs with nothing interleaved, so any other event sorts
-   entirely before or after the whole block, exactly as it sorts against
-   the single record.
-
-   The one divergence from the reference path is a broadcast that lists
-   [src] among [dsts] while a network recipient's delivery lands at the
-   self-delivery instant exactly: the self copy is scheduled during
-   admission (earlier seq) instead of in recipient rank order. With any
-   nonzero latency the instants differ and the schedules coincide. *)
 let broadcast t ?earliest ~src ~dsts ~size msg =
-  let now = Sim.now t.sim in
-  let earliest = match earliest with None -> now | Some e -> Float.max e now in
   if not t.crashed.(src) then begin
+    let now = Sim.now t.sim in
+    let earliest = match earliest with None -> now | Some e -> Float.max e now in
     let auths = Marlin_types.Message.authenticators msg in
-    if not t.config.fanout_broadcast then
-      (* reference scheduler: one queue entry per recipient *)
-      Array.iter
-        (fun dst ->
-          match admit t ~now ~earliest ~auths ~src ~dst ~size msg with
-          | None -> ()
-          | Some (id, arrival) ->
-              Sim.schedule_at t.sim ~time:arrival (fun () ->
-                  deliver t ~id ~src ~dst ~size msg))
-        dsts
-    else begin
-      let accepted = ref [] in
-      let count = ref 0 in
-      Array.iter
-        (fun dst ->
-          match admit t ~now ~earliest ~auths ~src ~dst ~size msg with
-          | None -> ()
-          | Some (id, arrival) ->
-              accepted := (dst, id, arrival) :: !accepted;
-              incr count)
-        dsts;
-      if !count > 0 then begin
-        let slots = Array.of_list (List.rev !accepted) in
-        let k = Array.length slots in
-        let order = Array.init k (fun i -> i) in
-        (* firing order: (arrival, admission rank) — admission rank is the
-           reference path's seq order for same-instant deliveries *)
-        Array.sort
-          (fun a b ->
-            let (_, _, ta) = slots.(a) and (_, _, tb) = slots.(b) in
-            let c = Float.compare ta tb in
-            if c <> 0 then c else Int.compare a b)
-          order;
-        let dsts_o = Array.map (fun i -> let d, _, _ = slots.(i) in d) order in
-        let ids_o = Array.map (fun i -> let _, id, _ = slots.(i) in id) order in
-        let times_o =
-          Array.map (fun i -> let _, _, a = slots.(i) in a) order
-        in
-        let pos = ref 0 in
-        let key = ref (-1) in
-        let rec fire () =
-          let i = !pos in
-          incr pos;
-          if !pos < k then
-            (* re-insert before delivering: the handler's same-instant
-               pushes must sort after the record, as they sort after the
-               reference path's remaining deliveries *)
-            Sim.reschedule t.sim ~time:times_o.(!pos) ~key:!key fire;
-          deliver t ~id:ids_o.(i) ~src ~dst:dsts_o.(i) ~size msg
-        in
-        key := Sim.schedule_keyed t.sim ~time:times_o.(0) fire
-      end
-    end
+    Array.iter
+      (fun dst -> transmit t ~now ~earliest ~auths ~src ~dst ~size msg)
+      dsts
   end
 
 module Fault = struct

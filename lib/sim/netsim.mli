@@ -18,12 +18,6 @@ type config = {
   bandwidth_bps : float;  (** per-endpoint uplink rate; [infinity] allowed *)
   gst : float;  (** global stabilization time *)
   pre_gst_extra : float;  (** max extra delay for pre-GST sends *)
-  fanout_broadcast : bool;
-      (** when [true] (the default), {!broadcast} keeps a single O(1)
-          fan-out record in the event queue instead of one entry per
-          recipient; [false] selects the reference per-recipient
-          scheduler, retained for differential testing. Both paths
-          consume the same RNG stream and produce the same trace. *)
 }
 
 val default_config : config
@@ -49,12 +43,11 @@ val send :
 val broadcast :
   t -> ?earliest:float -> src:int -> dsts:int array -> size:int ->
   Marlin_types.Message.t -> unit
-(** Send one message to every endpoint in [dsts], in order. Semantically
-    equivalent to [Array.iter (fun dst -> send ...) dsts] — identical
-    stats, metering, trace events, NIC charging and RNG draws — but with
-    [config.fanout_broadcast] the event queue holds a single record for
-    the whole fan-out (serialized size and authenticator count are also
-    computed once), which is what makes n in the hundreds feasible. *)
+(** Send one message to every endpoint in [dsts], in order: exactly
+    [Array.iter (fun dst -> send ...) dsts] — the same stats, metering,
+    trace events, NIC charging, RNG draws and one queued event per
+    accepted copy — except that the authenticator count is computed once
+    (the caller computes [size] once too). *)
 
 (** Fault injection. Every operation takes effect at the instant it is
     called and composes with the others: a send must pass the user link

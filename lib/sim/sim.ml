@@ -8,12 +8,6 @@ let schedule_at t ~time thunk =
 
 let schedule_in t ~delay thunk = schedule_at t ~time:(t.now +. delay) thunk
 
-let schedule_keyed t ~time thunk =
-  Event_queue.push_keyed t.queue ~time:(Float.max time t.now) thunk
-
-let reschedule t ~time ~key thunk =
-  Event_queue.push_at t.queue ~time:(Float.max time t.now) ~seq:key thunk
-
 (* Run the earliest event when it is due by [limit]. [next_time] is read
    once per event (it returns a boxed float), and the clock field is only
    written when it advances. *)

@@ -14,19 +14,6 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 val schedule_in : t -> delay:float -> (unit -> unit) -> unit
 
-val schedule_keyed : t -> time:float -> (unit -> unit) -> int
-(** Like [schedule_at], but returns the event's queue sequence number.
-    Combined with [reschedule] this lets a single queue entry stand in for
-    a batch of future events (O(1) broadcast fan-out): when the entry
-    fires, it re-inserts itself at the next batch member's time under its
-    original sequence number, so its tie-breaking rank relative to every
-    other event never changes. *)
-
-val reschedule : t -> time:float -> key:int -> (unit -> unit) -> unit
-(** Re-insert a fired event under the sequence number [key] previously
-    returned by [schedule_keyed]. Only valid after the keyed event has
-    fired (the key must not be live in the queue). *)
-
 val run : ?until:float -> t -> unit
 (** Run events in time order until the queue drains or the clock passes
     [until]. With [until], the clock is left at exactly [until] (events

@@ -96,12 +96,3 @@ let commit t b =
         t.committed_count <- t.committed_count + List.length path;
         t.committed_log <- List.rev_append path t.committed_log;
         Ok path
-
-let pp_chain fmt t =
-  let chain = List.rev (t.committed_head :: []) in
-  ignore chain;
-  Format.fprintf fmt "@[<v>committed %d block(s):@," t.committed_count;
-  List.iter
-    (fun b -> Format.fprintf fmt "  %a@," Block.pp b)
-    (List.rev t.committed_log);
-  Format.fprintf fmt "@]"

@@ -50,6 +50,3 @@ val commit : t -> Block.t -> (Block.t list, string) result
     current committed head (which would be a safety violation — callers
     treat it as fatal) or if an ancestor is missing. Committing an already
     committed block returns []. *)
-
-val pp_chain : Format.formatter -> t -> unit
-(** One-line rendering of the committed chain (for demos and debugging). *)

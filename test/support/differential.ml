@@ -1,18 +1,13 @@
-(* Differential harness for the netsim broadcast refactor.
-
-   Runs the same protocol, workload and seed twice — once with the O(1)
-   fan-out broadcast records ([fanout_broadcast = true], the default) and
-   once with the retained per-recipient reference scheduler — and compares
-   everything the simulation exposes: the trace event stream (as JSONL),
-   the per-replica metrics JSON, the network totals, and every replica's
-   execution/commit state.  The two paths are required to be bit-identical;
-   any divergence is reported with the first mismatching trace line so the
+(* Run comparer: runs a protocol, workload and seed, records everything
+   the simulation exposes — the trace event stream (as JSONL), the
+   per-replica metrics JSON, the network totals, and every replica's
+   execution/commit state — and compares two such outcomes field by field.
+   Any divergence is reported with the first mismatching trace line so the
    offending event is immediately visible. *)
 
 module C = Marlin_core.Consensus_intf
 module Cluster = Marlin_runtime.Cluster
 module Netsim = Marlin_sim.Netsim
-module Sim = Marlin_sim.Sim
 module Obs = Marlin_obs
 
 type faults = { drop : float; duplicate : float; extra_delay : float }
@@ -27,11 +22,9 @@ type outcome = {
   executed : int list;  (* total_executed per replica *)
   heads : (int * int) list;  (* (committed height, committed count) *)
   agreement : bool;
-  peak_events : int;  (* NOT compared: the refactor exists to change it *)
 }
 
-let run_once (module P : C.PROTOCOL) ~fanout ~n ~f ~clients ~seed ~until
-    ~faults =
+let run (module P : C.PROTOCOL) ~n ~f ~clients ~seed ~until ~faults =
   let module Cl = Cluster.Make (P) in
   let obs = Obs.Run.create ~trace:true ~n () in
   let params =
@@ -41,7 +34,6 @@ let run_once (module P : C.PROTOCOL) ~fanout ~n ~f ~clients ~seed ~until
       f;
       workload = Marlin_workload.Workload.closed_loop ~clients;
       seed;
-      net = { Netsim.default_config with Netsim.fanout_broadcast = fanout };
       obs = Some obs;
     }
   in
@@ -64,7 +56,6 @@ let run_once (module P : C.PROTOCOL) ~fanout ~n ~f ~clients ~seed ~until
     executed = List.init n (fun i -> Cl.total_executed t ~replica:i);
     heads;
     agreement = Cl.check_agreement t;
-    peak_events = Sim.peak_pending (Cl.sim t);
   }
 
 (* First index at which two string lists differ, with both sides. *)
@@ -78,51 +69,29 @@ let first_trace_diff a b =
   in
   go 0 a b
 
-(* [Ok ()] when the fan-out outcome is bit-identical to the reference
-   outcome, [Error msg] with a pinpointed description otherwise. *)
-let compare_outcomes ~reference ~fanout =
+(* [Ok ()] when outcome [b] is bit-identical to outcome [a], [Error msg]
+   naming the first difference otherwise; a trace difference is reported
+   as "trace diverges at event <index>". *)
+let compare a b =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
-  if not (List.equal String.equal reference.trace fanout.trace) then
-    match first_trace_diff reference.trace fanout.trace with
-    | Some (i, r, f) ->
-        err
-          "trace diverges at event %d (of %d ref / %d fanout)@.  ref:    \
-           %s@.  fanout: %s"
-          i
-          (List.length reference.trace)
-          (List.length fanout.trace) r f
-    | None -> err "trace lists unequal but no diff found (impossible)"
-  else if not (String.equal reference.metrics fanout.metrics) then
-    err "metrics JSON diverges:@.  ref:    %s@.  fanout: %s" reference.metrics
-      fanout.metrics
-  else if reference.stats <> fanout.stats then
-    err "netsim stats diverge: ref {msgs=%d; bytes=%d; auths=%d} fanout \
-         {msgs=%d; bytes=%d; auths=%d}"
-      reference.stats.Netsim.messages reference.stats.Netsim.bytes
-      reference.stats.Netsim.authenticators fanout.stats.Netsim.messages
-      fanout.stats.Netsim.bytes fanout.stats.Netsim.authenticators
-  else if not (List.equal Int.equal reference.executed fanout.executed) then
-    err "executed-op counts diverge: ref [%s] fanout [%s]"
-      (String.concat ";" (List.map string_of_int reference.executed))
-      (String.concat ";" (List.map string_of_int fanout.executed))
-  else if
-    not
-      (List.equal
-         (fun (h1, c1) (h2, c2) -> h1 = h2 && c1 = c2)
-         reference.heads fanout.heads)
-  then err "committed heads diverge"
-  else if reference.agreement <> fanout.agreement then
-    err "agreement diverges: ref %b fanout %b" reference.agreement
-      fanout.agreement
-  else Ok ()
-
-(* Run both paths and compare; returns the pair for extra assertions
-   (e.g. on [peak_events]) alongside the comparison verdict. *)
-let run_pair proto ~n ~f ~clients ~seed ~until ~faults =
-  let reference =
-    run_once proto ~fanout:false ~n ~f ~clients ~seed ~until ~faults
+  let stats (s : Netsim.stats) =
+    Printf.sprintf "{msgs=%d; bytes=%d; auths=%d}" s.messages s.bytes
+      s.authenticators
   in
-  let fanout =
-    run_once proto ~fanout:true ~n ~f ~clients ~seed ~until ~faults
-  in
-  (reference, fanout, compare_outcomes ~reference ~fanout)
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  match first_trace_diff a.trace b.trace with
+  | Some (i, x, y) ->
+      err "trace diverges at event %d (of %d a / %d b)@.  a: %s@.  b: %s" i
+        (List.length a.trace) (List.length b.trace) x y
+  | None ->
+      if not (String.equal a.metrics b.metrics) then
+        err "metrics JSON diverges:@.  a: %s@.  b: %s" a.metrics b.metrics
+      else if a.stats <> b.stats then
+        err "netsim stats diverge: a %s b %s" (stats a.stats) (stats b.stats)
+      else if not (List.equal Int.equal a.executed b.executed) then
+        err "executed-op counts diverge: a [%s] b [%s]" (ints a.executed)
+          (ints b.executed)
+      else if a.heads <> b.heads then err "committed heads diverge"
+      else if a.agreement <> b.agreement then
+        err "agreement diverges: a %b b %b" a.agreement b.agreement
+      else Ok ()

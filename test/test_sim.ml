@@ -91,32 +91,6 @@ let test_event_queue_stress () =
   Alcotest.(check int) "drained all" 1000 !count;
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
-let test_event_queue_keyed_ties () =
-  (* push_at re-inserts an entry under its original seq: it must sort
-     before entries pushed later at the same time — the property the
-     fan-out records rely on to keep reference delivery order. *)
-  let q = Event_queue.create () in
-  let key_a = Event_queue.push_keyed q ~time:1.0 "a" in
-  (match Event_queue.pop q with
-  | Some (_, "a") -> ()
-  | _ -> Alcotest.fail "expected a");
-  Event_queue.push q ~time:2.0 "later";
-  (* re-insert "a2" under a's old seq, at the same time as "later" *)
-  Event_queue.push_at q ~time:2.0 ~seq:key_a "a2";
-  Alcotest.(check (option (float 1e-9))) "peek" (Some 2.0)
-    (Event_queue.peek_time q);
-  let order = ref [] in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list string)) "old seq wins the tie" [ "a2"; "later" ]
-    (List.rev !order)
-
 let test_event_queue_releases_popped () =
   (* Popped values must not stay reachable from the queue's vacated
      slots: every popped value is collectable while the rest stay held. *)
@@ -165,46 +139,37 @@ let test_event_queue_high_water () =
   Alcotest.(check (float 0.)) "next_time of empty" infinity
     (Event_queue.next_time q)
 
-(* Naive reference model: a sorted association list keyed by (time, seq). *)
+(* Naive reference model: a list sorted by time, where a new entry goes
+   after every entry at its own time (the queue's FIFO tie-break). *)
 module Naive = struct
-  type 'a t = { mutable entries : (float * int * 'a) list; mutable next : int }
+  type 'a t = { mutable entries : (float * 'a) list }
 
-  let create () = { entries = []; next = 0 }
+  let create () = { entries = [] }
 
-  let push_at t ~time ~seq v =
+  let push t ~time v =
     let rec ins = function
-      | [] -> [ (time, seq, v) ]
-      | (t', s', _) :: _ as rest when time < t' || (time = t' && seq < s') ->
-          (time, seq, v) :: rest
+      | (t', _) :: _ as rest when time < t' -> (time, v) :: rest
       | e :: rest -> e :: ins rest
+      | [] -> [ (time, v) ]
     in
     t.entries <- ins t.entries
-
-  let push_keyed t ~time v =
-    let seq = t.next in
-    t.next <- seq + 1;
-    push_at t ~time ~seq v;
-    seq
 
   let pop t =
     match t.entries with
     | [] -> None
-    | (time, _, v) :: rest ->
+    | e :: rest ->
         t.entries <- rest;
-        Some (time, v)
+        Some e
 
-  let peek_time t =
-    match t.entries with [] -> None | (time, _, _) :: _ -> Some time
+  let peek_time t = match t.entries with [] -> None | (time, _) :: _ -> Some time
 end
 
 let queue_model_test =
   (* Drive the event queue and the naive model with the same random op
      sequence and require identical observable behaviour. Times are
-     quantised (i/8 over a narrow range) so (time, seq) ties are common,
-     with a sparse far tail. Keyed entries, once popped, are re-inserted
-     later under their own seq with [push_at] (the broadcast fan-out
-     record's path), sometimes at the very time they fired. Peeks, both
-     pop forms and full drains followed by refills interleave freely. *)
+     quantised (i/8 over a narrow range) so equal times are common,
+     with a sparse far tail. Peeks, both pop forms and full drains
+     followed by refills interleave freely. *)
   let open QCheck in
   let tie_time = Gen.map (fun i -> float_of_int i /. 8.) (Gen.int_bound 24) in
   let op_gen =
@@ -213,8 +178,6 @@ let queue_model_test =
         [
           (5, map (fun t -> `Push t) tie_time);
           (1, map (fun i -> `Push (1e6 +. (float_of_int i *. 64.))) (int_bound 50));
-          (2, map (fun t -> `Keyed t) tie_time);
-          (2, map (fun i -> `Reinsert (float_of_int i /. 8.)) (int_bound 3));
           (3, return `Pop);
           (2, return `Pop_min);
           (2, return `Peek);
@@ -233,21 +196,7 @@ let queue_model_test =
         incr next_value;
         !next_value
       in
-      (* value -> seq of every keyed entry; (seq, time) of the popped ones
-         waiting for re-insertion *)
-      let keyed = Hashtbl.create 16 and fired = Queue.create () in
-      let note = function
-        | Some (time, v) -> (
-            match Hashtbl.find_opt keyed v with
-            | Some seq -> Queue.push (seq, time) fired
-            | None -> ())
-        | None -> ()
-      in
-      let pop () =
-        let a = Event_queue.pop q and b = Naive.pop m in
-        note b;
-        a = b
-      in
+      let pop () = Event_queue.pop q = Naive.pop m in
       let agree () =
         Event_queue.peek_time q = Naive.peek_time m
         && Event_queue.next_time q
@@ -260,29 +209,14 @@ let queue_model_test =
           match op with
           | `Push time ->
               let v = fresh () in
-              ignore (Naive.push_keyed m ~time v : int);
+              Naive.push m ~time v;
               Event_queue.push q ~time v;
               true
-          | `Keyed time ->
-              let v = fresh () in
-              let seq = Event_queue.push_keyed q ~time v in
-              Hashtbl.replace keyed v seq;
-              Naive.push_keyed m ~time v = seq
-          | `Reinsert dt -> (
-              match Queue.take_opt fired with
-              | None -> true
-              | Some (seq, fired_at) ->
-                  let v = fresh () and time = fired_at +. dt in
-                  Hashtbl.replace keyed v seq;
-                  Naive.push_at m ~time ~seq v;
-                  Event_queue.push_at q ~time ~seq v;
-                  true)
           | `Pop -> pop ()
           | `Pop_min -> (
               match Naive.pop m with
               | None -> Event_queue.is_empty q
               | Some (time, _) as b ->
-                  note b;
                   let t = Event_queue.next_time q in
                   let v = Event_queue.pop_min q in
                   b = Some (t, v) && time = t)
@@ -430,8 +364,7 @@ let test_net_link_filter () =
 let test_net_pre_gst_delay () =
   let config =
     {
-      Netsim.default_config with
-      latency = 0.01;
+      Netsim.latency = 0.01;
       jitter = 0.;
       bandwidth_bps = infinity;
       gst = 1.0;
@@ -468,17 +401,17 @@ let test_net_stats () =
   Netsim.reset_stats net;
   Alcotest.(check int) "reset" 0 (Netsim.stats net).Netsim.messages
 
-(* ---------- broadcast fan-out ---------- *)
+(* ---------- broadcast ---------- *)
 
 let crisp_config =
   { Netsim.default_config with latency = 0.04; jitter = 0.; bandwidth_bps = infinity }
 
-(* Run one broadcast under both scheduler paths and return the delivery
-   sequence [(dst, src, time)] of each. *)
+(* Send one message from endpoint 0 to [dsts], once as per-destination
+   [Netsim.send]s and once as one [Netsim.broadcast], and return each
+   run's delivery sequence [(dst, src, time)] and stats. *)
 let broadcast_deliveries ?(config = crisp_config) ?(endpoints = 8)
     ?(prep = fun _ -> ()) ~dsts () =
-  let run fanout =
-    let config = { config with Netsim.fanout_broadcast = fanout } in
+  let run emit =
     let sim = Sim.create () in
     let net = Netsim.create sim (Rng.create ~seed:11) config ~endpoints in
     let log = ref [] in
@@ -486,30 +419,32 @@ let broadcast_deliveries ?(config = crisp_config) ?(endpoints = 8)
       Netsim.register net ~id (fun ~src _ -> log := (id, src, Sim.now sim) :: !log)
     done;
     prep net;
-    Netsim.broadcast net ~src:0 ~dsts ~size:100 (noop_msg 0);
+    emit net (noop_msg 0);
     Sim.run sim;
     (List.rev !log, Netsim.stats net)
   in
-  (run false, run true)
+  ( run (fun net msg ->
+        Array.iter (fun dst -> Netsim.send net ~src:0 ~dst ~size:100 msg) dsts),
+    run (fun net msg -> Netsim.broadcast net ~src:0 ~dsts ~size:100 msg) )
 
 let test_broadcast_matches_sends () =
   let dsts = [| 3; 1; 5; 2 |] in
-  let (ref_log, ref_stats), (fan_log, fan_stats) = broadcast_deliveries ~dsts () in
-  Alcotest.(check int) "four deliveries" 4 (List.length fan_log);
-  Alcotest.(check bool) "same delivery sequence" true (ref_log = fan_log);
-  Alcotest.(check bool) "same stats" true (ref_stats = fan_stats);
+  let (sends_log, sends_stats), (bcast_log, bcast_stats) = broadcast_deliveries ~dsts () in
+  Alcotest.(check int) "four deliveries" 4 (List.length bcast_log);
+  Alcotest.(check bool) "same delivery sequence" true (sends_log = bcast_log);
+  Alcotest.(check bool) "same stats" true (sends_stats = bcast_stats);
   (* with zero jitter, simultaneous arrivals deliver in dsts order *)
   Alcotest.(check (list int)) "dsts order on simultaneous arrival"
     [ 3; 1; 5; 2 ]
-    (List.map (fun (d, _, _) -> d) fan_log)
+    (List.map (fun (d, _, _) -> d) bcast_log)
 
 let test_broadcast_self_delivery () =
   (* src appearing in its own dsts: the self copy is delivered with zero
-     delay (same instant, before any network arrival), on both paths. *)
+     delay (same instant, before any network arrival), both ways. *)
   let dsts = [| 1; 0; 2 |] in
-  let (ref_log, _), (fan_log, _) = broadcast_deliveries ~dsts () in
-  Alcotest.(check bool) "same with self in dsts" true (ref_log = fan_log);
-  (match fan_log with
+  let (sends_log, _), (bcast_log, _) = broadcast_deliveries ~dsts () in
+  Alcotest.(check bool) "same with self in dsts" true (sends_log = bcast_log);
+  (match bcast_log with
   | (0, 0, t) :: rest ->
       Alcotest.(check (float 1e-9)) "self delivery immediate" 0. t;
       Alcotest.(check (list int)) "network copies follow" [ 1; 2 ]
@@ -517,46 +452,20 @@ let test_broadcast_self_delivery () =
   | _ -> Alcotest.fail "self delivery must come first")
 
 let test_broadcast_duplicates () =
-  (* A duplicating network exercises the fan-out records' off-trace
-     duplicate scheduling: delivery times and stats must still match the
-     reference path, and stats count logical sends, not duplicates. *)
+  (* A duplicating network exercises the off-trace duplicate scheduling:
+     delivery times and stats must still match per-destination sends, and
+     stats count logical sends, not duplicates. *)
   let prep net = Netsim.Fault.duplicate net ~p:0.99 in
   let dsts = [| 1; 2; 3 |] in
-  let (ref_log, ref_stats), (fan_log, fan_stats) =
+  let (sends_log, sends_stats), (bcast_log, bcast_stats) =
     broadcast_deliveries ~prep ~dsts ()
   in
-  Alcotest.(check bool) "duplicates delivered" true (List.length fan_log > 3);
+  Alcotest.(check bool) "duplicates delivered" true (List.length bcast_log > 3);
   Alcotest.(check bool) "same deliveries under duplication" true
-    (ref_log = fan_log);
-  Alcotest.(check bool) "same stats" true (ref_stats = fan_stats);
+    (sends_log = bcast_log);
+  Alcotest.(check bool) "same stats" true (sends_stats = bcast_stats);
   Alcotest.(check int) "stats count logical sends, not duplicates" 3
-    fan_stats.Netsim.messages
-
-let test_broadcast_occupancy () =
-  (* The tentpole property: a pending broadcast to k recipients occupies
-     one event-queue slot, not k. *)
-  let endpoints = 64 in
-  let dsts = Array.init (endpoints - 1) (fun i -> i + 1) in
-  let occupancy fanout =
-    let config = { crisp_config with Netsim.fanout_broadcast = fanout } in
-    let sim = Sim.create () in
-    let net = Netsim.create sim (Rng.create ~seed:11) config ~endpoints in
-    for id = 0 to endpoints - 1 do
-      Netsim.register net ~id (fun ~src:_ _ -> ())
-    done;
-    Netsim.broadcast net ~src:0 ~dsts ~size:100 (noop_msg 0);
-    let pending = Sim.pending sim in
-    Sim.run sim;
-    (pending, Sim.peak_pending sim)
-  in
-  let ref_pending, ref_peak = occupancy false in
-  let fan_pending, fan_peak = occupancy true in
-  Alcotest.(check int) "reference: one event per recipient" 63 ref_pending;
-  Alcotest.(check int) "fan-out: one event total" 1 fan_pending;
-  Alcotest.(check bool)
-    (Printf.sprintf "fan-out peak %d well below reference %d" fan_peak ref_peak)
-    true
-    (fan_peak <= 2 && ref_peak >= 63)
+    bcast_stats.Netsim.messages
 
 let qcheck_cases =
   let open QCheck in
@@ -600,7 +509,6 @@ let suite =
     ("rng exponential mean", `Quick, test_rng_exponential_mean);
     ("event queue ordering", `Quick, test_event_queue_ordering);
     ("event queue stress", `Quick, test_event_queue_stress);
-    ("event queue keyed ties", `Quick, test_event_queue_keyed_ties);
     ("sim run order", `Quick, test_sim_run_order);
     ("sim run until", `Quick, test_sim_run_until);
     ("sim clamps past events", `Quick, test_sim_past_events_clamp);
@@ -615,7 +523,6 @@ let suite =
     ("broadcast fan-out matches per-dst sends", `Quick, test_broadcast_matches_sends);
     ("broadcast zero-delay self delivery", `Quick, test_broadcast_self_delivery);
     ("broadcast under duplication", `Quick, test_broadcast_duplicates);
-    ("broadcast O(1) queue occupancy", `Quick, test_broadcast_occupancy);
   ]
   @ List.map QCheck_alcotest.to_alcotest (queue_model_test :: qcheck_cases)
   @ [

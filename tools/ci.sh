@@ -27,7 +27,7 @@
 # The scaling gate (`dune build @bench-scaling`) sweeps every registry
 # protocol over n up to 64 and compares message/authenticator counts,
 # peak event-queue occupancy and the rest of each row with its own
-# baseline, under a wall budget, so a broadcast fan-out or event-queue
+# baseline, under a wall budget, so a broadcast or event-queue
 # regression fails CI even when the small-n smoke numbers are unchanged.
 #
 # The load gate (`dune build @bench-load`) sweeps open-loop offered load
