@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks: real CPU costs of the substrate primitives
-   (hashing, the simulated signatures, the codec, the event queue). These
-   are measurements of THIS implementation; the simulator's protocol-level
-   CPU accounting instead uses the calibrated Cost_model figures for real
-   ECDSA/BLS, as explained in DESIGN.md. *)
+   (hashing, the simulated signatures, the codec, the event queue, the
+   mempool and its (client, seq) tables). These are measurements of THIS
+   implementation; the simulator's protocol-level CPU accounting instead
+   uses the calibrated Cost_model figures for real ECDSA/BLS, as explained
+   in DESIGN.md. *)
 
 open Bechamel
 open Toolkit
@@ -108,6 +109,52 @@ let sim_shaped_queue =
         Q.push q ~time:(time +. delays.(!k land 4095)) v
     | None -> assert false
 
+(* The open-loop request path at openloop-n4's batch size: admit 2000
+   fresh operations (uniform clients over 1M keys, unique seqs), take them
+   as one batch and commit it. Committed keys stay in the pool, as they do
+   in a run, so a fresh pool replaces the old one every 64 batches. Built
+   when the micro-benchmarks run, like the inputs above. *)
+let mempool_batches () =
+  let module Mempool = Marlin_runtime.Mempool in
+  let batch = 2000 and per_pool = 64 in
+  let rng = Marlin_sim.Rng.create ~seed:23 in
+  let ops =
+    Array.init (batch * per_pool) (fun seq ->
+        Operation.make ~client:(Marlin_sim.Rng.int rng 1_000_000) ~seq ~body:"")
+  in
+  let pool = ref (Mempool.create ()) and round = ref 0 in
+  fun () ->
+    if !round = per_pool then begin
+      pool := Mempool.create ();
+      round := 0
+    end;
+    for i = !round * batch to ((!round + 1) * batch) - 1 do
+      ignore (Mempool.add !pool ops.(i))
+    done;
+    incr round;
+    Mempool.mark_committed !pool (Mempool.take !pool ~max:batch)
+
+(* The table under every (client, seq) lookup: insert 100k open-loop
+   shaped keys, find each, remove each. The table is reused, so after the
+   first run it is grown and the run measures steady-state probes. *)
+let op_table () =
+  let keys = 100_000 in
+  let rng = Marlin_sim.Rng.create ~seed:29 in
+  let clients = Array.init keys (fun _ -> Marlin_sim.Rng.int rng 1_000_000) in
+  let tbl = Pair_tbl.create ~dummy:0 16 in
+  fun () ->
+    for seq = 0 to keys - 1 do
+      Pair_tbl.replace tbl clients.(seq) seq seq
+    done;
+    let sum = ref 0 in
+    for seq = 0 to keys - 1 do
+      sum := !sum + Pair_tbl.find tbl clients.(seq) seq
+    done;
+    for seq = 0 to keys - 1 do
+      Pair_tbl.remove tbl clients.(seq) seq
+    done;
+    !sum
+
 let tests () =
   let sign_inputs, combine_inputs, verify_inputs = first_check_inputs () in
   [
@@ -155,6 +202,10 @@ let tests () =
            done));
     Test.make ~name:"event queue push+pop, 13k sim-shaped"
       (Staged.stage sim_shaped_queue);
+    Test.make ~name:"mempool add+take+commit, 2000-op batch"
+      (Staged.stage (mempool_batches ()));
+    Test.make ~name:"op table replace/find/remove, 100k keys"
+      (Staged.stage (op_table ()));
   ]
 
 (* Prints every estimate in name order (not hash-bucket order) and returns

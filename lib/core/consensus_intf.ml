@@ -62,19 +62,26 @@ type action =
 let timer ?(cause = View_progress) duration = Timer { duration; cause }
 
 module Config = struct
-  (** Smart constructor for {!config}. Validates the quorum arithmetic and
-      index range, and fills in the defaults the record literal forced
-      every call site to repeat. *)
+  (** Smart constructor for {!config}. Validates the quorum arithmetic
+      ([f >= 0], [n >= 3f + 1]), the index range, that [keychain] holds
+      exactly [n] replica keys and that [0 < base_timeout <= max_timeout]
+      (NaN fails), and fills in the defaults the record literal forced
+      every call site to repeat. @raise Invalid_argument otherwise. *)
   let make ?(base_timeout = 1.0) ?(max_timeout = 16.0)
       ?(cost = Marlin_crypto.Cost_model.ecdsa_group)
       ?(get_batch = fun () -> Batch.empty) ?(has_pending = fun () -> false)
       ?(obs = Marlin_obs.Sink.none) ~id ~n ~f ~keychain () =
-    if n < 3 * f + 1 then
-      invalid_arg
-        (Printf.sprintf "Config.make: n = %d < 3f + 1 = %d" n ((3 * f) + 1));
+    if f < 0 then invalid_arg (Printf.sprintf "Config.make: f = %d < 0" f);
+    (* n >= 3f + 1, written so that no f overflows it *)
+    if n < 1 || (n - 1) / 3 < f then
+      invalid_arg (Printf.sprintf "Config.make: n = %d < 3f + 1 (f = %d)" n f);
     if id < 0 || id >= n then
       invalid_arg (Printf.sprintf "Config.make: id = %d not in [0, %d)" id n);
-    if base_timeout <= 0. || max_timeout < base_timeout then
+    if Marlin_crypto.Keychain.n keychain <> n then
+      invalid_arg
+        (Printf.sprintf "Config.make: keychain holds %d keys, n = %d"
+           (Marlin_crypto.Keychain.n keychain) n);
+    if not (0. < base_timeout && base_timeout <= max_timeout) then
       invalid_arg "Config.make: need 0 < base_timeout <= max_timeout";
     {
       id; n; f; keychain; cost; get_batch; has_pending;

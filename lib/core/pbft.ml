@@ -20,7 +20,7 @@ type t = {
       (* the block this view's chain must build on: block(justify) of the
          accepted NEW-VIEW (genesis in view 0); None until the NEW-VIEW
          arrives — proposals are not accepted without it *)
-  mutable accepted : (int * int, string) Hashtbl.t;
+  accepted : string Pair_tbl.t;
       (* (view, height) -> digest: at most one pre-prepare per slot *)
   mutable collecting_vc : bool;
   vc_msgs : Qc.t Replica.view_msgs;  (* prepared qc per sender *)
@@ -37,7 +37,7 @@ let create cfg =
     prepared = Qc.genesis;
     proposed_tip = Qc.genesis_ref;
     anchor = Some Qc.genesis_ref;
-    accepted = Hashtbl.create 32;
+    accepted = Pair_tbl.create ~dummy:"" 8;
     collecting_vc = false;
     vc_msgs = Replica.view_msgs ();
     stash = Hashtbl.create 8;
@@ -79,8 +79,8 @@ let rec try_propose t =
    network jitter reorder bursts) is stashed and replayed once it does. *)
 let rec accept_pre_prepare t (block : Block.t) =
   let view = t.rep.cview in
-  let slot = (view, block.Block.height) in
-  if Hashtbl.mem t.accepted slot then []
+  let height = block.Block.height in
+  if Pair_tbl.mem t.accepted view height then []
   else if block.Block.view <> view then []
   else begin
     match (block.Block.pl, t.anchor) with
@@ -91,12 +91,13 @@ let rec accept_pre_prepare t (block : Block.t) =
           && Sha256.equal parent_digest anchor.Qc.digest
         in
         let links_to_previous_slot =
-          match Hashtbl.find_opt t.accepted (view, block.Block.height - 1) with
-          | Some d -> String.equal d (Sha256.to_raw parent_digest)
-          | None -> false
+          match Pair_tbl.find t.accepted view (height - 1) with
+          | d -> String.equal d (Sha256.to_raw parent_digest)
+          | exception Not_found -> false
         in
         if links_to_anchor || links_to_previous_slot then begin
-          Hashtbl.replace t.accepted slot (Sha256.to_raw (Block.digest block));
+          Pair_tbl.replace t.accepted view height
+            (Sha256.to_raw (Block.digest block));
           let adds = Replica.note_block t.rep block in
           let b_ref = Block.to_ref block in
           let vote = C.Broadcast (Replica.vote t.rep ~kind:Qc.Prepare b_ref) in
@@ -180,7 +181,7 @@ and enter_view t view ~send =
   t.proposed_tip <- Block.to_ref (Block_store.last_committed r.store);
   (* proposals are rejected until this view's NEW-VIEW sets the anchor *)
   t.anchor <- None;
-  Hashtbl.reset t.accepted;
+  Pair_tbl.reset t.accepted;
   Hashtbl.reset t.stash;
   Vote_collector.gc_below_view t.commit_votes view;
   let vc =

@@ -190,9 +190,9 @@ let rec hashtbl_order =
     name = "hashtbl-order";
     severity = Diagnostic.Error;
     doc =
-      "Hashtbl.fold/iter building a list exposes hash-bucket order; sort \
-       the result explicitly (the simulator's byte-identical-run guarantee \
-       dies on iteration-order leaks)";
+      "Hashtbl.fold/iter or Pair_tbl.fold building a list exposes hash \
+       order; sort the result explicitly (the simulator's \
+       byte-identical-run guarantee dies on iteration-order leaks)";
     applies = in_lib_or_bench;
     check =
       (fun _project file ->
@@ -223,7 +223,8 @@ let rec hashtbl_order =
                         (_, callback) :: _ )
                     when !sorted_depth = 0
                          && (ends_with [ "Hashtbl"; "fold" ] txt
-                            || ends_with [ "Hashtbl"; "iter" ] txt)
+                            || ends_with [ "Hashtbl"; "iter" ] txt
+                            || ends_with [ "Pair_tbl"; "fold" ] txt)
                          && callback_builds_list callback ->
                       diags :=
                         mk hashtbl_order file loc

@@ -112,7 +112,7 @@ module Make (P : C.PROTOCOL) = struct
     (* submit time of every op on the wire, keyed by (client, seq);
        removed at first commit or ingress rejection, so the table is
        bounded by true in-flight, not by key space *)
-    inflight : float Operation.Key_tbl.t;
+    inflight : float Pair_tbl.t;
     lat : Stats.Reservoir.t;
     mutable generated : int;
     mutable sent : int;
@@ -213,10 +213,9 @@ module Make (P : C.PROTOCOL) = struct
     | Some os, _ :: _ ->
         List.iter
           (fun (op : Operation.t) ->
-            let key = Operation.key op in
-            match Operation.Key_tbl.find_opt os.inflight key with
-            | Some t0 ->
-                Operation.Key_tbl.remove os.inflight key;
+            match Pair_tbl.find os.inflight op.client op.seq with
+            | t0 ->
+                Pair_tbl.remove os.inflight op.client op.seq;
                 os.completed_ops <- os.completed_ops + 1;
                 Stats.Reservoir.add os.lat (finish -. t0);
                 (match t.params.obs with
@@ -227,7 +226,7 @@ module Make (P : C.PROTOCOL) = struct
                     | Some ts ->
                         Marlin_obs.Timeseries.note_completion ts ~time:finish
                           ~latency:(finish -. t0)))
-            | None -> ())
+            | exception Not_found -> ())
           commits
     | _ -> ());
     (* emit *)
@@ -314,7 +313,7 @@ module Make (P : C.PROTOCOL) = struct
               match t.open_loop with
               | Some os when src >= t.params.n ->
                   os.ingress_rejected <- os.ingress_rejected + 1;
-                  Operation.Key_tbl.remove os.inflight (Operation.key op)
+                  Pair_tbl.remove os.inflight op.client op.seq
               | _ -> ()))
       | _ ->
           let view_before = P.current_view r.proto in
@@ -428,7 +427,7 @@ module Make (P : C.PROTOCOL) = struct
     else begin
       os.sent <- os.sent + 1;
       let op = Operation.make ~client ~seq ~body:"" in
-      Operation.Key_tbl.replace os.inflight (Operation.key op) now;
+      Pair_tbl.replace os.inflight client seq now;
       send t ~earliest:now ~src:s.s_endpoint ~dst:contact
         (Message.make ~sender:s.s_endpoint ~view:0 (Message.Client_op op))
     end;
@@ -456,13 +455,30 @@ module Make (P : C.PROTOCOL) = struct
 
   (* ---------- construction ---------- *)
 
+  (* [n], [f] and the timeouts are checked by [C.Config.make], once per
+     replica; the workload and mempool limits by their constructors. *)
+  let validate params =
+    let reject field need =
+      invalid_arg (Printf.sprintf "Cluster.create: %s must be %s" field need)
+    in
+    if params.batch_max < 1 then reject "batch_max" ">= 1";
+    if params.op_size < 0 then reject "op_size" ">= 0";
+    if params.reply_size < 0 then reject "reply_size" ">= 0";
+    if not (Float.is_finite params.exec_cost && params.exec_cost >= 0.) then
+      reject "exec_cost" "finite and >= 0";
+    match params.rotation with
+    | Some period when not (Float.is_finite period && period > 0.) ->
+        reject "rotation" "finite and > 0"
+    | Some _ | None -> ()
+
   let create params =
+    validate params;
+    let keychain = Marlin_crypto.Keychain.create ~n:params.n () in
     let sim = Sim.create () in
     let rng = Rng.create ~seed:params.seed in
     let extra_endpoints = Workload.endpoints params.workload in
     let net = Netsim.create sim (Rng.split rng) params.net
         ~endpoints:(params.n + extra_endpoints) in
-    let keychain = Marlin_crypto.Keychain.create ~n:params.n () in
     let sig_bytes =
       Cost_model.combined_size params.cost_model ~n:params.n
         ~shares:(params.n - params.f)
@@ -536,7 +552,7 @@ module Make (P : C.PROTOCOL) = struct
                         Arrival.Sampler.create per_source ~rng:(Rng.split rng);
                       s_next_seq = 0;
                     });
-              inflight = Operation.Key_tbl.create 4096;
+              inflight = Pair_tbl.create ~dummy:0. 256;
               lat = Stats.Reservoir.create ~capacity:8192 ();
               generated = 0;
               sent = 0;
@@ -752,7 +768,7 @@ module Make (P : C.PROTOCOL) = struct
       completed = os.completed_ops - os.base_completed;
       latency = Stats.Reservoir.summarize os.lat;
       peak_occupancy = os.peak_occ;
-      inflight = Operation.Key_tbl.length os.inflight;
+      inflight = Pair_tbl.length os.inflight;
     }
 
   let mempool_stats t =

@@ -68,6 +68,12 @@ module Make (P : Marlin_core.Consensus_intf.PROTOCOL) : sig
   type t
 
   val create : params -> t
+  (** @raise Invalid_argument naming the field when [batch_max < 1],
+      [op_size < 0], [reply_size < 0], [exec_cost] is negative or not
+      finite, or a [rotation] period is not finite and positive; and
+      through {!Marlin_core.Consensus_intf.Config.make} when [n], [f] or
+      the timeouts are invalid. *)
+
   val sim : t -> Marlin_sim.Sim.t
   val net : t -> Marlin_sim.Netsim.t
   val params : t -> params

@@ -27,23 +27,16 @@ type stats = {
   peak_occupancy : int;
 }
 
-type status = In_pool | Taken | Committed
-
-module Key_tbl = Operation.Key_tbl
-
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash c = c land max_int
-end)
+(* [seen] keeps each known key's status in its slot's one byte *)
+type status = Unseen | In_pool | Taken | Committed
 
 type t = {
   config : Config.t;
   queue : Operation.t Queue.t;
-  seen : status Key_tbl.t;
-  taken : Operation.t Key_tbl.t; (* taken, not yet committed *)
-  held : int Int_tbl.t; (* in-flight (In_pool + Taken) ops per client *)
+  seen : int Pair_tbl.t; (* status byte by (client, seq) *)
+  taken : Operation.t Pair_tbl.t; (* taken, not yet committed *)
+  held : int Pair_tbl.t;
+      (* in-flight (In_pool + Taken) ops by (client, 0): one count per client *)
   mutable stale : int; (* committed ops still sitting in [queue] *)
   mutable s_admitted : int;
   mutable s_duplicates : int;
@@ -52,13 +45,15 @@ type t = {
   mutable s_peak_occupancy : int;
 }
 
+let no_op = Operation.make ~client:0 ~seq:0 ~body:""
+
 let create ?(config = Config.unbounded) () =
   {
     config;
     queue = Queue.create ();
-    seen = Key_tbl.create 256;
-    taken = Key_tbl.create 64;
-    held = Int_tbl.create 64;
+    seen = Pair_tbl.create_bytes 16;
+    taken = Pair_tbl.create ~dummy:no_op 8;
+    held = Pair_tbl.create ~dummy:0 8;
     stale = 0;
     s_admitted = 0;
     s_duplicates = 0;
@@ -71,23 +66,33 @@ let config t = t.config
 
 (* In-flight operations this pool is responsible for: queued and not yet
    committed, plus taken into a block and not yet committed. *)
-let occupancy t = Queue.length t.queue - t.stale + Key_tbl.length t.taken
+let occupancy t = Queue.length t.queue - t.stale + Pair_tbl.length t.taken
 
 let backpressure t = occupancy t >= t.config.Config.capacity
 
 let held_by t client =
-  match Int_tbl.find_opt t.held client with Some k -> k | None -> 0
-
-let incr_held t client = Int_tbl.replace t.held client (held_by t client + 1)
+  match Pair_tbl.find t.held client 0 with k -> k | exception Not_found -> 0
 
 let decr_held t client =
   match held_by t client - 1 with
-  | 0 -> Int_tbl.remove t.held client (* keep [held] bounded by in-flight *)
-  | k -> Int_tbl.replace t.held client k
+  | 0 -> Pair_tbl.remove t.held client 0 (* keep [held] bounded by in-flight *)
+  | k -> Pair_tbl.replace t.held client 0 k
+
+let status t (op : Operation.t) =
+  match Pair_tbl.find t.seen op.client op.seq with
+  | 0 -> In_pool
+  | 1 -> Taken
+  | _ -> Committed
+  | exception Not_found -> Unseen
+
+let set_status t (op : Operation.t) = function
+  | Unseen -> Pair_tbl.remove t.seen op.client op.seq
+  | In_pool -> Pair_tbl.replace t.seen op.client op.seq 0
+  | Taken -> Pair_tbl.replace t.seen op.client op.seq 1
+  | Committed -> Pair_tbl.replace t.seen op.client op.seq 2
 
 let add t op =
-  let key = Operation.key op in
-  if Key_tbl.mem t.seen key then begin
+  if status t op <> Unseen then begin
     t.s_duplicates <- t.s_duplicates + 1;
     Duplicate
   end
@@ -95,19 +100,20 @@ let add t op =
     t.s_rejected_full <- t.s_rejected_full + 1;
     Rejected Pool_full
   end
-  else if held_by t op.Operation.client >= t.config.Config.per_client_cap
-  then begin
-    t.s_rejected_client_cap <- t.s_rejected_client_cap + 1;
-    Rejected Per_client_cap
-  end
-  else begin
-    Key_tbl.replace t.seen key In_pool;
-    Queue.push op t.queue;
-    incr_held t op.Operation.client;
-    t.s_admitted <- t.s_admitted + 1;
-    t.s_peak_occupancy <- Int.max t.s_peak_occupancy (occupancy t);
-    Admitted
-  end
+  else
+    let held = held_by t op.Operation.client in
+    if held >= t.config.Config.per_client_cap then begin
+      t.s_rejected_client_cap <- t.s_rejected_client_cap + 1;
+      Rejected Per_client_cap
+    end
+    else begin
+      set_status t op In_pool;
+      Queue.push op t.queue;
+      Pair_tbl.replace t.held op.Operation.client 0 (held + 1);
+      t.s_admitted <- t.s_admitted + 1;
+      t.s_peak_occupancy <- Int.max t.s_peak_occupancy (occupancy t);
+      Admitted
+    end
 
 let stats t =
   {
@@ -123,9 +129,10 @@ let stats t =
    iteration) would make otherwise-identical runs diverge. *)
 let sort_by_key ops =
   List.sort
-    (fun a b ->
-      let ca, sa = Operation.key a and cb, sb = Operation.key b in
-      match Int.compare ca cb with 0 -> Int.compare sa sb | c -> c)
+    (fun (a : Operation.t) (b : Operation.t) ->
+      match Int.compare a.client b.client with
+      | 0 -> Int.compare a.seq b.seq
+      | c -> c)
     ops
 
 let take t ~max =
@@ -133,16 +140,15 @@ let take t ~max =
     if k = 0 || Queue.is_empty t.queue then List.rev acc
     else
       let op = Queue.pop t.queue in
-      let key = Operation.key op in
-      match Key_tbl.find_opt t.seen key with
-      | Some In_pool ->
-          Key_tbl.replace t.seen key Taken;
-          Key_tbl.replace t.taken key op;
+      match status t op with
+      | In_pool ->
+          set_status t op Taken;
+          Pair_tbl.replace t.taken op.client op.seq op;
           go (k - 1) (op :: acc)
-      | Some Committed ->
+      | Committed ->
           t.stale <- t.stale - 1;
           go k acc
-      | Some Taken | None -> go k acc
+      | Taken | Unseen -> go k acc
   in
   sort_by_key (go max [])
 
@@ -151,26 +157,21 @@ let take t ~max =
 let mark_committed t ops =
   List.filter
     (fun (op : Operation.t) ->
-      let key = Operation.key op in
-      match Key_tbl.find t.seen key with
+      match status t op with
       | Committed -> false
-      | exception Not_found ->
-          Key_tbl.add t.seen key Committed;
+      | Unseen ->
+          set_status t op Committed;
           true
-      | (In_pool | Taken) as status ->
-          if status = In_pool then t.stale <- t.stale + 1
-          else Key_tbl.remove t.taken key;
+      | (In_pool | Taken) as s ->
+          if s = In_pool then t.stale <- t.stale + 1
+          else Pair_tbl.remove t.taken op.client op.seq;
           decr_held t op.client;
-          Key_tbl.replace t.seen key Committed;
+          set_status t op Committed;
           true)
     ops
 
 let pending t = Queue.length t.queue - t.stale
-
-let is_committed t op =
-  match Key_tbl.find_opt t.seen (Operation.key op) with
-  | Some Committed -> true
-  | Some (In_pool | Taken) | None -> false
+let is_committed t op = status t op = Committed
 
 let requeue_taken t =
   (* the fold's order is a hashtable artifact; sort so the re-queued ops
@@ -178,20 +179,17 @@ let requeue_taken t =
      already admitted, so neither capacity nor per-client caps re-apply:
      occupancy is unchanged by In_pool <-> Taken moves. *)
   let ops =
-    Key_tbl.fold (fun _ op acc -> op :: acc) t.taken [] |> sort_by_key
+    Pair_tbl.fold (fun _ _ op acc -> op :: acc) t.taken [] |> sort_by_key
   in
-  Key_tbl.reset t.taken;
+  Pair_tbl.reset t.taken;
   List.iter
     (fun op ->
-      Key_tbl.replace t.seen (Operation.key op) In_pool;
+      set_status t op In_pool;
       Queue.push op t.queue)
     ops
 
 let snapshot t =
   Queue.fold
-    (fun acc op ->
-      match Key_tbl.find_opt t.seen (Operation.key op) with
-      | Some In_pool -> op :: acc
-      | Some (Taken | Committed) | None -> acc)
+    (fun acc op -> if status t op = In_pool then op :: acc else acc)
     [] t.queue
   |> List.rev

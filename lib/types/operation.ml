@@ -3,16 +3,6 @@ type t = { client : int; seq : int; body : string }
 let make ~client ~seq ~body = { client; seq; body }
 let key op = (op.client, op.seq)
 
-module Key_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal ((c, s) : t) (c', s') = c = c' && s = s'
-
-  (* odd multiplier: distinct clients start at distinct residues, and one
-     client's consecutive seqs fill consecutive buckets *)
-  let hash ((c, s) : t) = ((c * 0x2545F491) + s) land max_int
-end)
-
 let encode enc op =
   Wire.Enc.varint enc op.client;
   Wire.Enc.varint enc op.seq;

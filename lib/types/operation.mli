@@ -7,10 +7,8 @@ type t = { client : int; seq : int; body : string }
 
 val make : client:int -> seq:int -> body:string -> t
 val key : t -> int * int
-(** [(client, seq)] — the deduplication key. *)
-
-module Key_tbl : Hashtbl.S with type key = int * int
-(** Hash tables on {!key}, without the polymorphic hash and equality. *)
+(** [(client, seq)] — the deduplication key. Tables keyed by it are
+    {!Pair_tbl}s, which take the two halves unboxed. *)
 
 val encode : Wire.Enc.t -> t -> unit
 val decode : Wire.Dec.t -> t

@@ -70,6 +70,9 @@ let test_hashtbl_order () =
   check_anchors "iter consing into a ref flagged" [ (2, 2) ]
     (flags "hashtbl-order"
        "let keys t acc =\n  Hashtbl.iter (fun k _ -> acc := k :: !acc) t\n");
+  check_anchors "Pair_tbl.fold building a list flagged" [ (1, 13) ]
+    (flags "hashtbl-order"
+       "let keys t = Pair_tbl.fold (fun a b _ acc -> (a, b) :: acc) t []\n");
   clean "hashtbl-order"
     "let keys t =\n\
     \  List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])\n";

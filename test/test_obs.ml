@@ -304,6 +304,22 @@ let test_config_validation () =
          C.Config.make ~id:0 ~n:4 ~f:1 ~keychain:kc ~base_timeout:2.0
            ~max_timeout:1.0 ()))
 
+(* With f = -1, n >= 3f + 1 holds for any n, and the quorum n - f would
+   exceed n: such a cluster never commits. *)
+let test_config_rejects_negative_f () =
+  let kc = Marlin_crypto.Keychain.create ~n:4 () in
+  Alcotest.check_raises "f = -1 rejected"
+    (Invalid_argument "Config.make: f = -1 < 0") (fun () ->
+      ignore (C.Config.make ~id:0 ~n:4 ~f:(-1) ~keychain:kc ()))
+
+(* A 4-key keychain at n = 7 would fail mid-run, when replica 4 first
+   signs; the mismatch is rejected when the config is built. *)
+let test_config_rejects_keychain_size () =
+  let kc = Marlin_crypto.Keychain.create ~n:4 () in
+  Alcotest.check_raises "4 keys for n = 7 rejected"
+    (Invalid_argument "Config.make: keychain holds 4 keys, n = 7") (fun () ->
+      ignore (C.Config.make ~id:0 ~n:7 ~f:2 ~keychain:kc ()))
+
 let test_timer_shim () =
   (match C.timer 1.5 with
   | C.Timer { duration; cause = C.View_progress } ->
@@ -405,6 +421,9 @@ let suite =
       test_metrics_only_sink_alloc_bound );
     ("exporters (CSV/JSON/JSONL)", `Quick, test_exporters);
     ("Config.make validation", `Quick, test_config_validation);
+    ("Config.make rejects negative f", `Quick, test_config_rejects_negative_f);
+    ("Config.make rejects a keychain of the wrong size", `Quick,
+     test_config_rejects_keychain_size);
     ("timer cause shim", `Quick, test_timer_shim);
     ("regression gate compares exactly", `Quick, test_gate_exact);
   ]

@@ -529,6 +529,136 @@ let test_batch_count_bound () =
           (Gc.allocated_bytes () -. before))
     [ "80808020"; "808080808020"; "8080808080808040" ]
 
+(* ---------- pair tables ---------- *)
+
+(* Keys come from a few values per half, extremes and negatives included,
+   so tables collide, wrap their probe runs past the last slot, and close
+   holes by backward shift; no key value marks an empty slot. *)
+type pair_op =
+  | Replace of int * int * int
+  | Remove of int * int
+  | Find of int * int
+  | Reset
+
+let pair_op_gen =
+  let open QCheck.Gen in
+  let half = oneof [ oneofl [ min_int; max_int; -1; 0; 1; 2; -7 ]; int_range (-3) 12 ] in
+  frequency
+    [
+      (6, map3 (fun c s v -> Replace (c, s, v)) half half (int_range 0 254));
+      (3, map2 (fun c s -> Remove (c, s)) half half);
+      (3, map2 (fun c s -> Find (c, s)) half half);
+      (1, return Reset);
+    ]
+
+let print_pair_op = function
+  | Replace (c, s, v) -> Printf.sprintf "replace (%d,%d) %d" c s v
+  | Remove (c, s) -> Printf.sprintf "remove (%d,%d)" c s
+  | Find (c, s) -> Printf.sprintf "find (%d,%d)" c s
+  | Reset -> "reset"
+
+let pair_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_pair_op ops))
+    QCheck.Gen.(list_size (int_range 1 300) pair_op_gen)
+
+let bindings_sorted l =
+  List.sort
+    (fun (c, s, v) (c', s', v') ->
+      match Int.compare c c' with
+      | 0 -> ( match Int.compare s s' with 0 -> Int.compare v v' | k -> k)
+      | k -> k)
+    l
+
+(* Replays [ops] on [t] and on a Stdlib.Hashtbl model, comparing every
+   answer, the length after each step and the full contents via [fold]. *)
+let agrees_with_model (t : int Pair_tbl.t) ops =
+  let model = Hashtbl.create 16 in
+  let contents () =
+    bindings_sorted (Pair_tbl.fold (fun c s v acc -> (c, s, v) :: acc) t [])
+  and model_contents () =
+    bindings_sorted (Hashtbl.fold (fun (c, s) v acc -> (c, s, v) :: acc) model [])
+  in
+  List.for_all
+    (fun op ->
+      let answers_agree =
+        match op with
+        | Replace (c, s, v) ->
+            Pair_tbl.replace t c s v;
+            Hashtbl.replace model (c, s) v;
+            true
+        | Remove (c, s) ->
+            Pair_tbl.remove t c s;
+            Hashtbl.remove model (c, s);
+            true
+        | Find (c, s) ->
+            let got =
+              match Pair_tbl.find t c s with
+              | v -> Some v
+              | exception Not_found -> None
+            in
+            Option.equal Int.equal got (Hashtbl.find_opt model (c, s))
+            && Bool.equal (Pair_tbl.mem t c s) (Hashtbl.mem model (c, s))
+        | Reset ->
+            Pair_tbl.reset t;
+            Hashtbl.reset model;
+            true
+      in
+      answers_agree
+      && Pair_tbl.length t = Hashtbl.length model
+      && contents () = model_contents ())
+    ops
+
+let pair_tbl_cases =
+  [
+    QCheck.Test.make ~count:400 ~name:"pair table matches a Hashtbl model"
+      pair_ops_arb (fun ops -> agrees_with_model (Pair_tbl.create ~dummy:0 0) ops);
+    QCheck.Test.make ~count:400
+      ~name:"byte-valued pair table matches a Hashtbl model" pair_ops_arb
+      (fun ops -> agrees_with_model (Pair_tbl.create_bytes 0) ops);
+  ]
+
+let test_pair_tbl_byte_range () =
+  let t = Pair_tbl.create_bytes 4 in
+  Pair_tbl.replace t 1 1 254;
+  Alcotest.(check int) "254 fits" 254 (Pair_tbl.find t 1 1);
+  List.iter
+    (fun v ->
+      Alcotest.check_raises (Printf.sprintf "%d rejected" v)
+        (Invalid_argument "Pair_tbl.replace: byte value outside [0, 254]")
+        (fun () -> Pair_tbl.replace t 2 2 v))
+    [ -1; 255 ];
+  Alcotest.(check int) "a rejected value binds nothing" 1 (Pair_tbl.length t)
+
+(* Once grown, the hot calls allocate nothing: keys stay unboxed and
+   statuses live in the marker byte. *)
+let test_pair_tbl_no_alloc () =
+  let keys = 100_000 in
+  let boxed = Pair_tbl.create ~dummy:0 16 and bytes = Pair_tbl.create_bytes 16 in
+  for i = 0 to keys - 1 do
+    Pair_tbl.replace boxed i (-i) i;
+    Pair_tbl.replace bytes (-i) i (i land 127)
+  done;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to keys - 1 do
+    if Pair_tbl.mem boxed i (-i) then incr hits;
+    if Pair_tbl.mem bytes i (i + 1) then incr hits;
+    hits := !hits + Pair_tbl.find boxed i (-i) + Pair_tbl.find bytes (-i) i;
+    Pair_tbl.replace boxed i (-i) (i + 1);
+    Pair_tbl.replace bytes (-i) i 200
+  done;
+  for i = 0 to keys - 1 do
+    Pair_tbl.remove boxed i (-i);
+    Pair_tbl.remove bytes (-i) i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "minor words for 100k mem/find/replace/remove" 0
+    (int_of_float words);
+  Alcotest.(check int) "tables emptied" 0
+    (Pair_tbl.length boxed + Pair_tbl.length bytes);
+  Alcotest.(check bool) "lookups ran" true (!hits > 0)
+
 let suite =
   [
     ("wire roundtrip", `Quick, test_wire_roundtrip);
@@ -554,8 +684,11 @@ let suite =
     ("block store commit", `Quick, test_block_store_commit);
     ("block store virtual resolution", `Quick, test_block_store_virtual_resolution);
   ]
-  @ List.map QCheck_alcotest.to_alcotest qcheck_cases
-  @ [ ("decoder rejects overflowing varints", `Quick, test_varint_overflow);
+  @ List.map QCheck_alcotest.to_alcotest (qcheck_cases @ pair_tbl_cases)
+  @ [ ("pair table rejects bytes outside [0, 254]", `Quick, test_pair_tbl_byte_range);
+      ("pair table: once grown, mem/find/replace/remove allocate nothing", `Quick,
+       test_pair_tbl_no_alloc);
+      ("decoder rejects overflowing varints", `Quick, test_varint_overflow);
       ("decoder rejects batch counts the input cannot hold", `Quick, test_batch_count_bound) ]
 
 let () = Alcotest.run "types" [ ("types", suite) ]

@@ -202,6 +202,144 @@ let test_knee () =
   Alcotest.(check bool) "empty raises" true
     (raises_invalid (fun () -> Experiment.knee []))
 
+(* ---------- hostile configs ---------- *)
+
+module C = Marlin_core.Consensus_intf
+module Cl = Cluster.Make (Marlin_runtime.Registry.Chained_marlin)
+
+let rejected_naming field f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+      let n = String.length field in
+      let rec mentions i =
+        i + n <= String.length msg && (String.sub msg i n = field || mentions (i + 1))
+      in
+      mentions 0
+
+let test_cluster_rejects_params () =
+  let p = Cluster.default_params in
+  List.iter
+    (fun (field, params) ->
+      Alcotest.(check bool)
+        (field ^ " rejected by name") true
+        (rejected_naming field (fun () -> Cl.create params)))
+    [
+      ("batch_max", { p with Cluster.batch_max = 0 });
+      ("op_size", { p with Cluster.op_size = -1000 });
+      ("reply_size", { p with Cluster.reply_size = -1 });
+      ("exec_cost", { p with Cluster.exec_cost = Float.nan });
+      ("exec_cost", { p with Cluster.exec_cost = -1e-6 });
+      ("rotation", { p with Cluster.rotation = Some 0. });
+    ]
+
+(* Every field is drawn from a small set holding both valid and invalid
+   values (zero, negatives, NaN, infinities), and each constructor must
+   raise Invalid_argument exactly when some field is invalid. *)
+let edge_float = QCheck.Gen.oneofl [ Float.nan; infinity; neg_infinity; -1.; 0.; 1e-3; 1.; 500. ]
+let valid_pos x = Float.is_finite x && x > 0.
+let edge_int = QCheck.Gen.oneof [ QCheck.Gen.int_range (-2) 9; QCheck.Gen.oneofl [ min_int; max_int ] ]
+
+let accepts_iff valid f =
+  match f () with
+  | _ -> valid
+  | exception Invalid_argument _ -> not valid
+
+let config_gen =
+  QCheck.Gen.(
+    map
+      (fun ((id, n, f, keys), (base, max)) -> (id, n, f, keys, base, max))
+      (pair
+         (quad edge_int edge_int (int_range (-2) 4) (int_range 1 9))
+         (pair edge_float edge_float)))
+
+let print_config (id, n, f, keys, base, max) =
+  Printf.sprintf "id=%d n=%d f=%d keys=%d base_timeout=%g max_timeout=%g" id n
+    f keys base max
+
+let config_make_property =
+  QCheck.Test.make ~count:500
+    ~name:"Config.make rejects exactly the invalid configs"
+    (QCheck.make ~print:print_config config_gen)
+    (fun (id, n, f, keys, base_timeout, max_timeout) ->
+      let keychain = Marlin_crypto.Keychain.create ~n:keys () in
+      let valid =
+        f >= 0 && n >= 1 && n >= (3 * f) + 1 && id >= 0 && id < n && keys = n
+        && valid_pos base_timeout && base_timeout <= max_timeout
+      in
+      accepts_iff valid (fun () ->
+          C.Config.make ~id ~n ~f ~keychain ~base_timeout ~max_timeout ()))
+
+let mempool_workload_property =
+  QCheck.Test.make ~count:500
+    ~name:"Mempool.Config.make and Workload constructors reject exactly the invalid ones"
+    QCheck.(
+      make
+        ~print:(fun ((a, b), (c, d), (r, s)) ->
+          Printf.sprintf "ints %d %d %d %d floats %g %g" a b c d r s)
+        Gen.(
+          triple (pair edge_int edge_int) (pair edge_int edge_int)
+            (pair edge_float edge_float)))
+    (fun ((capacity, per_client_cap), (clients, key_space), (rate, other)) ->
+      let sources = clients in
+      accepts_iff (capacity >= 1 && per_client_cap >= 1) (fun () ->
+          Mempool.Config.make ~capacity ~per_client_cap ())
+      && accepts_iff (clients >= 1) (fun () -> Workload.closed_loop ~clients)
+      && accepts_iff (valid_pos rate) (fun () -> Arrival.poisson ~rate)
+      && accepts_iff
+           (valid_pos rate && valid_pos other)
+           (fun () ->
+             Arrival.mmpp ~rate_low:rate ~rate_high:other ~dwell_low:other
+               ~dwell_high:rate)
+      && accepts_iff
+           (valid_pos rate && valid_pos other)
+           (fun () -> Arrival.ramp ~rate_from:rate ~rate_to:other ~over:other)
+      && accepts_iff
+           (key_space >= 1 && sources >= 1)
+           (fun () ->
+             Workload.open_loop ~sources ~arrival:(Arrival.poisson ~rate:1.)
+               ~key_space ())
+      && accepts_iff (valid_pos rate) (fun () ->
+             Workload.with_rate
+               (Workload.open_loop ~arrival:(Arrival.poisson ~rate:1.)
+                  ~key_space:1 ())
+               ~rate))
+
+let cluster_gen =
+  QCheck.Gen.(
+    pair
+      (quad (int_range (-1) 7) (int_range (-1) 2) (int_range (-1) 2)
+         (int_range (-1) 1))
+      (quad edge_float edge_float edge_float
+         (oneof [ return None; map Option.some edge_float ])))
+
+let print_cluster ((n, f, batch_max, op_size), (exec_cost, base, max, rotation)) =
+  Printf.sprintf
+    "n=%d f=%d batch_max=%d op_size=%d exec_cost=%g base_timeout=%g \
+     max_timeout=%g rotation=%s"
+    n f batch_max op_size exec_cost base max
+    (match rotation with None -> "none" | Some r -> string_of_float r)
+
+let cluster_create_property =
+  QCheck.Test.make ~count:300
+    ~name:"Cluster.create rejects exactly the invalid params"
+    (QCheck.make ~print:print_cluster cluster_gen)
+    (fun ((n, f, batch_max, op_size), (exec_cost, base_timeout, max_timeout, rotation)) ->
+      let valid =
+        f >= 0 && n >= 1 && n >= (3 * f) + 1 && batch_max >= 1 && op_size >= 0
+        && Float.is_finite exec_cost && exec_cost >= 0.
+        && valid_pos base_timeout && base_timeout <= max_timeout
+        && Option.fold ~none:true ~some:valid_pos rotation
+      in
+      accepts_iff valid (fun () ->
+          Cl.create
+            {
+              Cluster.default_params with
+              n; f; batch_max; op_size; exec_cost; base_timeout; max_timeout;
+              rotation;
+              workload = Workload.closed_loop ~clients:2;
+            }))
+
 let suite =
   [
     ("constructors validate", `Quick, test_constructor_validation);
@@ -213,6 +351,10 @@ let suite =
     ("closed-loop params rejected", `Quick, test_open_loop_requires_open);
     ("open-loop runs are deterministic", `Quick, test_open_loop_deterministic);
     ("knee finder", `Quick, test_knee);
+    ("Cluster.create rejects invalid params, naming the field", `Quick,
+     test_cluster_rejects_params);
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ config_make_property; mempool_workload_property; cluster_create_property ]
 
 let () = Alcotest.run "workload" [ ("workload", suite) ]
