@@ -52,8 +52,6 @@ let count t ~phase ~view ~digest =
   | None -> 0
 
 let gc_below_view t view =
-  let stale =
-    (* lint: allow hashtbl-order — removal set, the order never escapes *)
-    Hashtbl.fold (fun k _ acc -> if k.view < view then k :: acc else acc) t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) stale
+  Hashtbl.filter_map_inplace
+    (fun k e -> if k.view < view then None else Some e)
+    t.entries

@@ -203,6 +203,5 @@ let of_hex s =
 
 let equal = String.equal
 let compare = String.compare
-(* lint: allow poly-compare — a digest is a flat string; this {e is} the keyed hash *)
-let hash d = Hashtbl.hash d
+let hash (d : t) = Hashtbl.hash d
 let pp fmt d = Format.pp_print_string fmt (String.sub (to_hex d) 0 8)

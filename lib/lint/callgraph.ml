@@ -126,33 +126,28 @@ type builder = {
   mutable out : node list;  (* reverse order *)
 }
 
-let resolve b p =
+(* A path's components with local module aliases resolved: with
+   [module C = Consensus_intf], [C.quorum] reads as
+   ["Consensus_intf"; "quorum"] and the type [C.action] as
+   ["Consensus_intf"; "action"]. *)
+let resolve_comps b p =
   let comps = path_components p in
   match p with
-  | Path.Pident id -> (
-      match Hashtbl.find_opt b.vals (Ident.unique_name id) with
-      | Some key -> key
-      | None -> key_of (normalize ~wrappers:b.wrappers comps))
+  | Path.Pident _ -> normalize ~wrappers:b.wrappers comps
   | _ -> (
-      let rest = match comps with [] -> [] | _ :: r -> r in
       match Hashtbl.find_opt b.mods (Ident.unique_name (path_head p)) with
-      | Some mod_comps -> key_of (mod_comps @ rest)
-      | None -> key_of (normalize ~wrappers:b.wrappers comps))
+      | Some mod_comps -> mod_comps @ List.tl comps
+      | None -> normalize ~wrappers:b.wrappers comps)
 
-(* Resolve a TYPE path's suffix, looking through local module aliases:
-   with [module C = Consensus_intf], the constructor result type
-   [C.action] must still read as ("Consensus_intf", "action"). *)
+let resolve b p =
+  match p with
+  | Path.Pident id when Hashtbl.mem b.vals (Ident.unique_name id) ->
+      Hashtbl.find b.vals (Ident.unique_name id)
+  | _ -> key_of (resolve_comps b p)
+
 let resolved_type_suffix b ty =
   match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> (
-      let comps = path_components p in
-      match p with
-      | Path.Pident _ -> last2 (normalize ~wrappers:b.wrappers comps)
-      | _ -> (
-          let rest = match comps with [] -> [] | _ :: r -> r in
-          match Hashtbl.find_opt b.mods (Ident.unique_name (path_head p)) with
-          | Some mod_comps -> last2 (mod_comps @ rest)
-          | None -> last2 (normalize ~wrappers:b.wrappers comps)))
+  | Types.Tconstr (p, _, _) -> last2 (resolve_comps b p)
   | _ -> None
 
 (* ---------- phase A: register structure-level stamps ---------- *)
@@ -309,7 +304,11 @@ let walk_node b ~key ~rel ~def_loc expr =
                 | Typedtree.Texp_ident (p, _, _) -> (
                     match ident_suffix p with
                     | Some suffix ->
-                        List.exists (( = ) suffix) iteration_hofs
+                        List.exists
+                          (fun (m, f) ->
+                            String.equal m (fst suffix)
+                            && String.equal f (snd suffix))
+                          iteration_hofs
                     | None -> false)
                 | _ -> false
               in

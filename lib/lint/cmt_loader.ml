@@ -1,4 +1,4 @@
-(* Loading dune's .cmt artifacts for the typed pass.
+(* Loading dune's .cmt artifacts, the lint engine's only input.
 
    Dune drops one [.cmt] per compiled module under
    [_build/default/<dir>/.<lib>.objs/byte/<Lib>__<Module>.cmt]; each one
@@ -9,8 +9,8 @@
    Two quirks matter:
 
    - [cmt_builddir] records the build root of the machine that compiled
-     the unit and is stale under sandboxed builds, so source files are
-     resolved from [cmt_sourcefile] (workspace-relative) against the
+     the unit and is stale under sandboxed builds, so source files and
+     the relative entries of [cmt_loadpath] are resolved against the
      caller's [source_root] instead.
 
    - module names are mangled by dune's wrapping ([Marlin_core__Auth]);
@@ -21,8 +21,9 @@
 type unit_info = {
   modname : string;
   rel : string;
-  src_path : string;
   source : string;
+  has_mli : bool;
+  load_path : string list;
   structure : Typedtree.structure;
 }
 
@@ -36,8 +37,8 @@ type t = {
 
 let is_cmt path = Filename.check_suffix path ".cmt"
 
-(* Unlike the source-tree walk in Engine, dot-directories are NOT
-   skipped: dune's .objs dirs are exactly where the artifacts live. *)
+(* Dot-directories are NOT skipped: dune's .objs dirs are exactly where
+   the artifacts live. *)
 let rec walk acc path =
   if Sys.file_exists path && Sys.is_directory path then
     Sys.readdir path
@@ -47,48 +48,26 @@ let rec walk acc path =
   else if Sys.file_exists path && is_cmt path then path :: acc
   else acc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* "Marlin_core__Marlin_impl" -> ("Marlin_core", "Marlin_impl");
-   an unwrapped "Foo" has no wrapper. *)
+(* "Marlin_core__Marlin_impl" -> ("Marlin_core", "Marlin_impl"); an
+   unwrapped "Foo" has no wrapper. The LAST "__" splits, so "A__B__C"
+   keeps the innermost name. *)
 let split_wrapped modname =
-  let rec find i =
-    if i + 1 >= String.length modname then None
-    else if modname.[i] = '_' && modname.[i + 1] = '_' then Some i
-    else find (i + 1)
+  let rec from i =
+    if i < 1 then (None, modname)
+    else if modname.[i - 1] = '_' && modname.[i] = '_' then
+      ( Some (String.sub modname 0 (i - 1)),
+        String.sub modname (i + 1) (String.length modname - i - 1) )
+    else from (i - 1)
   in
-  (* use the LAST "__" so "A__B__C" keeps the innermost name *)
-  let rec last i best =
-    match find i with
-    | None -> best
-    | Some j -> last (j + 2) (Some j)
-  in
-  match last 0 None with
-  | None -> (None, modname)
-  | Some j ->
-      ( Some (String.sub modname 0 j),
-        String.sub modname (j + 2) (String.length modname - j - 2) )
+  from (String.length modname - 1)
 
 let apply_map ~map rel =
   match map with
-  | None -> rel
-  | Some (from_prefix, to_prefix) ->
-      let fp =
-        if Filename.check_suffix from_prefix "/" then from_prefix
-        else from_prefix ^ "/"
-      in
-      if
-        String.length rel > String.length fp
-        && String.sub rel 0 (String.length fp) = fp
-      then
-        to_prefix ^ "/"
-        ^ String.sub rel (String.length fp) (String.length rel - String.length fp)
-      else rel
+  | Some (from_prefix, to_prefix)
+    when String.starts_with ~prefix:(from_prefix ^ "/") rel ->
+      let n = String.length from_prefix in
+      to_prefix ^ String.sub rel n (String.length rel - n)
+  | Some _ | None -> rel
 
 let load ?map ?(source_root = ".") ~paths () =
   let cmts =
@@ -119,10 +98,22 @@ let load ?map ?(source_root = ".") ~paths () =
                 Hashtbl.replace seen_rel rel ();
                 let src_path = Filename.concat source_root src in
                 let source =
-                  if Sys.file_exists src_path then read_file src_path else ""
+                  if Sys.file_exists src_path then
+                    In_channel.with_open_bin src_path In_channel.input_all
+                  else ""
+                in
+                let has_mli = Sys.file_exists (src_path ^ "i") in
+                let load_path =
+                  List.map
+                    (fun dir ->
+                      if Filename.is_relative dir then
+                        Filename.concat source_root dir
+                      else dir)
+                    cmt.Cmt_format.cmt_loadpath
                 in
                 units :=
-                  { modname; rel; src_path; source; structure } :: !units
+                  { modname; rel; source; has_mli; load_path; structure }
+                  :: !units
               end
           | _ -> ()))
     cmts;

@@ -1,4 +1,4 @@
-(** Loading dune's [.cmt] artifacts for the typed pass.
+(** Loading dune's [.cmt] artifacts, the lint engine's only input.
 
     Walks the given directories (including the leading-dot [.objs] dirs
     dune uses), reads every [.cmt] with [Cmt_format.read_cmt], and keeps
@@ -10,8 +10,12 @@
 type unit_info = {
   modname : string;  (** user-visible module name, wrapping stripped *)
   rel : string;  (** workspace-relative source path, after [map] *)
-  src_path : string;  (** where the source was read from (waiver scan) *)
   source : string;  (** source text, [""] if unreadable *)
+  has_mli : bool;  (** an [.mli] sits beside the source *)
+  load_path : string list;
+      (** the compiler's [-I] path for this unit, relative entries resolved
+          against [source_root]: where its [.cmi] dependencies live, for
+          rebuilding typing environments *)
   structure : Typedtree.structure;
 }
 
@@ -27,11 +31,13 @@ val split_wrapped : string -> string option * string
 (** ["Marlin_core__Auth"] → [(Some "Marlin_core", "Auth")];
     an unwrapped name has no prefix. Splits on the last ["__"]. *)
 
-val load : ?map:string * string -> ?source_root:string -> paths:string list -> unit -> t
+val load :
+  ?map:string * string -> ?source_root:string -> paths:string list -> unit -> t
 (** [load ~paths ()] scans [paths] for [.cmt] files. [map=(from_, to_)]
     rewrites each unit's [rel] prefix — used to lint fixture trees as if
     they lived under [lib/core] so path-scoped rules apply. [source_root]
-    (default ["."]) anchors [cmt_sourcefile]'s workspace-relative path
-    when reading sources for the waiver scan; [cmt_builddir] is not used
-    because it records the build machine's root and goes stale under
-    sandboxed builds. *)
+    (default ["."]) is the build context root: it anchors
+    [cmt_sourcefile]'s workspace-relative path when reading sources and
+    the relative [-I] entries of [cmt_loadpath]. [cmt_builddir] is not
+    used because it records the build machine's root and goes stale
+    under sandboxed builds. *)

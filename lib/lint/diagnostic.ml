@@ -15,15 +15,14 @@ let make ~rule ~severity ~file ~line ~col message =
   { rule; severity; file; line; col; message }
 
 let order a b =
-  match String.compare a.file b.file with
-  | 0 -> (
-      match Int.compare a.line b.line with
-      | 0 -> (
-          match Int.compare a.col b.col with
-          | 0 -> String.compare a.rule b.rule
-          | c -> c)
-      | c -> c)
-  | c -> c
+  let c = String.compare a.file b.file in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.line b.line in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.col b.col in
+      if c <> 0 then c else String.compare a.rule b.rule
 
 let pp fmt d =
   Format.fprintf fmt "%s:%d:%d: [%s] %s: %s" d.file d.line d.col d.rule
@@ -48,7 +47,7 @@ let json_escape s =
 
 (* GitHub Actions workflow-command escaping: data escapes %, CR, LF;
    property values additionally escape ':' and ','. *)
-let github_escape_data s =
+let github_escape ~property s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
     (fun c ->
@@ -56,20 +55,8 @@ let github_escape_data s =
       | '%' -> Buffer.add_string b "%25"
       | '\r' -> Buffer.add_string b "%0D"
       | '\n' -> Buffer.add_string b "%0A"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let github_escape_property s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' -> Buffer.add_string b "%25"
-      | '\r' -> Buffer.add_string b "%0D"
-      | '\n' -> Buffer.add_string b "%0A"
-      | ':' -> Buffer.add_string b "%3A"
-      | ',' -> Buffer.add_string b "%2C"
+      | ':' when property -> Buffer.add_string b "%3A"
+      | ',' when property -> Buffer.add_string b "%2C"
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
@@ -77,10 +64,10 @@ let github_escape_property s =
 let to_github d =
   Printf.sprintf "::%s file=%s,line=%d,col=%d,title=%s::%s"
     (severity_label d.severity)
-    (github_escape_property d.file)
+    (github_escape ~property:true d.file)
     d.line d.col
-    (github_escape_property d.rule)
-    (github_escape_data d.message)
+    (github_escape ~property:true d.rule)
+    (github_escape ~property:false d.message)
 
 let to_json d =
   Printf.sprintf

@@ -38,5 +38,5 @@ val to_json : t -> string
 (** One JSON object, parseable by [Marlin_obs.Json_lite]. *)
 
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal (used by {!Engine}
+(** Escape a string for embedding in a JSON literal (used by {!Report}
     for the report envelope). *)

@@ -12,10 +12,6 @@ type verdict = {
   via : string list;  (** call chain from this node to the root's node *)
 }
 
-val root_of : string list -> string option
-(** Classify a normalized dotted reference (split on ['.']); [Some why]
-    makes it an impurity root. *)
-
 val infer : Callgraph.t -> (string, verdict) Hashtbl.t
 (** Verdicts for every impure node, keyed by node key. Deterministic:
     nodes and references are visited in definition order and a verdict,

@@ -1,37 +1,17 @@
-(* The pass-neutral report: the Parsetree pass (Engine) and the Typedtree
-   pass (Marlin_lint_typed.Engine_typed) both lower their results into
-   this shape, so the CLI can merge them into one canonically ordered
-   marlin-lint/1 document. *)
-
-type rule_decl = {
-  name : string;
-  severity : Diagnostic.severity;
-  doc : string;
-}
+(* The lint report and its three renderings: compiler-style text, GitHub
+   workflow annotations, and the marlin-lint/1 JSON document. *)
 
 type t = {
   files_scanned : int;
   diagnostics : Diagnostic.t list;
   suppressed : int;
-  rules : rule_decl list;
+  rules : Rules_typed.t list;
   timings : (string * float) list;
 }
 
-let empty =
-  { files_scanned = 0; diagnostics = []; suppressed = 0; rules = []; timings = [] }
-
 (* Canonical report order — by rel path, line, col, rule — regardless of
-   the order passes (or filesystems) produced the findings in. *)
+   the order rules (or filesystems) produced the findings in. *)
 let canonical diagnostics = List.sort Diagnostic.order diagnostics
-
-let merge a b =
-  {
-    files_scanned = a.files_scanned + b.files_scanned;
-    diagnostics = canonical (a.diagnostics @ b.diagnostics);
-    suppressed = a.suppressed + b.suppressed;
-    rules = a.rules @ b.rules;
-    timings = a.timings @ b.timings;
-  }
 
 let count severity r =
   List.length
@@ -41,53 +21,40 @@ let count severity r =
 let errors = count Diagnostic.Error
 let warnings = count Diagnostic.Warning
 
-let pp_human fmt r =
-  List.iter (fun d -> Format.fprintf fmt "%a@." Diagnostic.pp d) r.diagnostics;
+let summary fmt r =
   Format.fprintf fmt
     "marlin_lint: %d file(s), %d rule(s): %d error(s), %d warning(s), %d \
      suppressed@."
     r.files_scanned (List.length r.rules) (errors r) (warnings r) r.suppressed
+
+let pp_human fmt r =
+  List.iter (fun d -> Format.fprintf fmt "%a@." Diagnostic.pp d) r.diagnostics;
+  summary fmt r
 
 let pp_github fmt r =
   List.iter
     (fun d -> Format.fprintf fmt "%s@." (Diagnostic.to_github d))
     r.diagnostics;
-  Format.fprintf fmt
-    "marlin_lint: %d file(s), %d rule(s): %d error(s), %d warning(s), %d \
-     suppressed@."
-    r.files_scanned (List.length r.rules) (errors r) (warnings r) r.suppressed
+  summary fmt r
 
 let schema = "marlin-lint/1"
 
 let to_json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       {|{"schema":"%s","files":%d,"errors":%d,"warnings":%d,"suppressed":%d,|}
-       schema r.files_scanned (errors r) (warnings r) r.suppressed);
-  Buffer.add_string b {|"rules":[|};
-  List.iteri
-    (fun i rd ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf {|{"name":"%s","severity":"%s","doc":"%s"}|}
-           (Diagnostic.json_escape rd.name)
-           (Diagnostic.severity_label rd.severity)
-           (Diagnostic.json_escape rd.doc)))
-    r.rules;
-  Buffer.add_string b {|],"timings":[|};
-  List.iteri
-    (fun i (name, seconds) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf {|{"rule":"%s","seconds":%.6f}|}
-           (Diagnostic.json_escape name) seconds))
-    r.timings;
-  Buffer.add_string b {|],"diagnostics":[|};
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Diagnostic.to_json d))
-    r.diagnostics;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let list f xs = String.concat "," (List.map f xs) in
+  Printf.sprintf
+    ({|{"schema":"%s","files":%d,"errors":%d,"warnings":%d,"suppressed":%d,|}
+    ^^ {|"rules":[%s],"timings":[%s],"diagnostics":[%s]}|})
+    schema r.files_scanned (errors r) (warnings r) r.suppressed
+    (list
+       (fun (rule : Rules_typed.t) ->
+         Printf.sprintf {|{"name":"%s","severity":"%s","doc":"%s"}|}
+           (Diagnostic.json_escape rule.name)
+           (Diagnostic.severity_label rule.severity)
+           (Diagnostic.json_escape rule.doc))
+       r.rules)
+    (list
+       (fun (name, seconds) ->
+         Printf.sprintf {|{"rule":"%s","seconds":%.6f}|}
+           (Diagnostic.json_escape name) seconds)
+       r.timings)
+    (list Diagnostic.to_json r.diagnostics)

@@ -1,39 +1,27 @@
-(** The pass-neutral lint report.
-
-    Both analysis passes — the Parsetree {!Engine} and the Typedtree
-    engine in [marlin_lint_typed] — lower into this shape so the CLI can
-    {!merge} them into one canonically ordered [marlin-lint/1] document.
-    Ordering is {!Diagnostic.order} (rel path, line, col, rule), so a
-    report is byte-identical across runs and filesystem orders. *)
-
-type rule_decl = {
-  name : string;
-  severity : Diagnostic.severity;
-  doc : string;
-}
+(** The lint report: what {!Engine_typed.run} returns and the CLI renders
+    as text, GitHub annotations or one [marlin-lint/1] JSON document.
+    Diagnostics are in {!Diagnostic.order} (rel path, line, col, rule), so
+    a report is byte-identical across runs and filesystem orders. *)
 
 type t = {
   files_scanned : int;
   diagnostics : Diagnostic.t list;  (** in canonical order *)
   suppressed : int;
-  rules : rule_decl list;  (** every rule the contributing passes ran *)
+  rules : Rules_typed.t list;  (** every rule the engine ran *)
   timings : (string * float) list;
       (** per-rule (and per-phase) seconds, in execution order; all zero
           unless the caller supplied a real clock, keeping default reports
           byte-identical *)
 }
 
-val empty : t
-
 val canonical : Diagnostic.t list -> Diagnostic.t list
 (** Sort into report order ({!Diagnostic.order}). *)
 
-val merge : t -> t -> t
-(** Concatenate counts, rules and timings; re-sort diagnostics into
-    canonical order. *)
-
 val errors : t -> int
 val warnings : t -> int
+
+val summary : Format.formatter -> t -> unit
+(** The one-line summary: files, rules, errors, warnings, suppressed. *)
 
 val pp_human : Format.formatter -> t -> unit
 (** Compiler-style [file:line:col] lines plus a one-line summary. *)

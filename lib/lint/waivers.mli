@@ -1,20 +1,22 @@
-(** Suppression filtering shared by both lint passes, with stale-waiver
-    detection: a [(* lint: allow … *)] directive naming a rule this pass
-    runs that matched no diagnostic becomes a ["stale-waiver"] error
-    anchored at the directive's line. *)
+(** Inline waivers, with stale-waiver detection.
+
+    [(* lint: allow <rule> — reason *)] silences [<rule>] on the comment's
+    own line and the line below it; [(* lint: allow-file <rule> — reason *)]
+    silences it for the whole file. The reason text is free-form but
+    expected by convention. A directive naming a rule the engine runs that
+    matched no diagnostic becomes a ["stale-waiver"] error anchored at the
+    directive's line. *)
 
 val stale_rule : string
-(** ["stale-waiver"] — the synthetic rule name stale findings carry. *)
+(** ["stale-waiver"], the synthetic rule name stale findings carry. *)
 
 val filter :
-  known_rules:string list ->
   source_of:(string -> string option) ->
   files:string list ->
   Diagnostic.t list ->
   Diagnostic.t list * int
-(** [filter ~known_rules ~source_of ~files diags] drops every diagnostic
-    a waiver covers and appends stale-waiver errors for unused
-    directives in [files] (rel paths) that name a rule in [known_rules].
-    [source_of] maps a rel path to its source text (for the textual
-    waiver scan). Returns the surviving diagnostics (unsorted) and the
-    number suppressed. *)
+(** [filter ~source_of ~files diags] drops every diagnostic a waiver
+    covers and appends stale-waiver errors for unused directives in
+    [files] (rel paths) that name one of {!Rules_typed.all}. [source_of]
+    maps a rel path to its source text. Returns the surviving diagnostics
+    (unsorted) and the number suppressed. *)

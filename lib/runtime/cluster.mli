@@ -70,9 +70,13 @@ module Make (P : Marlin_core.Consensus_intf.PROTOCOL) : sig
   val create : params -> t
   (** @raise Invalid_argument naming the field when [batch_max < 1],
       [op_size < 0], [reply_size < 0], [exec_cost] is negative or not
-      finite, or a [rotation] period is not finite and positive; and
-      through {!Marlin_core.Consensus_intf.Config.make} when [n], [f] or
-      the timeouts are invalid. *)
+      finite, or a [rotation] period is not finite and positive; through
+      {!Marlin_sim.Netsim.create} and {!Marlin_store.Sim_disk.create} when
+      a field of [net] or [disk] is invalid (a negative or non-finite
+      delay or cost, a bandwidth not [> 0], a negative
+      [checkpoint_interval]); and through
+      {!Marlin_core.Consensus_intf.Config.make} when [n], [f] or the
+      timeouts are invalid. *)
 
   val sim : t -> Marlin_sim.Sim.t
   val net : t -> Marlin_sim.Netsim.t

@@ -46,7 +46,24 @@ type t = {
   mutable next_id : int; (* unique per accepted send; pairs queue/deliver *)
 }
 
+let validate config =
+  let reject field need =
+    invalid_arg (Printf.sprintf "Netsim.create: %s must be %s" field need)
+  in
+  List.iter
+    (fun (field, x) ->
+      if not (Float.is_finite x && x >= 0.) then reject field "finite and >= 0")
+    [
+      ("latency", config.latency);
+      ("jitter", config.jitter);
+      ("gst", config.gst);
+      ("pre_gst_extra", config.pre_gst_extra);
+    ];
+  (* NaN fails the comparison too; infinity is an unlimited uplink *)
+  if not (config.bandwidth_bps > 0.) then reject "bandwidth_bps" "> 0"
+
 let create sim rng config ~endpoints =
+  validate config;
   {
     sim;
     rng;

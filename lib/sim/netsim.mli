@@ -26,6 +26,9 @@ val default_config : config
 type t
 
 val create : Sim.t -> Rng.t -> config -> endpoints:int -> t
+(** @raise Invalid_argument naming the field when [latency], [jitter],
+    [gst] or [pre_gst_extra] is negative or not finite, or
+    [bandwidth_bps] is not [> 0] ([infinity] is allowed). *)
 
 val register :
   t -> id:int -> (src:int -> Marlin_types.Message.t -> unit) -> unit

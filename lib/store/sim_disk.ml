@@ -18,7 +18,21 @@ let default_config =
 
 type t = { config : config; mutable blocks : int; mutable checkpoints : int }
 
-let create config = { config; blocks = 0; checkpoints = 0 }
+let create config =
+  let reject field need =
+    invalid_arg (Printf.sprintf "Sim_disk.create: %s must be %s" field need)
+  in
+  List.iter
+    (fun (field, x) ->
+      if not (Float.is_finite x && x >= 0.) then reject field "finite and >= 0")
+    [
+      ("write_overhead", config.write_overhead);
+      ("checkpoint_cost", config.checkpoint_cost);
+    ];
+  (* NaN fails the comparison too; infinity makes writes free *)
+  if not (config.write_bandwidth > 0.) then reject "write_bandwidth" "> 0";
+  if config.checkpoint_interval < 0 then reject "checkpoint_interval" ">= 0";
+  { config; blocks = 0; checkpoints = 0 }
 
 let commit_cost t ~bytes =
   t.blocks <- t.blocks + 1;

@@ -10,7 +10,8 @@
 type config = {
   write_bandwidth : float;  (** sequential write bytes/second *)
   write_overhead : float;  (** fixed seconds per batch (syscall + WAL) *)
-  checkpoint_interval : int;  (** blocks between checkpoints (paper: 5000) *)
+  checkpoint_interval : int;
+      (** blocks between checkpoints (paper: 5000); 0 disables them *)
   checkpoint_cost : float;  (** seconds a checkpoint stalls the replica *)
 }
 
@@ -19,6 +20,9 @@ val default_config : config
 type t
 
 val create : config -> t
+(** @raise Invalid_argument naming the field when [write_overhead] or
+    [checkpoint_cost] is negative or not finite, [write_bandwidth] is not
+    [> 0] ([infinity] is allowed), or [checkpoint_interval < 0]. *)
 
 val commit_cost : t -> bytes:int -> float
 (** Simulated seconds to persist one committed block of [bytes]. Advances

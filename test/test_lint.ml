@@ -1,313 +1,245 @@
-(* Tests for the marlin_lint static analyzer: every rule gets a violating
-   snippet (with the exact file:line:col asserted), a clean snippet, and a
-   suppressed variant; plus the cross-file rules (deprecated-alias,
-   missing-mli) over a real on-disk tree, the JSON report, and severity
-   demotion. *)
+(* Tests for the marlin_lint static analyzer. Every rule runs over the
+   compiled seeded-violation library tools/lint/fixtures_typed, linted as
+   if it lived under lib/core: each rule's fixture file holds flagged
+   cases (with the exact line:col asserted) next to clean ones, and the
+   waiver fixtures cover line, same-line, per-rule, file-wide and stale
+   waivers. Plus scope, severity demotion, ordering and the report
+   formats. *)
 
-(* lint: allow-file stale-waiver -- the waiver directives below live
-   inside test string literals; the textual suppression scan cannot tell
-   them from real ones *)
-
-module Engine = Marlin_lint.Engine
+module Engine = Marlin_lint.Engine_typed
 module Diagnostic = Marlin_lint.Diagnostic
-module Rules = Marlin_lint.Rules
+module Rules = Marlin_lint.Rules_typed
 module Report = Marlin_lint.Report
-module Typed = Marlin_lint_typed.Engine_typed
-module Rules_typed = Marlin_lint_typed.Rules_typed
 module Json = Marlin_obs.Json_lite
 
 (* ---------- helpers ---------- *)
 
-let lint ?warn ?(path = "lib/snippet.ml") source =
-  Engine.lint_source ?warn ~path ~source ()
+(* The test binary runs from _build/default/test, hence the ".." source
+   root; [under] is where the fixture units are linted as if they lived,
+   lib/core by default so every path-scoped rule applies. *)
+let lint_fixtures ?warn ?(under = "lib/core") () =
+  Engine.run ?warn
+    ~map:("tools/lint/fixtures_typed", under)
+    ~source_root:".."
+    ~paths:[ "../tools/lint/fixtures_typed/.lint_fixtures_typed.objs/byte" ]
+    ()
 
-(* Findings for one rule only — lint_source runs a single in-memory file,
-   so every lib/*.ml snippet also (correctly) trips missing-mli; tests
-   select the rule under test. *)
-let findings rule result =
+let typed_result = lazy (lint_fixtures ())
+
+let findings ?(report = Lazy.force typed_result) rule =
   List.filter
-    (fun d -> d.Diagnostic.rule = rule)
-    result.Engine.diagnostics
+    (fun d -> String.equal d.Diagnostic.rule rule)
+    report.Report.diagnostics
 
-let anchors rule result =
-  List.map (fun d -> (d.Diagnostic.line, d.Diagnostic.col)) (findings rule result)
+let typed_anchors ?report rule =
+  List.map
+    (fun d -> (d.Diagnostic.file, d.Diagnostic.line, d.Diagnostic.col))
+    (findings ?report rule)
+
+(* The (line, col) anchors of [rule]'s findings in one fixture file. *)
+let anchors ?report rule file =
+  List.filter_map
+    (fun (f, line, col) ->
+      if String.equal f file then Some (line, col) else None)
+    (typed_anchors ?report rule)
 
 let check_anchors msg expected actual =
   Alcotest.(check (list (pair int int))) msg expected actual
 
-let flags rule source = anchors rule (lint source)
-
-let clean rule source =
-  Alcotest.(check (list (pair int int)))
-    ("clean: " ^ rule) [] (flags rule source)
-
-(* ---------- poly-compare ---------- *)
-
-let test_poly_compare () =
-  check_anchors "bare compare flagged" [ (1, 12) ]
-    (flags "poly-compare" "let f a b = compare a b\n");
-  check_anchors "Stdlib.compare flagged" [ (1, 12) ]
-    (flags "poly-compare" "let g a b = Stdlib.compare a b\n");
-  check_anchors "Hashtbl.hash flagged" [ (1, 10) ]
-    (flags "poly-compare" "let h x = Hashtbl.hash x\n");
-  check_anchors "( = ) on a structured operand flagged" [ (1, 10) ]
-    (flags "poly-compare" "let p x = x = Some 3\n");
-  clean "poly-compare" "let f a b = Int.compare a b\n";
-  clean "poly-compare" "let p x = match x with Some 3 -> true | _ -> false\n";
-  (* primitive operands are fine: the rule only fires on structured shapes *)
-  clean "poly-compare" "let q x = x = 3\n";
-  (* out of scope: the rule only applies under lib/ *)
-  check_anchors "bench/ is out of scope" []
-    (anchors "poly-compare"
-       (lint ~path:"bench/snippet.ml" "let f a b = compare a b\n"))
-
-(* ---------- hashtbl-order ---------- *)
-
-let test_hashtbl_order () =
-  check_anchors "fold building a list flagged" [ (1, 13) ]
-    (flags "hashtbl-order"
-       "let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t []\n");
-  check_anchors "iter consing into a ref flagged" [ (2, 2) ]
-    (flags "hashtbl-order"
-       "let keys t acc =\n  Hashtbl.iter (fun k _ -> acc := k :: !acc) t\n");
-  check_anchors "Pair_tbl.fold building a list flagged" [ (1, 13) ]
-    (flags "hashtbl-order"
-       "let keys t = Pair_tbl.fold (fun a b _ acc -> (a, b) :: acc) t []\n");
-  clean "hashtbl-order"
-    "let keys t =\n\
-    \  List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])\n";
-  clean "hashtbl-order"
-    "let keys t =\n\
-    \  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compare\n";
-  (* a local helper whose name says it sorts counts as an explicit sort *)
-  clean "hashtbl-order"
-    "let keys t =\n\
-    \  Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> sort_by_key\n";
-  (* folds that do not build a list (sums, counts) are order-insensitive *)
-  clean "hashtbl-order" "let n t = Hashtbl.fold (fun _ _ acc -> acc + 1) t 0\n"
-
-(* ---------- float-equality ---------- *)
-
-let test_float_equality () =
-  check_anchors "( = ) against a float literal flagged" [ (1, 10) ]
-    (flags "float-equality" "let p x = x = 1.0\n");
-  check_anchors "( <> ) against a float literal flagged" [ (1, 10) ]
-    (flags "float-equality" "let p x = 0.5 <> x\n");
-  clean "float-equality" "let p x = Float.abs (x -. 1.0) < 1e-9\n";
-  clean "float-equality" "let p x = x < 1.0\n"
-
-(* ---------- toplevel-state ---------- *)
-
-let test_toplevel_state () =
-  check_anchors "toplevel Hashtbl.create flagged" [ (1, 0) ]
-    (flags "toplevel-state" "let cache = Hashtbl.create 16\n");
-  check_anchors "toplevel ref flagged" [ (1, 0) ]
-    (flags "toplevel-state" "let hits = ref 0\n");
-  clean "toplevel-state" "let create () = Hashtbl.create 16\n";
-  (* out of scope outside lib/ *)
-  check_anchors "test/ is out of scope" []
-    (anchors "toplevel-state"
-       (lint ~path:"test/snippet.ml" "let cache = Hashtbl.create 16\n"))
-
-(* ---------- suppression ---------- *)
-
-let test_suppression () =
-  let src =
-    "(* lint: allow poly-compare -- digests are flat strings here *)\n\
-     let f a b = compare a b\n"
-  in
-  let r = lint src in
-  check_anchors "waived finding dropped" [] (anchors "poly-compare" r);
-  Alcotest.(check bool) "counted as suppressed" true (r.Engine.suppressed >= 1);
-  (* same-line comment works too *)
-  check_anchors "same-line waiver" []
-    (anchors "float-equality"
-       (lint "let p x = x = 1.0 (* lint: allow float-equality -- exact *)\n"));
-  (* a waiver for rule A does not silence rule B *)
-  check_anchors "waiver is per-rule" [ (2, 10) ]
-    (flags "float-equality"
-       "(* lint: allow poly-compare -- wrong rule *)\nlet p x = x = 1.0\n");
-  (* file-wide waiver *)
-  check_anchors "allow-file waives everywhere" []
-    (anchors "float-equality"
-       (lint
-          "(* lint: allow-file float-equality -- table of exact constants *)\n\
-           let p x = x = 1.0\n\
-           let q x = x = 2.0\n"))
-
-(* ---------- cross-file rules over a real tree ---------- *)
-
-let with_temp_tree files f =
-  let dir = Filename.temp_file "marlin_lint_test" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let cleanup = ref [ dir ] in
-  List.iter
-    (fun (rel, source) ->
-      let path = Filename.concat dir rel in
-      let parent = Filename.dirname path in
-      if not (Sys.file_exists parent) then begin
-        Sys.mkdir parent 0o755;
-        cleanup := parent :: !cleanup
-      end;
-      let oc = open_out path in
-      output_string oc source;
-      close_out oc;
-      cleanup := path :: !cleanup)
-    files;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p ->
-          try if Sys.is_directory p then Sys.rmdir p else Sys.remove p
-          with Sys_error _ -> ())
-        !cleanup)
-    (fun () -> f dir)
-
-let test_missing_mli () =
-  with_temp_tree
-    [
-      ("lib/with_mli.ml", "let x = 1\n");
-      ("lib/with_mli.mli", "val x : int\n");
-      ("lib/without_mli.ml", "let y = 2\n");
-      ("lib/shapes_intf.ml", "module type S = sig end\n");
-    ]
-    (fun dir ->
-      let r = Engine.run ~root:dir ~paths:[ dir ] () in
-      let hits =
-        List.map (fun d -> d.Diagnostic.file) (findings "missing-mli" r)
-      in
-      Alcotest.(check (list string))
-        "only the interface-less module is flagged, _intf exempt"
-        [ "lib/without_mli.ml" ] hits)
-
-let test_deprecated_alias () =
-  with_temp_tree
-    [
-      ( "lib/legacy.mli",
-        "val old_send : int -> unit\n\
-        \  [@@ocaml.deprecated \"use Transport.send instead\"]\n" );
-      ("lib/legacy.ml", "let old_send _ = ()\n");
-      ("lib/caller.ml", "let ping () = Legacy.old_send 3\n");
-      ("lib/caller.mli", "val ping : unit -> unit\n");
-    ]
-    (fun dir ->
-      let r = Engine.run ~root:dir ~paths:[ dir ] () in
-      match findings "deprecated-alias" r with
-      | [ d ] ->
-          Alcotest.(check string) "anchored at the call site" "lib/caller.ml"
-            d.Diagnostic.file;
-          Alcotest.(check bool) "message carries the advice" true
-            (let msg = d.Diagnostic.message in
-             let needle = "Transport.send" in
-             let n = String.length msg and m = String.length needle in
-             let rec go i = i + m <= n && (String.sub msg i m = needle || go (i + 1)) in
-             go 0)
-      | ds ->
-          Alcotest.failf "expected exactly one deprecated-alias finding, got %d"
-            (List.length ds))
-
-(* ---------- severity demotion and report plumbing ---------- *)
-
-let test_warn_demotes () =
-  let r = lint ~warn:[ "poly-compare" ] "let f a b = compare a b\n" in
-  match findings "poly-compare" r with
-  | [ d ] ->
-      Alcotest.(check string) "demoted to warning" "warning"
-        (Diagnostic.severity_label d.Diagnostic.severity)
-  | _ -> Alcotest.fail "expected exactly one poly-compare finding"
-
-let test_exact_diagnostic_text () =
-  let r = lint "let f a b = compare a b\n" in
-  match findings "poly-compare" r with
-  | [ d ] ->
-      Alcotest.(check string) "compiler-style rendering"
-        "lib/snippet.ml:1:12: [poly-compare] error: polymorphic compare; use \
-         an explicit comparator (Rank.compare, Int.compare, String.compare, \
-         ...)"
-        (Format.asprintf "%a" Diagnostic.pp d)
-  | _ -> Alcotest.fail "expected exactly one poly-compare finding"
-
-let test_json_report () =
-  let r = lint "let f a b = compare a b\nlet p x = x = 1.0\n" in
-  let json = Json.parse_exn (Engine.to_json r) in
-  Alcotest.(check (option string)) "schema tag" (Some Engine.schema)
-    (Json.string_at [ "schema" ] json);
-  Alcotest.(check (option int)) "files counted" (Some 1)
-    (Json.int_at [ "files" ] json);
-  Alcotest.(check (option int)) "errors counted" (Some (Engine.errors r))
-    (Json.int_at [ "errors" ] json);
-  let diags = Option.get (Json.to_list (Option.get (Json.mem [ "diagnostics" ] json))) in
-  Alcotest.(check int) "every diagnostic serialized"
-    (List.length r.Engine.diagnostics) (List.length diags);
-  let poly =
-    List.find
-      (fun d -> Json.string_at [ "rule" ] d = Some "poly-compare")
-      diags
-  in
-  Alcotest.(check (option int)) "line field" (Some 1)
-    (Json.int_at [ "line" ] poly);
-  Alcotest.(check (option int)) "col field" (Some 12)
-    (Json.int_at [ "col" ] poly)
-
-let test_broken_source_reported () =
-  let r = lint "let f = (\n" in
-  Alcotest.(check bool) "parse error surfaces as a finding" true
-    (Engine.errors r > 0)
-
-let test_rule_inventory () =
-  Alcotest.(check int) "six rules ship" 6 (List.length Rules.all);
-  Alcotest.(check bool) "find knows poly-compare" true
-    (Option.is_some (Rules.find "poly-compare"));
-  (* determinism is the typed pass's job alone *)
-  Alcotest.(check bool) "no syntactic determinism rules" true
-    (Option.is_none (Rules.find "wall-clock")
-    && Option.is_none (Rules.find "workload-rng"));
-  Alcotest.(check bool) "find rejects unknowns" true
-    (Option.is_none (Rules.find "no-such-rule"))
-
-(* ---------- typed pass over the seeded-violation fixtures ---------- *)
-
-(* The fixture library compiles under tools/lint/fixtures_typed; the
-   --typed-map equivalent below lints it as if it lived in lib/core so
-   the protocol-scoped rules apply. The test binary runs from
-   _build/default/test, hence the ".." source root. *)
-let typed_result =
-  lazy
-    (Typed.run
-       ~map:("tools/lint/fixtures_typed", "lib/core")
-       ~source_root:".."
-       ~paths:[ "../tools/lint/fixtures_typed/.lint_fixtures_typed.objs/byte" ]
-       ())
-
-let typed_anchors rule =
-  let r = Lazy.force typed_result in
-  List.filter_map
-    (fun d ->
-      if d.Diagnostic.rule = rule then
-        Some (d.Diagnostic.file, d.Diagnostic.line, d.Diagnostic.col)
-      else None)
-    r.Typed.diagnostics
-
 let check_typed_anchors msg expected rule =
   Alcotest.(check (list (triple string int int))) msg expected
     (typed_anchors rule)
-
-let impurity_message line =
-  let r = Lazy.force typed_result in
-  (List.find
-     (fun d ->
-       d.Diagnostic.rule = "transitive-impurity" && d.Diagnostic.line = line)
-     r.Typed.diagnostics)
-    .Diagnostic.message
 
 let mentions sub msg =
   let ls = String.length sub and l = String.length msg in
   let rec scan i = i + ls <= l && (String.sub msg i ls = sub || scan (i + 1)) in
   scan 0
 
+let message_at rule file line =
+  (List.find
+     (fun d -> String.equal d.Diagnostic.file file && d.Diagnostic.line = line)
+     (findings rule))
+    .Diagnostic.message
+
+(* ---------- poly-compare ---------- *)
+
+let test_poly_compare () =
+  let file = "lib/core/bad_poly_compare.ml" in
+  check_anchors
+    "compare, Stdlib.compare and Hashtbl.hash at a type variable, ( = ) at \
+     an option and a tuple, ( <> ) at a record, compare passed to List.sort"
+    [ (6, 12); (7, 12); (8, 10); (9, 10); (10, 30); (11, 27); (12, 27) ]
+    (anchors "poly-compare" file);
+  (* lines 14-20 (Int.compare, a match, int, string, a constant-only
+     variant, None, []) are clean: the list above is exact *)
+  Alcotest.(check bool) "message names the instantiated type" true
+    (mentions "at type int * int" (message_at "poly-compare" file 10));
+  (* a Hashtbl.Make key hashed at its own int type is flat, so clean *)
+  check_anchors "Hashtbl.hash at int is clean" []
+    (anchors "poly-compare" "lib/core/bad_hashtbl_order.ml");
+  (* out of scope: the rule only applies under lib/ *)
+  check_anchors "bench/ is out of scope" []
+    (anchors
+       ~report:(lint_fixtures ~under:"bench" ())
+       "poly-compare" "bench/bad_poly_compare.ml")
+
+(* ---------- hashtbl-order ---------- *)
+
+let test_hashtbl_order () =
+  check_anchors
+    "Hashtbl.fold, Hashtbl.iter consing into a ref, Pair_tbl.fold and a \
+     Hashtbl.Make instance's fold, each building a list"
+    [ (12, 13); (14, 2); (15, 14); (16, 17) ]
+    (anchors "hashtbl-order" "lib/core/bad_hashtbl_order.ml");
+  (* lines 18-25: List.sort around the fold, |> List.sort, |> a local
+     sort_by_key helper, and a counting fold are clean *)
+  Alcotest.(check bool) "message names the call as written" true
+    (mentions "Tbl.fold builds a list"
+       (message_at "hashtbl-order" "lib/core/bad_hashtbl_order.ml" 16))
+
+(* ---------- float-equality ---------- *)
+
+let test_float_equality () =
+  check_anchors "( = ), ( <> ) and ( == ) against a float literal flagged"
+    [ (3, 10); (4, 10); (5, 10) ]
+    (anchors "float-equality" "lib/core/bad_float_equality.ml")
+
+(* ---------- toplevel-state ---------- *)
+
+let test_toplevel_state () =
+  check_anchors "toplevel Hashtbl.create and ref flagged, create () clean"
+    [ (3, 0); (4, 0) ]
+    (anchors "toplevel-state" "lib/core/bad_toplevel_state.ml");
+  (* out of scope outside lib/ *)
+  check_anchors "test/ is out of scope" []
+    (anchors
+       ~report:(lint_fixtures ~under:"test" ())
+       "toplevel-state" "test/bad_toplevel_state.ml")
+
+(* ---------- suppression ---------- *)
+
+let test_suppression () =
+  let file = "lib/core/waived_findings.ml" in
+  check_anchors "waived findings dropped" [] (anchors "poly-compare" file);
+  Alcotest.(check bool) "counted as suppressed" true
+    ((Lazy.force typed_result).Report.suppressed >= 3);
+  (* the same-line waiver on line 6 holds; the poly-compare waiver above
+     line 9 does not silence float-equality on it *)
+  check_anchors "same-line waiver, and a waiver is per-rule" [ (9, 18) ]
+    (anchors "float-equality" file);
+  check_anchors "allow-file waives everywhere" []
+    (anchors "float-equality" "lib/core/waived_file.ml")
+
+(* ---------- missing-mli ---------- *)
+
+let test_missing_mli () =
+  Alcotest.(check (list string))
+    "only the interface-less module is flagged, _intf exempt"
+    [ "lib/core/bad_missing_mli.ml" ]
+    (List.map (fun d -> d.Diagnostic.file) (findings "missing-mli"))
+
+(* ---------- severity demotion and report plumbing ---------- *)
+
+let test_warn_demotes () =
+  let report = lint_fixtures ~warn:[ "poly-compare" ] () in
+  match findings ~report "poly-compare" with
+  | [] -> Alcotest.fail "expected poly-compare findings"
+  | ds ->
+      Alcotest.(check (list string)) "demoted to warning"
+        (List.map (fun _ -> "warning") ds)
+        (List.map (fun d -> Diagnostic.severity_label d.Diagnostic.severity) ds)
+
+let test_exact_diagnostic_text () =
+  match
+    List.find_opt
+      (fun d -> d.Diagnostic.line = 6)
+      (findings "poly-compare")
+  with
+  | Some d ->
+      Alcotest.(check string) "compiler-style rendering"
+        "lib/core/bad_poly_compare.ml:6:12: [poly-compare] error: polymorphic \
+         compare at type 'a; use an explicit comparator (Rank.compare, \
+         Int.compare, String.compare, ...)"
+        (Format.asprintf "%a" Diagnostic.pp d)
+  | None -> Alcotest.fail "expected a poly-compare finding on line 6"
+
+let test_json_report () =
+  let r = Lazy.force typed_result in
+  let json = Json.parse_exn (Report.to_json r) in
+  Alcotest.(check (option string)) "schema tag" (Some Report.schema)
+    (Json.string_at [ "schema" ] json);
+  Alcotest.(check (option int)) "files counted" (Some r.Report.files_scanned)
+    (Json.int_at [ "files" ] json);
+  Alcotest.(check (option int)) "errors counted" (Some (Report.errors r))
+    (Json.int_at [ "errors" ] json);
+  let diags =
+    Option.get (Json.to_list (Option.get (Json.mem [ "diagnostics" ] json)))
+  in
+  Alcotest.(check int) "every diagnostic serialized"
+    (List.length r.Report.diagnostics) (List.length diags);
+  let poly =
+    List.find
+      (fun d -> Json.string_at [ "rule" ] d = Some "poly-compare")
+      diags
+  in
+  Alcotest.(check (option string)) "file field"
+    (Some "lib/core/bad_poly_compare.ml") (Json.string_at [ "file" ] poly);
+  Alcotest.(check (option int)) "line field" (Some 6)
+    (Json.int_at [ "line" ] poly);
+  Alcotest.(check (option int)) "col field" (Some 12)
+    (Json.int_at [ "col" ] poly)
+
+let test_rule_inventory () =
+  Alcotest.(check (list string)) "nine rules ship, in run order"
+    [
+      "poly-compare"; "hashtbl-order"; "float-equality"; "toplevel-state";
+      "missing-mli"; "transitive-impurity"; "quorum-provenance"; "linearity";
+      "exhaustive-handler";
+    ]
+    (List.map (fun (r : Rules.t) -> r.Rules.name) Rules.all);
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool) ("find knows " ^ rule) true
+        (Option.is_some (Rules.find rule)))
+    [ "poly-compare"; "hashtbl-order"; "float-equality"; "toplevel-state";
+      "missing-mli" ];
+  (* determinism is transitive-impurity's job alone, and deprecated
+     calls are the compiler's *)
+  Alcotest.(check bool) "no wall-clock, workload-rng or deprecated-alias" true
+    (List.for_all
+       (fun name -> Option.is_none (Rules.find name))
+       [ "wall-clock"; "workload-rng"; "deprecated-alias" ]);
+  Alcotest.(check bool) "find rejects unknowns" true
+    (Option.is_none (Rules.find "no-such-rule"))
+
+(* ---------- the interprocedural rules ---------- *)
+
+let test_typed_rule_inventory () =
+  let interprocedural =
+    [ "transitive-impurity"; "quorum-provenance"; "linearity";
+      "exhaustive-handler" ]
+  in
+  List.iter
+    (fun rule ->
+      match Rules.find rule with
+      | None -> Alcotest.failf "find misses %s" rule
+      | Some r ->
+          Alcotest.(check string) ("find returns " ^ rule) rule r.Rules.name;
+          Alcotest.(check bool) (rule ^ " is an error") true
+            (r.Rules.severity = Diagnostic.Error))
+    interprocedural;
+  (* the call-graph rules run after every per-unit rule *)
+  let names = List.map (fun (r : Rules.t) -> r.Rules.name) Rules.all in
+  let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+  Alcotest.(check (list string)) "interprocedural rules run last"
+    interprocedural
+    (drop (List.length names - List.length interprocedural) names)
+
+let impurity_message line =
+  message_at "transitive-impurity" "lib/core/bad_transitive_impure.ml" line
+
 let impurity_scope rel =
-  (Option.get (Rules_typed.find "transitive-impurity")).Rules_typed.applies rel
+  (Option.get (Rules.find "transitive-impurity")).Rules.applies rel
 
 let test_typed_transitive_impurity () =
   check_typed_anchors "direct and transitive impurity anchored at the binding"
@@ -321,8 +253,8 @@ let test_typed_transitive_impurity () =
   Alcotest.(check bool) "message names the witness call chain" true
     (mentions "via Bad_transitive_impure.jitter" (impurity_message 8))
 
-(* Wall-clock reads are impurity roots of the typed pass, which covers
-   every lib/ directory but the real filesystem and the linter. *)
+(* Wall-clock reads are impurity roots of transitive-impurity, which
+   covers every lib/ directory but the real filesystem and the linter. *)
 let test_wall_clock () =
   Alcotest.(check bool) "Unix.gettimeofday flagged" true
     (mentions "Unix.gettimeofday" (impurity_message 10));
@@ -333,8 +265,8 @@ let test_wall_clock () =
       ("lib/runtime/cluster.ml", true);
       ("lib/obs/trace.ml", true);
       ("lib/store/log_store.ml", false);
-      ("lib/lint/rules.ml", false);
-      ("lib/lint_typed/effects.ml", false);
+      ("lib/lint/rules_typed.ml", false);
+      ("lib/lint/effects.ml", false);
       ("bench/main.ml", false);
     ]
 
@@ -372,37 +304,21 @@ let test_typed_waiver_interaction () =
   let r = Lazy.force typed_result in
   (* waived_linearity.ml is quadratic on purpose and carries a file-wide
      allow-file directive: its finding must be suppressed, and counted. *)
-  Alcotest.(check (list (triple string int int)))
-    "allow-file waiver suppresses the quadratic fixture" []
-    (List.filter
-       (fun (f, _, _) -> f = "lib/core/waived_linearity.ml")
-       (typed_anchors "linearity"));
-  Alcotest.(check bool) "suppression is counted" true (r.Typed.suppressed >= 1);
+  check_anchors "allow-file waiver suppresses the quadratic fixture" []
+    (anchors "linearity" "lib/core/waived_linearity.ml");
+  Alcotest.(check bool) "suppression is counted" true
+    (r.Report.suppressed >= 1);
   (* stale_waiver.ml waives a rule that never fires: that surfaces as an
      error anchored at the directive line, so the gate fails on it. *)
   check_typed_anchors "unused waiver reported where it was written"
     [ ("lib/core/stale_waiver.ml", 5, 0) ]
     "stale-waiver";
   Alcotest.(check (list string)) "stale waivers are errors" [ "error" ]
-    (List.filter_map
-       (fun d ->
-         if d.Diagnostic.rule = "stale-waiver" then
-           Some (Diagnostic.severity_label d.Diagnostic.severity)
-         else None)
-       r.Typed.diagnostics)
+    (List.map
+       (fun d -> Diagnostic.severity_label d.Diagnostic.severity)
+       (findings "stale-waiver"))
 
-let test_typed_rule_inventory () =
-  Alcotest.(check int) "four typed rules ship" 4 (List.length Rules_typed.all);
-  List.iter
-    (fun rule ->
-      Alcotest.(check bool) ("find knows " ^ rule) true
-        (Option.is_some (Rules_typed.find rule)))
-    [ "transitive-impurity"; "quorum-provenance"; "linearity";
-      "exhaustive-handler" ];
-  Alcotest.(check bool) "find rejects unknowns" true
-    (Option.is_none (Rules_typed.find "no-such-rule"))
-
-(* ---------- canonical ordering & report merging ---------- *)
+(* ---------- canonical ordering ---------- *)
 
 let mk_diag ~file ~line ~col ~rule =
   Diagnostic.make ~rule ~severity:Diagnostic.Error ~file ~line ~col "m"
@@ -420,20 +336,19 @@ let test_canonical_ordering () =
     ]
   in
   let nth i = List.nth sorted i in
-  let shuffled = [ nth 3; nth 0; nth 4; nth 2; nth 1 ] in
+  let canonical = Report.canonical [ nth 3; nth 0; nth 4; nth 2; nth 1 ] in
   Alcotest.(check (list string)) "canonical = (rel, line, col, rule)"
-    (List.map render sorted)
-    (List.map render (Report.canonical shuffled));
-  (* merging two passes re-sorts, so interleaved findings come out in the
-     same canonical order in both the text and JSON renderings *)
-  let report diags =
-    { Report.empty with Report.diagnostics = diags; files_scanned = 1 }
+    (List.map render sorted) (List.map render canonical);
+  let report =
+    {
+      Report.files_scanned = 2;
+      diagnostics = canonical;
+      suppressed = 0;
+      rules = [];
+      timings = [];
+    }
   in
-  let merged = Report.merge (report [ nth 4; nth 1 ]) (report [ nth 3; nth 0; nth 2 ]) in
-  Alcotest.(check (list string)) "merge restores canonical order"
-    (List.map render sorted)
-    (List.map render merged.Report.diagnostics);
-  let json = Json.parse_exn (Report.to_json merged) in
+  let json = Json.parse_exn (Report.to_json report) in
   let diags =
     Option.get (Json.to_list (Option.get (Json.mem [ "diagnostics" ] json)))
   in
@@ -442,16 +357,9 @@ let test_canonical_ordering () =
     (List.map (fun d -> Json.string_at [ "rule" ] d) diags)
 
 let test_json_byte_identical () =
-  let run () =
-    Typed.run
-      ~map:("tools/lint/fixtures_typed", "lib/core")
-      ~source_root:".."
-      ~paths:[ "../tools/lint/fixtures_typed/.lint_fixtures_typed.objs/byte" ]
-      ()
-  in
-  let j1 = Report.to_json (Typed.to_report (run ())) in
-  let j2 = Report.to_json (Typed.to_report (run ())) in
-  Alcotest.(check string) "two clean runs render byte-identically" j1 j2;
+  let j1 = Report.to_json (lint_fixtures ()) in
+  let j2 = Report.to_json (lint_fixtures ()) in
+  Alcotest.(check string) "two runs render byte-identically" j1 j2;
   Alcotest.(check (option string)) "schema tag" (Some "marlin-lint/1")
     (Json.string_at [ "schema" ] (Json.parse_exn j1))
 
@@ -482,18 +390,16 @@ let suite =
     ("toplevel-state", `Quick, test_toplevel_state);
     ("suppression comments", `Quick, test_suppression);
     ("missing-mli over a tree", `Quick, test_missing_mli);
-    ("deprecated-alias over a tree", `Quick, test_deprecated_alias);
     ("--warn demotes severity", `Quick, test_warn_demotes);
     ("diagnostic rendering is exact", `Quick, test_exact_diagnostic_text);
     ("json report round-trips", `Quick, test_json_report);
-    ("broken source is a finding", `Quick, test_broken_source_reported);
     ("rule inventory", `Quick, test_rule_inventory);
+    ("typed: rule inventory", `Quick, test_typed_rule_inventory);
     ("typed: transitive-impurity", `Quick, test_typed_transitive_impurity);
     ("typed: quorum-provenance", `Quick, test_typed_quorum_provenance);
     ("typed: linearity", `Quick, test_typed_linearity);
     ("typed: exhaustive-handler", `Quick, test_typed_exhaustive_handler);
     ("typed: waivers and stale-waiver", `Quick, test_typed_waiver_interaction);
-    ("typed: rule inventory", `Quick, test_typed_rule_inventory);
     ("canonical diagnostic ordering", `Quick, test_canonical_ordering);
     ("typed: json byte-identical", `Quick, test_json_byte_identical);
     ("github annotation format", `Quick, test_github_format);

@@ -8,6 +8,8 @@ module Experiment = Marlin_runtime.Experiment
 module Workload = Marlin_workload.Workload
 module Arrival = Marlin_workload.Arrival
 module Rng = Marlin_sim.Rng
+module Netsim = Marlin_sim.Netsim
+module Sim_disk = Marlin_store.Sim_disk
 module Stats = Marlin_analysis.Stats
 
 let marlin : Marlin_core.Consensus_intf.protocol =
@@ -231,6 +233,14 @@ let test_cluster_rejects_params () =
       ("exec_cost", { p with Cluster.exec_cost = Float.nan });
       ("exec_cost", { p with Cluster.exec_cost = -1e-6 });
       ("rotation", { p with Cluster.rotation = Some 0. });
+      ("latency", { p with Cluster.net = { p.net with latency = Float.nan } });
+      ("jitter", { p with Cluster.net = { p.net with jitter = -0.5 } });
+      ( "bandwidth_bps",
+        { p with Cluster.net = { p.net with bandwidth_bps = 0. } } );
+      ( "write_bandwidth",
+        { p with Cluster.disk = { p.disk with write_bandwidth = 0. } } );
+      ( "checkpoint_interval",
+        { p with Cluster.disk = { p.disk with checkpoint_interval = -1 } } );
     ]
 
 (* Every field is drawn from a small set holding both valid and invalid
@@ -305,38 +315,85 @@ let mempool_workload_property =
                   ~key_space:1 ())
                ~rate))
 
+(* Each net and disk field keeps its default five times in six, so that
+   cases with every field valid stay common among the nine extra fields. *)
+let mostly default gen =
+  QCheck.Gen.frequency [ (5, QCheck.Gen.return default); (1, gen) ]
+
+let net_disk_gen =
+  let n = Netsim.default_config and d = Sim_disk.default_config in
+  QCheck.Gen.(
+    map
+      (fun ( (latency, jitter, bandwidth_bps, gst),
+             (pre_gst_extra, write_bandwidth, write_overhead, checkpoint_cost),
+             checkpoint_interval ) ->
+        ( { Netsim.latency; jitter; bandwidth_bps; gst; pre_gst_extra },
+          {
+            Sim_disk.write_bandwidth;
+            write_overhead;
+            checkpoint_interval;
+            checkpoint_cost;
+          } ))
+      (triple
+         (quad (mostly n.latency edge_float) (mostly n.jitter edge_float)
+            (mostly n.bandwidth_bps edge_float) (mostly n.gst edge_float))
+         (quad (mostly n.pre_gst_extra edge_float)
+            (mostly d.write_bandwidth edge_float)
+            (mostly d.write_overhead edge_float)
+            (mostly d.checkpoint_cost edge_float))
+         (mostly d.checkpoint_interval (int_range (-2) 3))))
+
 let cluster_gen =
   QCheck.Gen.(
-    pair
+    triple
       (quad (int_range (-1) 7) (int_range (-1) 2) (int_range (-1) 2)
          (int_range (-1) 1))
       (quad edge_float edge_float edge_float
-         (oneof [ return None; map Option.some edge_float ])))
+         (oneof [ return None; map Option.some edge_float ]))
+      net_disk_gen)
 
-let print_cluster ((n, f, batch_max, op_size), (exec_cost, base, max, rotation)) =
+let print_cluster
+    ( (n, f, batch_max, op_size),
+      (exec_cost, base, max, rotation),
+      ((net : Netsim.config), (disk : Sim_disk.config)) ) =
   Printf.sprintf
     "n=%d f=%d batch_max=%d op_size=%d exec_cost=%g base_timeout=%g \
-     max_timeout=%g rotation=%s"
+     max_timeout=%g rotation=%s latency=%g jitter=%g bandwidth_bps=%g gst=%g \
+     pre_gst_extra=%g write_bandwidth=%g write_overhead=%g \
+     checkpoint_interval=%d checkpoint_cost=%g"
     n f batch_max op_size exec_cost base max
     (match rotation with None -> "none" | Some r -> string_of_float r)
+    net.latency net.jitter net.bandwidth_bps net.gst net.pre_gst_extra
+    disk.write_bandwidth disk.write_overhead disk.checkpoint_interval
+    disk.checkpoint_cost
 
 let cluster_create_property =
   QCheck.Test.make ~count:300
     ~name:"Cluster.create rejects exactly the invalid params"
     (QCheck.make ~print:print_cluster cluster_gen)
-    (fun ((n, f, batch_max, op_size), (exec_cost, base_timeout, max_timeout, rotation)) ->
+    (fun ( (n, f, batch_max, op_size),
+           (exec_cost, base_timeout, max_timeout, rotation),
+           (net, disk) ) ->
+      let finite_nonneg x = Float.is_finite x && x >= 0. in
       let valid =
         f >= 0 && n >= 1 && n >= (3 * f) + 1 && batch_max >= 1 && op_size >= 0
-        && Float.is_finite exec_cost && exec_cost >= 0.
+        && finite_nonneg exec_cost
         && valid_pos base_timeout && base_timeout <= max_timeout
         && Option.fold ~none:true ~some:valid_pos rotation
+        && List.for_all finite_nonneg
+             [
+               net.latency; net.jitter; net.gst; net.pre_gst_extra;
+               disk.write_overhead; disk.checkpoint_cost;
+             ]
+        && net.bandwidth_bps > 0. && disk.write_bandwidth > 0.
+        && disk.checkpoint_interval >= 0
       in
       accepts_iff valid (fun () ->
           Cl.create
             {
               Cluster.default_params with
               n; f; batch_max; op_size; exec_cost; base_timeout; max_timeout;
-              rotation;
+              rotation; net; disk;
               workload = Workload.closed_loop ~clients:2;
             }))
 

@@ -1,15 +1,18 @@
 #!/bin/sh
-# The full gate: build, then the marlin_lint static-analysis pass
-# (`dune build @lint` — the Parsetree idiom rules (ordering, comparison,
-# top-level state, interfaces) over lib/ bench/ test/ PLUS the typed
-# interprocedural pass over every lib/ .cmt: effect inference (the one
-# determinism check), quorum-arithmetic provenance, linearity,
-# exhaustive payload dispatch — and both seeded-violation fixture
-# checks), then tier-1 tests, then the four bench regression gates
-# against the committed baselines (bench/baselines/*.json). Each gate
-# compares every simulated field exactly, ignores wall_seconds and holds
-# one wall budget per target (none for smoke; 120 s scaling and load;
-# 240 s attribution). Any difference fails the script.
+# The full gate: build, `dune build @check` (every module of every
+# stanza type-checks, which also leaves the .cmt files the lint reads),
+# then the marlin_lint static-analysis pass (`dune build @lint`: one
+# engine over the typed trees of every lib/ bench/ test/ module, running
+# the idiom rules (comparison, ordering, float equality, top-level
+# state, interfaces) and the interprocedural ones (effect inference, the
+# one determinism check; quorum-arithmetic provenance; linearity;
+# exhaustive payload dispatch), plus the seeded-violation fixture check
+# and the compile-fail check that deprecated calls are compiler errors),
+# then tier-1 tests, then the four bench regression gates against the
+# committed baselines (bench/baselines/*.json). Each gate compares every
+# simulated field exactly, ignores wall_seconds and holds one wall budget
+# per target (none for smoke; 120 s scaling and load; 240 s attribution).
+# Any difference fails the script.
 # Lint runs before the tests because it is the cheapest gate with the
 # highest signal-per-second: a raw `2*f` or a nested broadcast should
 # fail CI in seconds, not after the full suite.
@@ -18,7 +21,9 @@
 # write _build/lint-report.json — the marlin-lint/1 document with
 # per-rule timings, kept as a CI artifact for lint-performance tracking.
 # (The alias runs themselves use the null clock so their JSON stays
-# byte-identical run to run.)
+# byte-identical run to run.) The script fails unless the report's file
+# count equals the number of .ml files under lib/ bench/ test/, so no
+# directory can silently drop out of the lint's coverage.
 #
 # The smoke run includes a deterministic fault scenario (leader crash),
 # so the gate also covers recovery latency and view-change
@@ -69,11 +74,18 @@ set -eu
 cd "$(dirname "$0")/.."
 
 dune build
+dune build @check
 dune build @lint
 (cd _build/default \
  && ./tools/lint/main.exe --quiet --time --json ../lint-report.json \
-      lib bench test --typed lib)
+      lib bench test)
 echo "ci: lint report with per-rule timings at _build/lint-report.json"
+sources=$(find lib bench test -name '*.ml' | wc -l | tr -d ' ')
+scanned=$(sed -n 's/.*"files":\([0-9]*\).*/\1/p' _build/lint-report.json)
+if [ "$scanned" != "$sources" ]; then
+  echo "ci: lint scanned $scanned units but lib/ bench/ test/ hold $sources .ml files" >&2
+  exit 1
+fi
 QCHECK_SEED=${QCHECK_SEED:-$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')}
 export QCHECK_SEED
 echo "ci: QCHECK_SEED=$QCHECK_SEED"
@@ -100,4 +112,4 @@ if ! diff -u bench/baselines/perf_smoke_fingerprints.txt _build/perf-smoke-finge
   exit 1
 fi
 
-echo "ci: build + lint + tests + bench-smoke + bench-scaling + bench-load + bench-attribution gates + perf smoke fingerprints all green"
+echo "ci: build + check + lint + tests + bench-smoke + bench-scaling + bench-load + bench-attribution gates + perf smoke fingerprints all green"

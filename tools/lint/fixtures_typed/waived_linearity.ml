@@ -1,5 +1,5 @@
 (* lint: allow-file linearity -- fixture: waiver-interaction coverage
-   for the typed pass; this quadratic echo is deliberate *)
+   for the lint; this quadratic echo is deliberate *)
 
 module C = Marlin_core.Consensus_intf
 open Marlin_types

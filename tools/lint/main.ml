@@ -1,81 +1,57 @@
-(* marlin_lint — repo-specific static analysis over lib/, bench/, test/.
+(* marlin_lint — repo-specific static analysis over the typed trees dune
+   builds for lib/, bench/ and test/.
 
-   Two passes share one report:
-     - the Parsetree pass scans source PATHs (rules: poly-compare, ...);
-     - the Typedtree pass (--typed) loads dune's .cmt artifacts and runs
-       the interprocedural rules (transitive-impurity, quorum-provenance,
-       linearity, exhaustive-handler).
-
-   Usage: marlin_lint [options] [PATH...]
+   Usage: main.exe [options] DIR...
+     DIR               a directory searched (recursively, .objs included)
+                       for .cmt artifacts; run from the build context root
+                       (_build/default) so sources and load paths resolve
      --json FILE       also write the marlin-lint/1 JSON report (- = stdout)
      --format FMT      human report format: text (default) or github
                        (GitHub Actions ::error annotations)
-     --root DIR        strip DIR/ from paths before rule scoping (fixtures)
-     --typed DIR       also run the typed pass over .cmt files under DIR
-                       (repeatable)
-     --typed-map F=T   rewrite typed units' rel prefix F to T (lint a
-                       fixture tree as if it lived under lib/core)
-     --typed-source-root DIR
-                       resolve typed units' sources against DIR (waivers)
+     --map F=T         rewrite units' rel prefix F to T (lint a fixture tree
+                       as if it lived under lib/core)
      --warn RULE       demote RULE to warning severity (repeatable)
      --time            record real per-rule timings in the report (off by
                        default so reports stay byte-identical)
-     --quiet           suppress the human report (summary still printed)
-     --list-rules      print every rule of both passes, then exit
+     --quiet           print only the summary line
+     --list-rules      print every rule, then exit
 
    Exit status: 0 clean, 1 error-severity diagnostics, 2 usage error. *)
 
-module Lint = Marlin_lint.Engine
-module Rules = Marlin_lint.Rules
 module Diagnostic = Marlin_lint.Diagnostic
 module Report = Marlin_lint.Report
-module Typed = Marlin_lint_typed.Engine_typed
-module Rules_typed = Marlin_lint_typed.Rules_typed
+module Engine = Marlin_lint.Engine_typed
+module Rules = Marlin_lint.Rules_typed
 
 let usage () =
   prerr_endline
-    "usage: marlin_lint [--json FILE|-] [--format text|github] [--root DIR] \
-     [--typed DIR] [--typed-map FROM=TO] [--typed-source-root DIR] [--warn \
-     RULE] [--time] [--quiet] [--list-rules] [PATH...]";
+    "usage: main.exe [--json FILE|-] [--format text|github] [--map FROM=TO] \
+     [--warn RULE] [--time] [--quiet] [--list-rules] DIR...";
   exit 2
 
 let list_rules () =
   List.iter
     (fun (r : Rules.t) ->
-      Printf.printf "%-20s %-7s %s\n" r.Rules.name
-        (Diagnostic.severity_label r.Rules.severity)
-        r.Rules.doc)
+      Printf.printf "%-20s %-7s %s\n" r.name
+        (Diagnostic.severity_label r.severity)
+        r.doc)
     Rules.all;
-  List.iter
-    (fun (r : Rules_typed.t) ->
-      Printf.printf "%-20s %-7s [typed] %s\n" r.Rules_typed.name
-        (Diagnostic.severity_label r.Rules_typed.severity)
-        r.Rules_typed.doc)
-    Rules_typed.all;
   exit 0
-
-let known_rule rule =
-  Rules.find rule <> None || Rules_typed.find rule <> None
 
 let split_map s =
   match String.index_opt s '=' with
   | Some i when i > 0 && i < String.length s - 1 ->
-      Some
-        ( String.sub s 0 i,
-          String.sub s (i + 1) (String.length s - i - 1) )
+      Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
   | _ -> None
 
 let () =
   let json = ref None
   and format = ref `Text
-  and root = ref None
   and warn = ref []
-  and typed = ref []
-  and typed_map = ref None
-  and typed_source_root = ref None
+  and map = ref None
   and time = ref false
   and quiet = ref false
-  and paths = ref [] in
+  and dirs = ref [] in
   let rec parse = function
     | [] -> ()
     | "--json" :: file :: rest ->
@@ -88,23 +64,14 @@ let () =
         format := `Github;
         parse rest
     | "--format" :: _ :: _ -> usage ()
-    | "--root" :: dir :: rest ->
-        root := Some dir;
-        parse rest
-    | "--typed" :: dir :: rest ->
-        typed := dir :: !typed;
-        parse rest
-    | "--typed-map" :: spec :: rest -> (
+    | "--map" :: spec :: rest -> (
         match split_map spec with
         | Some m ->
-            typed_map := Some m;
+            map := Some m;
             parse rest
         | None -> usage ())
-    | "--typed-source-root" :: dir :: rest ->
-        typed_source_root := Some dir;
-        parse rest
     | "--warn" :: rule :: rest ->
-        if not (known_rule rule) then begin
+        if Option.is_none (Rules.find rule) then begin
           Printf.eprintf "marlin_lint: unknown rule %S (see --list-rules)\n"
             rule;
           exit 2
@@ -118,41 +85,26 @@ let () =
         quiet := true;
         parse rest
     | "--list-rules" :: _ -> list_rules ()
-    | ( "--json" | "--format" | "--root" | "--typed" | "--typed-map"
-      | "--typed-source-root" | "--warn" )
-      :: [] ->
-        usage ()
+    | ("--json" | "--format" | "--map" | "--warn") :: [] -> usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' -> usage ()
-    | path :: rest ->
-        paths := path :: !paths;
+    | dir :: rest ->
+        dirs := dir :: !dirs;
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let paths = List.rev !paths in
-  let typed = List.rev !typed in
-  if paths = [] && typed = [] then usage ();
+  let dirs = List.rev !dirs in
+  if dirs = [] then usage ();
   List.iter
     (fun p ->
       if not (Sys.file_exists p) then begin
         Printf.eprintf "marlin_lint: no such path %S\n" p;
         exit 2
       end)
-    (paths @ typed);
+    dirs;
   (* tools/ is outside the lint scan, so this is the one place ambient
      timing is fine; the default null clock keeps reports byte-identical *)
   let clock = if !time then fun () -> Sys.time () else fun () -> 0. in
-  let parse_report =
-    if paths = [] then Report.empty
-    else Lint.to_report (Lint.run ~clock ~warn:!warn ?root:!root ~paths ())
-  in
-  let typed_report =
-    if typed = [] then Report.empty
-    else
-      Typed.to_report
-        (Typed.run ~clock ~warn:!warn ?map:!typed_map
-           ?source_root:!typed_source_root ~paths:typed ())
-  in
-  let report = Report.merge parse_report typed_report in
+  let report = Engine.run ~clock ~warn:!warn ?map:!map ~paths:dirs () in
   (* with --json - the JSON document owns stdout; the human report moves
      to stderr so the stream stays parseable *)
   let fmt =
@@ -160,15 +112,10 @@ let () =
     | Some "-" -> Format.err_formatter
     | Some _ | None -> Format.std_formatter
   in
-  (if not !quiet then
-     match !format with
-     | `Text -> Format.fprintf fmt "%a" Report.pp_human report
-     | `Github -> Format.fprintf fmt "%a" Report.pp_github report
-   else
-     Format.fprintf fmt
-       "marlin_lint: %d file(s): %d error(s), %d warning(s), %d suppressed@."
-       report.Report.files_scanned (Report.errors report)
-       (Report.warnings report) report.Report.suppressed);
+  (match (!quiet, !format) with
+  | true, _ -> Report.summary fmt report
+  | false, `Text -> Report.pp_human fmt report
+  | false, `Github -> Report.pp_github fmt report);
   (match !json with
   | Some "-" -> print_endline (Report.to_json report)
   | Some file ->
