@@ -32,6 +32,11 @@ let balance store account =
   | Some v -> int_of_string v
   | None -> 0
 
+let accounts = [ "alice"; "bob"; "carol" ]
+
+let same_balances a b =
+  List.for_all (fun account -> balance a account = balance b account) accounts
+
 let apply_transfer store body =
   match decode_transfer body with
   | None -> ()
@@ -88,9 +93,10 @@ let () =
     Log_store.flush stores.(id)
   done;
 
+  let safe = H.check_safety t in
   Printf.printf "Committed %d operations; chains agree: %b\n"
     (List.length (H.committed_ops t 0))
-    (H.check_safety t);
+    safe;
   Printf.printf "\n%-8s" "account";
   for id = 0 to 3 do
     Printf.printf "  replica%d" id
@@ -101,18 +107,18 @@ let () =
       Printf.printf "%-8s" account;
       Array.iter (fun s -> Printf.printf "  %8d" (balance s account)) stores;
       print_newline ())
-    [ "alice"; "bob"; "carol" ];
+    accounts;
+  let replicas_match = Array.for_all (same_balances stores.(0)) stores in
 
   (* Crash-recover replica 2: close and reopen its database from disk. *)
   let path = Log_store.path stores.(2) in
   Log_store.close stores.(2);
   let recovered = Log_store.open_ ~path in
+  let recovered_matches = same_balances recovered stores.(0) in
   Printf.printf
     "\nReplica 2 recovered from disk: alice=%d bob=%d carol=%d (matches: %b)\n"
     (balance recovered "alice") (balance recovered "bob")
-    (balance recovered "carol")
-    (balance recovered "alice" = balance stores.(0) "alice"
-    && balance recovered "bob" = balance stores.(0) "bob"
-    && balance recovered "carol" = balance stores.(0) "carol");
+    (balance recovered "carol") recovered_matches;
   Log_store.close recovered;
-  Array.iteri (fun id s -> if id <> 2 then Log_store.close s) stores
+  Array.iteri (fun id s -> if id <> 2 then Log_store.close s) stores;
+  if not (safe && replicas_match && recovered_matches) then exit 1

@@ -32,10 +32,12 @@ let () =
     /. 4.0);
   Printf.printf "  client latency:        mean %.0f ms, p95 %.0f ms\n"
     (summary.Stats.mean *. 1000.) (summary.Stats.p95 *. 1000.);
-  Printf.printf "  replicas agree:        %b\n" (Cl.check_agreement cluster);
+  let agree = Cl.check_agreement cluster in
+  Printf.printf "  replicas agree:        %b\n" agree;
   let proto = Cl.protocol cluster 0 in
   Printf.printf "  view:                  %d (no view change was needed)\n"
     (P.current_view proto);
   Printf.printf "  committed chain height: %d\n"
     (P.committed_head proto).Marlin_types.Block.height;
-  Printf.printf "\nEvery replica executed the same operations in the same order.\n"
+  Printf.printf "\nEvery replica executed the same operations in the same order.\n";
+  if not agree then exit 1

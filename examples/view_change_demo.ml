@@ -58,17 +58,25 @@ let () =
   Cl.crash cluster ~at:2.0 0;
   Cl.run cluster ~until:8.0;
 
-  (match Cl.view_change_start cluster with
-  | Some s -> (
-      Printf.printf "  %.3fs  first replica times out and starts the view change\n" s;
-      match Cl.first_commit_after cluster ~replica:1 s with
-      | Some c ->
-          Printf.printf "  %.3fs  first block commits in the new view (+%.0f ms)\n"
-            c ((c -. s) *. 1000.)
-      | None -> Printf.printf "  (no commit after the view change!)\n")
-  | None -> Printf.printf "  (no view change was recorded!)\n");
-
+  let recovered =
+    match Cl.view_change_start cluster with
+    | Some s -> (
+        Printf.printf "  %.3fs  first replica times out and starts the view change\n" s;
+        match Cl.first_commit_after cluster ~replica:1 s with
+        | Some c ->
+            Printf.printf "  %.3fs  first block commits in the new view (+%.0f ms)\n"
+              c ((c -. s) *. 1000.);
+            true
+        | None ->
+            Printf.printf "  (no commit after the view change!)\n";
+            false)
+    | None ->
+        Printf.printf "  (no view change was recorded!)\n";
+        false
+  in
+  let agree = Cl.check_agreement cluster in
   Printf.printf "t=8.000s  %d ops committed; replicas agree: %b; view is now %d\n"
     (Cl.total_executed cluster ~replica:1)
-    (Cl.check_agreement cluster)
-    (P.current_view (Cl.protocol cluster 1))
+    agree
+    (P.current_view (Cl.protocol cluster 1));
+  if not (recovered && agree) then exit 1

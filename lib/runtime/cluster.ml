@@ -794,27 +794,8 @@ module Make (P : C.PROTOCOL) = struct
       t.replicas
 
   let check_agreement t =
-    let live =
-      Array.to_list t.replicas |> List.filter (fun r -> not r.crashed)
-    in
-    match live with
-    | [] -> true
-    | first :: _ ->
-        let best =
-          List.fold_left
-            (fun acc r ->
-              if
-                (P.committed_head r.proto).Block.height
-                > (P.committed_head acc.proto).Block.height
-              then r
-              else acc)
-            first live
-        in
-        let store = P.block_store best.proto in
-        let longest = P.committed_head best.proto in
-        List.for_all
-          (fun r ->
-            Block_store.extends store ~descendant:longest
-              ~ancestor:(Block.digest (P.committed_head r.proto)))
-          live
+    Array.to_list t.replicas
+    |> List.filter_map (fun r ->
+           if r.crashed then None else Some (P.block_store r.proto))
+    |> Block_store.agree
 end

@@ -80,6 +80,21 @@ let chain_to t b ~above =
 let last_committed t = t.committed_head
 let committed_count t = t.committed_count
 
+let agree = function
+  | [] -> true
+  | first :: _ as stores ->
+      let height t = t.committed_head.Block.height in
+      let best =
+        List.fold_left
+          (fun acc t -> if height t > height acc then t else acc)
+          first stores
+      in
+      List.for_all
+        (fun t ->
+          extends best ~descendant:best.committed_head
+            ~ancestor:(Block.digest t.committed_head))
+        stores
+
 let commit t b =
   let head_digest = Block.digest t.committed_head in
   if Block.digest b |> Sha256.equal head_digest then Ok []

@@ -44,6 +44,11 @@ val last_committed : t -> Block.t
 val committed_count : t -> int
 (** Number of commits performed (genesis excluded). *)
 
+val agree : t list -> bool
+(** Agreement across replicas' stores: every store's committed head lies
+    on the branch of the highest committed head (the first on a tie),
+    walked in the store that holds it. The empty list agrees. *)
+
 val commit : t -> Block.t -> (Block.t list, string) result
 (** Commit a block and its uncommitted ancestors. Returns the newly
     committed blocks oldest-first. Errors if the block does not extend the

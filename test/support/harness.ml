@@ -4,24 +4,35 @@
    simulator, no timers (tests fire timeouts explicitly), full control over
    message delivery. Fault injection: crash replicas, filter links, or
    intercept messages. This is how the adversarial schedules of Figure 2
-   are reproduced deterministically. *)
+   are reproduced deterministically.
+
+   The harness owns delivery only: the inboxes, [transform], explicit
+   timeouts and a delivery budget. Each replica's operations live in the
+   runtime's own [Mempool], and agreement is [Block_store.agree], so the
+   protocols are tested against the code the simulated cluster runs. *)
 
 open Marlin_types
 module C = Marlin_core.Consensus_intf
+module Mempool = Marlin_runtime.Mempool
 
 (* Registry-backed dispatch, so tests pick protocols by name instead of
    spelling out module paths:
      let module P = (val Harness.protocol "marlin") in ... *)
 let protocol name = Marlin_runtime.Registry.find_exn name
 
+(* Deliveries one cluster may make over its lifetime: four times the most
+   any passing run of the harness suites needs, so a message storm fails
+   with its schedule printed instead of running for hours. *)
+let delivery_budget = 50_000
+
+let ops_of blocks = List.concat_map (fun b -> Batch.to_list b.Block.payload) blocks
+
 module Make (P : C.PROTOCOL) = struct
   type node = {
     id : int;
     proto : P.t;
+    mempool : Mempool.t;
     inbox : (int * Message.t) Queue.t; (* (src, message) *)
-    pending_ops : Operation.t Queue.t;
-    taken_ops : Operation.t list ref; (* batched, not yet committed *)
-    committed_keys : (int * int, unit) Hashtbl.t;
     mutable crashed : bool;
     mutable last_timer : float;
   }
@@ -29,58 +40,46 @@ module Make (P : C.PROTOCOL) = struct
   type t = {
     nodes : node array;
     keychain : Marlin_crypto.Keychain.t;
-    mutable commits : (int * Block.t) list; (* (replica, block), in order *)
     mutable transform : src:int -> dst:int -> Message.t -> Message.t option;
         (* None drops the message; Some replaces it (Byzantine forgery). *)
     mutable trace : (int * int * Message.t) list; (* (src, dst, m), newest first *)
+    mutable delivered : int;
   }
 
   let batch_max = 16
 
   let create ?(n = 4) ?(f = 1) () =
     let keychain = Marlin_crypto.Keychain.create ~n () in
-    let cluster =
-      {
-        nodes = [||];
-        keychain;
-        commits = [];
-        transform = (fun ~src:_ ~dst:_ m -> Some m);
-        trace = [];
-      }
-    in
     let make_node id =
-      let pending_ops = Queue.create () in
-      let taken_ops = ref [] in
+      let mempool = Mempool.create () in
       let cfg =
         C.Config.make ~id ~n ~f ~keychain
-          ~get_batch:(fun () ->
-            let rec take k acc =
-              if k = 0 || Queue.is_empty pending_ops then List.rev acc
-              else take (k - 1) (Queue.pop pending_ops :: acc)
-            in
-            let batch = take batch_max [] in
-            taken_ops := !taken_ops @ batch;
-            Batch.of_list batch)
-          ~has_pending:(fun () -> not (Queue.is_empty pending_ops))
+          ~get_batch:(fun () -> Batch.of_list (Mempool.take mempool ~max:batch_max))
+          ~has_pending:(fun () -> Mempool.pending mempool > 0)
           ~base_timeout:1.0 ~max_timeout:60.0 ()
       in
       {
         id;
         proto = P.create cfg;
+        mempool;
         inbox = Queue.create ();
-        pending_ops;
-        taken_ops;
-        committed_keys = Hashtbl.create 64;
         crashed = false;
         last_timer = 0.;
       }
     in
-    { cluster with nodes = Array.init n make_node }
+    {
+      nodes = Array.init n make_node;
+      keychain;
+      transform = (fun ~src:_ ~dst:_ m -> Some m);
+      trace = [];
+      delivered = 0;
+    }
 
   let node t id = t.nodes.(id)
   let proto t id = t.nodes.(id).proto
   let keychain t = t.keychain
   let crash t id = t.nodes.(id).crashed <- true
+  let live t = List.filter (fun node -> not node.crashed) (Array.to_list t.nodes)
 
   let set_filter t filter =
     t.transform <- (fun ~src ~dst m -> if filter ~src ~dst m then Some m else None)
@@ -100,70 +99,41 @@ module Make (P : C.PROTOCOL) = struct
   let inject t ~src ~dst m =
     if not t.nodes.(dst).crashed then Queue.push (src, m) t.nodes.(dst).inbox
 
-  let apply_actions t id actions =
+  let apply_actions t (node : node) actions =
     List.iter
-      (fun action ->
-        match action with
-        | C.Send { dst; msg } -> enqueue t ~src:id ~dst msg
+      (function
+        | C.Send { dst; msg } -> enqueue t ~src:node.id ~dst msg
         | C.Broadcast msg ->
             Array.iter
-              (fun node -> if node.id <> id then enqueue t ~src:id ~dst:node.id msg)
+              (fun other ->
+                if other.id <> node.id then enqueue t ~src:node.id ~dst:other.id msg)
               t.nodes
-        | C.Commit blocks ->
-            t.commits <- t.commits @ List.map (fun b -> (id, b)) blocks;
-            (* Committed operations leave this replica's mempool (the
-               runtime's dedup; without it has_pending never clears). *)
-            let committed_keys =
-              List.concat_map
-                (fun b ->
-                  List.map Operation.key (Batch.to_list b.Block.payload))
-                blocks
-            in
-            let node = t.nodes.(id) in
-            List.iter (fun k -> Hashtbl.replace node.committed_keys k ()) committed_keys;
-            node.taken_ops :=
-              List.filter
-                (fun op -> not (List.mem (Operation.key op) committed_keys))
-                !(node.taken_ops);
-            let keep = Queue.create () in
-            Queue.iter
-              (fun op ->
-                if not (List.mem (Operation.key op) committed_keys) then
-                  Queue.push op keep)
-              node.pending_ops;
-            Queue.clear node.pending_ops;
-            Queue.transfer keep node.pending_ops
-        | C.Timer { duration; cause = _ } -> t.nodes.(id).last_timer <- duration)
+        | C.Commit blocks -> ignore (Mempool.mark_committed node.mempool (ops_of blocks))
+        | C.Timer { duration; cause = _ } -> node.last_timer <- duration)
       actions
 
-  (* Like the runtime's mempool, operations batched into blocks that a
-     view change orphans must be re-proposable: when a node's view
-     advances, its taken-but-uncommitted operations return to the pool. *)
+  (* As in the simulated cluster, operations batched into blocks that a
+     view change orphans return to the pool when the node's view advances. *)
   let invoke t (node : node) f =
     let view_before = P.current_view node.proto in
     let actions = f node.proto in
-    if P.current_view node.proto > view_before then begin
-      List.iter
-        (fun op ->
-          if not (Hashtbl.mem node.committed_keys (Operation.key op)) then
-            Queue.push op node.pending_ops)
-        !(node.taken_ops);
-      node.taken_ops := []
-    end;
-    apply_actions t node.id actions
+    if P.current_view node.proto > view_before then Mempool.requeue_taken node.mempool;
+    apply_actions t node actions
 
   (* Deliver queued messages round-robin until every inbox is empty. *)
   let run t =
-    let continue = ref true in
-    let guard = ref 0 in
-    while !continue do
-      continue := false;
-      incr guard;
-      if !guard > 1_000_000 then failwith "harness: message storm";
+    let busy = ref true in
+    while !busy do
+      busy := false;
       Array.iter
         (fun node ->
           if (not node.crashed) && not (Queue.is_empty node.inbox) then begin
-            continue := true;
+            busy := true;
+            t.delivered <- t.delivered + 1;
+            if t.delivered > delivery_budget then
+              failwith
+                (Printf.sprintf "harness: %d deliveries exceed the budget of %d"
+                   t.delivered delivery_budget);
             let _src, m = Queue.pop node.inbox in
             invoke t node (fun p -> P.on_message p m)
           end)
@@ -171,18 +141,14 @@ module Make (P : C.PROTOCOL) = struct
     done
 
   let start t =
-    Array.iter
-      (fun node -> if not node.crashed then invoke t node P.on_start)
-      t.nodes;
+    List.iter (fun node -> invoke t node P.on_start) (live t);
     run t
 
-  (* Push an operation into every replica's mempool (clients broadcast),
-     then poke the protocols. *)
+  (* Add an operation to every replica's mempool (clients broadcast), then
+     poke the protocols. A known operation is a duplicate and stays out. *)
   let submit t op =
-    Array.iter (fun node -> Queue.push op t.nodes.(node.id).pending_ops) t.nodes;
-    Array.iter
-      (fun node -> if not node.crashed then invoke t node P.on_new_payload)
-      t.nodes;
+    Array.iter (fun node -> ignore (Mempool.add node.mempool op)) t.nodes;
+    List.iter (fun node -> invoke t node P.on_new_payload) (live t);
     run t
 
   let submit_ops t ~client ~count =
@@ -198,72 +164,81 @@ module Make (P : C.PROTOCOL) = struct
     end
 
   let timeout_all t =
-    Array.iter
-      (fun node -> if not node.crashed then invoke t node P.on_view_timeout)
-      t.nodes;
+    List.iter (fun node -> invoke t node P.on_view_timeout) (live t);
     run t
+
+  (* ---------- Figure 2 (Section IV-B), in two steps ---------- *)
+
+  (* b1 commits; then b2's prepare certificate from leader 0 reaches only
+     [locked] (nobody on [None]), which alone locks qc(b2). *)
+  let hide_lock t ~locked =
+    submit t (Operation.make ~client:1 ~seq:1 ~body:"b1");
+    set_filter t (fun ~src ~dst m ->
+        match m.Message.payload with
+        | Message.Phase_cert qc
+          when src = 0
+               && Qc.phase_equal qc.Qc.phase Qc.Prepare
+               && qc.Qc.block.Qc.height = 2 ->
+            Option.equal Int.equal locked (Some dst)
+        | _ -> true);
+    submit t (Operation.make ~client:1 ~seq:2 ~body:"b2");
+    clear_filter t
+
+  (* The view change to replica 1 gets an unsafe snapshot: replica 2's
+     VIEW-CHANGE (NEW-VIEW, in the strawman) to it is late (dropped),
+     Byzantine replica 0 forges its own to advertise only qc(b1), and
+     replica 0 casts no votes. Returns qc(b1), replica 1's high QC. *)
+  let unsafe_snapshot t =
+    let r1 = proto t 1 in
+    let qc_b1 =
+      match P.high_qc r1 with
+      | High_qc.Single qc -> qc
+      | High_qc.Paired _ -> failwith "unsafe_snapshot: replica 1 holds a paired high QC"
+    in
+    let b1 =
+      match Block_store.find (P.block_store r1) qc_b1.Qc.block.Qc.digest with
+      | Some b -> Block.summary b
+      | None -> failwith "unsafe_snapshot: b1 missing from replica 1's store"
+    in
+    set_transform t (fun ~src ~dst m ->
+        let view = m.Message.view in
+        let forged payload = Some (Message.make ~sender:0 ~view payload) in
+        match m.Message.payload with
+        | (Message.View_change _ | Message.New_view _) when src = 2 && dst = 1 -> None
+        | Message.New_view _ when src = 0 && dst = 1 ->
+            forged (Message.New_view { justify = qc_b1 })
+        | Message.View_change _ when src = 0 && dst = 1 ->
+            let parsig =
+              Qc.sign_vote t.keychain ~signer:0 ~phase:Qc.Prepare ~view b1.Block.b_ref
+            in
+            forged
+              (Message.View_change { last = b1; justify = High_qc.Single qc_b1; parsig })
+        | Message.Vote _ when src = 0 -> None
+        | _ -> Some m);
+    qc_b1
 
   (* ---------- invariant checks ---------- *)
 
-  (* No two correct replicas commit conflicting blocks: all committed
-     chains are prefixes of the longest one. *)
+  (* No two correct replicas commit conflicting blocks. *)
   let check_safety t =
-    let heads =
-      Array.to_list t.nodes
-      |> List.filter (fun node -> not node.crashed)
-      |> List.map (fun node -> (node, P.committed_head node.proto))
-    in
-    let _, longest =
-      List.fold_left
-        (fun ((_, best) as acc) ((_, h) as cur) ->
-          if h.Block.height > best.Block.height then cur else acc)
-        (List.hd heads) heads
-    in
-    let reference =
-      (* the store of the node holding the longest chain *)
-      let holder =
-        List.find (fun (_, h) -> Block.equal h longest) heads |> fst
-      in
-      P.block_store holder.proto
-    in
-    List.for_all
-      (fun (_, head) ->
-        Block_store.extends reference ~descendant:longest
-          ~ancestor:(Block.digest head))
-      heads
+    Block_store.agree (List.map (fun node -> P.block_store node.proto) (live t))
 
-  (* The operations a replica has *executed*, chain order. An operation can
-     legitimately appear in two blocks (re-proposed after a view change
-     while the original block survived); execution deduplicates by
-     (client, seq), as any state machine replica must. *)
+  (* The operations a replica has executed: the first commit of each
+     (client, seq) in commit order. An operation can appear in two
+     committed blocks (re-proposed after a view change while the original
+     block survived); [Mempool.mark_committed] keeps the first, as the
+     simulated cluster's execution does. *)
   let committed_ops t id =
-    let node = t.nodes.(id) in
-    let store = P.block_store node.proto in
-    let rec collect b acc =
-      let acc = Batch.to_list b.Block.payload @ acc in
-      match Block_store.parent store b with
-      | Some p -> collect p acc
-      | None -> acc
-    in
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun op ->
-        let key = Operation.key op in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      (collect (P.committed_head node.proto) [])
+    let store = P.block_store (proto t id) in
+    let genesis = Block.digest Block.genesis in
+    match Block_store.chain_to store (Block_store.last_committed store) ~above:genesis with
+    | Some blocks -> Mempool.mark_committed (Mempool.create ()) (ops_of blocks)
+    | None -> failwith "committed_ops: the committed chain does not reach genesis"
 
   let min_committed t =
-    Array.to_list t.nodes
-    |> List.filter (fun node -> not node.crashed)
-    |> List.map (fun node -> P.committed_count node.proto)
-    |> List.fold_left min max_int
+    List.fold_left (fun acc node -> min acc (P.committed_count node.proto)) max_int
+      (live t)
 
   let max_committed t =
-    Array.to_list t.nodes
-    |> List.map (fun node -> P.committed_count node.proto)
-    |> List.fold_left max 0
+    Array.fold_left (fun acc node -> max acc (P.committed_count node.proto)) 0 t.nodes
 end

@@ -36,36 +36,14 @@ let test_insecure_livelock () =
   let t = H.create () in
   H.start t;
   (* Commit b1, then let b2 reach a prepareQC that only replica 2 sees. *)
-  H.submit t (Operation.make ~client:1 ~seq:1 ~body:"b1");
+  H.hide_lock t ~locked:(Some 2);
   Alcotest.(check int) "b1 committed" 1 (H.min_committed t);
-  H.set_filter t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.Phase_cert qc
-        when src = 0
-             && Qc.phase_equal qc.Qc.phase Qc.Prepare
-             && qc.Qc.block.Qc.height = 2 ->
-          dst = 2
-      | _ -> true);
-  H.submit t (Operation.make ~client:1 ~seq:2 ~body:"b2");
   let locked2 = P.locked_qc (H.proto t 2) in
   Alcotest.(check int) "replica 2 locked at height 2" 2 locked2.Qc.block.Qc.height;
   (* Unsafe snapshot: drop replica 2's NEW-VIEW, forge replica 0's to hide
      qc(b2), silence replica 0's votes afterwards. *)
-  let qc_b1 =
-    match P.high_qc (H.proto t 1) with
-    | High_qc.Single qc -> qc
-    | High_qc.Paired _ -> Alcotest.fail "unexpected paired high"
-  in
+  let qc_b1 = H.unsafe_snapshot t in
   Alcotest.(check int) "replica 1 only knows qc(b1)" 1 qc_b1.Qc.block.Qc.height;
-  H.set_transform t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.New_view _ when src = 2 && dst = 1 -> None
-      | Message.New_view _ when src = 0 && dst = 1 ->
-          Some
-            (Message.make ~sender:0 ~view:m.Message.view
-               (Message.New_view { justify = qc_b1 }))
-      | Message.Vote _ when src = 0 -> None
-      | _ -> Some m);
   H.timeout_all t;
   (* The leader proposed a conflicting extension of b1; replica 2 refused;
      the quorum never completed: no operation committed in view 1. *)
@@ -78,46 +56,11 @@ let test_insecure_livelock () =
   Alcotest.(check int) "still stuck" 1 (H.max_committed t)
 
 let test_marlin_same_schedule_recovers () =
-  let module P = M.P in
   let module H = M.H in
   let t = H.create () in
-  let kc = H.keychain t in
   H.start t;
-  H.submit t (Operation.make ~client:1 ~seq:1 ~body:"b1");
-  H.set_filter t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.Phase_cert qc
-        when src = 0
-             && Qc.phase_equal qc.Qc.phase Qc.Prepare
-             && qc.Qc.block.Qc.height = 2 ->
-          dst = 2
-      | _ -> true);
-  H.submit t (Operation.make ~client:1 ~seq:2 ~body:"b2");
-  let qc_b1 =
-    match P.high_qc (H.proto t 1) with
-    | High_qc.Single qc -> qc
-    | High_qc.Paired _ -> Alcotest.fail "unexpected paired high"
-  in
-  let b1_summary =
-    let store = P.block_store (H.proto t 1) in
-    match Block_store.find store qc_b1.Qc.block.Qc.digest with
-    | Some b -> Block.summary b
-    | None -> Alcotest.fail "b1 missing"
-  in
-  H.set_transform t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.View_change _ when src = 2 && dst = 1 -> None
-      | Message.View_change _ when src = 0 && dst = 1 ->
-          let parsig =
-            Qc.sign_vote kc ~signer:0 ~phase:Qc.Prepare ~view:m.Message.view
-              b1_summary.Block.b_ref
-          in
-          Some
-            (Message.make ~sender:0 ~view:m.Message.view
-               (Message.View_change
-                  { last = b1_summary; justify = High_qc.Single qc_b1; parsig }))
-      | Message.Vote _ when src = 0 -> None
-      | _ -> Some m);
+  H.hide_lock t ~locked:(Some 2);
+  ignore (H.unsafe_snapshot t);
   H.timeout_all t;
   H.clear_filter t;
   (* Same unsafe snapshot, same Byzantine hider — but Marlin commits. *)

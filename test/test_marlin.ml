@@ -83,6 +83,23 @@ let test_two_phase_traffic () =
   Alcotest.(check int) "certs (prepare + commit)" 6
     (count "CERT-PREPARE" + count "CERT-COMMIT")
 
+(* A client may resubmit an operation it has not heard back about. Once
+   committed, the operation is a mempool duplicate: no replica proposes it
+   again, so no second block commits. *)
+let test_resubmitted_op_not_reproposed () =
+  let t = H.create () in
+  H.start t;
+  let op = Operation.make ~client:1 ~seq:1 ~body:"once" in
+  H.submit t op;
+  let proposals () =
+    List.length (List.filter (fun (_, _, m) -> Message.type_name m = "PROPOSE") t.H.trace)
+  in
+  Alcotest.(check int) "one block proposed" 3 (proposals ());
+  H.submit t op;
+  Alcotest.(check int) "no second proposal" 3 (proposals ());
+  Alcotest.(check int) "still one block committed" 1 (H.max_committed t);
+  Alcotest.(check int) "executed once" 1 (List.length (H.committed_ops t 0))
+
 (* ---------- view changes ---------- *)
 
 (* Crash the leader before it proposes anything: every replica still has
@@ -177,51 +194,20 @@ let test_unhappy_v2_view_change () =
    the virtual block, which commits with the locked block as its parent. *)
 let test_unhappy_v1_virtual_block () =
   let t = H.create () in
-  let kc = H.keychain t in
   H.start t;
-  H.submit t (Operation.make ~client:1 ~seq:1 ~body:"b1");
+  (* b1 commits. Block 2 (height 2): everyone votes, but the prepare
+     certificate reaches only replica 2 — it alone locks qc(b2). *)
+  H.hide_lock t ~locked:(Some 2);
   Alcotest.(check int) "b1 committed" 1 (H.min_committed t);
-  (* Block 2 (height 2): everyone votes, but the prepare certificate
-     reaches only replica 2 — it alone locks qc(b2). *)
-  H.set_filter t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.Phase_cert qc
-        when src = 0 && Qc.phase_equal qc.Qc.phase Qc.Prepare && qc.Qc.block.Qc.height = 2 ->
-          dst = 2
-      | _ -> true);
-  H.submit t (Operation.make ~client:1 ~seq:2 ~body:"b2");
   Alcotest.(check int) "b2 not committed" 1 (H.max_committed t);
   let locked2 = P.locked_qc (H.proto t 2) in
   Alcotest.(check int) "r2 locked at height 2" 2 locked2.Qc.block.Qc.height;
   (* View change to leader 1. Replica 0 (the old leader, now Byzantine)
-     "hides" qc(b2): we replace its VIEW-CHANGE with one advertising only
+     "hides" qc(b2): its VIEW-CHANGE is replaced with one advertising only
      qc(b1). Replica 2's VIEW-CHANGE is dropped, so the leader's snapshot
      is {0 (forged), 1, 3} — unsafe: it does not contain qc(b2). *)
-  let qc_b1 =
-    match P.high_qc (H.proto t 1) with
-    | High_qc.Single qc when qc.Qc.block.Qc.height = 1 -> qc
-    | High_qc.Single qc -> Alcotest.failf "r1 high at height %d" qc.Qc.block.Qc.height
-    | High_qc.Paired _ -> Alcotest.fail "unexpected paired high"
-  in
-  let b1_summary =
-    let store = P.block_store (H.proto t 1) in
-    match Block_store.find store qc_b1.Qc.block.Qc.digest with
-    | Some b -> Block.summary b
-    | None -> Alcotest.fail "b1 missing from r1's store"
-  in
-  H.set_transform t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.View_change _ when src = 2 && dst = 1 -> None
-      | Message.View_change _ when src = 0 && dst = 1 ->
-          let parsig =
-            Qc.sign_vote kc ~signer:0 ~phase:Qc.Prepare ~view:m.Message.view
-              b1_summary.Block.b_ref
-          in
-          Some
-            (Message.make ~sender:0 ~view:m.Message.view
-               (Message.View_change
-                  { last = b1_summary; justify = High_qc.Single qc_b1; parsig }))
-      | _ -> Some m);
+  let qc_b1 = H.unsafe_snapshot t in
+  Alcotest.(check int) "r1 high at height 1" 1 qc_b1.Qc.block.Qc.height;
   H.timeout_all t;
   H.clear_filter t;
   check_safety t;
@@ -278,40 +264,9 @@ let test_unhappy_v1_virtual_block () =
    committing client operations on top of the virtual block. *)
 let test_progress_after_virtual_commit () =
   let t = H.create () in
-  let kc = H.keychain t in
   H.start t;
-  H.submit t (Operation.make ~client:1 ~seq:1 ~body:"b1");
-  H.set_filter t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.Phase_cert qc
-        when src = 0 && Qc.phase_equal qc.Qc.phase Qc.Prepare && qc.Qc.block.Qc.height = 2 ->
-          dst = 2
-      | _ -> true);
-  H.submit t (Operation.make ~client:1 ~seq:2 ~body:"b2");
-  let qc_b1 =
-    match P.high_qc (H.proto t 1) with
-    | High_qc.Single qc -> qc
-    | High_qc.Paired _ -> Alcotest.fail "unexpected paired high"
-  in
-  let b1_summary =
-    let store = P.block_store (H.proto t 1) in
-    match Block_store.find store qc_b1.Qc.block.Qc.digest with
-    | Some b -> Block.summary b
-    | None -> Alcotest.fail "b1 missing"
-  in
-  H.set_transform t (fun ~src ~dst m ->
-      match m.Message.payload with
-      | Message.View_change _ when src = 2 && dst = 1 -> None
-      | Message.View_change _ when src = 0 && dst = 1 ->
-          let parsig =
-            Qc.sign_vote kc ~signer:0 ~phase:Qc.Prepare ~view:m.Message.view
-              b1_summary.Block.b_ref
-          in
-          Some
-            (Message.make ~sender:0 ~view:m.Message.view
-               (Message.View_change
-                  { last = b1_summary; justify = High_qc.Single qc_b1; parsig }))
-      | _ -> Some m);
+  H.hide_lock t ~locked:(Some 2);
+  ignore (H.unsafe_snapshot t);
   H.timeout_all t;
   H.clear_filter t;
   let before = H.min_committed t in
@@ -432,6 +387,9 @@ let suite =
     ("multiple blocks in one view", `Quick, test_multiple_blocks_one_view);
     ("chains identical across replicas", `Quick, test_chains_identical);
     ("two-phase message pattern", `Quick, test_two_phase_traffic);
+    ( "a committed operation resubmitted is not re-proposed",
+      `Quick,
+      test_resubmitted_op_not_reproposed );
     ("happy-path view change", `Quick, test_happy_path_view_change);
     ("happy path after commits", `Quick, test_happy_path_after_commits);
     ("unhappy view change: Case V2 + fetch", `Quick, test_unhappy_v2_view_change);

@@ -28,17 +28,8 @@ let test_v3 () =
   H.start t;
 
   (* --- stage: commit b1; only r0 (the leader itself) holds qc(b2) --- *)
-  H.submit t (Operation.make ~client:1 ~seq:1 ~body:"b1");
+  H.hide_lock t ~locked:None;
   Alcotest.(check int) "b1 committed" 1 (H.min_committed t);
-  H.set_filter t (fun ~src ~dst:_ m ->
-      match m.Message.payload with
-      | Message.Phase_cert qc
-        when src = 0
-             && Qc.phase_equal qc.Qc.phase Qc.Prepare
-             && qc.Qc.block.Qc.height = 2 ->
-          false (* the certificate reaches nobody; r0 locked it internally *)
-      | _ -> true);
-  H.submit t (Operation.make ~client:1 ~seq:2 ~body:"b2");
   let qc_b2 = P.locked_qc (H.proto t 0) in
   Alcotest.(check int) "r0 locked at height 2" 2 qc_b2.Qc.block.Qc.height;
   let qc_b1 =

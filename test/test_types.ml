@@ -427,6 +427,34 @@ let test_block_store_virtual_resolution () =
   | Ok blocks -> Alcotest.(check int) "commits b1 and vb" 2 (List.length blocks)
   | Error e -> Alcotest.failf "virtual commit failed: %s" e
 
+(* Agreement over stores: b1 <- b2 on one branch, c1 <- c2 forking from
+   genesis. Each store holds every block and commits up to [head]. *)
+let test_block_store_agree () =
+  let g = Block.genesis in
+  let qc = make_qc ~view:1 ~block:(Block.to_ref g) () in
+  let block parent view body =
+    Block.make_normal ~parent ~view ~payload:(batch [ op view 1 body ]) ~justify:(Block.J_qc qc)
+  in
+  let b1 = block g 1 "b1" in
+  let b2 = block b1 2 "b2" in
+  let c1 = block g 3 "c1" in
+  let c2 = block c1 4 "c2" in
+  let committed head =
+    let store = Block_store.create () in
+    List.iter (Block_store.add store) [ b1; b2; c1; c2 ];
+    (match Block_store.commit store head with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "commit failed: %s" e);
+    store
+  in
+  Alcotest.(check bool) "a lagging store on the branch agrees" true
+    (Block_store.agree [ committed b1; committed b2; Block_store.create () ]);
+  Alcotest.(check bool) "two forks at equal height disagree" false
+    (Block_store.agree [ committed b2; committed c2 ]);
+  Alcotest.(check bool) "a lagging head off the longest branch disagrees" false
+    (Block_store.agree [ committed c1; committed b2 ]);
+  Alcotest.(check bool) "the empty list agrees" true (Block_store.agree [])
+
 (* ---------- property tests ---------- *)
 
 let gen_qc =
@@ -683,6 +711,7 @@ let suite =
     ("block store basics", `Quick, test_block_store_basics);
     ("block store commit", `Quick, test_block_store_commit);
     ("block store virtual resolution", `Quick, test_block_store_virtual_resolution);
+    ("block store agreement", `Quick, test_block_store_agree);
   ]
   @ List.map QCheck_alcotest.to_alcotest (qcheck_cases @ pair_tbl_cases)
   @ [ ("pair table rejects bytes outside [0, 254]", `Quick, test_pair_tbl_byte_range);

@@ -25,6 +25,11 @@
 # count equals the number of .ml files under lib/ bench/ test/, so no
 # directory can silently drop out of the lint's coverage.
 #
+# After the tests, the four examples and `bench/main.exe fig2-demo` run
+# (under 20 ms each): each exits 1 unless the outcome it prints holds
+# (the Figure 2 strawman stuck at one block, Marlin committing the hidden
+# b2 with agreement, the bank's balances matching, the replicas agreeing).
+#
 # The smoke run includes a deterministic fault scenario (leader crash),
 # so the gate also covers recovery latency and view-change
 # message/authenticator counts from the marlin_faults subsystem.
@@ -98,6 +103,18 @@ elif [ "$status" -ne 0 ]; then
   echo "ci: dune runtest failed; replay: QCHECK_SEED=$QCHECK_SEED dune runtest" >&2
   exit "$status"
 fi
+demo() {
+  if ! out=$("$@" 2>&1); then
+    echo "$out"
+    echo "ci: $* did not reach the outcome it prints" >&2
+    exit 1
+  fi
+}
+for example in quickstart kv_bank view_change_demo byzantine_demo; do
+  demo "_build/default/examples/$example.exe"
+done
+demo _build/default/bench/main.exe fig2-demo
+echo "ci: examples and fig2-demo reached their outcomes"
 dune build @bench-smoke
 dune build @bench-scaling
 dune build @bench-load
