@@ -370,7 +370,7 @@ let related_work ~full () =
     "~hops" "net bytes/op";
   let f = if full then 2 else 1 in
   let params = { (bench_params ~clients:8 f) with Cluster.seed = 5 } in
-  let hop = params.Cluster.net.Marlin_sim.Netsim.latency in
+  let hop = Marlin_sim.Netsim.default_config.latency in
   List.iter
     (fun (name, proto) ->
       let module P = (val proto : C.PROTOCOL) in

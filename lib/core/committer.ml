@@ -16,7 +16,6 @@ let nothing = { committed = []; sends = [] }
 let create cfg store = { cfg; store; pending = None; committed = 0 }
 
 let committed_count (t : t) = t.committed
-let store (t : t) = t.store
 
 type branch_gap = Gap_missing of Sha256.t | Gap_unresolved_virtual | Gap_none
 

@@ -37,4 +37,3 @@ val handle_fetch :
 (** Answer a peer's fetch request if we hold the block. *)
 
 val committed_count : t -> int
-val store : t -> Block_store.t

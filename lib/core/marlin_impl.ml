@@ -7,19 +7,12 @@ let src = Logs.Src.create "marlin" ~doc:"Marlin protocol"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-module type S = sig
-  include C.PROTOCOL
-
-  val last_voted : t -> Block.t
-  val view_change_in_progress : t -> bool
-end
-
 (* In chained mode there is no COMMIT voting phase: the leader proposes
    the next block as soon as a prepareQC forms, and a block commits on a
    two-chain — a prepareQC for a direct child formed in the same view (the
    child's voters locked the parent's QC, which is what the basic commit
    phase establishes too). *)
-module Make (Mode : C.MODE) : S = struct
+module Make (Mode : C.MODE) : C.PROTOCOL = struct
   let name = Mode.name
 (* A view-change record: what one replica told the new leader. *)
 type vc_record = {
@@ -65,9 +58,6 @@ let create cfg =
 
 let locked_qc t = t.locked_qc
 let high_qc t = t.high
-let last_voted t = t.lb
-let view_change_in_progress t =
-  match t.mode with Collecting_vc | Pre_preparing -> true | Follower | Normal -> false
 
 (* A well-formed virtual block relative to the prepareQC [qc] it justifies
    from: nil parent link, two heights above block(qc) (Case V1 shape). *)

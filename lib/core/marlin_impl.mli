@@ -17,13 +17,4 @@
     safe). Per the paper, no new block is proposed in the prepare step
     right after an unhappy pre-prepare. *)
 
-module type S = sig
-  include Consensus_intf.PROTOCOL
-
-  (** Extra introspection used by protocol-level tests. *)
-
-  val last_voted : t -> Marlin_types.Block.t
-  val view_change_in_progress : t -> bool
-end
-
-module Make (_ : Consensus_intf.MODE) : S
+module Make (_ : Consensus_intf.MODE) : Consensus_intf.PROTOCOL

@@ -22,12 +22,12 @@ let leader_crash ?(f = 1) ?(phase = `Prepare) () =
     ~steps:[ at (warm +. offset) (Crash 0) ]
     ~settle_at:(warm +. offset) ~run_for:12. ()
 
-let cascading_leaders ?(f = 3) () =
-  (* each crash lands after the previous view change has completed, so the
-     cluster re-elects under repeated leader loss; needs f >= 3 (three
-     crashed replicas must stay within the fault budget) *)
+(* each crash lands after the previous view change has completed, so the
+   cluster re-elects under repeated leader loss; f = 3 keeps the three
+   crashed replicas within the fault budget *)
+let cascading_leaders =
   make ~name:"cascading-leaders"
-    ~info:"crash leaders 0, then 1, then 2, one view change apart" ~f
+    ~info:"crash leaders 0, then 1, then 2, one view change apart" ~f:3
     ~steps:[ at warm (Crash 0); at (warm +. 3.) (Crash 1); at (warm +. 6.) (Crash 2) ]
     ~settle_at:(warm +. 6.) ~run_for:16. ()
 
@@ -86,7 +86,7 @@ let all =
   [
     leader_crash ~phase:`Prepare ();
     leader_crash ~phase:`Commit ();
-    cascading_leaders ();
+    cascading_leaders;
     crash_recover;
     partition_heal;
     pre_gst_churn;
@@ -95,5 +95,3 @@ let all =
     vote_withholder;
     stale_qc_voter;
   ]
-
-let find name = List.find_opt (fun s -> s.Scenario.name = name) all

@@ -7,7 +7,8 @@ val leader_crash : ?f:int -> ?phase:[ `Prepare | `Commit ] -> unit -> Scenario.t
 (** Crash the view-0 leader mid-phase. [?f] scales the cluster ([n = 3f + 1])
     so view-change traffic can be compared across sizes. *)
 
-val cascading_leaders : ?f:int -> unit -> Scenario.t
+val cascading_leaders : Scenario.t
+(** Crash leaders 0, 1 and 2, one view change apart, at f = 3. *)
 
 val crash_recover : Scenario.t
 val partition_heal : Scenario.t
@@ -19,6 +20,3 @@ val stale_qc_voter : Scenario.t
 
 val all : Scenario.t list
 (** Every catalogue scenario at its default size, catalogue order. *)
-
-val find : string -> Scenario.t option
-(** Look a scenario up by name in {!all}. *)

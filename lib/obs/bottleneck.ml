@@ -34,8 +34,12 @@ type evidence = {
 
 type verdict = { bottleneck : t; evidence : evidence }
 
-let classify ?(drop_threshold = 0.01) ?(latency_cap = 1.0) ~drop_rate ~shed
-    ~rejected ~peak_occupancy ~latency_p99 ts =
+(* Drops above 1% of the offered load count as shedding; 1 s is the knee's
+   p99 latency cap. *)
+let drop_threshold = 0.01
+let latency_cap = 1.0
+
+let classify ~drop_rate ~shed ~rejected ~peak_occupancy ~latency_p99 ts =
   let windows = Timeseries.windows ts in
   let totals =
     List.map

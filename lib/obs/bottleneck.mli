@@ -11,8 +11,8 @@
       mean admission control choked the intake ([Mempool_backpressure]);
       otherwise the protocol is stuck waiting for certificates that never
       form ([Quorum_wait] — e.g. a livelocked protocol).
-    - drop rate above [drop_threshold] while the p99 latency is still
-      within [latency_cap]: the service path is keeping up — admission
+    - drop rate above 1% while the p99 latency is still within 1 s (the
+      knee's latency cap): the service path is keeping up — admission
       control is what caps goodput ([Mempool_backpressure]).
     - otherwise: the dominant critical-path component (largest share of
       attributed seconds; ties break in {!Span.all_components} order). *)
@@ -48,8 +48,6 @@ type evidence = {
 type verdict = { bottleneck : t; evidence : evidence }
 
 val classify :
-  ?drop_threshold:float ->
-  ?latency_cap:float ->
   drop_rate:float ->
   shed:int ->
   rejected:int ->
@@ -57,10 +55,9 @@ val classify :
   latency_p99:float ->
   Timeseries.t ->
   verdict
-(** [drop_threshold] defaults to 0.01, [latency_cap] to 1 s (the knee
-    cap). The drop/occupancy/latency arguments come from the run's
-    open-loop accounting (exact counters, not window samples); the
-    timeseries supplies the segment shares. *)
+(** The drop/occupancy/latency arguments come from the run's open-loop
+    accounting (exact counters, not window samples); the timeseries
+    supplies the segment shares. *)
 
 val verdict_to_json : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -48,7 +48,10 @@ type t = {
   mutable last : int; (* highest live window index *)
 }
 
-let create ?(capacity = 512) ?(latency_capacity = 256) ~width () =
+(* Per-window latency reservoir size. *)
+let latency_capacity = 256
+
+let create ?(capacity = 512) ~width () =
   if width <= 0. then invalid_arg "Timeseries.create: width <= 0";
   if capacity <= 0 then invalid_arg "Timeseries.create: capacity <= 0";
   {
@@ -245,20 +248,6 @@ let to_json ?(label = "run") t =
     (windows t);
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-(* lint: allow transitive-impurity -- exporter: writes to the caller's channel after the run *)
-let write_jsonl ?run oc t =
-  List.iter
-    (fun w ->
-      (match run with
-      | None -> output_string oc (window_to_json w)
-      | Some r ->
-          let j = window_to_json w in
-          (* splice the run field in front, as Trace.write_jsonl does *)
-          output_string oc (Printf.sprintf {|{"run":"%s",%s|} r
-              (String.sub j 1 (String.length j - 1))));
-      output_char oc '\n')
-    (windows t)
 
 let pp_window fmt w =
   Format.fprintf fmt

@@ -48,10 +48,10 @@ type window = {
           [segment_seconds] within 1e-9 *)
 }
 
-val create : ?capacity:int -> ?latency_capacity:int -> width:float -> unit -> t
-(** [capacity] (default 512) is the ring size in windows; [latency_capacity]
-    (default 256) the per-window latency reservoir.
-    @raise Invalid_argument when [width <= 0] or a capacity is [<= 0]. *)
+val create : ?capacity:int -> width:float -> unit -> t
+(** [capacity] (default 512) is the ring size in windows; each window
+    keeps a 256-sample latency reservoir.
+    @raise Invalid_argument when [width <= 0] or [capacity <= 0]. *)
 
 val width : t -> float
 val is_empty : t -> bool
@@ -99,9 +99,5 @@ val component_seconds : window -> Span.component -> float
 val to_json : ?label:string -> t -> string
 (** One object: [{"label":…,"width":…,"windows":[…]}] — deterministic, so
     same-seed runs render byte-identically. *)
-
-val window_to_json : window -> string
-val write_jsonl : ?run:string -> out_channel -> t -> unit
-(** One window object per line, oldest first; [run] adds a ["run"] field. *)
 
 val pp_window : Format.formatter -> window -> unit

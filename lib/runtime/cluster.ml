@@ -19,10 +19,7 @@ type params = {
   op_size : int;
   reply_size : int;
   batch_max : int;
-  exec_cost : float;
   cost_model : Cost_model.t;
-  net : Netsim.config;
-  disk : Sim_disk.config;
   base_timeout : float;
   max_timeout : float;
   rotation : float option;
@@ -39,16 +36,16 @@ let default_params =
     op_size = 150;
     reply_size = 150;
     batch_max = 400;
-    exec_cost = 2e-6;
     cost_model = Cost_model.ecdsa_group;
-    net = Netsim.default_config;
-    disk = Sim_disk.default_config;
     base_timeout = 1.0;
     max_timeout = 16.0;
     rotation = None;
     seed = 1;
     obs = None;
   }
+
+(* CPU seconds to execute one committed operation. *)
+let exec_cost = 2e-6
 
 let params_for_f ?workload f =
   let workload =
@@ -190,7 +187,7 @@ module Make (P : C.PROTOCOL) = struct
                 commit_cost :=
                   !commit_cost
                   +. Sim_disk.commit_cost r.disk ~bytes:block_bytes
-                  +. (float_of_int (List.length ops) *. t.params.exec_cost)
+                  +. (float_of_int (List.length ops) *. exec_cost)
                   +. Cost_model.hash_cost ~bytes:block_bytes;
                 commits_rev := List.rev_append ops !commits_rev)
               blocks
@@ -464,8 +461,6 @@ module Make (P : C.PROTOCOL) = struct
     if params.batch_max < 1 then reject "batch_max" ">= 1";
     if params.op_size < 0 then reject "op_size" ">= 0";
     if params.reply_size < 0 then reject "reply_size" ">= 0";
-    if not (Float.is_finite params.exec_cost && params.exec_cost >= 0.) then
-      reject "exec_cost" "finite and >= 0";
     match params.rotation with
     | Some period when not (Float.is_finite period && period > 0.) ->
         reject "rotation" "finite and > 0"
@@ -477,8 +472,10 @@ module Make (P : C.PROTOCOL) = struct
     let sim = Sim.create () in
     let rng = Rng.create ~seed:params.seed in
     let extra_endpoints = Workload.endpoints params.workload in
-    let net = Netsim.create sim (Rng.split rng) params.net
-        ~endpoints:(params.n + extra_endpoints) in
+    let net =
+      Netsim.create sim (Rng.split rng) Netsim.default_config
+        ~endpoints:(params.n + extra_endpoints)
+    in
     let sig_bytes =
       Cost_model.combined_size params.cost_model ~n:params.n
         ~shares:(params.n - params.f)
@@ -506,7 +503,7 @@ module Make (P : C.PROTOCOL) = struct
         proto = P.create cfg;
         obs;
         mempool;
-        disk = Sim_disk.create params.disk;
+        disk = Sim_disk.create Sim_disk.default_config;
         peers =
           Array.init (params.n - 1) (fun i -> if i < id then i else i + 1);
         cpu_free = 0.;

@@ -22,10 +22,7 @@ type params = {
   op_size : int;  (** bytes per operation body (150 in the paper, 0 for no-op) *)
   reply_size : int;  (** bytes per reply (150) *)
   batch_max : int;  (** max operations per block *)
-  exec_cost : float;  (** CPU seconds to execute one operation *)
   cost_model : Marlin_crypto.Cost_model.t;
-  net : Marlin_sim.Netsim.config;
-  disk : Marlin_store.Sim_disk.config;
   base_timeout : float;
   max_timeout : float;
   rotation : float option;  (** rotate leaders every [t] seconds *)
@@ -39,8 +36,11 @@ type params = {
 val default_params : params
 (** The paper's testbed defaults: f = 1 (n = 4), a closed loop of 16
     clients, unbounded mempool, 150-byte ops/replies, 400-op batches,
-    40 ms / 200 Mbps network, ECDSA costs, LevelDB-like disk, 1 s base
-    timeout, no rotation. *)
+    ECDSA costs, 1 s base timeout, no rotation. The network
+    ({!Marlin_sim.Netsim.default_config}: 40 ms, 200 Mbps), the disk
+    ({!Marlin_store.Sim_disk.default_config}: LevelDB-like, a checkpoint
+    every 5000 blocks) and the 2 µs CPU cost of executing one operation
+    are the testbed's fixed values, not parameters. *)
 
 val params_for_f : ?workload:Marlin_workload.Workload.t -> int -> params
 (** [params_for_f f] is {!default_params} with [n = 3f + 1]. *)
@@ -69,12 +69,8 @@ module Make (P : Marlin_core.Consensus_intf.PROTOCOL) : sig
 
   val create : params -> t
   (** @raise Invalid_argument naming the field when [batch_max < 1],
-      [op_size < 0], [reply_size < 0], [exec_cost] is negative or not
-      finite, or a [rotation] period is not finite and positive; through
-      {!Marlin_sim.Netsim.create} and {!Marlin_store.Sim_disk.create} when
-      a field of [net] or [disk] is invalid (a negative or non-finite
-      delay or cost, a bandwidth not [> 0], a negative
-      [checkpoint_interval]); and through
+      [op_size < 0], [reply_size < 0], or a [rotation] period is not
+      finite and positive; and through
       {!Marlin_core.Consensus_intf.Config.make} when [n], [f] or the
       timeouts are invalid. *)
 

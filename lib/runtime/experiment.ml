@@ -403,12 +403,12 @@ type attribution = {
 
 let what_breaks_first a = a.past_knee.verdict.Obs.Bottleneck.bottleneck
 
-let attribute_knee ?(latency_cap = 1.0) ?(window = 0.25) ?drop_threshold
-    proto ~name ~params ~warmup ~duration ~rates =
+let attribute_knee ?(window = 0.25) proto ~name ~params ~warmup ~duration
+    ~rates =
   (* cheap untraced ladder to locate the knee, then two traced + windowed
      runs: at the knee rate and just past it *)
   let points = open_loop_sweep proto ~params ~warmup ~duration ~rates in
-  let k, cap = knee ~latency_cap points in
+  let k, cap = knee points in
   let past_rate =
     match
       List.filter
@@ -429,8 +429,7 @@ let attribute_knee ?(latency_cap = 1.0) ?(window = 0.25) ?drop_threshold
     in
     let ts = Option.get (Obs.Run.timeseries obs) in
     let verdict =
-      Obs.Bottleneck.classify ?drop_threshold ~latency_cap
-        ~drop_rate:r.drop_rate ~shed:r.shed ~rejected:r.rejected
+      Obs.Bottleneck.classify ~drop_rate:r.drop_rate ~shed:r.shed ~rejected:r.rejected
         ~peak_occupancy:r.peak_occupancy ~latency_p99:r.latency.Stats.p99 ts
     in
     { point = r; verdict; timeseries = ts }

@@ -175,19 +175,15 @@ val what_breaks_first : attribution -> Marlin_obs.Bottleneck.t
     exceeds the sustainable rate. *)
 
 val attribute_knee :
-  ?latency_cap:float -> ?window:float -> ?drop_threshold:float ->
-  Marlin_core.Consensus_intf.protocol -> name:string ->
+  ?window:float -> Marlin_core.Consensus_intf.protocol -> name:string ->
   params:Cluster.params -> warmup:float -> duration:float ->
   rates:float list -> attribution
 (** Run the open-loop ladder ({!open_loop_sweep} over [rates], untraced —
     locating the knee must not pay tracing costs), find the {!knee} under
-    [latency_cap] (default 1 s), then re-run at the knee rate and at the
+    its default 1 s cap, then re-run at the knee rate and at the
     next ladder rate above it (knee × 1.5 when the knee is the top rung),
     each traced with windows of width [window] (default 0.25 s), and
     {!Marlin_obs.Bottleneck.classify} both points. *)
-
-val attributed_point_to_json : ?windows:bool -> attributed_point -> string
-(** [windows] (default false) inlines the full per-window timeseries. *)
 
 val attribution_to_json : attribution -> string
 (** The marlin-bench/1 record: protocol, n, sustainability, the headline

@@ -8,10 +8,10 @@
     ["twophase-insecure"] (the paper's Figure 2 strawman, which livelocks
     — kept for the counterexample). *)
 
-module Marlin : Marlin_core.Marlin_impl.S
+module Marlin : Marlin_core.Consensus_intf.PROTOCOL
 (** Basic Marlin: two voting phases per block. *)
 
-module Chained_marlin : Marlin_core.Marlin_impl.S
+module Chained_marlin : Marlin_core.Consensus_intf.PROTOCOL
 (** Pipelined Marlin: one round per block, commit on a two-chain. *)
 
 module Hotstuff : Marlin_core.Hotstuff_impl.S

@@ -2,18 +2,9 @@ type config = {
   latency : float;
   jitter : float;
   bandwidth_bps : float;
-  gst : float;
-  pre_gst_extra : float;
 }
 
-let default_config =
-  {
-    latency = 0.040;
-    jitter = 0.001;
-    bandwidth_bps = 200e6;
-    gst = 0.;
-    pre_gst_extra = 0.;
-  }
+let default_config = { latency = 0.040; jitter = 0.001; bandwidth_bps = 200e6 }
 
 type stats = { messages : int; bytes : int; authenticators : int }
 
@@ -53,12 +44,7 @@ let validate config =
   List.iter
     (fun (field, x) ->
       if not (Float.is_finite x && x >= 0.) then reject field "finite and >= 0")
-    [
-      ("latency", config.latency);
-      ("jitter", config.jitter);
-      ("gst", config.gst);
-      ("pre_gst_extra", config.pre_gst_extra);
-    ];
+    [ ("latency", config.latency); ("jitter", config.jitter) ];
   (* NaN fails the comparison too; infinity is an unlimited uplink *)
   if not (config.bandwidth_bps > 0.) then reject "bandwidth_bps" "> 0"
 
@@ -111,7 +97,7 @@ let partition_allows t ~src ~dst =
 (* One (src, dst) copy of a message, for [send] and [broadcast] alike: the
    filter, partition and loss checks, then stats, metering, the
    queue/deliver pairing id, the [net-queued] trace event, NIC charging,
-   the per-copy randomness (jitter, pre-GST, duplication) and the delivery
+   the per-copy randomness (jitter, duplication) and the delivery
    event. [auths] is the message's authenticator count, computed once per
    broadcast. Self sends deliver at [earliest] with no network cost. *)
 let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
@@ -148,18 +134,13 @@ let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
       let tx = float_of_int (8 * size) /. t.config.bandwidth_bps in
       t.nic_free.(src) <- depart +. tx;
       let jitter = Rng.float t.rng t.config.jitter in
-      let pre_gst =
-        if depart < t.config.gst then Rng.float t.rng t.config.pre_gst_extra
-        else 0.
-      in
       (match t.obs with
       | Some run ->
           Marlin_obs.Run.net_queued run ~time:now ~id ~src ~dst ~size
             ~ready:earliest ~depart ~tx msg
       | None -> ());
       let arrival =
-        depart +. tx +. t.config.latency +. jitter +. pre_gst
-        +. t.faults.extra_delay
+        depart +. tx +. t.config.latency +. jitter +. t.faults.extra_delay
       in
       (* Duplication happens in the network, past the NIC: the copy rides
          its own propagation jitter and skips the observability hooks so

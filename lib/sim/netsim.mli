@@ -3,8 +3,9 @@
     Models the paper's testbed: every endpoint (replica or client) has a
     finite-rate uplink (200 Mbps in the evaluation) modelled as a FIFO
     transmission queue, plus a propagation delay per message (the injected
-    40 ms) with optional jitter. Partial synchrony is modelled by an extra,
-    randomly drawn delay applied to messages sent before GST.
+    40 ms) with optional jitter. Partial synchrony is not a setting here:
+    a fault scenario models it, keeping links lossy and slow until a heal
+    at GST ([Marlin_faults.Catalogue.pre_gst_churn]).
 
     Fault injection lives in the {!Fault} sub-module: endpoints can crash
     and recover, the network can partition and heal, links can be filtered,
@@ -16,19 +17,17 @@ type config = {
   latency : float;  (** one-way propagation delay, seconds *)
   jitter : float;  (** uniform extra delay in [0, jitter) *)
   bandwidth_bps : float;  (** per-endpoint uplink rate; [infinity] allowed *)
-  gst : float;  (** global stabilization time *)
-  pre_gst_extra : float;  (** max extra delay for pre-GST sends *)
 }
 
 val default_config : config
-(** The paper's testbed: 40 ms latency, 200 Mbps, 1 ms jitter, GST = 0. *)
+(** The paper's testbed: 40 ms latency, 200 Mbps, 1 ms jitter. *)
 
 type t
 
 val create : Sim.t -> Rng.t -> config -> endpoints:int -> t
-(** @raise Invalid_argument naming the field when [latency], [jitter],
-    [gst] or [pre_gst_extra] is negative or not finite, or
-    [bandwidth_bps] is not [> 0] ([infinity] is allowed). *)
+(** @raise Invalid_argument naming the field when [latency] or [jitter]
+    is negative or not finite, or [bandwidth_bps] is not [> 0]
+    ([infinity] is allowed). *)
 
 val register :
   t -> id:int -> (src:int -> Marlin_types.Message.t -> unit) -> unit

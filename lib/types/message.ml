@@ -35,31 +35,6 @@ let decode_partial dec =
   let tag = Sha256.of_raw (Wire.Dec.raw dec Sha256.digest_size) in
   { Threshold.signer; tag }
 
-let encode_block_ref enc (r : Qc.block_ref) =
-  Wire.Enc.raw enc (Sha256.to_raw r.Qc.digest);
-  Wire.Enc.varint enc r.Qc.block_view;
-  Wire.Enc.varint enc r.Qc.height;
-  Wire.Enc.varint enc r.Qc.pview;
-  Wire.Enc.bool enc r.Qc.is_virtual
-
-let decode_block_ref dec =
-  let digest = Sha256.of_raw (Wire.Dec.raw dec Sha256.digest_size) in
-  let block_view = Wire.Dec.varint dec in
-  let height = Wire.Dec.varint dec in
-  let pview = Wire.Dec.varint dec in
-  let is_virtual = Wire.Dec.bool dec in
-  { Qc.digest; block_view; height; pview; is_virtual }
-
-let phase_to_int (p : Qc.phase) =
-  match p with Qc.Pre_prepare -> 0 | Qc.Prepare -> 1 | Qc.Precommit -> 2 | Qc.Commit -> 3
-
-let phase_of_int = function
-  | 0 -> Qc.Pre_prepare
-  | 1 -> Qc.Prepare
-  | 2 -> Qc.Precommit
-  | 3 -> Qc.Commit
-  | v -> raise (Wire.Dec.Decode_error (Printf.sprintf "bad vote kind %d" v))
-
 let encode enc m =
   Wire.Enc.varint enc m.sender;
   Wire.Enc.varint enc m.view;
@@ -70,8 +45,8 @@ let encode enc m =
       High_qc.encode enc justify
   | Vote { kind; block; partial; locked } ->
       Wire.Enc.u8 enc 1;
-      Wire.Enc.u8 enc (phase_to_int kind);
-      encode_block_ref enc block;
+      Wire.Enc.u8 enc (Qc.phase_to_int kind);
+      Qc.encode_block_ref enc block;
       encode_partial enc partial;
       (match locked with
       | None -> Wire.Enc.bool enc false
@@ -122,8 +97,8 @@ let decode dec =
         let justify = High_qc.decode dec in
         Propose { block; justify }
     | 1 ->
-        let kind = phase_of_int (Wire.Dec.u8 dec) in
-        let block = decode_block_ref dec in
+        let kind = Qc.phase_of_int (Wire.Dec.u8 dec) in
+        let block = Qc.decode_block_ref dec in
         let partial = decode_partial dec in
         let locked = if Wire.Dec.bool dec then Some (Qc.decode dec) else None in
         Vote { kind; block; partial; locked }
@@ -159,6 +134,9 @@ let encode_string m =
 
 let decode_string s = decode (Wire.Dec.of_string s)
 
+(* Accounting sizes: a block reference counts a flat 36 bytes here, not
+   the exact varint count of [Qc.block_ref_size], which the codec above
+   writes. *)
 let partial_size = Threshold.partial_size_bytes
 let block_ref_size = Sha256.digest_size + 4
 let summary_size = block_ref_size + 1

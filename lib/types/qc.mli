@@ -68,6 +68,15 @@ val phase_equal : phase -> phase -> bool
 val phase_to_int : phase -> int
 (** The phase's wire tag, 0 to 3. *)
 
+val phase_of_int : int -> phase
+(** Inverse of {!phase_to_int}.
+    @raise Wire.Dec.Decode_error on a tag outside 0 to 3. *)
+
+val encode_block_ref : Wire.Enc.t -> block_ref -> unit
+(** Digest, view, height, parent view (varints) and the virtual flag. *)
+
+val decode_block_ref : Wire.Dec.t -> block_ref
+
 val block_ref_equal : block_ref -> block_ref -> bool
 val equal : t -> t -> bool
 val encode : Wire.Enc.t -> t -> unit

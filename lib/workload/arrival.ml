@@ -1,14 +1,6 @@
 module Rng = Marlin_sim.Rng
 
-type t =
-  | Poisson of { rate : float }
-  | Mmpp of {
-      rate_low : float;
-      rate_high : float;
-      dwell_low : float;
-      dwell_high : float;
-    }
-  | Ramp of { rate_from : float; rate_to : float; over : float }
+type t = { rate : float }
 
 let check_pos what x =
   if not (Float.is_finite x && x > 0.) then
@@ -16,122 +8,25 @@ let check_pos what x =
 
 let poisson ~rate =
   check_pos "rate" rate;
-  Poisson { rate }
+  { rate }
 
-let mmpp ~rate_low ~rate_high ~dwell_low ~dwell_high =
-  check_pos "rate_low" rate_low;
-  check_pos "rate_high" rate_high;
-  check_pos "dwell_low" dwell_low;
-  check_pos "dwell_high" dwell_high;
-  Mmpp { rate_low; rate_high; dwell_low; dwell_high }
-
-let ramp ~rate_from ~rate_to ~over =
-  check_pos "rate_from" rate_from;
-  check_pos "rate_to" rate_to;
-  check_pos "over" over;
-  Ramp { rate_from; rate_to; over }
-
-let mean_rate = function
-  | Poisson { rate } -> rate
-  | Mmpp { rate_low; rate_high; dwell_low; dwell_high } ->
-      (* time-average over the stationary phase distribution *)
-      ((rate_low *. dwell_low) +. (rate_high *. dwell_high))
-      /. (dwell_low +. dwell_high)
-  | Ramp { rate_from; rate_to; over = _ } -> (rate_from +. rate_to) /. 2.
+let mean_rate t = t.rate
 
 let scale t ~by =
   check_pos "scale factor" by;
-  match t with
-  | Poisson { rate } -> Poisson { rate = rate *. by }
-  | Mmpp m -> Mmpp { m with rate_low = m.rate_low *. by; rate_high = m.rate_high *. by }
-  | Ramp r -> Ramp { r with rate_from = r.rate_from *. by; rate_to = r.rate_to *. by }
+  { rate = t.rate *. by }
 
 let with_mean_rate t ~rate =
   check_pos "rate" rate;
   scale t ~by:(rate /. mean_rate t)
 
-let label = function
-  | Poisson { rate } -> Printf.sprintf "poisson(%g/s)" rate
-  | Mmpp { rate_low; rate_high; dwell_low; dwell_high } ->
-      Printf.sprintf "mmpp(%g..%g/s dwell %gs/%gs)" rate_low rate_high
-        dwell_low dwell_high
-  | Ramp { rate_from; rate_to; over } ->
-      Printf.sprintf "ramp(%g->%g/s over %gs)" rate_from rate_to over
-
+let label t = Printf.sprintf "poisson(%g/s)" t.rate
 let pp fmt t = Format.pp_print_string fmt (label t)
 
 module Sampler = struct
-  type phase = Low | High
+  type arrival = t
+  type t = { rate : float; rng : Rng.t }
 
-  type state =
-    | S_poisson of { rate : float }
-    | S_mmpp of {
-        rate_low : float;
-        rate_high : float;
-        dwell_low : float;
-        dwell_high : float;
-        mutable phase : phase;
-        mutable phase_end : float;
-      }
-    | S_ramp of { rate_from : float; rate_to : float; over : float }
-
-  type t = { state : state; rng : Rng.t }
-
-  let create arrival ~rng =
-    let state =
-      match arrival with
-      | Poisson { rate } -> S_poisson { rate }
-      | Mmpp { rate_low; rate_high; dwell_low; dwell_high } ->
-          S_mmpp
-            {
-              rate_low;
-              rate_high;
-              dwell_low;
-              dwell_high;
-              phase = Low;
-              phase_end = Rng.exponential rng ~mean:dwell_low;
-            }
-      | Ramp { rate_from; rate_to; over } -> S_ramp { rate_from; rate_to; over }
-    in
-    { state; rng }
-
-  let next t ~now =
-    match t.state with
-    | S_poisson { rate } -> now +. Rng.exponential t.rng ~mean:(1. /. rate)
-    | S_mmpp m ->
-        (* Draw within the current phase; a candidate past the phase
-           boundary is discarded and redrawn from the boundary — valid
-           because the within-phase process is memoryless. *)
-        let rec go from =
-          if from >= m.phase_end then begin
-            (m.phase <-
-               (match m.phase with Low -> High | High -> Low));
-            let dwell =
-              match m.phase with Low -> m.dwell_low | High -> m.dwell_high
-            in
-            m.phase_end <- m.phase_end +. Rng.exponential t.rng ~mean:dwell;
-            go from
-          end
-          else
-            let rate =
-              match m.phase with Low -> m.rate_low | High -> m.rate_high
-            in
-            let candidate = from +. Rng.exponential t.rng ~mean:(1. /. rate) in
-            if candidate <= m.phase_end then candidate else go m.phase_end
-        in
-        go now
-    | S_ramp { rate_from; rate_to; over } ->
-        (* Thinning (Lewis–Shedler) at the envelope rate: always correct
-           for a rate bounded by [max rate_from rate_to]. *)
-        let max_rate = Float.max rate_from rate_to in
-        let rate_at time =
-          let frac = Float.min 1. (time /. over) in
-          rate_from +. ((rate_to -. rate_from) *. frac)
-        in
-        let rec go from =
-          let candidate = from +. Rng.exponential t.rng ~mean:(1. /. max_rate) in
-          if Rng.bool t.rng (rate_at candidate /. max_rate) then candidate
-          else go candidate
-        in
-        go now
+  let create (arrival : arrival) ~rng = { rate = arrival.rate; rng }
+  let next t ~now = now +. Rng.exponential t.rng ~mean:(1. /. t.rate)
 end

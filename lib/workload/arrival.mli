@@ -5,49 +5,28 @@
     property of open-loop load (a closed-loop client waits for a reply
     before submitting again, so it can never push past saturation).
 
-    Values are built through smart constructors that validate rates and
-    durations; the variant is [private] so every in-flight value is known
-    valid. Sampling is driven entirely by a caller-supplied
-    {!Marlin_sim.Rng} stream: same seed, same arrival times, bit for bit. *)
+    The one process is Poisson: memoryless arrivals at a fixed rate, as
+    in the paper's client model. The constructor validates the rate and
+    the type is abstract, so every in-flight value is known valid.
+    Sampling is driven entirely by a caller-supplied {!Marlin_sim.Rng}
+    stream: same seed, same arrival times, bit for bit. *)
 
-type t = private
-  | Poisson of { rate : float }
-      (** Memoryless arrivals at [rate] ops/s. *)
-  | Mmpp of {
-      rate_low : float;
-      rate_high : float;
-      dwell_low : float;
-      dwell_high : float;
-    }
-      (** Bursty: a two-phase Markov-modulated Poisson process. Arrivals
-          are Poisson at [rate_low] (resp. [rate_high]) while the hidden
-          phase dwells there; dwell times are exponential with means
-          [dwell_low]/[dwell_high] seconds. *)
-  | Ramp of { rate_from : float; rate_to : float; over : float }
-      (** Rate moves linearly from [rate_from] to [rate_to] over the first
-          [over] seconds, then holds at [rate_to]. *)
+type t
 
 val poisson : rate:float -> t
-(** @raise Invalid_argument unless [rate] is finite and positive. *)
-
-val mmpp :
-  rate_low:float -> rate_high:float -> dwell_low:float -> dwell_high:float -> t
-(** @raise Invalid_argument unless all four are finite and positive. *)
-
-val ramp : rate_from:float -> rate_to:float -> over:float -> t
-(** @raise Invalid_argument unless all three are finite and positive. *)
+(** Memoryless arrivals at [rate] ops/s.
+    @raise Invalid_argument unless [rate] is finite and positive. *)
 
 val mean_rate : t -> float
-(** Long-run average offered rate in ops/s (for [Ramp], the average over
-    the ramp itself, [(rate_from + rate_to) / 2]). *)
+(** Long-run average offered rate in ops/s. *)
 
 val scale : t -> by:float -> t
-(** Multiply every rate by [by] (dwell times and ramp duration are
-    unchanged). @raise Invalid_argument unless [by] is finite, positive. *)
+(** Multiply the rate by [by].
+    @raise Invalid_argument unless [by] is finite, positive. *)
 
 val with_mean_rate : t -> rate:float -> t
 (** [scale]d so that {!mean_rate} equals [rate] — how a sweep re-targets
-    one arrival shape at many offered loads. *)
+    one arrival process at many offered loads. *)
 
 val label : t -> string
 (** Short deterministic description, e.g. ["poisson(20000/s)"]. *)

@@ -1,9 +1,10 @@
 (* Tests for the discrete-event simulator: RNG determinism, event-queue
    ordering, the clock, and the network model (latency, bandwidth FIFO,
-   crashes, partitions, pre-GST delays). *)
+   crashes, partitions, config validation). *)
 
 open Marlin_sim
 open Marlin_types
+open Test_support.Hostile
 
 let noop_msg sender =
   Message.make ~sender ~view:0 (Message.Client_reply { client = 0; seq = 0 })
@@ -273,7 +274,7 @@ let make_net ?(config = Netsim.default_config) ?(endpoints = 4) () =
 
 let test_net_delivery_latency () =
   let config =
-    { Netsim.default_config with latency = 0.04; jitter = 0.; bandwidth_bps = infinity }
+    { Netsim.latency = 0.04; jitter = 0.; bandwidth_bps = infinity }
   in
   let sim, net = make_net ~config () in
   let received = ref None in
@@ -291,7 +292,7 @@ let test_net_bandwidth_fifo () =
   (* 1 Mbps uplink: a 125_000-byte message takes 1 s to serialize; two
      queued messages serialize back to back. *)
   let config =
-    { Netsim.default_config with latency = 0.; jitter = 0.; bandwidth_bps = 1e6 }
+    { Netsim.latency = 0.; jitter = 0.; bandwidth_bps = 1e6 }
   in
   let sim, net = make_net ~config () in
   let times = ref [] in
@@ -318,7 +319,7 @@ let test_net_self_send_is_free () =
 
 let test_net_earliest () =
   let config =
-    { Netsim.default_config with latency = 0.01; jitter = 0.; bandwidth_bps = infinity }
+    { Netsim.latency = 0.01; jitter = 0.; bandwidth_bps = infinity }
   in
   let sim, net = make_net ~config () in
   let at = ref None in
@@ -361,30 +362,18 @@ let test_net_link_filter () =
   Sim.run sim;
   Alcotest.(check int) "healed" 3 (List.length !got)
 
-let test_net_pre_gst_delay () =
-  let config =
-    {
-      Netsim.latency = 0.01;
-      jitter = 0.;
-      bandwidth_bps = infinity;
-      gst = 1.0;
-      pre_gst_extra = 5.0;
-    }
-  in
-  let sim, net = make_net ~config () in
-  let times = ref [] in
-  Netsim.register net ~id:1 (fun ~src:_ _ -> times := Sim.now sim :: !times);
-  (* Before GST: may be delayed up to 5s extra. After: crisp. *)
-  Netsim.send net ~src:0 ~dst:1 ~size:10 (noop_msg 0);
-  Sim.schedule_at sim ~time:2.0 (fun () ->
-      Netsim.send net ~src:0 ~dst:1 ~size:10 (noop_msg 0));
-  Sim.run sim;
-  match List.sort compare !times with
-  | [ a; b ] ->
-      let pre, post = if a < 2.0 then (a, b) else (b, a) in
-      Alcotest.(check bool) "pre-GST delayed beyond base latency" true (pre > 0.01);
-      Alcotest.(check (float 1e-9)) "post-GST crisp" 2.01 post
-  | l -> Alcotest.failf "expected 2 deliveries, got %d" (List.length l)
+let test_net_rejects_config () =
+  let c = Netsim.default_config in
+  List.iter
+    (fun (field, config) ->
+      Alcotest.(check bool)
+        (field ^ " rejected by name") true
+        (rejected_naming field (fun () -> make_net ~config ())))
+    [
+      ("latency", { c with latency = Float.nan });
+      ("jitter", { c with jitter = -0.5 });
+      ("bandwidth_bps", { c with bandwidth_bps = 0. });
+    ]
 
 let test_net_stats () =
   let sim, net = make_net () in
@@ -404,7 +393,7 @@ let test_net_stats () =
 (* ---------- broadcast ---------- *)
 
 let crisp_config =
-  { Netsim.default_config with latency = 0.04; jitter = 0.; bandwidth_bps = infinity }
+  { Netsim.latency = 0.04; jitter = 0.; bandwidth_bps = infinity }
 
 (* Send one message from endpoint 0 to [dsts], once as per-destination
    [Netsim.send]s and once as one [Netsim.broadcast], and return each
@@ -489,7 +478,7 @@ let qcheck_cases =
       (fun sizes ->
         (* With latency 0, total delivery time = total bytes / bandwidth. *)
         let config =
-          { Netsim.default_config with latency = 0.; jitter = 0.; bandwidth_bps = 1e6 }
+          { Netsim.latency = 0.; jitter = 0.; bandwidth_bps = 1e6 }
         in
         let sim = Sim.create () in
         let net = Netsim.create sim (Rng.create ~seed:3) config ~endpoints:2 in
@@ -499,6 +488,16 @@ let qcheck_cases =
         Sim.run sim;
         let expect = float_of_int (8 * List.fold_left ( + ) 0 sizes) /. 1e6 in
         Float.abs (!last -. expect) < 1e-6);
+    Test.make ~count:300 ~name:"Netsim.create rejects exactly the invalid configs"
+      (make
+         ~print:(fun (latency, jitter, bandwidth_bps) ->
+           Printf.sprintf "latency=%g jitter=%g bandwidth_bps=%g" latency jitter
+             bandwidth_bps)
+         Gen.(triple edge_float edge_float edge_float))
+      (fun (latency, jitter, bandwidth_bps) ->
+        accepts_iff
+          (finite_nonneg latency && finite_nonneg jitter && bandwidth_bps > 0.)
+          (fun () -> make_net ~config:{ Netsim.latency; jitter; bandwidth_bps } ()));
   ]
 
 let suite =
@@ -518,7 +517,8 @@ let suite =
     ("net earliest (cpu modelling)", `Quick, test_net_earliest);
     ("net crash", `Quick, test_net_crash);
     ("net link filter", `Quick, test_net_link_filter);
-    ("net pre-GST delay", `Quick, test_net_pre_gst_delay);
+    ("Netsim.create rejects invalid config, naming the field", `Quick,
+     test_net_rejects_config);
     ("net stats & metering", `Quick, test_net_stats);
     ("broadcast fan-out matches per-dst sends", `Quick, test_broadcast_matches_sends);
     ("broadcast zero-delay self delivery", `Quick, test_broadcast_self_delivery);

@@ -3,6 +3,7 @@
    model. *)
 
 open Marlin_store
+open Test_support.Hostile
 
 let temp_path () = Filename.temp_file "marlin-store" ".log"
 
@@ -195,6 +196,37 @@ let test_sim_disk_default () =
   Alcotest.(check bool) "cost positive and sub-millisecond" true
     (c > 0. && c < 1e-3)
 
+let test_sim_disk_rejects_config () =
+  let c = Sim_disk.default_config in
+  List.iter
+    (fun (field, config) ->
+      Alcotest.(check bool)
+        (field ^ " rejected by name") true
+        (rejected_naming field (fun () -> Sim_disk.create config)))
+    [
+      ("write_bandwidth", { c with write_bandwidth = 0. });
+      ("checkpoint_interval", { c with checkpoint_interval = -1 });
+    ]
+
+let qcheck_sim_disk_config =
+  let open QCheck in
+  Test.make ~count:300 ~name:"Sim_disk.create rejects exactly the invalid configs"
+    (make
+       ~print:(fun ((write_bandwidth, write_overhead, checkpoint_cost), interval) ->
+         Printf.sprintf
+           "write_bandwidth=%g write_overhead=%g checkpoint_cost=%g \
+            checkpoint_interval=%d"
+           write_bandwidth write_overhead checkpoint_cost interval)
+       Gen.(pair (triple edge_float edge_float edge_float) (int_range (-2) 3)))
+    (fun ((write_bandwidth, write_overhead, checkpoint_cost), checkpoint_interval) ->
+      accepts_iff
+        (write_bandwidth > 0. && finite_nonneg write_overhead
+        && finite_nonneg checkpoint_cost && checkpoint_interval >= 0)
+        (fun () ->
+          Sim_disk.create
+            { Sim_disk.write_bandwidth; write_overhead; checkpoint_interval;
+              checkpoint_cost }))
+
 let suite =
   [
     ("mem store basics", `Quick, test_mem_basics);
@@ -205,7 +237,10 @@ let suite =
     ("log store maybe_compact", `Quick, test_log_maybe_compact);
     ("sim disk costs & checkpoints", `Quick, test_sim_disk_costs);
     ("sim disk defaults", `Quick, test_sim_disk_default);
+    ("Sim_disk.create rejects invalid config, naming the field", `Quick,
+     test_sim_disk_rejects_config);
   ]
-  @ [ QCheck_alcotest.to_alcotest qcheck_log_vs_mem ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ qcheck_log_vs_mem; qcheck_sim_disk_config ]
 
 let () = Alcotest.run "store" [ ("store", suite) ]

@@ -8,9 +8,8 @@ module Experiment = Marlin_runtime.Experiment
 module Workload = Marlin_workload.Workload
 module Arrival = Marlin_workload.Arrival
 module Rng = Marlin_sim.Rng
-module Netsim = Marlin_sim.Netsim
-module Sim_disk = Marlin_store.Sim_disk
 module Stats = Marlin_analysis.Stats
+open Test_support.Hostile
 
 let marlin : Marlin_core.Consensus_intf.protocol =
   (module Marlin_runtime.Registry.Chained_marlin)
@@ -27,12 +26,6 @@ let test_constructor_validation () =
     (raises_invalid (fun () -> Arrival.poisson ~rate:0.));
   Alcotest.(check bool) "poisson rate nan" true
     (raises_invalid (fun () -> Arrival.poisson ~rate:Float.nan));
-  Alcotest.(check bool) "mmpp negative dwell" true
-    (raises_invalid (fun () ->
-         Arrival.mmpp ~rate_low:10. ~rate_high:100. ~dwell_low:(-1.)
-           ~dwell_high:1.));
-  Alcotest.(check bool) "ramp zero duration" true
-    (raises_invalid (fun () -> Arrival.ramp ~rate_from:1. ~rate_to:2. ~over:0.));
   Alcotest.(check bool) "closed loop needs a client" true
     (raises_invalid (fun () -> Workload.closed_loop ~clients:0));
   Alcotest.(check bool) "open loop needs keys" true
@@ -70,11 +63,7 @@ let test_sampler_determinism () =
         (List.for_all2 (fun x y -> x < y) a (List.tl a @ [ infinity ]));
       let c = arrivals arrival ~seed:43 ~until:20. in
       Alcotest.(check bool) "different seed differs" true (a <> c))
-    [
-      Arrival.poisson ~rate:200.;
-      Arrival.mmpp ~rate_low:50. ~rate_high:500. ~dwell_low:0.5 ~dwell_high:0.2;
-      Arrival.ramp ~rate_from:50. ~rate_to:400. ~over:5.;
-    ]
+    [ Arrival.poisson ~rate:200. ]
 
 let test_sampler_mean_rate () =
   (* over a long horizon the realized rate converges on mean_rate *)
@@ -89,15 +78,10 @@ let test_sampler_mean_rate () =
            n expect)
         true
         (Float.abs (realized -. expect) < 0.08 *. expect))
-    [
-      Arrival.poisson ~rate:100.;
-      Arrival.mmpp ~rate_low:40. ~rate_high:400. ~dwell_low:1.0 ~dwell_high:0.5;
-    ]
+    [ Arrival.poisson ~rate:100. ]
 
 let test_with_mean_rate () =
-  let a =
-    Arrival.mmpp ~rate_low:40. ~rate_high:400. ~dwell_low:1.0 ~dwell_high:0.5
-  in
+  let a = Arrival.poisson ~rate:40. in
   let b = Arrival.with_mean_rate a ~rate:1000. in
   Alcotest.(check bool) "retargeted mean" true
     (Float.abs (Arrival.mean_rate b -. 1000.) < 1e-6);
@@ -209,16 +193,6 @@ let test_knee () =
 module C = Marlin_core.Consensus_intf
 module Cl = Cluster.Make (Marlin_runtime.Registry.Chained_marlin)
 
-let rejected_naming field f =
-  match f () with
-  | _ -> false
-  | exception Invalid_argument msg ->
-      let n = String.length field in
-      let rec mentions i =
-        i + n <= String.length msg && (String.sub msg i n = field || mentions (i + 1))
-      in
-      mentions 0
-
 let test_cluster_rejects_params () =
   let p = Cluster.default_params in
   List.iter
@@ -230,31 +204,12 @@ let test_cluster_rejects_params () =
       ("batch_max", { p with Cluster.batch_max = 0 });
       ("op_size", { p with Cluster.op_size = -1000 });
       ("reply_size", { p with Cluster.reply_size = -1 });
-      ("exec_cost", { p with Cluster.exec_cost = Float.nan });
-      ("exec_cost", { p with Cluster.exec_cost = -1e-6 });
       ("rotation", { p with Cluster.rotation = Some 0. });
-      ("latency", { p with Cluster.net = { p.net with latency = Float.nan } });
-      ("jitter", { p with Cluster.net = { p.net with jitter = -0.5 } });
-      ( "bandwidth_bps",
-        { p with Cluster.net = { p.net with bandwidth_bps = 0. } } );
-      ( "write_bandwidth",
-        { p with Cluster.disk = { p.disk with write_bandwidth = 0. } } );
-      ( "checkpoint_interval",
-        { p with Cluster.disk = { p.disk with checkpoint_interval = -1 } } );
     ]
 
 (* Every field is drawn from a small set holding both valid and invalid
    values (zero, negatives, NaN, infinities), and each constructor must
    raise Invalid_argument exactly when some field is invalid. *)
-let edge_float = QCheck.Gen.oneofl [ Float.nan; infinity; neg_infinity; -1.; 0.; 1e-3; 1.; 500. ]
-let valid_pos x = Float.is_finite x && x > 0.
-let edge_int = QCheck.Gen.oneof [ QCheck.Gen.int_range (-2) 9; QCheck.Gen.oneofl [ min_int; max_int ] ]
-
-let accepts_iff valid f =
-  match f () with
-  | _ -> valid
-  | exception Invalid_argument _ -> not valid
-
 let config_gen =
   QCheck.Gen.(
     map
@@ -285,25 +240,15 @@ let mempool_workload_property =
     ~name:"Mempool.Config.make and Workload constructors reject exactly the invalid ones"
     QCheck.(
       make
-        ~print:(fun ((a, b), (c, d), (r, s)) ->
-          Printf.sprintf "ints %d %d %d %d floats %g %g" a b c d r s)
-        Gen.(
-          triple (pair edge_int edge_int) (pair edge_int edge_int)
-            (pair edge_float edge_float)))
-    (fun ((capacity, per_client_cap), (clients, key_space), (rate, other)) ->
+        ~print:(fun ((a, b), (c, d), r) ->
+          Printf.sprintf "ints %d %d %d %d float %g" a b c d r)
+        Gen.(triple (pair edge_int edge_int) (pair edge_int edge_int) edge_float))
+    (fun ((capacity, per_client_cap), (clients, key_space), rate) ->
       let sources = clients in
       accepts_iff (capacity >= 1 && per_client_cap >= 1) (fun () ->
           Mempool.Config.make ~capacity ~per_client_cap ())
       && accepts_iff (clients >= 1) (fun () -> Workload.closed_loop ~clients)
       && accepts_iff (valid_pos rate) (fun () -> Arrival.poisson ~rate)
-      && accepts_iff
-           (valid_pos rate && valid_pos other)
-           (fun () ->
-             Arrival.mmpp ~rate_low:rate ~rate_high:other ~dwell_low:other
-               ~dwell_high:rate)
-      && accepts_iff
-           (valid_pos rate && valid_pos other)
-           (fun () -> Arrival.ramp ~rate_from:rate ~rate_to:other ~over:other)
       && accepts_iff
            (key_space >= 1 && sources >= 1)
            (fun () ->
@@ -315,85 +260,36 @@ let mempool_workload_property =
                   ~key_space:1 ())
                ~rate))
 
-(* Each net and disk field keeps its default five times in six, so that
-   cases with every field valid stay common among the nine extra fields. *)
-let mostly default gen =
-  QCheck.Gen.frequency [ (5, QCheck.Gen.return default); (1, gen) ]
-
-let net_disk_gen =
-  let n = Netsim.default_config and d = Sim_disk.default_config in
-  QCheck.Gen.(
-    map
-      (fun ( (latency, jitter, bandwidth_bps, gst),
-             (pre_gst_extra, write_bandwidth, write_overhead, checkpoint_cost),
-             checkpoint_interval ) ->
-        ( { Netsim.latency; jitter; bandwidth_bps; gst; pre_gst_extra },
-          {
-            Sim_disk.write_bandwidth;
-            write_overhead;
-            checkpoint_interval;
-            checkpoint_cost;
-          } ))
-      (triple
-         (quad (mostly n.latency edge_float) (mostly n.jitter edge_float)
-            (mostly n.bandwidth_bps edge_float) (mostly n.gst edge_float))
-         (quad (mostly n.pre_gst_extra edge_float)
-            (mostly d.write_bandwidth edge_float)
-            (mostly d.write_overhead edge_float)
-            (mostly d.checkpoint_cost edge_float))
-         (mostly d.checkpoint_interval (int_range (-2) 3))))
-
 let cluster_gen =
   QCheck.Gen.(
-    triple
+    pair
       (quad (int_range (-1) 7) (int_range (-1) 2) (int_range (-1) 2)
          (int_range (-1) 1))
-      (quad edge_float edge_float edge_float
-         (oneof [ return None; map Option.some edge_float ]))
-      net_disk_gen)
+      (triple edge_float edge_float
+         (oneof [ return None; map Option.some edge_float ])))
 
-let print_cluster
-    ( (n, f, batch_max, op_size),
-      (exec_cost, base, max, rotation),
-      ((net : Netsim.config), (disk : Sim_disk.config)) ) =
+let print_cluster ((n, f, batch_max, op_size), (base, max, rotation)) =
   Printf.sprintf
-    "n=%d f=%d batch_max=%d op_size=%d exec_cost=%g base_timeout=%g \
-     max_timeout=%g rotation=%s latency=%g jitter=%g bandwidth_bps=%g gst=%g \
-     pre_gst_extra=%g write_bandwidth=%g write_overhead=%g \
-     checkpoint_interval=%d checkpoint_cost=%g"
-    n f batch_max op_size exec_cost base max
+    "n=%d f=%d batch_max=%d op_size=%d base_timeout=%g max_timeout=%g \
+     rotation=%s"
+    n f batch_max op_size base max
     (match rotation with None -> "none" | Some r -> string_of_float r)
-    net.latency net.jitter net.bandwidth_bps net.gst net.pre_gst_extra
-    disk.write_bandwidth disk.write_overhead disk.checkpoint_interval
-    disk.checkpoint_cost
 
 let cluster_create_property =
   QCheck.Test.make ~count:300
     ~name:"Cluster.create rejects exactly the invalid params"
     (QCheck.make ~print:print_cluster cluster_gen)
-    (fun ( (n, f, batch_max, op_size),
-           (exec_cost, base_timeout, max_timeout, rotation),
-           (net, disk) ) ->
-      let finite_nonneg x = Float.is_finite x && x >= 0. in
+    (fun ((n, f, batch_max, op_size), (base_timeout, max_timeout, rotation)) ->
       let valid =
         f >= 0 && n >= 1 && n >= (3 * f) + 1 && batch_max >= 1 && op_size >= 0
-        && finite_nonneg exec_cost
         && valid_pos base_timeout && base_timeout <= max_timeout
         && Option.fold ~none:true ~some:valid_pos rotation
-        && List.for_all finite_nonneg
-             [
-               net.latency; net.jitter; net.gst; net.pre_gst_extra;
-               disk.write_overhead; disk.checkpoint_cost;
-             ]
-        && net.bandwidth_bps > 0. && disk.write_bandwidth > 0.
-        && disk.checkpoint_interval >= 0
       in
       accepts_iff valid (fun () ->
           Cl.create
             {
               Cluster.default_params with
-              n; f; batch_max; op_size; exec_cost; base_timeout; max_timeout;
-              rotation; net; disk;
+              n; f; batch_max; op_size; base_timeout; max_timeout; rotation;
               workload = Workload.closed_loop ~clients:2;
             }))
 
