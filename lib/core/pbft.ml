@@ -201,6 +201,10 @@ let accept_new_view_proof t (m : Message.t) (justify : Qc.t) proof =
   let r = t.rep in
   if m.Message.view < r.cview then []
   else if m.Message.sender <> Replica.leader_of r m.Message.view then []
+  else if m.Message.sender = Replica.me r then
+    (* our own proof: [maybe_finish_vc] already exited the view change,
+       set the anchor and voted; only the view timer is left to re-arm *)
+    [ C.timer (Pacemaker.current_timeout r.pacemaker) ]
   else if List.length proof < C.quorum r.cfg then []
   else if not (List.for_all (Auth.verify_qc r.auth) (justify :: proof)) then []
   else if not (List.for_all (fun qc -> Rank.qc_geq justify qc) proof) then []

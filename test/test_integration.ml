@@ -195,6 +195,37 @@ let test_larger_cluster () =
   Alcotest.(check bool) "n=10 agreement" true r.Experiment.agreement;
   Alcotest.(check bool) "n=10 commits" true (r.Experiment.throughput > 0.)
 
+(* A leader that completes a view change emits one view-change-exit for
+   it, whichever path (happy or forced-unhappy) the view change takes. *)
+let test_one_view_change_exit () =
+  List.iter
+    (fun (name, proto) ->
+      List.iter
+        (fun force_unhappy ->
+          let obs = Marlin_obs.Run.create ~trace:true ~n:4 () in
+          let params = { (small_params ()) with Cluster.obs = Some obs } in
+          ignore (Experiment.run proto ~params (view_change force_unhappy));
+          let exits =
+            List.filter_map
+              (fun (e : Marlin_obs.Trace.event) ->
+                match e.Marlin_obs.Trace.kind with
+                | Marlin_obs.Trace.View_change_exit ->
+                    Some (e.Marlin_obs.Trace.replica, e.Marlin_obs.Trace.view)
+                | _ -> None)
+              (Marlin_obs.Run.trace_events obs)
+          in
+          let label =
+            Printf.sprintf "%s%s" name (if force_unhappy then " (unhappy)" else "")
+          in
+          Alcotest.(check bool) (label ^ ": a view change completed") true
+            (exits <> []);
+          Alcotest.(check int)
+            (label ^ ": one exit per (replica, view)")
+            (List.length (List.sort_uniq compare exits))
+            (List.length exits))
+        [ false; true ])
+    (Marlin_runtime.Registry.all ())
+
 let suite =
   [
     ("marlin cluster commits", `Quick, test_marlin_cluster_commits);
@@ -211,6 +242,8 @@ let suite =
     ("pbft cluster commits", `Quick, test_pbft_cluster);
     ("sweep and peak", `Quick, test_sweep_and_peak);
     ("larger cluster (f=3)", `Quick, test_larger_cluster);
+    ("one view-change exit per replica and view, every protocol", `Quick,
+     test_one_view_change_exit);
   ]
 
 let () = Alcotest.run "integration" [ ("integration", suite) ]

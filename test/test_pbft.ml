@@ -130,6 +130,48 @@ let test_pipelined_window () =
         (List.length (H.committed_ops t id)))
     [ 0; 1; 2; 3 ]
 
+(* The new leader applies its NEW-VIEW-PROOF when it forms it, so the
+   copy it delivers to itself must not repeat the re-commit: every replica
+   sends one COMMIT vote for the re-committed block to each other one. *)
+let test_new_leader_recommits_once () =
+  let t = H.create () in
+  H.start t;
+  H.submit_ops t ~client:1 ~count:3;
+  H.crash t 0;
+  H.submit t (Operation.make ~client:2 ~seq:1 ~body:"after-crash");
+  H.timeout_all t;
+  let justify =
+    match
+      List.filter_map
+        (fun (_, _, m) ->
+          match m.Message.payload with
+          | Message.New_view_proof { justify; _ } -> Some justify
+          | _ -> None)
+        t.H.trace
+    with
+    | qc :: _ -> qc
+    | [] -> Alcotest.fail "no NEW-VIEW-PROOF sent"
+  in
+  Alcotest.(check bool) "re-commits a real block" false (Qc.is_genesis justify);
+  let recommit_votes ~src ~dst =
+    List.length
+      (List.filter
+         (fun (s, d, m) ->
+           s = src && d = dst && m.Message.view = 1
+           &&
+           match m.Message.payload with
+           | Message.Vote { kind = Qc.Commit; block; _ } ->
+               Qc.block_ref_equal block justify.Qc.block
+           | _ -> false)
+         t.H.trace)
+  in
+  List.iter
+    (fun (src, dst) ->
+      Alcotest.(check int)
+        (Printf.sprintf "re-commit votes %d -> %d" src dst)
+        1 (recommit_votes ~src ~dst))
+    [ (1, 2); (1, 3); (2, 1); (2, 3); (3, 1); (3, 2) ]
+
 let suite =
   [
     ("normal case commit", `Quick, test_normal_commit);
@@ -139,6 +181,8 @@ let suite =
     ("prepared block survives view change", `Quick, test_prepared_block_survives);
     ("broadcast VCs synchronize views", `Quick, test_view_sync_on_broadcast_vcs);
     ("pipelined window", `Quick, test_pipelined_window);
+    ("new leader sends one re-commit vote per follower", `Quick,
+     test_new_leader_recommits_once);
   ]
 
 let () = Alcotest.run "pbft" [ ("pbft", suite) ]
