@@ -31,6 +31,31 @@ let median xs = percentile xs ~p:50.
 let minimum = function [] -> 0. | xs -> List.fold_left Float.min infinity xs
 let maximum = function [] -> 0. | xs -> List.fold_left Float.max neg_infinity xs
 
+(* Wirth's [find]: partition [lo, hi] around the value at [k] until the
+   window shrinks to [k]. Each pass leaves everything left of [i] <= the
+   pivot and everything right of [j] >= it, with [j < i]. *)
+let select (a : float array) ~len ~k =
+  if not (0 <= k && k < len && len <= Array.length a) then
+    invalid_arg "Stats.select: need 0 <= k < len <= Array.length a";
+  let lo = ref 0 and hi = ref (len - 1) in
+  while !lo < !hi do
+    let pivot = a.(k) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while pivot < a.(!j) do decr j done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done
+
 type summary = {
   count : int;
   mean : float;

@@ -13,6 +13,14 @@ val median : float list -> float
 val minimum : float list -> float
 val maximum : float list -> float
 
+val select : float array -> len:int -> k:int -> unit
+(** [select a ~len ~k] permutes [a.(0) .. a.(len - 1)] so that [a.(k)]
+    holds the element of 0-based rank [k] among them (what a sort would
+    put there): nothing before it is greater and nothing after it is
+    smaller. Quickselect in place (Wirth's [find]): expected O([len]),
+    no allocation. [infinity] is an ordinary value; NaN is not allowed.
+    @raise Invalid_argument unless [0 <= k < len <= Array.length a]. *)
+
 type summary = {
   count : int;
   mean : float;

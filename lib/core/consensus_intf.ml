@@ -65,7 +65,7 @@ module Config = struct
   (** Smart constructor for {!config}. Validates the quorum arithmetic
       ([f >= 0], [n >= 3f + 1]), the index range, that [keychain] holds
       exactly [n] replica keys and that [0 < base_timeout <= max_timeout]
-      (NaN fails), and fills in the defaults the record literal forced
+      with [base_timeout] finite (NaN fails), and fills in the defaults the record literal forced
       every call site to repeat. @raise Invalid_argument otherwise. *)
   let make ?(base_timeout = 1.0) ?(max_timeout = 16.0)
       ?(cost = Marlin_crypto.Cost_model.ecdsa_group)
@@ -81,8 +81,14 @@ module Config = struct
       invalid_arg
         (Printf.sprintf "Config.make: keychain holds %d keys, n = %d"
            (Marlin_crypto.Keychain.n keychain) n);
-    if not (0. < base_timeout && base_timeout <= max_timeout) then
-      invalid_arg "Config.make: need 0 < base_timeout <= max_timeout";
+    if
+      not
+        (0. < base_timeout && Float.is_finite base_timeout
+       && base_timeout <= max_timeout)
+    then
+      invalid_arg
+        "Config.make: need 0 < base_timeout <= max_timeout, base_timeout \
+         finite";
     {
       id; n; f; keychain; cost; get_batch; has_pending;
       base_timeout; max_timeout; obs;

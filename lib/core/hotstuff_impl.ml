@@ -3,16 +3,10 @@ module Sha256 = Marlin_crypto.Sha256
 module C = Consensus_intf
 module Obs = Marlin_obs.Sink
 
-module type S = sig
-  include C.PROTOCOL
-
-  val prepare_qc : t -> Qc.t
-end
-
 (* Chained HotStuff has one generic voting round per block; a block locks
    on a two-chain and commits on a three-chain of same-view, direct-parent
    prepareQCs. *)
-module Make (Mode : C.MODE) : S = struct
+module Make (Mode : C.MODE) : C.PROTOCOL = struct
   let name = Mode.name
 type t = {
   rep : Replica.t;
@@ -37,7 +31,6 @@ let create cfg =
 
 let locked_qc t = t.locked_qc
 let high_qc t = High_qc.Single t.prepare_qc
-let prepare_qc t = t.prepare_qc
 
 (* Chained rules, driven by each newly learned prepareQC qc2 (for b2):
    - two-chain lock: if b2's justify certifies its direct parent b1, lock

@@ -15,11 +15,4 @@
     differ by exactly what the paper varies: the number of phases and the
     view-change rule. *)
 
-module type S = sig
-  include Consensus_intf.PROTOCOL
-
-  val prepare_qc : t -> Marlin_types.Qc.t
-  (** The highest prepareQC this replica holds (its NEW-VIEW payload). *)
-end
-
-module Make (_ : Consensus_intf.MODE) : S
+module Make (_ : Consensus_intf.MODE) : Consensus_intf.PROTOCOL

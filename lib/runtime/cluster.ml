@@ -87,7 +87,8 @@ module Make (P : C.PROTOCOL) = struct
     mutable next_seq : int;
     mutable outstanding : int option;
     mutable submit_time : float;
-    replies : (int, unit) Hashtbl.t; (* repliers for the outstanding seq *)
+    mutable repliers : int; (* replicas that replied to the outstanding seq *)
+    mutable completion_gen : int; (* voids all but the latest completion *)
     mutable completed : (float * float) list; (* (time, latency) newest first *)
   }
 
@@ -133,6 +134,15 @@ module Make (P : C.PROTOCOL) = struct
     replicas : replica array;
     clients : client array;
     reply_clients : int; (* closed-loop clients awaiting replies; 0 open-loop *)
+    (* [reply_at.(client * n + replica)]: the earliest arrival of that
+       replica's reply to the client's outstanding seq, [infinity] while
+       none is on its way. Allocated by [start], when the clients begin:
+       [create] does not pay for a major-heap block it never uses. *)
+    mutable reply_at : float array;
+    (* per client: the (f+1)-th smallest of its [reply_at] row, the instant
+       it completes; [infinity] until f+1 replicas have replied *)
+    reply_quorum_at : float array;
+    select_buf : float array; (* one row, shared by every client *)
     open_loop : open_state option;
     sig_bytes : int;
     mutable started : bool;
@@ -159,6 +169,105 @@ module Make (P : C.PROTOCOL) = struct
 
   let send t ~earliest ~src ~dst m =
     Netsim.send t.net ~earliest ~src ~dst ~size:(message_size t m) m
+
+  (* ---------- client side ---------- *)
+
+  let rec submit_op t (cl : client) =
+    let seq = cl.next_seq in
+    cl.next_seq <- seq + 1;
+    cl.outstanding <- Some seq;
+    cl.submit_time <- Sim.now t.sim;
+    let n = t.params.n in
+    Array.fill t.reply_at (cl.index * n) n infinity;
+    t.reply_quorum_at.(cl.index) <- infinity;
+    cl.repliers <- 0;
+    cl.completion_gen <- cl.completion_gen + 1;
+    send_op t cl seq;
+    watch_retry t cl seq
+
+  (* Clients contact one replica; non-leaders relay to the leader (the
+     mempool-relay pattern real deployments use). Contacting a fixed
+     replica per client spreads relay load. On retry, fall over to the
+     next replica in case the contact crashed. *)
+  and send_op t (cl : client) ?(attempt = 0) seq =
+    let op = Operation.make ~client:cl.index ~seq ~body:"" in
+    let contact = (cl.index + attempt) mod t.params.n in
+    send t ~earliest:(Sim.now t.sim) ~src:cl.endpoint ~dst:contact
+      (Message.make ~sender:cl.endpoint ~view:0 (Message.Client_op op))
+
+  (* Standard client-side retransmission: if no quorum of replies within
+     the timeout, resend (replica-side dedup makes this harmless). *)
+  and watch_retry t (cl : client) ?(attempt = 0) seq =
+    let retry_after = Float.max 2.0 (2.5 *. t.params.base_timeout) in
+    Sim.schedule_at t.sim
+      ~time:(Sim.now t.sim +. retry_after)
+      (fun () ->
+        if Option.equal Int.equal cl.outstanding (Some seq) then begin
+          send_op t cl ~attempt:(attempt + 1) seq;
+          watch_retry t cl ~attempt:(attempt + 1) seq
+        end)
+
+  let complete t (cl : client) =
+    cl.outstanding <- None;
+    let now = Sim.now t.sim in
+    cl.completed <- (now, now -. cl.submit_time) :: cl.completed;
+    (match t.params.obs with
+    | None -> ()
+    | Some run -> (
+        match Marlin_obs.Run.timeseries run with
+        | None -> ()
+        | Some ts ->
+            Marlin_obs.Timeseries.note_completion ts ~time:now
+              ~latency:(now -. cl.submit_time)));
+    submit_op t cl
+
+  (* Replica [r] answers [op]. A client completes when the (f+1)-th
+     distinct replica's reply reaches it, and nothing else about a reply
+     matters to it, so replies are posted rather than delivered: each one
+     costs a Netsim admission, and one completion event is scheduled
+     whenever a reply brings that instant forward. The client completes
+     at the instant the deciding reply arrives, and the only events gone
+     from the queue are reply deliveries, so every other event keeps its
+     order; only an event at a bit-equal time can fall on the other side
+     of a completion. A later copy from a replica that already replied
+     cannot change the count and is ignored. *)
+  let reply t (r : replica) ~earliest (op : Operation.t) =
+    let client = op.Operation.client in
+    if client < t.reply_clients then begin
+      let cl = t.clients.(client) in
+      let arrival =
+        let m =
+          Message.make ~sender:r.id ~view:0
+            (Message.Client_reply { client; seq = op.Operation.seq })
+        in
+        Netsim.post t.net ~earliest ~src:r.id ~dst:cl.endpoint
+          ~size:(message_size t m) m
+      in
+      match cl.outstanding with
+      | Some seq when seq = op.Operation.seq ->
+          let n = t.params.n in
+          let slot = (client * n) + r.id in
+          let prev = t.reply_at.(slot) in
+          if arrival < prev then begin
+            t.reply_at.(slot) <- arrival;
+            if not (Float.is_finite prev) then cl.repliers <- cl.repliers + 1;
+            let quorum = t.params.f + 1 in
+            if cl.repliers >= quorum && arrival < t.reply_quorum_at.(client)
+            then begin
+              Array.blit t.reply_at (client * n) t.select_buf 0 n;
+              Stats.select t.select_buf ~len:n ~k:(quorum - 1);
+              let at = t.select_buf.(quorum - 1) in
+              if at < t.reply_quorum_at.(client) then begin
+                t.reply_quorum_at.(client) <- at;
+                cl.completion_gen <- cl.completion_gen + 1;
+                let gen = cl.completion_gen in
+                Sim.schedule_at t.sim ~time:at (fun () ->
+                    if gen = cl.completion_gen then complete t cl)
+              end
+            end
+          end
+      | Some _ | None -> ()
+    end
 
   (* ---------- replica side ---------- *)
 
@@ -259,15 +368,7 @@ module Make (P : C.PROTOCOL) = struct
       actions;
     (* every replica replies (clients complete on f+1 matching replies,
        as in the paper, and survive any f crashes among the repliers) *)
-    List.iter
-      (fun (op : Operation.t) ->
-        if op.Operation.client < t.reply_clients then
-          let dst = t.params.n + op.Operation.client in
-          send t ~earliest:finish ~src:r.id ~dst
-            (Message.make ~sender:r.id ~view:0
-               (Message.Client_reply
-                  { client = op.Operation.client; seq = op.Operation.seq })))
-      commits
+    List.iter (reply t r ~earliest:finish) commits
 
   and handle_replica t (r : replica) ~src (m : Message.t) =
     if not r.crashed then begin
@@ -298,11 +399,7 @@ module Make (P : C.PROTOCOL) = struct
               then
                 (* a retransmission of an operation we already executed:
                    re-send the reply the client evidently missed *)
-                send t ~earliest:start ~src:r.id
-                  ~dst:(t.params.n + op.Operation.client)
-                  (Message.make ~sender:r.id ~view:0
-                     (Message.Client_reply
-                        { client = op.Operation.client; seq = op.Operation.seq }))
+                reply t r ~earliest:start op
           | Mempool.Rejected _ -> (
               (* a drop the submitting generator would observe: account it
                  (relayed copies, src < n, leave the op pooled at the
@@ -340,62 +437,6 @@ module Make (P : C.PROTOCOL) = struct
               (Message.make ~sender:r.id ~view:0 (Message.Client_op op)))
           (Mempool.snapshot r.mempool)
     end
-
-  (* ---------- client side ---------- *)
-
-  let rec submit_op t (cl : client) =
-    let seq = cl.next_seq in
-    cl.next_seq <- seq + 1;
-    cl.outstanding <- Some seq;
-    cl.submit_time <- Sim.now t.sim;
-    Hashtbl.reset cl.replies;
-    send_op t cl seq;
-    watch_retry t cl seq
-
-  (* Clients contact one replica; non-leaders relay to the leader (the
-     mempool-relay pattern real deployments use). Contacting a fixed
-     replica per client spreads relay load. On retry, fall over to the
-     next replica in case the contact crashed. *)
-  and send_op t (cl : client) ?(attempt = 0) seq =
-    let op = Operation.make ~client:cl.index ~seq ~body:"" in
-    let contact = (cl.index + attempt) mod t.params.n in
-    send t ~earliest:(Sim.now t.sim) ~src:cl.endpoint ~dst:contact
-      (Message.make ~sender:cl.endpoint ~view:0 (Message.Client_op op))
-
-  (* Standard client-side retransmission: if no quorum of replies within
-     the timeout, resend (replica-side dedup makes this harmless). *)
-  and watch_retry t (cl : client) ?(attempt = 0) seq =
-    let retry_after = Float.max 2.0 (2.5 *. t.params.base_timeout) in
-    Sim.schedule_at t.sim
-      ~time:(Sim.now t.sim +. retry_after)
-      (fun () ->
-        if Option.equal Int.equal cl.outstanding (Some seq) then begin
-          send_op t cl ~attempt:(attempt + 1) seq;
-          watch_retry t cl ~attempt:(attempt + 1) seq
-        end)
-
-  let handle_client t (cl : client) ~src (m : Message.t) =
-    match m.Message.payload with
-    | Message.Client_reply { client; seq } ->
-        if client = cl.index && Option.equal Int.equal cl.outstanding (Some seq)
-        then begin
-          Hashtbl.replace cl.replies src ();
-          if Hashtbl.length cl.replies >= t.params.f + 1 then begin
-            cl.outstanding <- None;
-            let now = Sim.now t.sim in
-            cl.completed <- (now, now -. cl.submit_time) :: cl.completed;
-            (match t.params.obs with
-            | None -> ()
-            | Some run -> (
-                match Marlin_obs.Run.timeseries run with
-                | None -> ()
-                | Some ts ->
-                    Marlin_obs.Timeseries.note_completion ts ~time:now
-                      ~latency:(now -. cl.submit_time)));
-            submit_op t cl
-          end
-        end
-    | _ -> ()
 
   (* ---------- open-loop sources ---------- *)
 
@@ -520,7 +561,8 @@ module Make (P : C.PROTOCOL) = struct
         next_seq = 0;
         outstanding = None;
         submit_time = 0.;
-        replies = Hashtbl.create 8;
+        repliers = 0;
+        completion_gen = 0;
         completed = [];
       }
     in
@@ -564,6 +606,7 @@ module Make (P : C.PROTOCOL) = struct
               base_completed = 0;
             }
     in
+    let reply_clients = Workload.closed_clients params.workload in
     let t =
       {
         params;
@@ -571,8 +614,11 @@ module Make (P : C.PROTOCOL) = struct
         net;
         rng;
         replicas = Array.init params.n make_replica;
-        clients = Array.init (Workload.closed_clients params.workload) make_client;
-        reply_clients = Workload.closed_clients params.workload;
+        clients = Array.init reply_clients make_client;
+        reply_clients;
+        reply_at = [||];
+        reply_quorum_at = Array.make reply_clients infinity;
+        select_buf = Array.make params.n infinity;
         open_loop;
         sig_bytes;
         started = false;
@@ -583,22 +629,14 @@ module Make (P : C.PROTOCOL) = struct
     Array.iter
       (fun r -> Netsim.register net ~id:r.id (handle_replica_with_relay t r))
       t.replicas;
-    Array.iter
-      (fun cl -> Netsim.register net ~id:cl.endpoint (handle_client t cl))
-      t.clients;
-    (match t.open_loop with
-    | None -> ()
-    | Some os ->
-        Array.iter
-          (fun s ->
-            (* sources only transmit; register so the endpoint is valid *)
-            Netsim.register net ~id:s.s_endpoint (fun ~src:_ _ -> ()))
-          os.srcs);
+    (* clients and open-loop sources register no handler: nothing is
+       delivered to them (replies are posted, see [reply]) *)
     t
 
   let start t =
     if not t.started then begin
       t.started <- true;
+      t.reply_at <- Array.make (t.reply_clients * t.params.n) infinity;
       Array.iter
         (fun r ->
           Sim.schedule_at t.sim ~time:0. (fun () ->

@@ -14,10 +14,10 @@ module Marlin : Marlin_core.Consensus_intf.PROTOCOL
 module Chained_marlin : Marlin_core.Consensus_intf.PROTOCOL
 (** Pipelined Marlin: one round per block, commit on a two-chain. *)
 
-module Hotstuff : Marlin_core.Hotstuff_impl.S
+module Hotstuff : Marlin_core.Consensus_intf.PROTOCOL
 (** Basic HotStuff: three voting phases per block. *)
 
-module Chained_hotstuff : Marlin_core.Hotstuff_impl.S
+module Chained_hotstuff : Marlin_core.Consensus_intf.PROTOCOL
 (** Pipelined HotStuff: one round per block, commit on a three-chain. *)
 
 val find_exn : string -> Marlin_core.Consensus_intf.protocol

@@ -33,7 +33,10 @@ type t = {
   mutable meter :
     (src:int -> dst:int -> size:int -> Marlin_types.Message.t -> unit) option;
   mutable obs : Marlin_obs.Run.t option;
-  mutable stats : stats;
+  (* [stats], bumped in place once per accepted copy *)
+  mutable sent_msgs : int;
+  mutable sent_bytes : int;
+  mutable sent_auths : int;
   mutable next_id : int; (* unique per accepted send; pairs queue/deliver *)
 }
 
@@ -67,7 +70,9 @@ let create sim rng config ~endpoints =
     link_filter = None;
     meter = None;
     obs = None;
-    stats = { messages = 0; bytes = 0; authenticators = 0 };
+    sent_msgs = 0;
+    sent_bytes = 0;
+    sent_auths = 0;
     next_id = 0;
   }
 
@@ -94,13 +99,18 @@ let partition_allows t ~src ~dst =
       let gs = g src and gd = g dst in
       gs < 0 || gd < 0 || gs = gd
 
-(* One (src, dst) copy of a message, for [send] and [broadcast] alike: the
-   filter, partition and loss checks, then stats, metering, the
-   queue/deliver pairing id, the [net-queued] trace event, NIC charging,
-   the per-copy randomness (jitter, duplication) and the delivery
-   event. [auths] is the message's authenticator count, computed once per
-   broadcast. Self sends deliver at [earliest] with no network cost. *)
-let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
+(* One (src, dst) copy of a message, for every sender: the filter,
+   partition and loss checks, then stats, metering, the queue/deliver
+   pairing id, the [net-queued] trace event, NIC charging and the per-copy
+   randomness (jitter, duplication). Returns the copy's arrival time, or
+   [infinity] when it is not accepted; the accepted copy's id is
+   [t.next_id - 1]. [auths] is the message's authenticator count, computed
+   once per broadcast. Self sends arrive at [earliest] with no network
+   cost. A network duplicate arrives after the original; with [~dup:true]
+   its delivery is scheduled here, with [~dup:false] only its draws are
+   made, since a receiver that handles arrival itself has the original's
+   earlier instant. *)
+let admit t ~dup ~now ~earliest ~auths ~src ~dst ~size msg =
   let allowed =
     (match t.link_filter with None -> true | Some f -> f ~src ~dst msg)
     && partition_allows t ~src ~dst
@@ -109,13 +119,11 @@ let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
          && src <> dst
          && Rng.bool t.rng t.faults.drop_fraction)
   in
-  if allowed then begin
-    t.stats <-
-      {
-        messages = t.stats.messages + 1;
-        bytes = t.stats.bytes + size;
-        authenticators = t.stats.authenticators + auths;
-      };
+  if not allowed then infinity
+  else begin
+    t.sent_msgs <- t.sent_msgs + 1;
+    t.sent_bytes <- t.sent_bytes + size;
+    t.sent_auths <- t.sent_auths + auths;
     (match t.meter with Some f -> f ~src ~dst ~size msg | None -> ());
     let id = t.next_id in
     t.next_id <- id + 1;
@@ -125,8 +133,7 @@ let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
           Marlin_obs.Run.net_queued run ~time:now ~id ~src ~dst ~size
             ~ready:earliest ~depart:earliest ~tx:0. msg
       | None -> ());
-      Sim.schedule_at t.sim ~time:earliest (fun () ->
-          deliver t ~id ~src ~dst ~size msg)
+      earliest
     end
     else begin
       let depart = Float.max earliest t.nic_free.(src) in
@@ -150,25 +157,43 @@ let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
         && Rng.bool t.rng t.faults.duplicate_fraction
       then begin
         let dup_jitter = Rng.float t.rng (Float.max t.config.jitter 1e-4) in
-        Sim.schedule_at t.sim ~time:(arrival +. dup_jitter) (fun () ->
-            deliver ~observe:false t ~id ~src ~dst ~size msg)
+        if dup then
+          Sim.schedule_at t.sim ~time:(arrival +. dup_jitter) (fun () ->
+              deliver ~observe:false t ~id ~src ~dst ~size msg)
       end;
-      Sim.schedule_at t.sim ~time:arrival (fun () ->
-          deliver t ~id ~src ~dst ~size msg)
+      arrival
     end
   end
 
+let transmit t ~now ~earliest ~auths ~src ~dst ~size msg =
+  let arrival = admit t ~dup:true ~now ~earliest ~auths ~src ~dst ~size msg in
+  if Float.is_finite arrival then begin
+    let id = t.next_id - 1 in
+    Sim.schedule_at t.sim ~time:arrival (fun () ->
+        deliver t ~id ~src ~dst ~size msg)
+  end
+
+let earliest_of t earliest =
+  let now = Sim.now t.sim in
+  match earliest with None -> now | Some e -> Float.max e now
+
 let send t ?earliest ~src ~dst ~size msg =
   if not t.crashed.(src) then
-    let now = Sim.now t.sim in
-    let earliest = match earliest with None -> now | Some e -> Float.max e now in
     let auths = Marlin_types.Message.authenticators msg in
-    transmit t ~now ~earliest ~auths ~src ~dst ~size msg
+    transmit t ~now:(Sim.now t.sim) ~earliest:(earliest_of t earliest) ~auths
+      ~src ~dst ~size msg
+
+let post t ?earliest ~src ~dst ~size msg =
+  if t.crashed.(src) then infinity
+  else
+    let auths = Marlin_types.Message.authenticators msg in
+    admit t ~dup:false ~now:(Sim.now t.sim) ~earliest:(earliest_of t earliest)
+      ~auths ~src ~dst ~size msg
 
 let broadcast t ?earliest ~src ~dsts ~size msg =
   if not t.crashed.(src) then begin
     let now = Sim.now t.sim in
-    let earliest = match earliest with None -> now | Some e -> Float.max e now in
+    let earliest = earliest_of t earliest in
     let auths = Marlin_types.Message.authenticators msg in
     Array.iter
       (fun dst -> transmit t ~now ~earliest ~auths ~src ~dst ~size msg)
@@ -212,7 +237,8 @@ module Fault = struct
     t.faults.duplicate_fraction <- p
 
   let delay_links t ~extra =
-    if extra < 0. then invalid_arg "Netsim.Fault.delay_links: extra < 0";
+    if not (Float.is_finite extra && extra >= 0.) then
+      invalid_arg "Netsim.Fault.delay_links: extra must be finite and >= 0";
     t.faults.extra_delay <- extra
 
   let heal t =
@@ -224,5 +250,10 @@ end
 
 let on_send t f = t.meter <- f
 let set_obs t run = t.obs <- run
-let stats t = t.stats
-let reset_stats t = t.stats <- { messages = 0; bytes = 0; authenticators = 0 }
+let stats t =
+  { messages = t.sent_msgs; bytes = t.sent_bytes; authenticators = t.sent_auths }
+
+let reset_stats t =
+  t.sent_msgs <- 0;
+  t.sent_bytes <- 0;
+  t.sent_auths <- 0

@@ -31,7 +31,8 @@ val create : Sim.t -> Rng.t -> config -> endpoints:int -> t
 
 val register :
   t -> id:int -> (src:int -> Marlin_types.Message.t -> unit) -> unit
-(** Install endpoint [id]'s delivery handler. *)
+(** Install endpoint [id]'s delivery handler. A message delivered to an
+    endpoint with no handler is dropped. *)
 
 val send :
   t -> ?earliest:float -> src:int -> dst:int -> size:int ->
@@ -41,6 +42,19 @@ val send :
     honoured). [earliest] lets callers model CPU time: the message cannot
     depart before that instant. Sends to self deliver with no network cost
     (after [earliest]) and are exempt from probabilistic faults. *)
+
+val post :
+  t -> ?earliest:float -> src:int -> dst:int -> size:int ->
+  Marlin_types.Message.t -> float
+(** [send] for a receiver that handles arrival itself: the same filter,
+    partition and loss checks, stats, metering, [net-queued] event, NIC
+    charging and RNG draws (duplication included), but no delivery is
+    scheduled. Returns the instant the copy would be delivered, or
+    [infinity] when it is not accepted (a crashed [src], a link filter,
+    a partition or a loss draw). A network duplicate of the copy is
+    drawn but not reported: it never arrives before the original. The
+    copy has no [net-delivered] event, and [dst]'s handler and crash
+    state are not consulted. The runtime posts every client reply. *)
 
 val broadcast :
   t -> ?earliest:float -> src:int -> dsts:int array -> size:int ->
@@ -97,7 +111,8 @@ module Fault : sig
 
   val delay_links : t -> extra:float -> unit
   (** Add [extra] seconds of propagation delay to every non-self message
-      (degraded network / pre-GST churn). [extra = 0.] disables. *)
+      (degraded network / pre-GST churn). [extra = 0.] disables.
+      @raise Invalid_argument unless [extra] is finite and [>= 0]. *)
 end
 
 val on_send :
@@ -108,10 +123,15 @@ val set_obs : t -> Marlin_obs.Run.t option -> unit
 (** Attach an observability run: every accepted send emits a [net-queued]
     event (with its computed departure time) and every delivery a
     [net-delivered] event, and per-replica sent/received message counters
-    are fed with the same wire sizes the simulator charges for. *)
+    are fed with the same wire sizes the simulator charges for. A {!post}ed
+    copy is not delivered, so it has a [net-queued] event and a sent
+    count but no [net-delivered] event. *)
 
-(** Aggregate counters since creation. *)
+(** Aggregate counters of accepted copies (sent, broadcast and posted)
+    since creation or the last {!reset_stats}. *)
 type stats = { messages : int; bytes : int; authenticators : int }
 
 val stats : t -> stats
+(** A snapshot: later sends do not change a returned record. *)
+
 val reset_stats : t -> unit

@@ -185,6 +185,38 @@ let qcheck_cases =
       (fun xs ->
         let m = Stats.mean xs in
         m >= Stats.minimum xs -. 1e-9 && m <= Stats.maximum xs +. 1e-9);
+    (* duplicates and infinity are the cases a client's reply row holds:
+       replicas that answered at one instant, and those yet to answer *)
+    Test.make ~count:300 ~name:"select equals a sort, for every k"
+      (pair
+         (array_of_size Gen.(1 -- 40)
+            (make
+               Gen.(
+                 frequency
+                   [
+                     (2, return infinity);
+                     (3, map float_of_int (int_range 0 4));
+                     (3, float_bound_inclusive 10.);
+                   ])))
+         small_nat)
+      (fun (a, cut) ->
+        let len = 1 + (cut mod Array.length a) in
+        let sorted = Array.sub a 0 len in
+        Array.sort Float.compare sorted;
+        List.for_all
+          (fun k ->
+            let b = Array.copy a in
+            Stats.select b ~len ~k;
+            let prefix = Array.sub b 0 len in
+            Array.sort Float.compare prefix;
+            Float.equal b.(k) sorted.(k)
+            && prefix = sorted
+            && Array.sub b len (Array.length a - len)
+               = Array.sub a len (Array.length a - len)
+            && Array.for_all (fun x -> x <= b.(k)) (Array.sub b 0 k)
+            && Array.for_all (fun x -> x >= b.(k))
+                 (Array.sub b (k + 1) (len - k - 1)))
+          (List.init len Fun.id));
     Test.make ~count:100 ~name:"communication monotone in n"
       (pair (oneofl Complexity.all) (int_range 4 200))
       (fun (p, n) ->
@@ -192,8 +224,26 @@ let qcheck_cases =
         >= (eval p n).Complexity.communication_bits);
   ]
 
+let test_select_allocates_nothing () =
+  let a = Array.init 256 (fun i -> float_of_int ((i * 7919) mod 256)) in
+  let b = Array.make 256 0. in
+  let before = Gc.minor_words () in
+  for k = 0 to 255 do
+    Array.blit a 0 b 0 256;
+    Stats.select b ~len:256 ~k
+  done;
+  let words = Gc.minor_words () -. before in
+  (* the one float [Gc.minor_words] itself boxes *)
+  Alcotest.(check bool)
+    (Printf.sprintf "256 selections allocated %.0f words" words)
+    true (words <= 8.);
+  Alcotest.check_raises "k out of range"
+    (Invalid_argument "Stats.select: need 0 <= k < len <= Array.length a")
+    (fun () -> Stats.select b ~len:4 ~k:4)
+
 let suite =
   [
+    ("select allocates nothing", `Quick, test_select_allocates_nothing);
     ("mean & stddev", `Quick, test_mean_and_stddev);
     ("percentiles", `Quick, test_percentiles);
     ("min/max/summary", `Quick, test_min_max_summary);

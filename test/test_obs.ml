@@ -10,6 +10,7 @@ module Experiment = Marlin_runtime.Experiment
 module Obs = Marlin_obs
 module Complexity = Marlin_analysis.Complexity
 module Cost_model = Marlin_crypto.Cost_model
+module Netsim = Marlin_sim.Netsim
 
 let basic_marlin : C.protocol = (module Marlin_runtime.Registry.Marlin)
 let basic_hotstuff : C.protocol = (module Marlin_runtime.Registry.Hotstuff)
@@ -73,6 +74,61 @@ let test_trace_ordering () =
             (depart >= e.Obs.Trace.time)
       | _ -> ())
     events
+
+(* The network's trace contract on a fault-free closed loop: every
+   message but a client reply that arrives within the run has exactly
+   one [net-delivered] event with its [net-queued] id. Client replies are
+   posted, not delivered: they keep their [net-queued] events and the
+   replicas' per-kind sent counters, and have no [net-delivered] event. *)
+let test_trace_pairs_queue_and_delivery () =
+  let module Cl = Cluster.Make (Marlin_runtime.Registry.Chained_marlin) in
+  let obs = Obs.Run.create ~trace:true ~n:4 () in
+  let params =
+    { (Cluster.params_for_f ~workload:(Marlin_workload.Workload.closed_loop ~clients:4) 1)
+      with Cluster.seed = 3; obs = Some obs }
+  in
+  let until = 3.0 in
+  let t = Cl.create params in
+  Cl.run t ~until;
+  let events = Obs.Run.trace_events obs in
+  let delivered = Hashtbl.create 1024 in
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+      match e.Obs.Trace.kind with
+      | Obs.Trace.Net_delivered { id; msg; _ } ->
+          Alcotest.(check bool) "no reply is delivered" false
+            (String.equal msg "CLIENT-REPLY");
+          Hashtbl.replace delivered id
+            (1 + Option.value ~default:0 (Hashtbl.find_opt delivered id))
+      | _ -> ())
+    events;
+  let latest_arrival = Netsim.default_config.latency +. Netsim.default_config.jitter in
+  let replies = ref 0 and paired = ref 0 in
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+      match e.Obs.Trace.kind with
+      | Obs.Trace.Net_queued { id; msg; depart; tx; _ } ->
+          let count = Option.value ~default:0 (Hashtbl.find_opt delivered id) in
+          if String.equal msg "CLIENT-REPLY" then begin
+            incr replies;
+            Alcotest.(check int) "reply has no net-delivered" 0 count
+          end
+          else if depart +. tx +. latest_arrival < until then begin
+            incr paired;
+            if count <> 1 then
+              Alcotest.failf "%s id %d: %d net-delivered events" msg id count
+          end
+          else Alcotest.(check bool) "at most one delivery" true (count <= 1)
+      | _ -> ())
+    events;
+  Alcotest.(check bool) "replies were queued" true (!replies > 0);
+  Alcotest.(check bool) "messages were paired" true (!paired > 0);
+  let reply_counters =
+    Array.fold_left
+      (fun acc m -> acc + (Obs.Metrics.sent m ~kind:"CLIENT-REPLY").Obs.Metrics.msgs)
+      0 (Obs.Run.metrics obs)
+  in
+  Alcotest.(check int) "sent counters count every reply" !replies reply_counters
 
 (* Every protocol proposes, votes, forms certificates and commits through
    Replica, so each one emits all four events and its spans reach their
@@ -411,6 +467,8 @@ let test_gate_exact () =
 let suite =
   [
     ("trace ordering", `Quick, test_trace_ordering);
+    ("trace pairs every queued message with its delivery", `Quick,
+     test_trace_pairs_queue_and_delivery);
     ("every protocol emits propose, vote, qc, commit", `Quick, test_every_protocol_emits);
     ("counters reconcile with happy-path model", `Quick, test_counters_reconcile);
     ("vote bytes reconcile with wire size", `Quick, test_vote_bytes_reconcile);

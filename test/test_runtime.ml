@@ -327,6 +327,73 @@ let test_cluster_crash_plumbing () =
     (Cl.total_executed t ~replica:0 > 0);
   Alcotest.(check bool) "agreement among the living" true (Cl.check_agreement t)
 
+(* ---------- closed-loop completion latencies, pinned ---------- *)
+
+module Scenario = Marlin_faults.Scenario
+module Netsim = Marlin_sim.Netsim
+module Sim = Marlin_sim.Sim
+
+(* Eight closed-loop clients on chained Marlin for 6 s under one fault
+   shape. A client completes at the instant its (f+1)-th distinct reply
+   arrives, so these numbers pin the whole reply path: which replies are
+   accepted, their arrival times, retries and re-replies. Returns the
+   number of completions and a digest of every latency, bit for bit. *)
+let completion_latencies ~f shape =
+  let n = (3 * f) + 1 in
+  let params =
+    { (Cluster.params_for_f ~workload:(Workload.closed_loop ~clients:8) f)
+      with Cluster.seed = 11 }
+  in
+  let t = Cl.create params in
+  let steps =
+    match shape with
+    | `Drop -> [ Scenario.at 0.5 (Scenario.Drop_fraction 0.1); Scenario.at 3.0 Scenario.Heal ]
+    | `Duplicate -> [ Scenario.at 0.5 (Scenario.Duplicate 0.3) ]
+    | `Partition ->
+        let low, high = List.partition (fun i -> i < n / 2) (List.init n Fun.id) in
+        [ Scenario.at 1.0 (Scenario.Partition [ low; high ]); Scenario.at 2.0 Scenario.Heal ]
+    | `Crash_f -> List.init f (fun i -> Scenario.at 1.0 (Scenario.Crash (n - 1 - i)))
+    | `Reply_loss ->
+        (* every reply to client 0 is lost in [1, 2) s: it retries 2.5 s
+           after submitting and the replicas re-reply to the duplicate *)
+        Netsim.Fault.set_link_filter (Cl.net t)
+          (Some
+             (fun ~src:_ ~dst (m : Message.t) ->
+               match m.Message.payload with
+               | Message.Client_reply _ when dst = n ->
+                   let now = Sim.now (Cl.sim t) in
+                   not (now >= 1.0 && now < 2.0)
+               | _ -> true));
+        []
+  in
+  Cl.apply_scenario t
+    (Scenario.make ~name:"pinned" ~info:"" ~f ~steps ~settle_at:3.0 ~run_for:6.0 ());
+  Cl.run t ~until:6.0;
+  let lat = Cl.latencies_in t ~since:0. ~until:6.0 in
+  ( List.length lat,
+    Digest.to_hex
+      (Digest.string (String.concat "," (List.map (Printf.sprintf "%h") lat))) )
+
+let test_pinned_latencies () =
+  List.iter
+    (fun (f, shape, name, count, digest) ->
+      let got_count, got_digest = completion_latencies ~f shape in
+      let label = Printf.sprintf "n=%d %s" ((3 * f) + 1) name in
+      Alcotest.(check int) (label ^ ": completions") count got_count;
+      Alcotest.(check string) (label ^ ": latencies") digest got_digest)
+    [
+      (1, `Drop, "drop", 94, "1a870b12b6603c6110fb5c976502d34d");
+      (1, `Duplicate, "duplicate", 137, "c0f1f1ada14c1e25e39b45c451354239");
+      (1, `Partition, "partition", 65, "4f12034e8ea945550afce654386264ce");
+      (1, `Crash_f, "crash f", 111, "87db66f11e3a724a7830efcf084fe8e2");
+      (1, `Reply_loss, "reply loss", 131, "60c4a6246cd608d72a2d7360c15b08c7");
+      (2, `Drop, "drop", 64, "2415361a7551084690a976eaafafcf97");
+      (2, `Duplicate, "duplicate", 137, "0e24321c06018defaf04647146a3d591");
+      (2, `Partition, "partition", 119, "1879af6e35703770a093f233d2053614");
+      (2, `Crash_f, "crash f", 110, "0bd2f9e9b5da1d1962b6ee32afc49fba");
+      (2, `Reply_loss, "reply loss", 123, "ccdbb36416ce0e537cb83db5b6378aa7");
+    ]
+
 (* ---------- experiment drivers ---------- *)
 
 let test_peak_selection () =
@@ -377,6 +444,7 @@ let suite =
     ("cluster measurement windows", `Quick, test_cluster_windows);
     ("cluster determinism", `Quick, test_cluster_deterministic);
     ("cluster crash plumbing", `Quick, test_cluster_crash_plumbing);
+    ("closed-loop latencies pinned", `Quick, test_pinned_latencies);
     ("experiment peak selection", `Quick, test_peak_selection);
     ("experiment sweep shape", `Quick, test_sweep_shape);
     ("mempool commits each op once", `Quick, test_mempool_commit_once);

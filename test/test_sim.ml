@@ -390,6 +390,77 @@ let test_net_stats () =
   Netsim.reset_stats net;
   Alcotest.(check int) "reset" 0 (Netsim.stats net).Netsim.messages
 
+let test_net_stats_snapshot () =
+  let sim, net = make_net () in
+  Netsim.send net ~src:0 ~dst:1 ~size:100 (noop_msg 0);
+  let before = Netsim.stats net in
+  Netsim.send net ~src:0 ~dst:1 ~size:50 (noop_msg 0);
+  Sim.run sim;
+  Alcotest.(check int) "snapshot keeps its count" 1 before.Netsim.messages;
+  Alcotest.(check int) "snapshot keeps its bytes" 100 before.Netsim.bytes;
+  Alcotest.(check int) "live count moved on" 2 (Netsim.stats net).Netsim.messages
+
+(* An infinite delay would read as a lost copy ([Netsim.post] returns
+   [infinity] for those), so it is rejected with the other bad values. *)
+let test_net_fault_values () =
+  let _, net = make_net () in
+  let rejects name f =
+    Alcotest.(check bool) (name ^ " rejected") true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun extra ->
+      rejects (Printf.sprintf "delay_links %g" extra) (fun () ->
+          Netsim.Fault.delay_links net ~extra))
+    [ -1.; Float.nan; infinity ];
+  rejects "drop_fraction 1" (fun () -> Netsim.Fault.drop_fraction net ~p:1.);
+  rejects "duplicate -0.1" (fun () -> Netsim.Fault.duplicate net ~p:(-0.1));
+  Netsim.Fault.delay_links net ~extra:0.5
+
+(* [post] is [send] without the delivery: over a lossy, duplicating,
+   jittery network, each posted copy's arrival is the instant the same
+   copy sent instead is first delivered ([infinity] when it never is),
+   with the same stats, the same RNG draws after it, and no delivery. *)
+let test_post_matches_send () =
+  let copies = 60 in
+  let run ~post =
+    let sim = Sim.create () in
+    let rng = Rng.create ~seed:5 in
+    let net = Netsim.create sim rng Netsim.default_config ~endpoints:3 in
+    Netsim.Fault.drop_fraction net ~p:0.2;
+    Netsim.Fault.duplicate net ~p:0.5;
+    let first = Array.make copies infinity in
+    let delivered = ref 0 in
+    Netsim.register net ~id:2 (fun ~src:_ m ->
+        incr delivered;
+        match m.Message.payload with
+        | Message.Client_reply { seq; _ } ->
+            first.(seq) <- Float.min first.(seq) (Sim.now sim)
+        | _ -> ());
+    for seq = 0 to copies - 1 do
+      let m =
+        Message.make ~sender:(seq mod 2) ~view:0
+          (Message.Client_reply { client = 0; seq })
+      in
+      let earliest = float_of_int seq *. 1e-4 in
+      if post then
+        first.(seq) <-
+          Netsim.post net ~earliest ~src:(seq mod 2) ~dst:2 ~size:200 m
+      else Netsim.send net ~earliest ~src:(seq mod 2) ~dst:2 ~size:200 m
+    done;
+    Sim.run sim;
+    (first, !delivered, Netsim.stats net, Rng.next rng)
+  in
+  let sent, sent_delivered, sent_stats, sent_next = run ~post:false in
+  let posted, posted_delivered, posted_stats, posted_next = run ~post:true in
+  Alcotest.(check bool) "some copies lost" true
+    (Array.exists (fun a -> not (Float.is_finite a)) sent);
+  Alcotest.(check bool) "duplicates delivered" true (sent_delivered > posted_stats.Netsim.messages);
+  Alcotest.(check (array (float 0.))) "arrival = first delivery" sent posted;
+  Alcotest.(check bool) "same stats" true (sent_stats = posted_stats);
+  Alcotest.(check int64) "same RNG draws" sent_next posted_next;
+  Alcotest.(check int) "posted copies are not delivered" 0 posted_delivered
+
 (* ---------- broadcast ---------- *)
 
 let crisp_config =
@@ -520,6 +591,9 @@ let suite =
     ("Netsim.create rejects invalid config, naming the field", `Quick,
      test_net_rejects_config);
     ("net stats & metering", `Quick, test_net_stats);
+    ("net stats is a snapshot", `Quick, test_net_stats_snapshot);
+    ("post is send without the delivery", `Quick, test_post_matches_send);
+    ("net fault setters reject bad values", `Quick, test_net_fault_values);
     ("broadcast fan-out matches per-dst sends", `Quick, test_broadcast_matches_sends);
     ("broadcast zero-delay self delivery", `Quick, test_broadcast_self_delivery);
     ("broadcast under duplication", `Quick, test_broadcast_duplicates);
