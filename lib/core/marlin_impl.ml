@@ -1,7 +1,6 @@
 open Marlin_types
 module Sha256 = Marlin_crypto.Sha256
 module C = Consensus_intf
-module Obs = Marlin_obs.Sink
 
 let src = Logs.Src.create "marlin" ~doc:"Marlin protocol"
 
@@ -31,11 +30,8 @@ type mode =
 type t = {
   rep : Replica.t;
   mutable lb : Block.t;  (* last voted block (prepare phase) *)
-  mutable locked_qc : Qc.t;
-  mutable high : High_qc.t;
   mutable mode : mode;
   (* leader state, reset on view entry *)
-  mutable in_flight : Sha256.t option;  (* block awaiting commitQC *)
   mutable current_proposals : Block.t list;  (* this view's PRE-PREPARE blocks *)
   mutable r2_locked : Qc.t option;  (* best prepareQC from R2 votes *)
   mutable formed_ppqcs : Qc.t list;  (* pre-prepareQCs formed this view *)
@@ -46,18 +42,12 @@ let create cfg =
   {
     rep = Replica.create cfg;
     lb = Block.genesis;
-    locked_qc = Qc.genesis;
-    high = High_qc.genesis;
     mode = (if C.leader_of cfg 0 = cfg.C.id then Normal else Follower);
-    in_flight = None;
     current_proposals = [];
     r2_locked = None;
     formed_ppqcs = [];
     vc_msgs = Replica.view_msgs ();
   }
-
-let locked_qc t = t.locked_qc
-let high_qc t = t.high
 
 (* A well-formed virtual block relative to the prepareQC [qc] it justifies
    from: nil parent link, two heights above block(qc) (Case V1 shape). *)
@@ -104,11 +94,6 @@ let process_chain_qc t (qc_c : Qc.t) =
 
 (* ---------- proposing (leader) ---------- *)
 
-let broadcast_proposal t (b : Block.t) =
-  let r = t.rep in
-  t.in_flight <- Some (Block.digest b);
-  [ Replica.propose r b ~justify:t.high ]
-
 (* Propose per the normal case. Case N1: extend block(highQC) with fresh
    payload. Case N2: re-broadcast the block certified by the
    pre-prepareQC. *)
@@ -116,32 +101,20 @@ let try_propose t =
   let r = t.rep in
   if
     (not (Replica.is_leader r))
-    || Option.is_some t.in_flight
+    || Option.is_some r.in_flight
     || t.mode <> Normal
   then []
   else
-    match t.high with
-    | High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) ->
+    match r.high with
+    | High_qc.Single { Qc.phase = Qc.Prepare; _ } ->
         (* Case N1 *)
-        let payload = r.cfg.C.get_batch () in
-        if
-          Batch.is_empty payload
-          && not (Replica.needs_flush r ~chained:Mode.chained qc.Qc.block)
-        then []
-        else begin
-          let b =
-            Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
-              ~justify:(Block.J_qc qc)
-          in
-          ignore (Replica.note_block r b);
-          broadcast_proposal t b
-        end
+        Replica.propose_child r ~chained:Mode.chained
     | High_qc.Single ({ Qc.phase = Qc.Pre_prepare; _ } as qc)
     | High_qc.Paired (qc, _) -> (
         (* Case N2: propose block(qc) itself. *)
         match Block_store.find r.store qc.Qc.block.Qc.digest with
         | None -> []
-        | Some b -> broadcast_proposal t b)
+        | Some b -> Replica.propose_in_flight r b)
     | High_qc.Single _ -> []
 
 (* ---------- prepare phase (replica side) ---------- *)
@@ -155,7 +128,7 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
         (* Case N1 *)
         Block.directly_extends ~child:block ~parent:qc.Qc.block
         && qc.Qc.view = r.cview
-        && Rank.qc_geq qc t.locked_qc
+        && Rank.qc_geq qc r.locked
         && Auth.verify_qc r.auth qc
         && Block.justify_equal block.Block.justify (Block.J_qc qc)
     | High_qc.Single ({ Qc.phase = Qc.Pre_prepare; _ } as qc) ->
@@ -163,13 +136,13 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
         Sha256.equal qc.Qc.block.Qc.digest b_ref.Qc.digest
         && (not qc.Qc.block.Qc.is_virtual)
         && qc.Qc.view = r.cview
-        && Rank.qc_geq qc t.locked_qc
+        && Rank.qc_geq qc r.locked
         && Auth.verify_qc r.auth qc
     | High_qc.Paired (qc, vc) ->
         (* Case N2, virtual block: validate the pair. *)
         Sha256.equal qc.Qc.block.Qc.digest b_ref.Qc.digest
         && qc.Qc.view = r.cview
-        && Rank.qc_geq qc t.locked_qc
+        && Rank.qc_geq qc r.locked
         && paired_consistent ~qc ~vc
         && Auth.verify_qc r.auth qc && Auth.verify_qc r.auth vc
     | High_qc.Single _ -> false
@@ -177,7 +150,7 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
   if not justify_ok then begin
     Log.debug (fun l ->
         l "replica %d view %d: reject propose %a (justify invalid, locked=%a, justify=%a)"
-          (Replica.me r) r.cview Block.pp block Qc.pp t.locked_qc High_qc.pp justify);
+          (Replica.me r) r.cview Block.pp block Qc.pp r.locked High_qc.pp justify);
     []
   end
   else if not (Rank.block_gt (Block.summary block) (Block.summary t.lb)) then begin
@@ -199,10 +172,9 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
       | High_qc.Single _ -> adds
     in
     t.lb <- block;
-    t.high <- justify;
+    r.high <- justify;
     (match justify with
-    | High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) ->
-        if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc
+    | High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) -> Replica.raise_lock r qc
     | High_qc.Single _ | High_qc.Paired _ -> ());
     let chain_commits =
       match justify with
@@ -221,8 +193,8 @@ let accept_prepare_cert t (qc : Qc.t) =
     (* State updates are safe whenever the certificate outranks what we
        hold; the COMMIT vote itself requires the current view (paper:
        "verifies whether the prepareQC is generated in current view"). *)
-    if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
-    if Rank.qc_gt qc (High_qc.primary t.high) then t.high <- High_qc.Single qc;
+    Replica.raise_lock r qc;
+    Replica.raise_high r qc;
     if Mode.chained then process_chain_qc t qc
     else if
       qc.Qc.view = r.cview
@@ -239,18 +211,12 @@ let on_prepare_vote t (block : Qc.block_ref) partial =
   else
     match Replica.add_vote r r.votes ~phase:Qc.Prepare ~block partial with
     | Vote_collector.Quorum qc ->
-        t.high <- High_qc.Single qc;
-        if Rank.qc_gt qc t.locked_qc then t.locked_qc <- qc;
-        if Mode.chained then begin
-          (* Pipelining: the new QC rides in the next proposal; a COMMIT
-             broadcast is only needed when there is nothing to propose. *)
-          t.in_flight <- None;
-          let commits = process_chain_qc t qc in
-          match try_propose t with
-          | [] -> commits @ [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
-          | next -> commits @ next
-        end
-        else [ C.Broadcast (Replica.msg r (Message.Phase_cert qc)) ]
+        r.high <- High_qc.Single qc;
+        Replica.raise_lock r qc;
+        if Mode.chained then
+          Replica.chained_tail r qc (process_chain_qc t qc)
+            ~propose:(fun () -> try_propose t)
+        else [ Replica.broadcast_cert r qc ]
     | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 let on_commit_vote t (block : Qc.block_ref) partial =
@@ -259,11 +225,7 @@ let on_commit_vote t (block : Qc.block_ref) partial =
   else
     match Replica.add_vote r r.votes ~phase:Qc.Commit ~block partial with
     | Vote_collector.Quorum qc ->
-        if (match t.in_flight with
-           | Some d -> Sha256.equal d block.Qc.digest
-           | None -> false)
-        then t.in_flight <- None;
-        C.Broadcast (Replica.msg r (Message.Phase_cert qc)) :: try_propose t
+        Replica.commit_tail r qc ~propose:(fun () -> try_propose t)
     | Vote_collector.Counted _ | Vote_collector.Rejected _ -> []
 
 (* ---------- view change: leader ---------- *)
@@ -377,9 +339,9 @@ let maybe_start_view_change_leadership t =
           with
           | Ok qc ->
               Log.debug (fun m -> m "view %d: happy-path view change" r.cview);
-              t.high <- High_qc.Single qc;
+              r.high <- High_qc.Single qc;
               t.mode <- Normal;
-              Obs.view_change_exit r.cfg.C.obs ~view:r.cview;
+              Replica.exit_view_change r;
               try_propose t
           | Error _ -> start_pre_prepare t records
         end
@@ -398,7 +360,6 @@ and enter_view t view ~send =
   let r = t.rep in
   let timer = Replica.enter r t.vc_msgs view ~send in
   t.mode <- (if Replica.is_leader r then Collecting_vc else Follower);
-  t.in_flight <- None;
   t.current_proposals <- [];
   t.r2_locked <- None;
   t.formed_ppqcs <- [];
@@ -411,11 +372,11 @@ and enter_view t view ~send =
       let m =
         Replica.msg r
           (Message.View_change
-             { last = Block.summary t.lb; justify = t.high; parsig })
+             { last = Block.summary t.lb; justify = r.high; parsig })
       in
       if Replica.is_leader r then
         (* Handle our own view-change message directly. *)
-        on_view_change_msg t m (Block.summary t.lb) t.high parsig
+        on_view_change_msg t m (Block.summary t.lb) r.high parsig
       else [ C.Send { dst = Replica.leader_of r view; msg = m } ]
     end
     else maybe_start_view_change_leadership t
@@ -449,7 +410,7 @@ let consider_pre_prepare_proposal t (b : Block.t) =
           else if not (verify_high r.auth justify) then []
           else if
             (* Case R1: the justify outranks our lock. *)
-            Rank.qc_geq qc t.locked_qc
+            Rank.qc_geq qc r.locked
           then pre_prepare_vote t b None
           else if
             (* Case R2: we are locked exactly one block above the justify;
@@ -457,15 +418,15 @@ let consider_pre_prepare_proposal t (b : Block.t) =
                We attach our lockedQC so the leader can validate it. *)
             Block.is_virtual b
             && Qc.phase_equal qc.Qc.phase Qc.Prepare
-            && qc.Qc.view = t.locked_qc.Qc.view
-            && qc.Qc.block.Qc.height = t.locked_qc.Qc.block.Qc.height - 1
-            && b.Block.height = t.locked_qc.Qc.block.Qc.height + 1
-          then pre_prepare_vote t b (Some t.locked_qc)
+            && qc.Qc.view = r.locked.Qc.view
+            && qc.Qc.block.Qc.height = r.locked.Qc.block.Qc.height - 1
+            && b.Block.height = r.locked.Qc.block.Qc.height + 1
+          then pre_prepare_vote t b (Some r.locked)
           else if
             (* Case R3: the justify certifies exactly the block we are
                locked on. *)
             Qc.phase_equal qc.Qc.phase Qc.Pre_prepare
-            && Sha256.equal qc.Qc.block.Qc.digest t.locked_qc.Qc.block.Qc.digest
+            && Sha256.equal qc.Qc.block.Qc.digest r.locked.Qc.block.Qc.digest
           then pre_prepare_vote t b None
           else []
         end
@@ -495,9 +456,9 @@ let try_finish_pre_prepare t =
     match List.find_map usable normal_first with
     | None -> []
     | Some high ->
-        t.high <- high;
+        t.rep.high <- high;
         t.mode <- Normal;
-        Obs.view_change_exit t.rep.cfg.C.obs ~view:t.rep.cview;
+        Replica.exit_view_change t.rep;
         (match high with
         | High_qc.Paired (ppqc, vc) ->
             Block_store.resolve_virtual_parent t.rep.store
@@ -514,7 +475,7 @@ let on_pre_prepare_vote t (block : Qc.block_ref) partial locked =
     (match locked with
     | Some vc
       when Qc.phase_equal vc.Qc.phase Qc.Prepare
-           && Rank.qc_gt vc (High_qc.primary t.high)
+           && Rank.qc_gt vc (High_qc.primary r.high)
            && Auth.verify_qc r.auth vc ->
         (match t.r2_locked with
         | Some cur when Rank.qc_geq cur vc -> ()
@@ -536,7 +497,7 @@ let step t (m : Message.t) =
   let r = t.rep in
   match m.Message.payload with
   | Message.Client_op _ | Message.Client_reply _ | Message.New_view _
-  | Message.New_view_proof _ ->
+  | Message.New_view_proof _ | Message.Fetch _ | Message.Fetch_resp _ ->
       []
   | Message.View_change { last; justify; parsig } ->
       (* Only relevant if we are (or will be) that view's leader. *)
@@ -560,12 +521,7 @@ let step t (m : Message.t) =
   | Message.Phase_cert qc -> (
       match qc.Qc.phase with
       | Qc.Prepare -> accept_prepare_cert t qc
-      | Qc.Commit ->
-          if Auth.verify_qc r.auth qc then Replica.deliver_commit r qc else []
-      | Qc.Pre_prepare | Qc.Precommit -> [])
-  | Message.Fetch { digest } ->
-      Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
-  | Message.Fetch_resp { block } -> Replica.note_block r block
+      | Qc.Commit | Qc.Pre_prepare | Qc.Precommit -> [])
 
 include Replica.Drive (struct
   type nonrec t = t

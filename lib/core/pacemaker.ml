@@ -14,5 +14,4 @@ let current_timeout t =
 
 let note_progress t = t.failures <- 0
 let note_view_change t = t.failures <- t.failures + 1
-let reset = note_progress
 let consecutive_failures t = t.failures

@@ -15,9 +15,4 @@ val note_view_change : t -> unit
 (** A timeout escalated to a view change; the next timeout doubles,
     saturating {e exactly} at [max] (no float overshoot). *)
 
-val reset : t -> unit
-(** Forget accumulated backoff — a recovered replica rejoining the cluster
-    should probe with the base timeout, not the one it crashed with.
-    Same effect as {!note_progress}; separate name, separate intent. *)
-
 val consecutive_failures : t -> int

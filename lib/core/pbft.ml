@@ -4,17 +4,17 @@
 open Marlin_types
 module Sha256 = Marlin_crypto.Sha256
 module C = Consensus_intf
-module Obs = Marlin_obs.Sink
 
 let name = "pbft"
 
 (* How many slots may be in flight at once (PBFT's high/low watermarks). *)
 let window = 4
 
+(* The highest prepared certificate is both the replica's lock and its
+   highQC: [prepare] raises the two together. *)
 type t = {
   rep : Replica.t;  (* its [votes] collect prepare votes, keyed per slot *)
   commit_votes : Vote_collector.t;
-  mutable prepared : Qc.t;  (* highest prepared certificate *)
   mutable proposed_tip : Qc.block_ref;  (* leader: last slot proposed *)
   mutable anchor : Qc.block_ref option;
       (* the block this view's chain must build on: block(justify) of the
@@ -22,8 +22,6 @@ type t = {
          arrives — proposals are not accepted without it *)
   accepted : string Pair_tbl.t;
       (* (view, height) -> digest: at most one pre-prepare per slot *)
-  mutable collecting_vc : bool;
-  vc_msgs : Qc.t Replica.view_msgs;  (* prepared qc per sender *)
   stash : (string, Block.t list) Hashtbl.t;
       (* pre-prepares that arrived before their parent (pipelining +
          network jitter reorder bursts), keyed by the missing parent *)
@@ -34,18 +32,15 @@ let create cfg =
   {
     rep;
     commit_votes = Vote_collector.create rep.auth;
-    prepared = Qc.genesis;
     proposed_tip = Qc.genesis_ref;
     anchor = Some Qc.genesis_ref;
     accepted = Pair_tbl.create ~dummy:"" 8;
-    collecting_vc = false;
-    vc_msgs = Replica.view_msgs ();
     stash = Hashtbl.create 8;
   }
 
-let locked_qc t = t.prepared
-let high_qc t = High_qc.Single t.prepared
-let prepared_qc t = t.prepared
+let prepare r qc =
+  Replica.raise_lock r qc;
+  Replica.raise_high r qc
 
 (* ---------- normal case ---------- *)
 
@@ -53,7 +48,7 @@ let prepared_qc t = t.prepared
    proposing the next block as soon as it has operations for it. *)
 let rec try_propose t =
   let r = t.rep in
-  if (not (Replica.is_leader r)) || t.collecting_vc then []
+  if (not (Replica.is_leader r)) || r.collecting then []
   else if
     t.proposed_tip.Qc.height - (Block_store.last_committed r.store).Block.height
     >= window
@@ -64,11 +59,11 @@ let rec try_propose t =
     else begin
       let b =
         Block.make_child_of_ref ~parent:t.proposed_tip ~view:r.cview ~payload
-          ~justify:(Block.J_qc t.prepared)
+          ~justify:(Block.J_qc r.locked)
       in
       t.proposed_tip <- Block.to_ref b;
       ignore (Replica.note_block r b);
-      Replica.propose r b ~justify:(High_qc.Single t.prepared) :: try_propose t
+      Replica.propose r b ~justify:r.high :: try_propose t
     end
   end
 
@@ -122,7 +117,7 @@ let on_prepare_vote t (block : Qc.block_ref) partial =
   match Replica.add_vote r r.votes ~phase:Qc.Prepare ~block partial with
   | Vote_collector.Quorum qc ->
       (* prepared: remember the certificate, vote to commit *)
-      if Rank.qc_gt qc t.prepared then t.prepared <- qc;
+      prepare r qc;
       if Replica.first_vote r Qc.Commit block.Qc.digest then
         [ C.Broadcast (Replica.vote r ~kind:Qc.Commit block) ]
       else []
@@ -140,13 +135,12 @@ let on_commit_vote t (block : Qc.block_ref) partial =
 
 let maybe_finish_vc t =
   let r = t.rep in
-  if Replica.is_leader r && t.collecting_vc then
-    match Replica.view_quorum r t.vc_msgs with
+  if Replica.is_leader r && r.collecting then
+    match Replica.view_quorum r r.new_views with
     | Some proof ->
-        let high = List.fold_left Rank.max_qc t.prepared proof in
-        t.prepared <- high;
-        t.collecting_vc <- false;
-        Obs.view_change_exit r.cfg.C.obs ~view:r.cview;
+        List.iter (prepare r) proof;
+        let high = r.locked in
+        Replica.exit_view_change r;
         (* the new view's chain is anchored on the chosen certificate *)
         t.anchor <- Some high.Qc.block;
         t.proposed_tip <- high.Qc.block;
@@ -169,15 +163,14 @@ let maybe_finish_vc t =
 let rec on_view_change_msg t (m : Message.t) qc =
   if not (Auth.verify_qc t.rep.auth qc) then []
   else
-    match Replica.store_view_msg t.rep t.vc_msgs m qc with
+    match Replica.store_view_msg t.rep t.rep.new_views m qc with
     | Replica.Duplicate -> []
     | Replica.Join -> enter_view t m.Message.view ~send:true
     | Replica.Stored -> maybe_finish_vc t
 
 and enter_view t view ~send =
   let r = t.rep in
-  let timer = Replica.enter r t.vc_msgs view ~send in
-  t.collecting_vc <- Replica.is_leader r;
+  let timer = Replica.enter r r.new_views view ~send in
   t.proposed_tip <- Block.to_ref (Block_store.last_committed r.store);
   (* proposals are rejected until this view's NEW-VIEW sets the anchor *)
   t.anchor <- None;
@@ -187,13 +180,10 @@ and enter_view t view ~send =
   let vc =
     if send then begin
       (* PBFT broadcasts view-change messages to everyone *)
-      let m = Replica.msg r (Message.New_view { justify = t.prepared }) in
-      C.Broadcast m :: on_view_change_msg t m t.prepared
+      let m = Replica.msg r (Message.New_view { justify = r.locked }) in
+      C.Broadcast m :: on_view_change_msg t m r.locked
     end
-    else begin
-      t.collecting_vc <- false;
-      []
-    end
+    else []
   in
   timer :: vc
 
@@ -208,14 +198,13 @@ let accept_new_view_proof t (m : Message.t) (justify : Qc.t) proof =
   else if List.length proof < C.quorum r.cfg then []
   else if not (List.for_all (Auth.verify_qc r.auth) (justify :: proof)) then []
   else if not (List.for_all (fun qc -> Rank.qc_geq justify qc) proof) then []
-  else if not (Rank.qc_geq justify t.prepared) then
+  else if not (Rank.qc_geq justify r.locked) then
     (* the leader's choice misses something we prepared — refuse *)
     []
   else begin
     if m.Message.view > r.cview then ignore (enter_view t m.Message.view ~send:false);
-    t.collecting_vc <- false;
-    Obs.view_change_exit r.cfg.C.obs ~view:r.cview;
-    if Rank.qc_gt justify t.prepared then t.prepared <- justify;
+    Replica.exit_view_change r;
+    prepare r justify;
     t.anchor <- Some justify.Qc.block;
     (* Join the new view's commit round for the in-flight backlog — even
        if we already committed past it: stragglers that missed the old
@@ -246,13 +235,7 @@ let step t (m : Message.t) =
       if m.Message.view >= r.cview then on_view_change_msg t m justify else []
   | Message.New_view_proof { justify; proof } ->
       accept_new_view_proof t m justify proof
-  | Message.Phase_cert qc ->
-      if Qc.phase_equal qc.Qc.phase Qc.Commit && Auth.verify_qc r.auth qc then
-        Replica.deliver_commit r qc
-      else []
-  | Message.Fetch { digest } ->
-      Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
-  | Message.Fetch_resp { block } -> Replica.note_block r block
+  | Message.Phase_cert _ | Message.Fetch _ | Message.Fetch_resp _
   | Message.View_change _ | Message.Pre_prepare _ | Message.Client_op _
   | Message.Client_reply _ ->
       []

@@ -17,7 +17,5 @@
     certificate quorum as its justification. *)
 
 include Consensus_intf.PROTOCOL
-
-val prepared_qc : t -> Marlin_types.Qc.t
-(** The highest certificate this replica has {e prepared} (its
-    view-change payload). *)
+(** [locked_qc] is the highest certificate this replica has {e prepared}
+    (its view-change payload). *)

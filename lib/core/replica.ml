@@ -1,11 +1,17 @@
-(* The replica skeleton under every protocol in this library: shared state,
-   commit handling, the view-change message store, fast-forward and the
-   entry points. A protocol file keeps only its phase logic. *)
+(* The replica skeleton under every protocol in this library: shared state
+   (the lock, the highQC and the leader's in-flight block included), commit
+   handling, proposing, the leader's certificate tails, the view-change
+   message store, HotStuff's NEW-VIEW collection, fast-forward and the
+   entry points. A protocol file keeps only its phase rules. *)
 
 open Marlin_types
 module Sha256 = Marlin_crypto.Sha256
 module C = Consensus_intf
 module Obs = Marlin_obs.Sink
+
+type 'a view_msgs = (int, (int * 'a) list) Hashtbl.t
+
+let view_msgs () = Hashtbl.create 4
 
 type t = {
   cfg : C.config;
@@ -16,6 +22,11 @@ type t = {
   voted : (string, int) Hashtbl.t;
   pacemaker : Pacemaker.t;
   mutable cview : int;
+  mutable locked : Qc.t;
+  mutable high : High_qc.t;
+  mutable in_flight : Sha256.t option;
+  mutable collecting : bool;
+  new_views : Qc.t view_msgs;
 }
 
 let create cfg =
@@ -31,6 +42,11 @@ let create cfg =
     voted = Hashtbl.create 8;
     pacemaker = Pacemaker.create ~base:cfg.C.base_timeout ~max:cfg.C.max_timeout;
     cview = 0;
+    locked = Qc.genesis;
+    high = High_qc.genesis;
+    in_flight = None;
+    collecting = false;
+    new_views = view_msgs ();
   }
 
 let me r = r.cfg.C.id
@@ -41,6 +57,12 @@ let from_leader r (m : Message.t) =
   m.Message.view = r.cview && m.Message.sender = leader_of r r.cview
 let to_leader r (m : Message.t) =
   m.Message.view >= r.cview && leader_of r m.Message.view = me r
+
+(* Rank compare-and-set: an equal-rank QC leaves the held one in place. *)
+let raise_lock r qc = if Rank.qc_gt qc r.locked then r.locked <- qc
+
+let raise_high r qc =
+  if Rank.qc_gt qc (High_qc.primary r.high) then r.high <- High_qc.Single qc
 
 (* Turn a committer result into actions; commits reset the pacemaker. *)
 let finish_commits r (res : Committer.result) =
@@ -143,11 +165,45 @@ let verify_single auth = function
   | High_qc.Single qc -> Auth.verify_qc auth qc
   | High_qc.Paired _ -> false
 
+(* ---------- the leader ---------- *)
+
+let broadcast_cert r qc = C.Broadcast (msg r (Message.Phase_cert qc))
+
+let idle_leader r = is_leader r && Option.is_none r.in_flight && not r.collecting
+
+let propose_in_flight r b =
+  r.in_flight <- Some (Block.digest b);
+  [ propose r b ~justify:r.high ]
+
+let propose_child r ~chained =
+  let qc = High_qc.primary r.high in
+  let payload = r.cfg.C.get_batch () in
+  if Batch.is_empty payload && not (needs_flush r ~chained qc.Qc.block) then []
+  else begin
+    let b =
+      Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
+        ~justify:(Block.J_qc qc)
+    in
+    ignore (note_block r b);
+    propose_in_flight r b
+  end
+
+let commit_tail r (qc : Qc.t) ~propose =
+  if (match r.in_flight with
+     | Some d -> Sha256.equal d qc.Qc.block.Qc.digest
+     | None -> false)
+  then r.in_flight <- None;
+  broadcast_cert r qc :: propose ()
+
+(* Pipelining: the new QC rides in the next proposal; the certificate is
+   broadcast only when there is nothing to propose. *)
+let chained_tail r qc commits ~propose =
+  r.in_flight <- None;
+  match propose () with
+  | [] -> commits @ [ broadcast_cert r qc ]
+  | next -> commits @ next
+
 (* ---------- view change ---------- *)
-
-type 'a view_msgs = (int, (int * 'a) list) Hashtbl.t
-
-let view_msgs () = Hashtbl.create 4
 
 type stored = Duplicate | Stored | Join
 
@@ -179,6 +235,8 @@ let view_quorum r vm =
 
 let enter r vm view ~send =
   r.cview <- view;
+  r.in_flight <- None;
+  r.collecting <- send && is_leader r;
   Vote_collector.gc_below_view r.votes view;
   Hashtbl.reset r.voted;
   Hashtbl.filter_map_inplace
@@ -188,6 +246,38 @@ let enter r vm view ~send =
   C.timer
     ~cause:(if send then C.View_change else C.View_progress)
     (Pacemaker.current_timeout r.pacemaker)
+
+let exit_view_change r =
+  r.collecting <- false;
+  Obs.view_change_exit r.cfg.C.obs ~view:r.cview
+
+(* HotStuff's view change: every replica sends its highQC to the new
+   leader, which extends the highest QC of the first quorum. *)
+let rec on_new_view r ~propose (m : Message.t) qc =
+  if not (Auth.verify_qc r.auth qc) then []
+  else
+    match store_view_msg r r.new_views m qc with
+    | Duplicate -> []
+    | Join -> enter_new_view r ~propose m.Message.view ~send:true
+    | Stored -> (
+        match view_quorum r r.new_views with
+        | Some qcs when is_leader r && r.collecting ->
+            List.iter (raise_high r) qcs;
+            exit_view_change r;
+            propose ()
+        | Some _ | None -> [])
+
+and enter_new_view r ~propose view ~send =
+  let timer = enter r r.new_views view ~send in
+  if not send then [ timer ]
+  else begin
+    let qc = High_qc.primary r.high in
+    let m = msg r (Message.New_view { justify = qc }) in
+    timer
+    ::
+    (if is_leader r then on_new_view r ~propose m qc
+     else [ C.Send { dst = leader_of r view; msg = m } ])
+  end
 
 (* ---------- entry points ---------- *)
 
@@ -229,13 +319,28 @@ module Drive (P : PHASES) = struct
     end
     else []
 
+  (* The arms every protocol shares: state transfer and verified commit
+     certificates, which apply at any view. *)
+  let step t (m : Message.t) =
+    let r = P.replica t in
+    match m.Message.payload with
+    | Message.Fetch { digest } ->
+        Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
+    | Message.Fetch_resp { block } -> note_block r block
+    | Message.Phase_cert ({ Qc.phase = Qc.Commit; _ } as qc) ->
+        if Auth.verify_qc r.auth qc then deliver_commit r qc else []
+    | Message.Phase_cert _ | Message.Propose _ | Message.Vote _
+    | Message.View_change _ | Message.Pre_prepare _ | Message.New_view _
+    | Message.New_view_proof _ | Message.Client_op _ | Message.Client_reply _ ->
+        P.step t m
+
   let deliver t m =
     let ff =
       match P.verify_justify with
       | Some verify -> fast_forward t verify m
       | None -> []
     in
-    ff @ P.step t m
+    ff @ step t m
 
   (* Process self-addressed sends — and the local copy of broadcasts —
      internally, so the protocol is closed under its own messages and unit
@@ -277,5 +382,7 @@ module Drive (P : PHASES) = struct
   let committed_head t = Block_store.last_committed (P.replica t).store
   let committed_count t = Committer.committed_count (P.replica t).com
   let block_store t = (P.replica t).store
+  let locked_qc t = (P.replica t).locked
+  let high_qc t = (P.replica t).high
   let cpu_meter t = Auth.meter (P.replica t).auth
 end

@@ -1,12 +1,20 @@
 (** The replica skeleton shared by every protocol in this library.
 
     Marlin, HotStuff, PBFT and the insecure two-phase strawman differ in
-    their phase logic only. Everything around it lives here: the common
-    state, commit handling, the view-change message store and (through
-    {!Drive}) fast-forward to a later view and the entry points that
-    close a protocol under its own messages. *)
+    their phase rules only. Everything around them lives here: the common
+    state (the lock, the highQC and the leader's in-flight block
+    included), commit handling, proposing a fresh child of block(highQC),
+    the leader's certificate tails, the view-change message store,
+    HotStuff's NEW-VIEW collection and, through {!Drive}, state transfer,
+    verified commit certificates, fast-forward to a later view and the
+    entry points that close a protocol under its own messages. *)
 
 open Marlin_types
+
+type 'a view_msgs
+(** View-change messages by view: one ['a] per sender. *)
+
+val view_msgs : unit -> 'a view_msgs
 
 type t = {
   cfg : Consensus_intf.config;
@@ -19,6 +27,18 @@ type t = {
           set; use {!voted} and {!first_vote} *)
   pacemaker : Pacemaker.t;
   mutable cview : int;
+  mutable locked : Qc.t;
+      (** the lock; raise it with {!raise_lock} *)
+  mutable high : High_qc.t;
+      (** the highQC; raise it with {!raise_high} (Marlin also adopts a
+          proposal's justify and a view change's outcome outright) *)
+  mutable in_flight : Marlin_crypto.Sha256.t option;
+      (** leader: the block proposed and not yet certified; {!enter}
+          clears it *)
+  mutable collecting : bool;
+      (** leader: collecting the view change's quorum; {!enter} sets it
+          when a view change starts, {!exit_view_change} clears it *)
+  new_views : Qc.t view_msgs;  (** the QC each sender reported, by view *)
 }
 
 val create : Consensus_intf.config -> t
@@ -34,6 +54,13 @@ val from_leader : t -> Message.t -> bool
 
 val to_leader : t -> Message.t -> bool
 (** Sent for the current or a later view that this replica leads. *)
+
+val raise_lock : t -> Qc.t -> unit
+(** Lock on the QC if it outranks the lock; an equal rank keeps the lock. *)
+
+val raise_high : t -> Qc.t -> unit
+(** Adopt the QC as the highQC if it outranks the highQC's primary QC; an
+    equal rank keeps the highQC. *)
 
 (** {1 Commits} *)
 
@@ -81,12 +108,38 @@ val add_vote :
 val verify_single : Auth.t -> High_qc.t -> bool
 (** A [Single] justify whose QC verifies; [Paired] never does. *)
 
+(** {1 The leader} *)
+
+val broadcast_cert : t -> Qc.t -> Consensus_intf.action
+(** Broadcast the certificate. *)
+
+val idle_leader : t -> bool
+(** This view's leader, with no block in flight and no view change to
+    collect. *)
+
+val propose_in_flight : t -> Block.t -> Consensus_intf.action list
+(** {!propose} the block with the highQC as justify and mark it in
+    flight. *)
+
+val propose_child : t -> chained:bool -> Consensus_intf.action list
+(** Pull a batch and {!propose_in_flight} a child of block(highQC) that
+    carries it; with no batch, an empty child while {!needs_flush}, else
+    nothing. *)
+
+val commit_tail :
+  t -> Qc.t -> propose:(unit -> Consensus_intf.action list) ->
+  Consensus_intf.action list
+(** A leader's commitQC: clear the in-flight block if the QC certifies it,
+    broadcast the QC, then [propose]. *)
+
+val chained_tail :
+  t -> Qc.t -> Consensus_intf.action list ->
+  propose:(unit -> Consensus_intf.action list) -> Consensus_intf.action list
+(** A chained leader's prepareQC, with the commits it caused: clear the
+    in-flight block, then [propose]; broadcast the QC only when there is
+    nothing to propose. *)
+
 (** {1 View change} *)
-
-type 'a view_msgs
-(** View-change messages by view: one ['a] per sender. *)
-
-val view_msgs : unit -> 'a view_msgs
 
 type stored =
   | Duplicate  (** the sender already reported for that view *)
@@ -101,9 +154,29 @@ val view_quorum : t -> 'a view_msgs -> 'a list option
 (** The current view's messages, newest first, once a quorum arrived. *)
 
 val enter : t -> 'a view_msgs -> int -> send:bool -> Consensus_intf.action
-(** Set the current view; drop votes, the vote record and view-change
-    messages of older views. [send] means a view change is under way: it
-    emits the [view-change-enter] sink event. Returns the view timer. *)
+(** Set the current view; clear the in-flight block; drop votes, the vote
+    record and view-change messages of older views. [send] means a view
+    change is under way: it emits the [view-change-enter] sink event, and
+    a leader starts collecting. Returns the view timer. *)
+
+val exit_view_change : t -> unit
+(** Stop collecting and emit the [view-change-exit] sink event. *)
+
+(** {2 HotStuff's NEW-VIEW collection}
+
+    Every replica sends its highQC to the new leader in a NEW-VIEW
+    message; once a quorum arrived, the leader raises its highQC over
+    them, exits the view change and calls [propose]. *)
+
+val on_new_view :
+  t -> propose:(unit -> Consensus_intf.action list) -> Message.t -> Qc.t ->
+  Consensus_intf.action list
+(** A NEW-VIEW message carrying the QC. *)
+
+val enter_new_view :
+  t -> propose:(unit -> Consensus_intf.action list) -> int -> send:bool ->
+  Consensus_intf.action list
+(** {!enter} the view; with [send], report the highQC to its leader. *)
 
 (** {1 Entry points} *)
 
@@ -121,7 +194,9 @@ module type PHASES = sig
       cause [fast-forward]). [None] never fast-forwards. *)
 
   val step : t -> Message.t -> Consensus_intf.action list
-  (** Handle one message; self-addressed output is fed back by {!Drive}. *)
+  (** Handle one message; self-addressed output is fed back by {!Drive}.
+      {!Drive} answers [Fetch], [Fetch_resp] and commit certificates
+      itself and never passes them here. *)
 
   val try_propose : t -> Consensus_intf.action list
   val enter_view : t -> int -> send:bool -> Consensus_intf.action list
@@ -142,5 +217,7 @@ module Drive (P : PHASES) : sig
   val committed_head : P.t -> Block.t
   val committed_count : P.t -> int
   val block_store : P.t -> Block_store.t
+  val locked_qc : P.t -> Qc.t
+  val high_qc : P.t -> High_qc.t
   val cpu_meter : P.t -> Cpu_meter.t
 end

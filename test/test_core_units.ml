@@ -154,11 +154,11 @@ let test_pacemaker_saturation () =
     (Core.Pacemaker.current_timeout pm);
   Alcotest.(check bool) "finite" true
     (Float.is_finite (Core.Pacemaker.current_timeout pm));
-  (* recovered replicas restart their backoff from the base timeout *)
-  Core.Pacemaker.reset pm;
-  Alcotest.(check (float 0.)) "reset restores base" 1.5
+  (* progress restarts the backoff from the base timeout *)
+  Core.Pacemaker.note_progress pm;
+  Alcotest.(check (float 0.)) "progress restores base" 1.5
     (Core.Pacemaker.current_timeout pm);
-  Alcotest.(check int) "reset clears the failure count" 0
+  Alcotest.(check int) "progress clears the failure count" 0
     (Core.Pacemaker.consecutive_failures pm)
 
 (* ---------- committer ---------- *)
@@ -179,7 +179,8 @@ let chain_of store ~len =
   in
   go Block.genesis [] len
 
-let commit_qc b = make_qc ~phase:Qc.Commit (Block.to_ref b)
+let commit_qc_at ~view b = make_qc ~phase:Qc.Commit ~view (Block.to_ref b)
+let commit_qc = commit_qc_at ~view:1
 
 let test_committer_in_order () =
   let store = Block_store.create () in
@@ -307,6 +308,80 @@ let test_entry_point_contract () =
         (name ^ ": view-enter causes") [ (1, "rotation"); (2, "timeout") ] (entered ()))
     (Marlin_runtime.Registry.all ())
 
+(* Fetch, Fetch_resp and verified commit certificates are answered by
+   [Replica.Drive], the same way for every protocol. *)
+let test_drive_arms () =
+  List.iter
+    (fun (name, (module P : C.PROTOCOL)) ->
+      let p = P.create (cfg 1) in
+      let from_2 payload = Message.make ~sender:2 ~view:0 payload in
+      let b1 =
+        Block.make_normal ~parent:Block.genesis ~view:0
+          ~payload:(Batch.of_list [ Operation.make ~client:1 ~seq:1 ~body:"op" ])
+          ~justify:(Block.J_qc Qc.genesis)
+      in
+      ignore (P.on_message p (from_2 (Message.Fetch_resp { block = b1 })));
+      (match P.on_message p (from_2 (Message.Fetch { digest = Block.digest b1 })) with
+      | [ C.Send { dst = 2; msg = { Message.payload = Message.Fetch_resp { block }; _ } } ]
+        ->
+          Alcotest.(check bool) (name ^ ": the held body goes back") true
+            (Block.equal block b1)
+      | _ -> Alcotest.failf "%s: expected one Fetch_resp to the sender" name);
+      Alcotest.(check int) (name ^ ": unknown digest gets nothing") 0
+        (List.length
+           (P.on_message p (from_2 (Message.Fetch { digest = Sha256.string "nope" }))));
+      let acts = P.on_message p (from_2 (Message.Phase_cert (commit_qc_at ~view:0 b1))) in
+      Alcotest.(check bool) (name ^ ": a commit certificate commits the block") true
+        (List.exists
+           (function C.Commit [ b ] -> Block.equal b b1 | _ -> false)
+           acts);
+      Alcotest.(check bool) (name ^ ": the committed head") true
+        (Block.equal (P.committed_head p) b1))
+    (Marlin_runtime.Registry.all ())
+
+(* ---------- the replica's lock and highQC ---------- *)
+
+let test_raise_lock_high () =
+  let r = Core.Replica.create (cfg 0) in
+  let check what = Alcotest.(check bool) what true in
+  let high () = Core.Replica.(High_qc.primary r.high) in
+  (* two distinct pre-prepareQCs of one view rank equal whatever their
+     heights: the first one raised is kept *)
+  let pp_low = make_qc ~phase:Qc.Pre_prepare ~view:2 (block_ref ~view:2 ~height:3 ()) in
+  let pp_high = make_qc ~phase:Qc.Pre_prepare ~view:2 (block_ref ~view:2 ~height:5 ()) in
+  check "the tie case ranks Eq" (Rank.qc pp_low pp_high = Rank.Eq);
+  let qcs =
+    [
+      make_qc ~view:1 (block_ref ~view:1 ~height:2 ());
+      pp_high;
+      pp_low;
+      make_qc ~view:1 (block_ref ~view:1 ~height:4 ());
+      make_qc ~view:2 (block_ref ~view:2 ~height:4 ());
+      make_qc ~view:2 (block_ref ~view:2 ~height:1 ());
+      make_qc ~phase:Qc.Pre_prepare ~view:3 (block_ref ~view:3 ~height:1 ());
+    ]
+  in
+  let seen = ref [] in
+  List.iter
+    (fun qc ->
+      let lock_before = r.Core.Replica.locked and high_before = high () in
+      Core.Replica.raise_lock r qc;
+      Core.Replica.raise_high r qc;
+      seen := qc :: !seen;
+      check "the lock never falls" (Rank.qc_geq r.Core.Replica.locked lock_before);
+      check "the highQC never falls" (Rank.qc_geq (high ()) high_before);
+      check "the lock is the highest seen"
+        (List.for_all (Rank.qc_geq r.Core.Replica.locked) !seen);
+      check "the highQC is the highest seen" (List.for_all (Rank.qc_geq (high ())) !seen);
+      if Rank.qc qc lock_before = Rank.Eq then
+        check "an equal rank keeps the lock" (r.Core.Replica.locked == lock_before);
+      if Rank.qc qc high_before = Rank.Eq then
+        check "an equal rank keeps the highQC" (high () == high_before);
+      if qc == pp_low then
+        check "the tie keeps the first pre-prepareQC"
+          (r.Core.Replica.locked == pp_high && high () == pp_high))
+    qcs
+
 (* ---------- the replica's vote record ---------- *)
 
 let test_vote_record () =
@@ -355,6 +430,8 @@ let suite =
     ("committer answers fetches", `Quick, test_committer_handle_fetch);
     ("entry-point contract, every protocol", `Quick, test_entry_point_contract);
     ("replica vote record and view entry", `Quick, test_vote_record);
+    ("replica lock and highQC only rise", `Quick, test_raise_lock_high);
+    ("Drive answers fetches and commit certificates", `Quick, test_drive_arms);
     ("auth cache rejects a spliced tag", `Quick, test_auth_cache_rejects_spliced_tag);
   ]
 

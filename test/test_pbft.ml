@@ -92,7 +92,7 @@ let test_prepared_block_survives () =
   H.submit t (Operation.make ~client:1 ~seq:2 ~body:"b2");
   H.clear_filter t;
   Alcotest.(check int) "b2 prepared at height 2" 2
-    (P.prepared_qc (H.proto t 1)).Qc.block.Qc.height;
+    (P.locked_qc (H.proto t 1)).Qc.block.Qc.height;
   Alcotest.(check int) "but not committed" 1 (H.max_committed t);
   H.crash t 0;
   H.timeout_all t;

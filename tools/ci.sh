@@ -2,12 +2,13 @@
 # The full gate: build, `dune build @check` (every module of every
 # stanza type-checks, which also leaves the .cmt files the lint reads),
 # then the marlin_lint static-analysis pass (`dune build @lint`: one
-# engine over the typed trees of every lib/ bench/ test/ module, running
-# the idiom rules (comparison, ordering, float equality, top-level
-# state, interfaces) and the interprocedural ones (effect inference, the
-# one determinism check; quorum-arithmetic provenance; linearity;
-# exhaustive payload dispatch), plus the seeded-violation fixture check
-# and the compile-fail check that deprecated calls are compiler errors),
+# engine over the typed trees of every lib/ bench/ test/ examples/
+# module, running the idiom rules (comparison, ordering, float equality,
+# top-level state, interfaces) and the interprocedural ones (effect
+# inference, the one determinism check; quorum-arithmetic provenance;
+# linearity; exhaustive payload dispatch), plus the seeded-violation
+# fixture check and the compile-fail check that deprecated calls are
+# compiler errors),
 # then tier-1 tests, then the four bench regression gates against the
 # committed baselines (bench/baselines/*.json). Each gate compares every
 # simulated field exactly, ignores wall_seconds and holds one wall budget
@@ -22,8 +23,8 @@
 # per-rule timings, kept as a CI artifact for lint-performance tracking.
 # (The alias runs themselves use the null clock so their JSON stays
 # byte-identical run to run.) The script fails unless the report's file
-# count equals the number of .ml files under lib/ bench/ test/, so no
-# directory can silently drop out of the lint's coverage.
+# count equals the number of .ml files under lib/ bench/ test/ examples/,
+# so no directory can silently drop out of the lint's coverage.
 #
 # After the tests, the four examples and `bench/main.exe fig2-demo` run
 # (under 20 ms each): each exits 1 unless the outcome it prints holds
@@ -83,12 +84,12 @@ dune build @check
 dune build @lint
 (cd _build/default \
  && ./tools/lint/main.exe --quiet --time --json ../lint-report.json \
-      lib bench test)
+      lib bench test examples)
 echo "ci: lint report with per-rule timings at _build/lint-report.json"
-sources=$(find lib bench test -name '*.ml' | wc -l | tr -d ' ')
+sources=$(find lib bench test examples -name '*.ml' | wc -l | tr -d ' ')
 scanned=$(sed -n 's/.*"files":\([0-9]*\).*/\1/p' _build/lint-report.json)
 if [ "$scanned" != "$sources" ]; then
-  echo "ci: lint scanned $scanned units but lib/ bench/ test/ hold $sources .ml files" >&2
+  echo "ci: lint scanned $scanned units but lib/ bench/ test/ examples/ hold $sources .ml files" >&2
   exit 1
 fi
 QCHECK_SEED=${QCHECK_SEED:-$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')}

@@ -1,5 +1,5 @@
 (* marlin_lint — repo-specific static analysis over the typed trees dune
-   builds for lib/, bench/ and test/.
+   builds for lib/, bench/, test/ and examples/.
 
    Usage: main.exe [options] DIR...
      DIR               a directory searched (recursively, .objs included)
