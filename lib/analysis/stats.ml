@@ -182,9 +182,4 @@ module Reservoir = struct
     t.sum <- 0.;
     t.min <- infinity;
     t.max <- neg_infinity
-
-  let samples t =
-    let n = kept t in
-    let rec go i acc = if i < 0 then acc else go (i - 1) (t.samples.(i) :: acc) in
-    go (n - 1) []
 end

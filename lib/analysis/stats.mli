@@ -32,9 +32,6 @@ type summary = {
   max : float;
 }
 
-val empty_summary : summary
-(** All-zero: what [summarize] returns for no samples. *)
-
 val summarize : float list -> summary
 
 (** Bounded reservoir over a float stream (Vitter's Algorithm R): O(capacity)
@@ -71,8 +68,4 @@ module Reservoir : sig
 
   val clear : t -> unit
 
-  val samples : t -> float list
-  (** The kept sample, insertion order (a uniform draw over the stream once
-      the reservoir has overflowed). For pooling several reservoirs into
-      one summary — e.g. per-window latencies into a run-level tail. *)
 end

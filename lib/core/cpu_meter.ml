@@ -8,7 +8,6 @@ type t = {
 }
 
 let create cost = { cost; pending = 0.; total = 0.; ops = 0 }
-let cost_model t = t.cost
 
 let charge t seconds =
   t.pending <- t.pending +. seconds;

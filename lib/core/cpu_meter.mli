@@ -8,7 +8,6 @@
 type t
 
 val create : Marlin_crypto.Cost_model.t -> t
-val cost_model : t -> Marlin_crypto.Cost_model.t
 
 val charge_sign : t -> unit
 val charge_verify : t -> unit

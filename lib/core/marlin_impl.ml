@@ -172,7 +172,7 @@ let accept_propose t (block : Block.t) (justify : High_qc.t) =
       | High_qc.Single _ -> adds
     in
     t.lb <- block;
-    r.high <- justify;
+    Replica.adopt_high r justify;
     (match justify with
     | High_qc.Single ({ Qc.phase = Qc.Prepare; _ } as qc) -> Replica.raise_lock r qc
     | High_qc.Single _ | High_qc.Paired _ -> ());
@@ -211,7 +211,7 @@ let on_prepare_vote t (block : Qc.block_ref) partial =
   else
     match Replica.add_vote r r.votes ~phase:Qc.Prepare ~block partial with
     | Vote_collector.Quorum qc ->
-        r.high <- High_qc.Single qc;
+        Replica.adopt_high r (High_qc.Single qc);
         Replica.raise_lock r qc;
         if Mode.chained then
           Replica.chained_tail r qc (process_chain_qc t qc)
@@ -339,7 +339,7 @@ let maybe_start_view_change_leadership t =
           with
           | Ok qc ->
               Log.debug (fun m -> m "view %d: happy-path view change" r.cview);
-              r.high <- High_qc.Single qc;
+              Replica.adopt_high r (High_qc.Single qc);
               t.mode <- Normal;
               Replica.exit_view_change r;
               try_propose t
@@ -456,7 +456,7 @@ let try_finish_pre_prepare t =
     match List.find_map usable normal_first with
     | None -> []
     | Some high ->
-        t.rep.high <- high;
+        Replica.adopt_high t.rep high;
         t.mode <- Normal;
         Replica.exit_view_change t.rep;
         (match high with

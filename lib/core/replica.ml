@@ -64,6 +64,8 @@ let raise_lock r qc = if Rank.qc_gt qc r.locked then r.locked <- qc
 let raise_high r qc =
   if Rank.qc_gt qc (High_qc.primary r.high) then r.high <- High_qc.Single qc
 
+let adopt_high r high = r.high <- high
+
 (* Turn a committer result into actions; commits reset the pacemaker. *)
 let finish_commits r (res : Committer.result) =
   match res.Committer.committed with

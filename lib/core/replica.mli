@@ -16,7 +16,7 @@ type 'a view_msgs
 
 val view_msgs : unit -> 'a view_msgs
 
-type t = {
+type t = private {
   cfg : Consensus_intf.config;
   auth : Auth.t;
   store : Block_store.t;
@@ -30,8 +30,8 @@ type t = {
   mutable locked : Qc.t;
       (** the lock; raise it with {!raise_lock} *)
   mutable high : High_qc.t;
-      (** the highQC; raise it with {!raise_high} (Marlin also adopts a
-          proposal's justify and a view change's outcome outright) *)
+      (** the highQC; raise it with {!raise_high}, or set it with
+          {!adopt_high} *)
   mutable in_flight : Marlin_crypto.Sha256.t option;
       (** leader: the block proposed and not yet certified; {!enter}
           clears it *)
@@ -62,6 +62,20 @@ val raise_high : t -> Qc.t -> unit
 (** Adopt the QC as the highQC if it outranks the highQC's primary QC; an
     equal rank keeps the highQC. *)
 
+val adopt_high : t -> High_qc.t -> unit
+(** Set the highQC outright, with no rank compare. Marlin's four callers,
+    one per case of the paper:
+    - a replica accepting a PROPOSE adopts its justify, which only has
+      to rank at or above the lock;
+    - the leader adopts the prepareQC it has just formed from PREPARE
+      votes;
+    - the happy-path view change: every VIEW-CHANGE reports the same last
+      block, and the new leader combines their partial signatures into a
+      prepareQC;
+    - the unhappy view change: the new leader adopts the pre-prepareQC it
+      formed, paired with the [vc] when the block is virtual (the
+      [(qc, vc)] pair). *)
+
 (** {1 Commits} *)
 
 val finish_commits : t -> Committer.result -> Consensus_intf.action list
@@ -70,11 +84,6 @@ val finish_commits : t -> Committer.result -> Consensus_intf.action list
 
 val note_block : t -> Block.t -> Consensus_intf.action list
 val deliver_commit : t -> Qc.t -> Consensus_intf.action list
-
-val needs_flush : t -> chained:bool -> Qc.block_ref -> bool
-(** A chained leader with no payload still proposes an empty block while
-    an operation-bearing block above the committed head hangs on [tip]'s
-    branch. Always [false] unless [chained]. *)
 
 (** {1 Proposals and votes}
 
@@ -123,8 +132,9 @@ val propose_in_flight : t -> Block.t -> Consensus_intf.action list
 
 val propose_child : t -> chained:bool -> Consensus_intf.action list
 (** Pull a batch and {!propose_in_flight} a child of block(highQC) that
-    carries it; with no batch, an empty child while {!needs_flush}, else
-    nothing. *)
+    carries it. With no batch, a chained leader still proposes an empty
+    child while an operation-bearing block above the committed head hangs
+    on block(highQC)'s branch; otherwise nothing. *)
 
 val commit_tail :
   t -> Qc.t -> propose:(unit -> Consensus_intf.action list) ->

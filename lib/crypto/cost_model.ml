@@ -50,7 +50,6 @@ let bls_pairing =
     sig_size = 48;
   }
 
-let scheme m = m.scheme
 let sign_cost m = m.sign
 let verify_cost m = m.verify
 let partial_sign_cost m = m.partial_sign
@@ -68,6 +67,3 @@ let combined_size m ~n ~shares =
   | Ecdsa_group -> shares * m.sig_size
   | Bls_pairing -> m.sig_size + ((n + 7) / 8)
 
-let pp fmt m =
-  Format.pp_print_string fmt
-    (match m.scheme with Ecdsa_group -> "ecdsa-group" | Bls_pairing -> "bls-pairing")

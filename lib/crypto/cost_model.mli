@@ -26,7 +26,6 @@ type t
 
 val ecdsa_group : t
 val bls_pairing : t
-val scheme : t -> scheme
 
 val sign_cost : t -> float
 (** Seconds to produce one conventional signature. *)
@@ -58,4 +57,3 @@ val pairing_cost : float
 (** Seconds for a single pairing operation (exposed for Table I
     cross-checks). *)
 
-val pp : Format.formatter -> t -> unit

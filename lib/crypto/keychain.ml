@@ -46,8 +46,6 @@ let secret kc i =
   if i < 0 || i >= kc.n then invalid_arg "Keychain.secret: replica id out of range";
   kc.secrets.(i)
 
-let system_secret kc = kc.system_secret
-
 let key kc i =
   if i < 0 || i >= kc.n then invalid_arg "Keychain.key: replica id out of range";
   kc.keys.(i)

@@ -23,17 +23,15 @@ val secret : t -> int -> string
 (** [secret kc i] is replica [i]'s signing key.
     @raise Invalid_argument if [i] is out of range. *)
 
-val system_secret : t -> string
-(** The cluster-wide key under which combined threshold signatures are
-    tagged (stands in for the threshold public key). *)
-
 val key : t -> int -> Hmac.key
 (** Replica [i]'s signing key in prepared form ({!Hmac.prepare}d once at
     keychain creation) — the form the signature schemes sign and verify
     with. @raise Invalid_argument if [i] is out of range. *)
 
 val system_key : t -> Hmac.key
-(** {!system_secret} in prepared form. *)
+(** The cluster-wide key under which combined threshold signatures are
+    tagged (it stands in for the threshold public key), in prepared
+    form. *)
 
 val system : int
 (** The key index {!mac} reads as the system key ([-1]). *)

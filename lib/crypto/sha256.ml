@@ -135,7 +135,6 @@ module Ctx = struct
       ctx.buf_len <- !len
     end
 
-  let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
 
   let feed_string ctx s =
     feed_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
@@ -164,11 +163,6 @@ end
 let string s =
   let ctx = Ctx.create () in
   Ctx.feed_string ctx s;
-  Ctx.finalize ctx
-
-let bytes b =
-  let ctx = Ctx.create () in
-  Ctx.feed_bytes ctx b;
   Ctx.finalize ctx
 
 let to_raw d = d
@@ -202,6 +196,5 @@ let of_hex s =
       Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1]))
 
 let equal = String.equal
-let compare = String.compare
 let hash (d : t) = Hashtbl.hash d
 let pp fmt d = Format.pp_print_string fmt (String.sub (to_hex d) 0 8)

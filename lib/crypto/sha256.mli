@@ -16,9 +16,6 @@ val digest_size : int
 val string : string -> t
 (** [string s] is the SHA-256 digest of [s]. *)
 
-val bytes : bytes -> t
-(** [bytes b] is the SHA-256 digest of the contents of [b]. *)
-
 val to_raw : t -> string
 (** [to_raw d] is the 32-byte big-endian digest string. *)
 
@@ -33,7 +30,6 @@ val of_hex : string -> t
 (** Inverse of {!to_hex}. @raise Invalid_argument on malformed input. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints the first 8 hex characters — enough to identify a block in logs. *)
@@ -44,7 +40,6 @@ module Ctx : sig
 
   val create : unit -> ctx
   val feed_string : ctx -> string -> unit
-  val feed_bytes : ctx -> bytes -> unit
 
   val finalize : ctx -> t
   (** The digest of everything fed. The context must not be used after. *)

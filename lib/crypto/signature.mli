@@ -6,14 +6,9 @@
 
 type t = { signer : int; tag : Sha256.t }
 
-val size_bytes : int
-(** Bytes a signature occupies on the wire (64, as ECDSA-P256). *)
-
 val sign : Keychain.t -> signer:int -> string -> t
 (** [sign kc ~signer msg] signs [msg] with replica [signer]'s key. *)
 
 val verify : Keychain.t -> string -> t -> bool
 (** [verify kc msg s] checks that [s] is a valid signature over [msg]. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

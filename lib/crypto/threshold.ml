@@ -2,7 +2,6 @@ type partial = { signer : int; tag : Sha256.t }
 type t = { signers : int list; tag : Sha256.t }
 
 let partial_size_bytes = 64
-let size_bytes ~n = 64 + ((n + 7) / 8)
 
 let share_msg msg = "tshare|" ^ msg
 
@@ -56,7 +55,3 @@ let verify kc ~threshold msg s =
 let equal a b =
   List.equal Int.equal a.signers b.signers && Sha256.equal a.tag b.tag
 
-let pp fmt s =
-  Format.fprintf fmt "tsig[{%s}:%a]"
-    (String.concat "," (List.map string_of_int s.signers))
-    Sha256.pp s.tag

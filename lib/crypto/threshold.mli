@@ -16,10 +16,6 @@ type t = { signers : int list; tag : Sha256.t }
 val partial_size_bytes : int
 (** Wire size of a partial signature (64 bytes). *)
 
-val size_bytes : n:int -> int
-(** Wire size of a combined signature for an [n]-replica cluster:
-    64 bytes of signature material plus an n-bit signer bitmap. *)
-
 val sign : Keychain.t -> signer:int -> string -> partial
 (** [sign kc ~signer msg] produces replica [signer]'s share over [msg]. *)
 
@@ -39,4 +35,3 @@ val verify : Keychain.t -> threshold:int -> string -> t -> bool
     [threshold] distinct in-range signers must be present. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -86,11 +86,3 @@ let first_fault_at t =
   match byz_free with
   | [] -> t.settle_at (* purely Byzantine scenario: misbehaviour is live from the start *)
   | s :: _ -> s.at
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v 2>%s (f=%d, settle %.2fs, run %.2fs): %s" t.name t.f
-    t.settle_at t.run_for t.info;
-  List.iter
-    (fun s -> Format.fprintf fmt "@,%.3f %s" s.at (event_label s.event))
-    t.steps;
-  Format.fprintf fmt "@]"

@@ -18,8 +18,6 @@ type behaviour =
       (** advertises its oldest view-change snapshot (stale highQC) in
           every VIEW-CHANGE / NEW-VIEW it sends, properly re-signed *)
 
-val behaviour_label : behaviour -> string
-
 type event =
   | Crash of int  (** replica stops sending and receiving *)
   | Recover of int  (** a crashed replica rejoins with its old state *)
@@ -77,4 +75,3 @@ val first_fault_at : t -> float
     Byzantine scenarios — the start of the measurement window for
     view-change traffic. *)
 
-val pp : Format.formatter -> t -> unit

@@ -136,7 +136,10 @@ let resolve_comps b p =
   | Path.Pident _ -> normalize ~wrappers:b.wrappers comps
   | _ -> (
       match Hashtbl.find_opt b.mods (Ident.unique_name (path_head p)) with
-      | Some mod_comps -> mod_comps @ List.tl comps
+      | Some mod_comps ->
+          (* an alias of a library ([module Core = Marlin_core]) leaves
+             the wrapper at the head until the path is joined *)
+          normalize ~wrappers:b.wrappers (mod_comps @ List.tl comps)
       | None -> normalize ~wrappers:b.wrappers comps)
 
 let resolve b p =
@@ -190,6 +193,19 @@ let rec mod_shape b me =
   | Typedtree.Tmod_functor (_, body) -> mod_shape b body
   | Typedtree.Tmod_constraint (inner, _, _, _) -> mod_shape b inner
   | _ -> Shape_opaque
+
+(* The structures a module expression passes to functors, e.g. the
+   [struct ... end] of [include Replica.Drive (struct ... end)]. *)
+let rec argument_structures b me =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_apply (f, arg, _) -> (
+      argument_structures b f
+      @
+      match mod_shape b arg with
+      | Shape_structure str -> [ str ]
+      | Shape_alias _ | Shape_opaque -> argument_structures b arg)
+  | Typedtree.Tmod_constraint (inner, _, _, _) -> argument_structures b inner
+  | _ -> []
 
 let rec register_structure b prefix (str : Typedtree.structure) =
   List.iter
@@ -404,6 +420,8 @@ let rec walk_structure b ~rel prefix (str : Typedtree.structure) =
       | Typedtree.Tstr_module mb -> walk_module b ~rel prefix mb
       | Typedtree.Tstr_recmodule mbs ->
           List.iter (walk_module b ~rel prefix) mbs
+      | Typedtree.Tstr_include incl ->
+          walk_arguments b ~rel prefix incl.Typedtree.incl_mod
       | _ -> ())
     str.Typedtree.str_items
 
@@ -412,8 +430,17 @@ and walk_module b ~rel prefix (mb : Typedtree.module_binding) =
   | Some name -> (
       match mod_shape b mb.Typedtree.mb_expr with
       | Shape_structure str -> walk_structure b ~rel (prefix @ [ name ]) str
-      | Shape_alias _ | Shape_opaque -> ())
+      | Shape_alias _ -> ()
+      | Shape_opaque ->
+          walk_arguments b ~rel (prefix @ [ name ]) mb.Typedtree.mb_expr)
   | None -> ()
+
+(* A functor argument's bindings are nodes under "(arg)", so what they
+   refer to is reached, without shadowing the enclosing bindings. *)
+and walk_arguments b ~rel prefix me =
+  List.iter
+    (walk_structure b ~rel (prefix @ [ "(arg)" ]))
+    (argument_structures b me)
 
 let build (loader : Cmt_loader.t) =
   let b =

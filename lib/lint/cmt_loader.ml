@@ -16,13 +16,22 @@
    - module names are mangled by dune's wrapping ([Marlin_core__Auth]);
      we normalize to the user-visible name ([Auth]) and remember every
      wrapper prefix seen so the call graph can normalize referenced
-     paths the same way. *)
+     paths the same way.
+
+   A unit with an .mli also has a [.cmti] beside its [.cmt]; its typed
+   signature is read too, for the rules about what a unit exports. *)
+
+type interface = {
+  mli_rel : string;
+  mli_source : string;
+  signature : Typedtree.signature;
+}
 
 type unit_info = {
   modname : string;
   rel : string;
   source : string;
-  has_mli : bool;
+  intf : interface option;
   load_path : string list;
   structure : Typedtree.structure;
 }
@@ -69,6 +78,11 @@ let apply_map ~map rel =
       to_prefix ^ String.sub rel n (String.length rel - n)
   | Some _ | None -> rel
 
+let read_source path =
+  if Sys.file_exists path then
+    In_channel.with_open_bin path In_channel.input_all
+  else ""
+
 let load ?map ?(source_root = ".") ~paths () =
   let cmts =
     List.concat_map (fun p -> walk [] p) paths |> List.sort String.compare
@@ -97,12 +111,28 @@ let load ?map ?(source_root = ".") ~paths () =
               if not (Hashtbl.mem seen_rel rel) then begin
                 Hashtbl.replace seen_rel rel ();
                 let src_path = Filename.concat source_root src in
-                let source =
-                  if Sys.file_exists src_path then
-                    In_channel.with_open_bin src_path In_channel.input_all
-                  else ""
+                let cmti_path = cmt_path ^ "i" in
+                let intf =
+                  if not (Sys.file_exists cmti_path) then None
+                  else
+                    match Cmt_format.read_cmt cmti_path with
+                    | { cmt_annots = Interface signature; _ } ->
+                        Some
+                          {
+                            mli_rel = rel ^ "i";
+                            mli_source = read_source (src_path ^ "i");
+                            signature;
+                          }
+                    | _ -> None
+                    | exception exn ->
+                        errors :=
+                          {
+                            cmt_path = cmti_path;
+                            message = Printexc.to_string exn;
+                          }
+                          :: !errors;
+                        None
                 in
-                let has_mli = Sys.file_exists (src_path ^ "i") in
                 let load_path =
                   List.map
                     (fun dir ->
@@ -112,7 +142,14 @@ let load ?map ?(source_root = ".") ~paths () =
                     cmt.Cmt_format.cmt_loadpath
                 in
                 units :=
-                  { modname; rel; source; has_mli; load_path; structure }
+                  {
+                    modname;
+                    rel;
+                    source = read_source src_path;
+                    intf;
+                    load_path;
+                    structure;
+                  }
                   :: !units
               end
           | _ -> ()))

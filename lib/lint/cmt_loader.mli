@@ -2,16 +2,23 @@
 
     Walks the given directories (including the leading-dot [.objs] dirs
     dune uses), reads every [.cmt] with [Cmt_format.read_cmt], and keeps
-    the implementation units with their full Typedtree. Module names are
-    un-mangled from dune's wrapping ([Marlin_core__Auth] → [Auth]); the
-    wrapper prefixes seen are reported so {!Callgraph} can normalize
-    referenced paths the same way. *)
+    the implementation units with their full Typedtree, plus the typed
+    signature of each unit's [.mli] from the [.cmti] beside its [.cmt].
+    Module names are un-mangled from dune's wrapping ([Marlin_core__Auth]
+    → [Auth]); the wrapper prefixes seen are reported so {!Callgraph} can
+    normalize referenced paths the same way. *)
+
+type interface = {
+  mli_rel : string;  (** the [.mli]'s workspace-relative path, after [map] *)
+  mli_source : string;  (** its source text, [""] if unreadable *)
+  signature : Typedtree.signature;  (** from the [.cmti] beside the [.cmt] *)
+}
 
 type unit_info = {
   modname : string;  (** user-visible module name, wrapping stripped *)
   rel : string;  (** workspace-relative source path, after [map] *)
   source : string;  (** source text, [""] if unreadable *)
-  has_mli : bool;  (** an [.mli] sits beside the source *)
+  intf : interface option;  (** the unit's [.mli], when it has one *)
   load_path : string list;
       (** the compiler's [-I] path for this unit, relative entries resolved
           against [source_root]: where its [.cmi] dependencies live, for

@@ -49,17 +49,22 @@ let run ?(clock = null_clock) ?(warn = []) ?map ?source_root ~paths () =
       loader.errors
   in
   let raw = cmt_errors @ List.concat_map run_rule Rules_typed.all in
+  (* waivers sit in the .ml or, for findings about exports, the .mli *)
+  let sources =
+    List.concat_map
+      (fun (u : Cmt_loader.unit_info) ->
+        (u.rel, u.source)
+        ::
+        (match u.intf with
+        | Some i -> [ (i.mli_rel, i.mli_source) ]
+        | None -> []))
+      loader.units
+  in
   let source_of rel =
-    Option.map
-      (fun (u : Cmt_loader.unit_info) -> u.source)
-      (List.find_opt
-         (fun (u : Cmt_loader.unit_info) -> String.equal u.rel rel)
-         loader.units)
+    Option.map snd (List.find_opt (fun (r, _) -> String.equal r rel) sources)
   in
   let kept, suppressed =
-    Waivers.filter ~source_of
-      ~files:(List.map (fun (u : Cmt_loader.unit_info) -> u.rel) loader.units)
-      raw
+    Waivers.filter ~source_of ~files:(List.map fst sources) raw
   in
   let demote (d : Diagnostic.t) =
     if List.mem d.rule warn then { d with severity = Diagnostic.Warning } else d

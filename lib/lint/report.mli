@@ -18,7 +18,6 @@ val canonical : Diagnostic.t list -> Diagnostic.t list
 (** Sort into report order ({!Diagnostic.order}). *)
 
 val errors : t -> int
-val warnings : t -> int
 
 val summary : Format.formatter -> t -> unit
 (** The one-line summary: files, rules, errors, warnings, suppressed. *)

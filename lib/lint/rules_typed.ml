@@ -101,19 +101,18 @@ let binary_args args =
 
 (* ---------- transitive-impurity ---------- *)
 
-(* All of lib/ but the real filesystem (lib/store) and the linter. *)
-let deterministic_scope rel =
-  under "lib" rel && not (under "lib/store" rel || under "lib/lint" rel)
+(* All of lib/ but the linter, which reads build artifacts from disk. *)
+let deterministic_scope rel = under "lib" rel && not (under "lib/lint" rel)
 
 let transitive_impurity =
   {
     name = "transitive-impurity";
     severity = Diagnostic.Error;
     doc =
-      "lib/ (except lib/store and the linter) must not reach wall-clock \
-       time, stdlib Random (Random.State included), or ambient I/O — not \
-       even transitively through other modules; pass Rng streams and \
-       simulated time explicitly";
+      "lib/ (except the linter) must not reach wall-clock time, stdlib \
+       Random (Random.State included), or ambient I/O — not even \
+       transitively through other modules; pass Rng streams and simulated \
+       time explicitly";
     applies = deterministic_scope;
     check =
       (fun ctx ->
@@ -333,6 +332,78 @@ let exhaustive_handler =
               check_cases ~flag cases
           | _ -> ());
           recurse ());
+  }
+
+(* ---------- dead-export ---------- *)
+
+(* Every [val] written in a signature, keyed by its dotted path: nested
+   [module X : sig ... end] included; [include]d items and functor
+   signatures are not walked. *)
+let rec written_vals prefix (sg : Typedtree.signature) =
+  List.concat_map
+    (fun (item : Typedtree.signature_item) ->
+      match item.sig_desc with
+      | Tsig_value { val_name = name; _ } ->
+          [ (String.concat "." (prefix @ [ name.txt ]), name.loc) ]
+      | Tsig_module
+          {
+            md_name = { txt = Some name; _ };
+            md_type = { mty_desc = Tmty_signature sg; _ };
+            _;
+          } ->
+          written_vals (prefix @ [ name ]) sg
+      | _ -> [])
+    sg.sig_items
+
+let dead_export =
+  {
+    name = "dead-export";
+    severity = Diagnostic.Error;
+    doc =
+      "every val written in a lib/ .mli must be referenced from another \
+       compilation unit (lib/, bench/, test/, examples/ or the lint CLI); \
+       delete what nothing calls";
+    applies = under "lib";
+    check =
+      (fun ctx ->
+        (* target -> the units (rel) that refer to it *)
+        let callers = Hashtbl.create 4096 in
+        List.iter
+          (fun key ->
+            Option.iter
+              (fun (node : Callgraph.node) ->
+                List.iter
+                  (fun (r : Callgraph.ref_site) ->
+                    Hashtbl.add callers r.target node.rel)
+                  node.refs)
+              (Callgraph.find ctx.graph key))
+          (Callgraph.order ctx.graph);
+        List.concat_map
+          (fun (u : Cmt_loader.unit_info) ->
+            match u.intf with
+            | None -> []
+            | Some intf ->
+                List.filter_map
+                  (fun (key, loc) ->
+                    if
+                      List.exists
+                        (fun rel -> not (String.equal rel u.rel))
+                        (Hashtbl.find_all callers key)
+                    then None
+                    else
+                      Some
+                        {
+                          rel = intf.mli_rel;
+                          loc;
+                          message =
+                            Printf.sprintf
+                              "'%s' is exported but no other compilation \
+                               unit refers to it; delete it or drop it from \
+                               the interface"
+                              key;
+                        })
+                  (written_vals [ u.modname ] intf.signature))
+          ctx.units);
   }
 
 (* ---------- poly-compare ---------- *)
@@ -642,7 +713,7 @@ let missing_mli =
       (fun ctx ->
         List.filter_map
           (fun (u : Cmt_loader.unit_info) ->
-            if u.has_mli then None
+            if Option.is_some u.intf then None
             else
               Some
                 {
@@ -668,6 +739,7 @@ let all =
     quorum_provenance;
     linearity;
     exhaustive_handler;
+    dead_export;
   ]
 
 let find name = List.find_opt (fun r -> String.equal r.name name) all

@@ -19,8 +19,8 @@
 
     Interprocedural rules, over the {!Callgraph} of every loaded unit:
 
-    - [transitive-impurity]: lib/, except lib/store (real file I/O) and
-      the linter, must not reach wall-clock time, stdlib [Random]
+    - [transitive-impurity]: lib/, except the linter (which reads build
+      artifacts), must not reach wall-clock time, stdlib [Random]
       ([Random.State] included) or ambient I/O, even through calls into
       other modules ({!Effects}). This is the repository's only
       determinism check.
@@ -32,7 +32,13 @@
       through calls ({!Callgraph.max_send_depth}); the intentionally
       quadratic pbft baseline carries an allow-file waiver.
     - [exhaustive-handler]: [Message.payload] dispatch in lib/core must
-      enumerate every constructor — no wildcard drops. *)
+      enumerate every constructor — no wildcard drops.
+    - [dead-export]: every [val] written in a lib/ [.mli] (inside nested
+      [module X : sig ... end] too) needs a reference from another
+      compilation unit. Values that come from an [include] and functor
+      signatures are not checked. Every loaded unit counts as a caller,
+      so the lint must load the whole tree: lib/, bench/, test/,
+      examples/ and the lint CLI. *)
 
 type context = {
   units : Cmt_loader.unit_info list;  (** the units in the rule's scope *)

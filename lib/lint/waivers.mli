@@ -7,9 +7,6 @@
     matched no diagnostic becomes a ["stale-waiver"] error anchored at the
     directive's line. *)
 
-val stale_rule : string
-(** ["stale-waiver"], the synthetic rule name stale findings carry. *)
-
 val filter :
   source_of:(string -> string option) ->
   files:string list ->

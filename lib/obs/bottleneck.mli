@@ -30,8 +30,6 @@ val name : t -> string
     ["mempool-backpressure"] — the first five match
     {!Span.component_name}. *)
 
-val of_component : Span.component -> t
-
 type evidence = {
   windows : int;  (** windows the verdict was computed over *)
   attributed : float;  (** critical-path seconds, all windows *)

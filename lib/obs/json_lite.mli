@@ -25,8 +25,6 @@ val mem : string list -> t -> t option
 
 val to_float : t -> float option
 val to_int : t -> int option
-val to_string : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option
 
 val float_at : string list -> t -> float option

@@ -40,9 +40,6 @@ val is_consensus_message : Marlin_types.Message.t -> bool
     state transfer? The classification behind the paper's view-change
     communication measurements. *)
 
-val is_consensus_kind : string -> bool
-(** Same classification by {!Marlin_types.Message.type_name}. *)
-
 (* -- protocol-event counters (fed by protocol sinks) -- *)
 
 val note_propose : t -> unit

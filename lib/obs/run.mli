@@ -15,7 +15,6 @@ val create : ?trace:bool -> ?windows:float -> n:int -> unit -> t
     default) no window state exists and every timeseries hook is a single
     branch. *)
 
-val sink : t -> clock:(unit -> float) -> replica:int -> Sink.t
 val handle : t -> clock:(unit -> float) -> replica:int -> Sink.handle
 val metrics : t -> Metrics.t array
 

@@ -298,8 +298,3 @@ let reconstruct events =
       })
     pre.commits
 
-let pp fmt t =
-  Format.fprintf fmt "commit r%d h%d v%d %.6f->%.6f (%s, %d segs, %d waits)"
-    t.replica t.height t.view t.propose_time t.commit_time
-    (if t.complete then "complete" else "partial")
-    (List.length t.segments) (quorum_waits t)

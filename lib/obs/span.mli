@@ -69,4 +69,3 @@ val reconstruct : Trace.event list -> t list
 (** One span per [Commit] event, oldest first. Events must be in buffer
     order ({!Trace.events} or a {!Trace_reader} round-trip). *)
 
-val pp : Format.formatter -> t -> unit

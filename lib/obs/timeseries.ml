@@ -73,7 +73,6 @@ let create ?(capacity = 512) ~width () =
     last = -1;
   }
 
-let width t = t.width
 let is_empty t = t.first < 0
 
 (* Floor semantics: an instant exactly on a boundary opens the later

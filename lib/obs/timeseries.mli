@@ -53,7 +53,6 @@ val create : ?capacity:int -> width:float -> unit -> t
     keeps a 256-sample latency reservoir.
     @raise Invalid_argument when [width <= 0] or [capacity <= 0]. *)
 
-val width : t -> float
 val is_empty : t -> bool
 
 (* -- hot-path feeds (in-place, no allocation) -- *)

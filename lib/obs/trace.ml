@@ -71,10 +71,6 @@ let to_json e =
   Printf.sprintf {|{"t":%.9f,"replica":%d,"event":"%s"%s%s}|} e.time e.replica
     (kind_name e.kind) context (kind_fields e.kind)
 
-let pp fmt e =
-  Format.fprintf fmt "%.6f r%d v%d h%d %s%s" e.time e.replica e.view e.height
-    (kind_name e.kind) (kind_fields e.kind)
-
 type buffer = { mutable rev_events : event list; mutable count : int }
 
 let create_buffer () = { rev_events = []; count = 0 }
@@ -83,7 +79,6 @@ let add b e =
   b.rev_events <- e :: b.rev_events;
   b.count <- b.count + 1
 
-let length b = b.count
 let events b = List.rev b.rev_events
 
 (* lint: allow transitive-impurity -- exporter: writes to the caller's channel after the run *)

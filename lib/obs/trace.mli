@@ -51,8 +51,6 @@ type event = {
   kind : kind;
 }
 
-val kind_name : kind -> string
-val pp : Format.formatter -> event -> unit
 
 val to_json : event -> string
 (** One self-contained JSON object, no trailing newline. *)
@@ -62,7 +60,6 @@ type buffer
 
 val create_buffer : unit -> buffer
 val add : buffer -> event -> unit
-val length : buffer -> int
 
 val events : buffer -> event list
 (** Oldest first. *)

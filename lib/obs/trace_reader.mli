@@ -9,10 +9,6 @@
 val parse_line : string -> (string option * Trace.event, string) result
 (** One JSONL line; the [string option] is the ["run"] label if present. *)
 
-val read_channel : in_channel -> (string option * Trace.event) list
-(** Reads to EOF, skipping blank lines.
-    @raise Failure with line number on a malformed line. *)
-
 val read_file : string -> (string option * Trace.event) list
 (** @raise Failure on a malformed line, [Sys_error] on a bad path. *)
 

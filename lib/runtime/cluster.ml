@@ -4,7 +4,7 @@ module Cpu_meter = Marlin_core.Cpu_meter
 module Sim = Marlin_sim.Sim
 module Netsim = Marlin_sim.Netsim
 module Rng = Marlin_sim.Rng
-module Sim_disk = Marlin_store.Sim_disk
+module Sim_disk = Marlin_sim.Sim_disk
 module Cost_model = Marlin_crypto.Cost_model
 module Scenario = Marlin_faults.Scenario
 module Stats = Marlin_analysis.Stats

@@ -38,7 +38,7 @@ val default_params : params
     clients, unbounded mempool, 150-byte ops/replies, 400-op batches,
     ECDSA costs, 1 s base timeout, no rotation. The network
     ({!Marlin_sim.Netsim.default_config}: 40 ms, 200 Mbps), the disk
-    ({!Marlin_store.Sim_disk.default_config}: LevelDB-like, a checkpoint
+    ({!Marlin_sim.Sim_disk.default_config}: LevelDB-like, a checkpoint
     every 5000 blocks) and the 2 µs CPU cost of executing one operation
     are the testbed's fixed values, not parameters. *)
 

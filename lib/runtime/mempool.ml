@@ -12,8 +12,6 @@ module Config = struct
       invalid_arg "Mempool.Config.make: per_client_cap must be >= 1";
     { capacity; per_client_cap }
 
-  let capacity t = t.capacity
-  let per_client_cap t = t.per_client_cap
 end
 
 type reject_reason = Pool_full | Per_client_cap
@@ -61,8 +59,6 @@ let create ?(config = Config.unbounded) () =
     s_rejected_client_cap = 0;
     s_peak_occupancy = 0;
   }
-
-let config t = t.config
 
 (* In-flight operations this pool is responsible for: queued and not yet
    committed, plus taken into a block and not yet committed. *)

@@ -20,14 +20,11 @@ module Config : sig
       occupancy (queued + taken, uncommitted); [per_client_cap] bounds one
       client's in-flight operations.
       @raise Invalid_argument when either is [< 1]. *)
-
-  val capacity : t -> int
-  val per_client_cap : t -> int
 end
 
 type reject_reason =
-  | Pool_full  (** occupancy reached [Config.capacity] *)
-  | Per_client_cap  (** the client reached [Config.per_client_cap] *)
+  | Pool_full  (** occupancy reached the configured [capacity] *)
+  | Per_client_cap  (** the client reached the configured [per_client_cap] *)
 
 type admission =
   | Admitted
@@ -51,8 +48,6 @@ type t
 
 val create : ?config:Config.t -> unit -> t
 (** [config] defaults to {!Config.unbounded}. *)
-
-val config : t -> Config.t
 
 val add : t -> Marlin_types.Operation.t -> admission
 (** Admit, deduplicate, or reject one operation. Checks run in order:

@@ -19,9 +19,6 @@ val run : ?until:float -> t -> unit
     [until]. With [until], the clock is left at exactly [until] (events
     beyond it stay queued). *)
 
-val step : t -> bool
-(** Run a single event; [false] when the queue is empty. *)
-
 val pending : t -> int
 
 val peak_pending : t -> int

@@ -49,8 +49,6 @@ type payload =
 type t = { sender : int; view : int; payload : payload }
 
 val make : sender:int -> view:int -> payload -> t
-val encode : Wire.Enc.t -> t -> unit
-val decode : Wire.Dec.t -> t
 val encode_string : t -> string
 val decode_string : string -> t
 

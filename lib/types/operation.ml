@@ -21,4 +21,3 @@ let wire_size op =
   + String.length op.body
 
 let equal a b = a.client = b.client && a.seq = b.seq && String.equal a.body b.body
-let pp fmt op = Format.fprintf fmt "op(%d:%d,%dB)" op.client op.seq (String.length op.body)

@@ -14,4 +14,3 @@ val encode : Wire.Enc.t -> t -> unit
 val decode : Wire.Dec.t -> t
 val wire_size : t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

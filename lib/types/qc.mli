@@ -34,9 +34,6 @@ type t = {
   tsig : Marlin_crypto.Threshold.t;
 }
 
-val vote_payload : phase:phase -> view:int -> block_ref -> string
-(** The byte string replicas sign when voting. *)
-
 val sign_vote :
   Marlin_crypto.Keychain.t -> signer:int -> phase:phase -> view:int ->
   block_ref -> Marlin_crypto.Threshold.partial
@@ -91,5 +88,4 @@ val wire_size : sig_bytes:int -> t -> int
     [Cost_model.combined_size] so bandwidth charges follow the signature
     scheme in use. *)
 
-val pp_phase : Format.formatter -> phase -> unit
 val pp : Format.formatter -> t -> unit

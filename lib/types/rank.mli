@@ -21,10 +21,6 @@ val qc_geq : Qc.t -> Qc.t -> bool
 val max_qc : Qc.t -> Qc.t -> Qc.t
 (** The left argument on ties. *)
 
-val block : Block.summary -> Block.summary -> ord
-(** [block b1 b2] per Section V-A: [Gt] iff [b1.view > b2.view], or same
-    view, [b1.height > b2.height] and [b1]'s justify is a prepareQC formed
-    in [b1]'s view. *)
 
 val block_gt : Block.summary -> Block.summary -> bool
 

@@ -21,7 +21,6 @@ let with_mean_rate t ~rate =
   scale t ~by:(rate /. mean_rate t)
 
 let label t = Printf.sprintf "poisson(%g/s)" t.rate
-let pp fmt t = Format.pp_print_string fmt (label t)
 
 module Sampler = struct
   type arrival = t

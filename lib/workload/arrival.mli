@@ -31,8 +31,6 @@ val with_mean_rate : t -> rate:float -> t
 val label : t -> string
 (** Short deterministic description, e.g. ["poisson(20000/s)"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** A stateful sampler: successive arrival instants for one source. *)
 module Sampler : sig
   type arrival := t

@@ -37,4 +37,3 @@ let label = function
       Printf.sprintf "open(%s keys=%d sources=%d)" (Arrival.label arrival)
         key_space sources
 
-let pp fmt t = Format.pp_print_string fmt (label t)

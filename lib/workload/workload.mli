@@ -48,4 +48,3 @@ val with_rate : t -> rate:float -> t
     vary offered load). @raise Invalid_argument on a closed loop. *)
 
 val label : t -> string
-val pp : Format.formatter -> t -> unit

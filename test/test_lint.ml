@@ -7,6 +7,8 @@
    formats. *)
 
 module Engine = Marlin_lint.Engine_typed
+module Cmt_loader = Marlin_lint.Cmt_loader
+module Callgraph = Marlin_lint.Callgraph
 module Diagnostic = Marlin_lint.Diagnostic
 module Rules = Marlin_lint.Rules_typed
 module Report = Marlin_lint.Report
@@ -17,12 +19,13 @@ module Json = Marlin_obs.Json_lite
 (* The test binary runs from _build/default/test, hence the ".." source
    root; [under] is where the fixture units are linted as if they lived,
    lib/core by default so every path-scoped rule applies. *)
+let fixtures_map = "tools/lint/fixtures_typed"
+let fixtures_objs =
+  "../tools/lint/fixtures_typed/.lint_fixtures_typed.objs/byte"
+
 let lint_fixtures ?warn ?(under = "lib/core") () =
-  Engine.run ?warn
-    ~map:("tools/lint/fixtures_typed", under)
-    ~source_root:".."
-    ~paths:[ "../tools/lint/fixtures_typed/.lint_fixtures_typed.objs/byte" ]
-    ()
+  Engine.run ?warn ~map:(fixtures_map, under) ~source_root:".."
+    ~paths:[ fixtures_objs ] ()
 
 let typed_result = lazy (lint_fixtures ())
 
@@ -190,11 +193,11 @@ let test_json_report () =
     (Json.int_at [ "col" ] poly)
 
 let test_rule_inventory () =
-  Alcotest.(check (list string)) "nine rules ship, in run order"
+  Alcotest.(check (list string)) "ten rules ship, in run order"
     [
       "poly-compare"; "hashtbl-order"; "float-equality"; "toplevel-state";
       "missing-mli"; "transitive-impurity"; "quorum-provenance"; "linearity";
-      "exhaustive-handler";
+      "exhaustive-handler"; "dead-export";
     ]
     (List.map (fun (r : Rules.t) -> r.Rules.name) Rules.all);
   List.iter
@@ -217,7 +220,7 @@ let test_rule_inventory () =
 let test_typed_rule_inventory () =
   let interprocedural =
     [ "transitive-impurity"; "quorum-provenance"; "linearity";
-      "exhaustive-handler" ]
+      "exhaustive-handler"; "dead-export" ]
   in
   List.iter
     (fun rule ->
@@ -254,7 +257,7 @@ let test_typed_transitive_impurity () =
     (mentions "via Bad_transitive_impure.jitter" (impurity_message 8))
 
 (* Wall-clock reads are impurity roots of transitive-impurity, which
-   covers every lib/ directory but the real filesystem and the linter. *)
+   covers every lib/ directory but the linter. *)
 let test_wall_clock () =
   Alcotest.(check bool) "Unix.gettimeofday flagged" true
     (mentions "Unix.gettimeofday" (impurity_message 10));
@@ -264,7 +267,7 @@ let test_wall_clock () =
     [
       ("lib/runtime/cluster.ml", true);
       ("lib/obs/trace.ml", true);
-      ("lib/store/log_store.ml", false);
+      ("lib/sim/sim_disk.ml", true);
       ("lib/lint/rules_typed.ml", false);
       ("lib/lint/effects.ml", false);
       ("bench/main.ml", false);
@@ -299,6 +302,60 @@ let test_typed_exhaustive_handler () =
   check_typed_anchors "wildcard in a payload dispatch anchored at the pattern"
     [ ("lib/core/bad_wildcard_handler.ml", 9, 4) ]
     "exhaustive-handler"
+
+let dead_mli = "lib/core/bad_dead_export.mli"
+
+let test_typed_dead_export () =
+  (* used_elsewhere and Nested.used_nested have a caller in
+     dead_export_user.ml; from_include comes from an include; waived
+     carries an inline waiver *)
+  check_anchors "only the two uncalled vals, anchored at their names"
+    [ (4, 4); (8, 6) ]
+    (anchors "dead-export" dead_mli);
+  Alcotest.(check bool) "message names the nested path" true
+    (mentions "'Bad_dead_export.Nested.unused_nested'"
+       (message_at "dead-export" dead_mli 8));
+  Alcotest.(check bool) "the inline waiver is used, not stale" true
+    (List.for_all
+       (fun d -> not (String.equal d.Diagnostic.file dead_mli))
+       (findings "stale-waiver"))
+
+(* Any other unit is a caller, wherever it lives: with the one unit that
+   calls Bad_dead_export moved under test/ or examples/, the rule still
+   flags only the uncalled vals (plus the waived one, since the rule is
+   run without the engine's waiver pass). *)
+let test_typed_dead_export_callers () =
+  let loader =
+    Cmt_loader.load ~map:(fixtures_map, "lib/core") ~source_root:".."
+      ~paths:[ fixtures_objs ] ()
+  in
+  let rule = Option.get (Rules.find "dead-export") in
+  List.iter
+    (fun dir ->
+      let units =
+        List.map
+          (fun (u : Cmt_loader.unit_info) ->
+            if String.equal u.modname "Dead_export_user" then
+              { u with rel = dir ^ "/dead_export_user.ml" }
+            else u)
+          loader.units
+      in
+      let ctx =
+        {
+          Rules.units =
+            List.filter (fun (u : Cmt_loader.unit_info) -> rule.applies u.rel)
+              units;
+          wrappers = loader.wrappers;
+          graph = Callgraph.build { loader with units };
+        }
+      in
+      Alcotest.(check (list (pair string int)))
+        ("caller under " ^ dir ^ "/")
+        [ (dead_mli, 4); (dead_mli, 8); (dead_mli, 19) ]
+        (List.map
+           (fun (f : Rules.finding) -> (f.rel, f.loc.loc_start.pos_lnum))
+           (rule.check ctx)))
+    [ "test"; "examples" ]
 
 let test_typed_waiver_interaction () =
   let r = Lazy.force typed_result in
@@ -399,6 +456,9 @@ let suite =
     ("typed: quorum-provenance", `Quick, test_typed_quorum_provenance);
     ("typed: linearity", `Quick, test_typed_linearity);
     ("typed: exhaustive-handler", `Quick, test_typed_exhaustive_handler);
+    ("typed: dead-export", `Quick, test_typed_dead_export);
+    ("typed: dead-export callers anywhere", `Quick,
+     test_typed_dead_export_callers);
     ("typed: waivers and stale-waiver", `Quick, test_typed_waiver_interaction);
     ("canonical diagnostic ordering", `Quick, test_canonical_ordering);
     ("typed: json byte-identical", `Quick, test_json_byte_identical);

@@ -3,10 +3,12 @@
 # stanza type-checks, which also leaves the .cmt files the lint reads),
 # then the marlin_lint static-analysis pass (`dune build @lint`: one
 # engine over the typed trees of every lib/ bench/ test/ examples/
-# module, running the idiom rules (comparison, ordering, float equality,
-# top-level state, interfaces) and the interprocedural ones (effect
-# inference, the one determinism check; quorum-arithmetic provenance;
-# linearity; exhaustive payload dispatch), plus the seeded-violation
+# module and of the lint CLI tools/lint/main.ml, running the idiom rules
+# (comparison, ordering, float equality, top-level state, interfaces)
+# and the interprocedural ones (effect inference, the one determinism
+# check; quorum-arithmetic provenance; linearity; exhaustive payload
+# dispatch; dead exports, a lib/ .mli value no other unit refers to),
+# plus the seeded-violation
 # fixture check and the compile-fail check that deprecated calls are
 # compiler errors),
 # then tier-1 tests, then the four bench regression gates against the
@@ -23,8 +25,10 @@
 # per-rule timings, kept as a CI artifact for lint-performance tracking.
 # (The alias runs themselves use the null clock so their JSON stays
 # byte-identical run to run.) The script fails unless the report's file
-# count equals the number of .ml files under lib/ bench/ test/ examples/,
-# so no directory can silently drop out of the lint's coverage.
+# count equals the number of .ml files under lib/ bench/ test/ examples/
+# plus tools/lint/main.ml, so no directory can silently drop out of the
+# lint's coverage (a dropped caller would also turn its callees into
+# dead exports).
 #
 # After the tests, the four examples and `bench/main.exe fig2-demo` run
 # (under 20 ms each): each exits 1 unless the outcome it prints holds
@@ -84,12 +88,13 @@ dune build @check
 dune build @lint
 (cd _build/default \
  && ./tools/lint/main.exe --quiet --time --json ../lint-report.json \
-      lib bench test examples)
+      lib bench test examples tools/lint/.main.eobjs)
 echo "ci: lint report with per-rule timings at _build/lint-report.json"
-sources=$(find lib bench test examples -name '*.ml' | wc -l | tr -d ' ')
+sources=$(find lib bench test examples tools/lint/main.ml -name '*.ml' \
+  | wc -l | tr -d ' ')
 scanned=$(sed -n 's/.*"files":\([0-9]*\).*/\1/p' _build/lint-report.json)
 if [ "$scanned" != "$sources" ]; then
-  echo "ci: lint scanned $scanned units but lib/ bench/ test/ examples/ hold $sources .ml files" >&2
+  echo "ci: lint scanned $scanned units but lib/ bench/ test/ examples/ and tools/lint/main.ml hold $sources .ml files" >&2
   exit 1
 fi
 QCHECK_SEED=${QCHECK_SEED:-$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')}

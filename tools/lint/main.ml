@@ -1,5 +1,6 @@
 (* marlin_lint — repo-specific static analysis over the typed trees dune
-   builds for lib/, bench/, test/ and examples/.
+   builds for lib/, bench/, test/, examples/ and this CLI
+   (tools/lint/.main.eobjs), each of which calls into lib/.
 
    Usage: main.exe [options] DIR...
      DIR               a directory searched (recursively, .objs included)
