@@ -166,7 +166,7 @@ let tests () =
       (Staged.stage (fun () ->
            Hmac.mac_prepared ~key:(Keychain.key kc 3) payload_64));
     Test.make ~name:"sim-sign"
-      (cycling sign_inputs (fun msg -> Marlin_crypto.Signature.sign kc ~signer:3 msg));
+      (cycling sign_inputs (fun msg -> Threshold.sign kc ~signer:3 msg));
     Test.make ~name:"threshold combine (21/31), first check"
       (cycling combine_inputs (fun (msg, partials) ->
            Threshold.combine kc ~threshold:21 msg partials));

@@ -87,7 +87,7 @@ let happy_authenticators p ~n = happy_messages p ~n
 let crypto_vc_seconds p ~n ~cost =
   let open Marlin_crypto.Cost_model in
   let nf = float_of_int n in
-  let per_sig = verify_cost cost in
+  let per_sig = partial_verify_cost cost in
   match p with
   | Hotstuff | Marlin -> nf *. nf *. per_sig /. nf (* n verifications per replica *)
   | Fast_hotstuff | Jolteon -> nf *. nf *. per_sig

@@ -9,20 +9,13 @@ type t
 
 val create : Marlin_crypto.Cost_model.t -> t
 
-val charge_sign : t -> unit
-val charge_verify : t -> unit
 val charge_partial_sign : t -> unit
 val charge_partial_verify : t -> unit
 val charge_combine : t -> shares:int -> unit
 val charge_combined_verify : t -> shares:int -> unit
-val charge : t -> float -> unit
-(** Arbitrary extra seconds (e.g. execution or disk cost). *)
 
 val take : t -> float
 (** The charge accumulated since the last [take]; resets it. *)
-
-val total : t -> float
-(** Lifetime total, for reporting. *)
 
 val op_count : t -> int
 (** Number of crypto operations charged (Table I cross-checks). *)

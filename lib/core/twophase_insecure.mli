@@ -6,8 +6,8 @@
     view-change messages. As Figure 2b shows, a replica locked on a QC the
     leader's snapshot missed will refuse every new proposal, and the system
     loses liveness — there is no unlock mechanism. This module exists to
-    {e demonstrate} that failure (see the liveness test suite and the
-    [fig2-demo] bench target); do not deploy it. *)
+    {e demonstrate} that failure (see the liveness test suite and
+    [examples/byzantine_demo.ml]); do not deploy it. *)
 
 include Consensus_intf.PROTOCOL
 

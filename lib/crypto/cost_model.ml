@@ -2,8 +2,6 @@ type scheme = Ecdsa_group | Bls_pairing
 
 type t = {
   scheme : scheme;
-  sign : float;
-  verify : float;
   partial_sign : float;
   partial_verify : float;
   combine_fixed : float;
@@ -22,8 +20,6 @@ let pairing_cost = us 600.
 let ecdsa_group =
   {
     scheme = Ecdsa_group;
-    sign = us 35.;
-    verify = us 95.;
     partial_sign = us 35.;
     partial_verify = us 95.;
     combine_fixed = us 1.;
@@ -39,8 +35,6 @@ let ecdsa_group =
 let bls_pairing =
   {
     scheme = Bls_pairing;
-    sign = us 280.;
-    verify = 2. *. pairing_cost;
     partial_sign = us 280.;
     partial_verify = 2. *. pairing_cost;
     combine_fixed = us 50.;
@@ -50,8 +44,6 @@ let bls_pairing =
     sig_size = 48;
   }
 
-let sign_cost m = m.sign
-let verify_cost m = m.verify
 let partial_sign_cost m = m.partial_sign
 let partial_verify_cost m = m.partial_verify
 let combine_cost m ~shares = m.combine_fixed +. (float_of_int shares *. m.combine_per_share)

@@ -27,12 +27,6 @@ type t
 val ecdsa_group : t
 val bls_pairing : t
 
-val sign_cost : t -> float
-(** Seconds to produce one conventional signature. *)
-
-val verify_cost : t -> float
-(** Seconds to verify one conventional signature. *)
-
 val partial_sign_cost : t -> float
 (** Seconds for a replica to produce one threshold share. *)
 

@@ -27,6 +27,18 @@ let timeseries t = t.ts
 let trace_events t =
   match t.trace with None -> [] | Some b -> Trace.events b
 
+let consensus_totals t =
+  let sum = { Metrics.msgs = 0; bytes = 0; auths = 0 } in
+  let add blocks m =
+    let c = Metrics.consensus_sent m in
+    sum.msgs <- sum.msgs + c.msgs;
+    sum.bytes <- sum.bytes + c.bytes;
+    sum.auths <- sum.auths + c.auths;
+    Int.max blocks (Metrics.blocks_committed m)
+  in
+  let blocks = Array.fold_left add 0 t.metrics in
+  (sum, blocks)
+
 (* -- network-layer hooks -- *)
 
 let net_queued t ~time ~id ~src ~dst ~size ~ready ~depart ~tx m =
@@ -125,46 +137,4 @@ let metrics_csv ?(label = "run") t =
       csv_hist_row buf ~label ~replica ~name:"vc_latency"
         (Metrics.vc_latency m))
     t.metrics;
-  Buffer.contents buf
-
-let json_summary (s : Stats.summary) =
-  Printf.sprintf
-    {|{"count":%d,"mean":%.6f,"p50":%.6f,"p95":%.6f,"p99":%.6f,"p999":%.6f,"min":%.6f,"max":%.6f}|}
-    s.Stats.count s.Stats.mean s.Stats.p50 s.Stats.p95 s.Stats.p99 s.Stats.p999
-    s.Stats.min s.Stats.max
-
-let json_dir (c : Metrics.dir_counter) =
-  Printf.sprintf {|{"msgs":%d,"bytes":%d,"auths":%d}|} c.Metrics.msgs
-    c.Metrics.bytes c.Metrics.auths
-
-let metrics_json ?(label = "run") t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf {|{"label":"%s","replicas":[|} label);
-  Array.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|{"replica":%d,"messages":{|} (Metrics.replica m));
-      List.iteri
-        (fun j kind ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf {|"%s":{"sent":%s,"recv":%s}|} kind
-               (json_dir (Metrics.sent m ~kind))
-               (json_dir (Metrics.recv m ~kind))))
-        (Metrics.kinds m);
-      Buffer.add_string buf
-        (Printf.sprintf
-           {|},"proposals":%d,"qcs":%d,"blocks_committed":%d,"ops_committed":%d,"view_changes":%d,"timer_fires":%d,"ops_admitted":%d,"ops_duplicate":%d,"ops_rejected_full":%d,"ops_rejected_client_cap":%d,"mempool_peak_occupancy":%d,"commit_latency":%s,"vc_latency":%s}|}
-           (Metrics.proposals m) (Metrics.qcs m) (Metrics.blocks_committed m)
-           (Metrics.ops_committed m) (Metrics.view_changes m)
-           (Metrics.timer_fires m) (Metrics.ops_admitted m)
-           (Metrics.ops_duplicate m)
-           (Metrics.ops_rejected_full m)
-           (Metrics.ops_rejected_client_cap m)
-           (Metrics.mempool_peak_occupancy m)
-           (json_summary (Metrics.commit_latency m))
-           (json_summary (Metrics.vc_latency m))))
-    t.metrics;
-  Buffer.add_string buf "]}";
   Buffer.contents buf

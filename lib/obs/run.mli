@@ -3,7 +3,7 @@
 
     The runtime creates a [Run.t], hands each replica a {!Sink.t} made
     from it, and points the network simulator at it; after the run the
-    exporters render a JSONL trace and a CSV or JSON metrics summary. *)
+    exporters render a JSONL trace and a CSV metrics summary. *)
 
 type t
 
@@ -28,6 +28,10 @@ val timeseries : t -> Timeseries.t option
 
 val trace_events : t -> Trace.event list
 (** Oldest first; empty when tracing was off. *)
+
+val consensus_totals : t -> Metrics.dir_counter * int
+(** Consensus traffic ({!Metrics.consensus_sent}) summed over the
+    replicas, and the most blocks any one replica committed. *)
 
 (* -- network-layer hooks (called by Netsim when attached) -- *)
 
@@ -67,5 +71,3 @@ val metrics_csv : ?label:string -> t -> string
     counter in the [msgs] column; [hist] rows carry a latency summary in
     the count..max columns (seconds). *)
 
-val metrics_json : ?label:string -> t -> string
-(** The same content as one JSON object. *)

@@ -302,37 +302,17 @@ let run (type a) proto ~params (measure : a measure) : a =
 let critical_path ?label obs =
   Obs.Critical_path.analyze ?label (Obs.Span.reconstruct (Obs.Run.trace_events obs))
 
-(* The machine-readable per-protocol record the bench JSON emitter writes:
-   throughput, commit latency, message/authenticator cost per block, and —
-   when the run was traced — the critical-path phase breakdown. *)
-let profile_json ~label ~sim_seconds (r : throughput_result) obs =
-  let metrics = Obs.Run.metrics obs in
-  let total_msgs, total_auths =
-    Array.fold_left
-      (fun (m, a) reg ->
-        let c = Obs.Metrics.consensus_sent reg in
-        (m + c.Obs.Metrics.msgs, a + c.Obs.Metrics.auths))
-      (0, 0) metrics
-  in
-  let blocks =
-    Array.fold_left
-      (fun acc reg -> max acc (Obs.Metrics.blocks_committed reg))
-      0 metrics
-  in
+let profile_json ~label ~sim_seconds (r : throughput_result) obs cp =
+  let sent, blocks = Obs.Run.consensus_totals obs in
   let per_block v =
     if blocks = 0 then 0. else float_of_int v /. float_of_int blocks
   in
-  let breakdown =
-    match Obs.Run.trace_events obs with
-    | [] -> "null"
-    | _ -> Obs.Critical_path.to_json (critical_path ~label obs)
-  in
   Printf.sprintf
     {|{"label":"%s","sim_seconds":%.3f,"throughput":%s,"blocks_committed":%d,"msgs_per_block":%.4f,"auths_per_block":%.4f,"commit_latency":%s,"phase_breakdown":%s}|}
-    label sim_seconds (throughput_to_json r) blocks (per_block total_msgs)
-    (per_block total_auths)
-    (summary_json (Obs.Metrics.commit_latency metrics.(0)))
-    breakdown
+    label sim_seconds (throughput_to_json r) blocks
+    (per_block sent.Obs.Metrics.msgs) (per_block sent.Obs.Metrics.auths)
+    (summary_json (Obs.Metrics.commit_latency (Obs.Run.metrics obs).(0)))
+    (Option.fold ~none:"null" ~some:Obs.Critical_path.to_json cp)
 
 let sweep proto ~params ~warmup ~duration ~client_counts =
   List.map
@@ -401,8 +381,6 @@ type attribution = {
   past_knee : attributed_point;
 }
 
-let what_breaks_first a = a.past_knee.verdict.Obs.Bottleneck.bottleneck
-
 let attribute_knee ?(window = 0.25) proto ~name ~params ~warmup ~duration
     ~rates =
   (* cheap untraced ladder to locate the knee, then two traced + windowed
@@ -460,7 +438,9 @@ let attribution_to_json a =
       fld_str "protocol" a.protocol;
       fld_int "n" a.n;
       fld_bool "sustainable" a.sustainable;
-      fld_str "verdict" (Obs.Bottleneck.name (what_breaks_first a));
+      (* what breaks first: the resource that binds past the knee *)
+      fld_str "verdict"
+        (Obs.Bottleneck.name a.past_knee.verdict.Obs.Bottleneck.bottleneck);
       fld_raw "knee" (open_loop_to_json a.knee_point);
       fld_raw "at_knee" (attributed_point_to_json a.at_knee);
       fld_raw "past_knee" (attributed_point_to_json ~windows:true a.past_knee);

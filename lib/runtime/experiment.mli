@@ -110,11 +110,11 @@ val critical_path :
 
 val profile_json :
   label:string -> sim_seconds:float -> throughput_result ->
-  Marlin_obs.Run.t -> string
+  Marlin_obs.Run.t -> Marlin_obs.Critical_path.t option -> string
 (** The per-protocol record of the machine-readable bench output:
     throughput, commit-latency histogram, consensus messages and
-    authenticators per committed block, and — when traced — the
-    critical-path phase breakdown ([null] otherwise). *)
+    authenticators per committed block, and the run's {!critical_path}
+    phase breakdown when given ([null] otherwise). *)
 
 val sweep :
   Marlin_core.Consensus_intf.protocol -> params:Cluster.params ->
@@ -169,10 +169,6 @@ type attribution = {
   at_knee : attributed_point;  (** re-run, traced, at the knee rate *)
   past_knee : attributed_point;  (** re-run just past the knee — what broke *)
 }
-
-val what_breaks_first : attribution -> Marlin_obs.Bottleneck.t
-(** The past-knee verdict: the resource that binds once the offered load
-    exceeds the sustainable rate. *)
 
 val attribute_knee :
   ?window:float -> Marlin_core.Consensus_intf.protocol -> name:string ->

@@ -132,7 +132,14 @@ let encode_string m =
   encode enc m;
   Wire.Enc.contents enc
 
-let decode_string s = decode (Wire.Dec.of_string s)
+let decode_string s =
+  let dec = Wire.Dec.of_string s in
+  let m = decode dec in
+  if not (Wire.Dec.at_end dec) then
+    raise
+      (Wire.Dec.Decode_error
+         (Printf.sprintf "%d trailing bytes" (Wire.Dec.remaining dec)));
+  m
 
 (* Accounting sizes: a block reference counts a flat 36 bytes here, not
    the exact varint count of [Qc.block_ref_size], which the codec above

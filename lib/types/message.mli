@@ -51,6 +51,8 @@ type t = { sender : int; view : int; payload : payload }
 val make : sender:int -> view:int -> payload -> t
 val encode_string : t -> string
 val decode_string : string -> t
+(** The whole string must be one message.
+    @raise Wire.Dec.Decode_error on malformed input or trailing bytes. *)
 
 val wire_size : sig_bytes:int -> t -> int
 (** Accounting size; [sig_bytes] is the combined-signature wire size from

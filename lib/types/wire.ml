@@ -4,19 +4,6 @@ module Enc = struct
   let create ?(size = 256) () = Buffer.create size
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
-  let u16 b v =
-    u8 b v;
-    u8 b (v lsr 8)
-
-  let u32 b v =
-    u16 b v;
-    u16 b (v lsr 16)
-
-  let u64 b v =
-    for i = 0 to 7 do
-      u8 b (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
-    done
-
   let rec varint b v =
     if v < 0 then invalid_arg "Wire.Enc.varint: negative"
     else if v < 0x80 then u8 b v
@@ -33,7 +20,6 @@ module Enc = struct
 
   let raw b s = Buffer.add_string b s
   let contents b = Buffer.contents b
-  let length b = Buffer.length b
 end
 
 module Dec = struct
@@ -53,23 +39,6 @@ module Dec = struct
     let v = Char.code d.src.[d.pos] in
     d.pos <- d.pos + 1;
     v
-
-  let u16 d =
-    let lo = u8 d in
-    let hi = u8 d in
-    lo lor (hi lsl 8)
-
-  let u32 d =
-    let lo = u16 d in
-    let hi = u16 d in
-    lo lor (hi lsl 16)
-
-  let u64 d =
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (u8 d)) (8 * i))
-    done;
-    !v
 
   let varint d =
     let rec go shift acc =

@@ -3,8 +3,8 @@
     Every protocol message can be serialized to a compact binary form; the
     network simulator charges bandwidth for exactly these bytes, so the
     communication-complexity measurements (Table I) reflect real encodings
-    rather than estimates. The format is little-endian with
-    variable-length integers (LEB128) for counters and lengths. *)
+    rather than estimates. Counters and lengths are variable-length
+    integers (LEB128). *)
 
 (** Encoder: an append-only buffer. *)
 module Enc : sig
@@ -12,9 +12,6 @@ module Enc : sig
 
   val create : ?size:int -> unit -> t
   val u8 : t -> int -> unit
-  val u16 : t -> int -> unit
-  val u32 : t -> int -> unit
-  val u64 : t -> int64 -> unit
   val varint : t -> int -> unit
   (** LEB128; the integer must be non-negative. *)
 
@@ -26,7 +23,6 @@ module Enc : sig
   (** Raw bytes, no length prefix (for fixed-size fields like digests). *)
 
   val contents : t -> string
-  val length : t -> int
 end
 
 (** Decoder over a string, raising {!Decode_error} on malformed input. *)
@@ -37,9 +33,6 @@ module Dec : sig
 
   val of_string : string -> t
   val u8 : t -> int
-  val u16 : t -> int
-  val u32 : t -> int
-  val u64 : t -> int64
   val varint : t -> int
   val bool : t -> bool
   val bytes : t -> string

@@ -1,6 +1,6 @@
 (* Run comparer: runs a protocol, workload and seed, records everything
    the simulation exposes — the trace event stream (as JSONL), the
-   per-replica metrics JSON, the network totals, and every replica's
+   per-replica metrics CSV, the network totals, and every replica's
    execution/commit state — and compares two such outcomes field by field.
    Any divergence is reported with the first mismatching trace line so the
    offending event is immediately visible. *)
@@ -17,7 +17,7 @@ let no_faults = { drop = 0.; duplicate = 0.; extra_delay = 0. }
 (* Everything observable about one run, in comparable form. *)
 type outcome = {
   trace : string list;  (* Trace.to_json per event, in emission order *)
-  metrics : string;  (* Run.metrics_json *)
+  metrics : string;  (* Run.metrics_csv *)
   stats : Netsim.stats;
   executed : int list;  (* total_executed per replica *)
   heads : (int * int) list;  (* (committed height, committed count) *)
@@ -51,7 +51,7 @@ let run (module P : C.PROTOCOL) ~n ~f ~clients ~seed ~until ~faults =
   in
   {
     trace = List.map Obs.Trace.to_json (Obs.Run.trace_events obs);
-    metrics = Obs.Run.metrics_json obs;
+    metrics = Obs.Run.metrics_csv obs;
     stats = Netsim.stats (Cl.net t);
     executed = List.init n (fun i -> Cl.total_executed t ~replica:i);
     heads;
@@ -85,7 +85,7 @@ let compare a b =
         (List.length a.trace) (List.length b.trace) x y
   | None ->
       if not (String.equal a.metrics b.metrics) then
-        err "metrics JSON diverges:@.  a: %s@.  b: %s" a.metrics b.metrics
+        err "metrics CSV diverges:@.  a: %s@.  b: %s" a.metrics b.metrics
       else if a.stats <> b.stats then
         err "netsim stats diverge: a %s b %s" (stats a.stats) (stats b.stats)
       else if not (List.equal Int.equal a.executed b.executed) then

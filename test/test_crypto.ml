@@ -167,13 +167,14 @@ let test_hmac_vectors () =
 
 let test_signature () =
   let kc = Keychain.create ~n:4 () in
-  let s = Signature.sign kc ~signer:2 "hello" in
-  Alcotest.(check bool) "valid" true (Signature.verify kc "hello" s);
-  Alcotest.(check bool) "wrong message" false (Signature.verify kc "hellO" s);
+  let s = Threshold.sign kc ~signer:2 "hello" in
+  Alcotest.(check bool) "valid" true (Threshold.verify_partial kc "hello" s);
+  Alcotest.(check bool) "wrong message" false
+    (Threshold.verify_partial kc "hellO" s);
   Alcotest.(check bool) "wrong claimed signer" false
-    (Signature.verify kc "hello" { s with signer = 3 });
+    (Threshold.verify_partial kc "hello" { s with signer = 3 });
   Alcotest.(check bool) "out of range signer" false
-    (Signature.verify kc "hello" { s with signer = 9 })
+    (Threshold.verify_partial kc "hello" { s with signer = 9 })
 
 let test_keychain_determinism () =
   let kc1 = Keychain.create ~seed:"s" ~n:4 ()
@@ -358,7 +359,7 @@ let test_threshold_verify_signers () =
 let test_cost_model () =
   let open Cost_model in
   Alcotest.(check bool) "pairing verify dwarfs ecdsa verify" true
-    (verify_cost bls_pairing > 5. *. verify_cost ecdsa_group);
+    (partial_verify_cost bls_pairing > 5. *. partial_verify_cost ecdsa_group);
   Alcotest.(check bool) "combine grows with shares" true
     (combine_cost ecdsa_group ~shares:100 > combine_cost ecdsa_group ~shares:3);
   (* ECDSA-group certificates grow linearly; BLS stays near-constant. *)
@@ -435,8 +436,7 @@ let qcheck_cases =
       (string_of_size Gen.(0 -- 200))
       (fun msg ->
         let kc = Keychain.create ~n:7 () in
-        let s = Signature.sign kc ~signer:5 msg in
-        Signature.verify kc msg s);
+        Threshold.verify_partial kc msg (Threshold.sign kc ~signer:5 msg));
     Test.make ~count:100 ~name:"threshold combine-verify for any quorum"
       (pair (string_of_size Gen.(1 -- 100)) (int_range 0 120))
       (fun (msg, salt) ->

@@ -1,7 +1,7 @@
 (* Determinism oracle: one seed gives one run. Every registry protocol,
    and a lossy/duplicating and a dropped-recipient network, runs twice on
    the same seed, and the two outcomes must be bit-identical: trace JSONL,
-   metrics JSON, network totals, per-replica execution and commit state.
+   metrics CSV, network totals, per-replica execution and commit state.
    Runs on different seeds must diverge, with the comparer naming the
    first differing trace event. *)
 

@@ -30,10 +30,14 @@
 # lint's coverage (a dropped caller would also turn its callees into
 # dead exports).
 #
-# After the tests, the four examples and `bench/main.exe fig2-demo` run
-# (under 20 ms each): each exits 1 unless the outcome it prints holds
-# (the Figure 2 strawman stuck at one block, Marlin committing the hidden
-# b2 with agreement, the bank's balances matching, the replicas agreeing).
+# After the tests, the four examples run (under 20 ms each): each exits 1
+# unless the outcome it prints holds (the Figure 2 strawman stuck at one
+# block, Marlin committing the hidden b2 with agreement, the bank's
+# balances matching, the replicas agreeing). Then three bench/main.exe
+# runs check its command line and observability targets: `observe
+# --trace T --metrics-out M` must write both files non-empty, `spans
+# --trace T --windows 0.5` must analyse that trace (each takes well under
+# a second), and an unknown target must exit 2.
 #
 # The smoke run includes a deterministic fault scenario (leader crash),
 # so the gate also covers recovery latency and view-change
@@ -112,15 +116,30 @@ fi
 demo() {
   if ! out=$("$@" 2>&1); then
     echo "$out"
-    echo "ci: $* did not reach the outcome it prints" >&2
+    echo "ci: $* exited non-zero" >&2
     exit 1
   fi
 }
 for example in quickstart kv_bank view_change_demo byzantine_demo; do
   demo "_build/default/examples/$example.exe"
 done
-demo _build/default/bench/main.exe fig2-demo
-echo "ci: examples and fig2-demo reached their outcomes"
+echo "ci: examples reached their outcomes"
+obs_trace=_build/ci-observe-trace.jsonl
+obs_metrics=_build/ci-observe-metrics.csv
+rm -f "$obs_trace" "$obs_metrics"
+demo _build/default/bench/main.exe observe --trace "$obs_trace" --metrics-out "$obs_metrics"
+if [ ! -s "$obs_trace" ] || [ ! -s "$obs_metrics" ]; then
+  echo "ci: bench/main.exe observe left $obs_trace or $obs_metrics empty" >&2
+  exit 1
+fi
+demo _build/default/bench/main.exe spans --trace "$obs_trace" --windows 0.5
+status=0
+_build/default/bench/main.exe no-such-target > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "ci: bench/main.exe no-such-target exited $status, not 2" >&2
+  exit 1
+fi
+echo "ci: observe, spans and the unknown-target exit hold"
 dune build @bench-smoke
 dune build @bench-scaling
 dune build @bench-load
