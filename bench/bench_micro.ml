@@ -48,11 +48,13 @@ let qc_256 =
   | Error e -> failwith e
 
 (* Distinct inputs for "sim-sign" and the "first check" rows: one more
-   message than the keychain's MAC memo holds, visited in turn, so every
-   sign or check misses the memo and computes its MACs. The "repeat
-   check" rows check one input over and over, as the n replicas of a
-   cluster do, and time memo hits. Built when the micro-benchmarks run,
-   not at start-up. *)
+   message than the keychain's memos hold (its MAC memo and its
+   certificate memo share [Keychain.memo_capacity]), visited in turn, so
+   every sign or check misses both memos and computes its MACs. The
+   "repeat check" rows check one input over and over, as the n replicas
+   of a cluster do: the combine row times MAC-memo hits, and the verify
+   row a certificate-memo hit, which computes no MAC at all. Built when
+   the micro-benchmarks run, not at start-up. *)
 let first_check_inputs () =
   let count = Keychain.memo_capacity + 1 in
   let msg k = Printf.sprintf "digest-to-certify-%d" k in

@@ -196,6 +196,19 @@ let peaks_at_common_point ~full ~params f =
   | best :: _ -> best
   | [] -> List.hd pairs
 
+(* Peaks at [bench_params f]: fig10g reports them and fig10h's "marlin
+   150B" column repeats the Marlin half, so each (full, f) is swept once
+   per process. *)
+let standard_peaks =
+  let held = Hashtbl.create 16 in
+  fun ~full f ->
+    match Hashtbl.find_opt held (full, f) with
+    | Some peaks -> peaks
+    | None ->
+        let peaks = peaks_at_common_point ~full ~params:(bench_params f) f in
+        Hashtbl.add held (full, f) peaks;
+        peaks
+
 let fig10g o =
   section "Figure 10g: peak throughput (ktx/s), f = 1..10";
   Printf.printf "%4s | %12s %12s | %8s\n" "f" "marlin" "hotstuff" "gain";
@@ -204,7 +217,7 @@ let fig10g o =
   in
   List.concat_map
     (fun f ->
-      let m, h = peaks_at_common_point ~full:o.full ~params:(bench_params f) f in
+      let m, h = standard_peaks ~full:o.full f in
       Printf.printf "%4d | %12.2f %12.2f | %+7.1f%%\n" f
         (m.Experiment.throughput /. 1000.)
         (h.Experiment.throughput /. 1000.)
@@ -228,7 +241,7 @@ let fig10h o =
         { (bench_params f) with Cluster.op_size = 0; reply_size = 0 }
       in
       let m, h = peaks_at_common_point ~full:o.full ~params:noop_params f in
-      let m150, _ = peaks_at_common_point ~full:o.full ~params:(bench_params f) f in
+      let m150, _ = standard_peaks ~full:o.full f in
       Printf.printf "%4d | %12.2f %12.2f | %12.2f\n" f
         (m.Experiment.throughput /. 1000.)
         (h.Experiment.throughput /. 1000.)

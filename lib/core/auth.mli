@@ -6,7 +6,13 @@
     verified, so re-verifying a certificate it has already checked is
     free, as in a real implementation. A cache hit needs the whole
     certificate to be equal, not just its tag: a copy of a checked QC
-    with another block, view or phase is verified (and charged) in full. *)
+    with another block, view or phase is verified (and charged) in full.
+
+    Charging is per replica and independent of the keychain's certificate
+    memo ({!Marlin_crypto.Keychain.cert_checked}): every replica's first
+    check of a QC charges its own meter one combined verify, even when an
+    earlier replica's check lets the host answer from the memo, so the
+    simulated CPU time is what it would be with no memo at all. *)
 
 open Marlin_types
 

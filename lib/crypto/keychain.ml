@@ -8,8 +8,15 @@ module Memo = Hashtbl.Make (struct
   let hash ((i, s) : t) = String.seeded_hash i s
 end)
 
-(* Entries held before the memo is emptied: a few phases of a large
-   cluster's shares and certificates. *)
+(* Combined threshold signatures verified under this keychain, by tag.
+   An entry is the exact input that was checked: the threshold, the
+   signer list and the message. *)
+module Certs = Hashtbl.Make (Sha256)
+
+type cert = { threshold : int; signers : int list; msg : string }
+
+(* Entries either memo holds before it is emptied: a few phases of a
+   large cluster's shares and certificates. *)
 let memo_capacity = 2048
 
 type t = {
@@ -19,6 +26,7 @@ type t = {
   keys : Hmac.key array; (* prepared once; see Hmac.prepare *)
   system_key : Hmac.key;
   memo : Sha256.t Memo.t;
+  certs : cert Certs.t;
 }
 
 let system = -1
@@ -38,6 +46,7 @@ let create ?(seed = "marlin-cluster") ~n () =
     system_key = Hmac.prepare system_secret;
     (* small: Cluster.create makes a keychain per run *)
     memo = Memo.create 16;
+    certs = Certs.create 16;
   }
 
 let n kc = kc.n
@@ -66,3 +75,15 @@ let mac kc i input =
       if Memo.length kc.memo >= memo_capacity then Memo.clear kc.memo;
       Memo.add kc.memo k tag;
       tag
+
+let cert_checked kc tag ~threshold signers msg =
+  match Certs.find_opt kc.certs tag with
+  | Some c ->
+      c.threshold = threshold
+      && (c.signers == signers || List.equal Int.equal c.signers signers)
+      && String.equal c.msg msg
+  | None -> false
+
+let note_cert kc tag ~threshold signers msg =
+  if Certs.length kc.certs >= memo_capacity then Certs.clear kc.certs;
+  Certs.replace kc.certs tag { threshold; signers; msg }

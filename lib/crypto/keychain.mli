@@ -39,7 +39,8 @@ val system : int
 val mac : t -> int -> string -> Sha256.t
 (** [mac kc i input] is [Hmac.mac_prepared ~key input], where [key] is
     [key kc i], or [system_key kc] when [i = system]. Every tag the
-    signature schemes compute goes through here.
+    signature schemes compute goes through here; a combined signature
+    that {!cert_checked} vouches for is not recomputed at all.
 
     Results are memoised per keychain by [i] and the exact bytes of
     [input]. A MAC is a pure function of key and input, so the answer is
@@ -51,4 +52,29 @@ val mac : t -> int -> string -> Sha256.t
     @raise Invalid_argument if [i] is neither [system] nor in range. *)
 
 val memo_capacity : int
-(** Entries {!mac}'s memo holds before it is emptied (2048). *)
+(** Entries each memo ({!mac}'s and the certificate memo) holds before it
+    is emptied (2048). *)
+
+(** {2 Verified combined signatures}
+
+    A second memo, of the combined threshold signatures verified under
+    this keychain, keyed by tag. The n replicas of one simulated cluster
+    each check the same certificate; with this memo the host checks it
+    once. *)
+
+val cert_checked : t -> Sha256.t -> threshold:int -> int list -> string -> bool
+(** [cert_checked kc tag ~threshold signers msg] is [true] only when
+    {!note_cert} recorded [tag] with the same [threshold], a signer list
+    equal element by element to [signers] ([==] is tried first) and the
+    same [msg]. Then the input is exactly one that verified before, and
+    verification is a pure function of the keychain and its input, so
+    [true] is the answer a full check gives. Any other input is [false],
+    whatever its tag, and the caller checks it in full. *)
+
+val note_cert : t -> Sha256.t -> threshold:int -> int list -> string -> unit
+(** [note_cert kc tag ~threshold signers msg] records that the combined
+    signature [tag] over [msg] by [signers] verifies at [threshold].
+    Callers record only what they have checked in full. A later entry
+    under the same tag replaces the earlier one. The memo holds at most
+    {!memo_capacity} entries and is emptied when full. Simulated CPU time
+    is charged per replica by the callers, memo or not. *)

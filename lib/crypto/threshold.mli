@@ -32,6 +32,9 @@ val combine :
 val verify : Keychain.t -> threshold:int -> string -> t -> bool
 (** [verify kc ~threshold msg s] checks a combined signature: the tag must
     match the cluster key over [msg] and the signer set, and at least
-    [threshold] distinct in-range signers must be present. *)
+    [threshold] distinct in-range signers must be present. An input the
+    keychain's certificate memo holds exactly ({!Keychain.cert_checked})
+    is answered [true] without recomputing the tag; any other input is
+    checked in full, and recorded there if it verifies. *)
 
 val equal : t -> t -> bool

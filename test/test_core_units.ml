@@ -81,6 +81,32 @@ let test_auth_cache_rejects_spliced_tag () =
     false (Core.Auth.verify_qc a forged);
   Alcotest.(check bool) "genuine still verifies" true (Core.Auth.verify_qc a qc)
 
+(* Two replicas over one keychain: the first one's check of a QC puts it
+   in the keychain's certificate memo and the second one's is a memo hit,
+   yet each replica's meter is charged exactly one combined verify for
+   it, a repeat on either is free, and a forged copy under the held tag
+   is charged and rejected every time. *)
+let test_auth_charges_per_replica () =
+  let qc = make_qc (block_ref ()) in
+  let one_verify = Cost_model.combined_verify_cost Cost_model.ecdsa_group ~shares:3 in
+  let check_charge what a ~expect_ok ~ops ~charged q =
+    let meter = Core.Auth.meter a in
+    let ops0 = Core.Cpu_meter.op_count meter in
+    Alcotest.(check bool) (what ^ ": verdict") expect_ok (Core.Auth.verify_qc a q);
+    Alcotest.(check int) (what ^ ": ops charged") ops
+      (Core.Cpu_meter.op_count meter - ops0);
+    Alcotest.(check (float 1e-12)) (what ^ ": time charged") charged
+      (Core.Cpu_meter.take meter)
+  in
+  let a = auth () and b = auth () in
+  check_charge "first replica" a ~expect_ok:true ~ops:1 ~charged:one_verify qc;
+  check_charge "second replica" b ~expect_ok:true ~ops:1 ~charged:one_verify qc;
+  check_charge "first replica again" a ~expect_ok:true ~ops:0 ~charged:0. qc;
+  check_charge "second replica again" b ~expect_ok:true ~ops:0 ~charged:0. qc;
+  let forged = { qc with Qc.view = 2 } in
+  check_charge "forged copy" b ~expect_ok:false ~ops:1 ~charged:one_verify forged;
+  check_charge "forged copy again" b ~expect_ok:false ~ops:1 ~charged:one_verify forged
+
 (* ---------- vote collector ---------- *)
 
 let test_vote_collector_quorum () =
@@ -429,6 +455,7 @@ let suite =
     ("replica lock and highQC only rise", `Quick, test_raise_lock_high);
     ("Drive answers fetches and commit certificates", `Quick, test_drive_arms);
     ("auth cache rejects a spliced tag", `Quick, test_auth_cache_rejects_spliced_tag);
+    ("auth charges each replica once", `Quick, test_auth_charges_per_replica);
   ]
 
 let () = Alcotest.run "core-units" [ ("core-units", suite) ]

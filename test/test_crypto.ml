@@ -379,16 +379,24 @@ let flip tag =
 
 (* Every check on genuine and tampered shares and certificates, answered
    by a keychain that has signed, combined and verified [msg] (and then
-   answered the checks once already) and by a fresh one with the same
-   seed: the memo must not change a single answer. *)
+   answered the checks once already) and by fresh ones with the same
+   seed, a cold keychain per check: neither memo may change a single
+   answer. [t] is signed by all n replicas, [q] by exactly [threshold] of
+   them; once checked, both sit in the certificate memo, and they are
+   probed with equal copies, other signer lists, other messages, other
+   thresholds and flipped tags. *)
 let memo_transparent (msg, other, who) =
   let n = 7 and threshold = 5 in
   let warm = Keychain.create ~n () in
   let partials = List.init n (fun i -> Threshold.sign warm ~signer:i msg) in
-  let t =
-    match Threshold.combine warm ~threshold msg partials with
+  let combine shares =
+    match Threshold.combine warm ~threshold msg shares with
     | Ok t -> t
     | Error e -> failwith e
+  in
+  let t = combine partials in
+  let q =
+    combine (List.filteri (fun i _ -> i <> who && i <> (who + 1) mod n) partials)
   in
   let p = List.nth partials who in
   let shares =
@@ -401,24 +409,99 @@ let memo_transparent (msg, other, who) =
       (msg, { p with tag = (List.nth partials ((who + 1) mod n)).tag });
     ]
   in
+  let copy s = { s with Threshold.signers = List.map Fun.id s.Threshold.signers } in
   let certs =
     [
-      (msg, t);
-      (other, t);
-      (msg, { t with Threshold.tag = flip t.tag });
-      (msg, { t with signers = List.tl t.signers });
-      (msg, { t with signers = List.rev t.signers });
-      (msg, { t with signers = List.filter (fun i -> i <> who) t.signers });
+      (threshold, msg, t);
+      (threshold, msg, copy t);
+      (threshold, other, t);
+      (threshold, msg, { t with Threshold.tag = flip t.tag });
+      (threshold, msg, { t with signers = List.tl t.signers });
+      (threshold, msg, { t with signers = List.rev t.signers });
+      (threshold, msg, { t with signers = List.filter (fun i -> i <> who) t.signers });
+      (threshold, msg, q);
+      (threshold, msg, copy q);
+      (threshold - 1, msg, q);
+      (threshold + 1, msg, q);
+      (threshold, other, q);
+      (threshold, msg, { q with signers = List.sort Int.compare (who :: q.signers) });
+      (threshold, msg, { q with signers = List.tl q.signers });
+      (threshold, msg, { q with signers = List.rev q.signers });
     ]
   in
-  let answers kc =
-    List.map (fun (m, p) -> Threshold.verify_partial kc m p) shares
-    @ List.map (fun (m, s) -> Threshold.verify kc ~threshold m s) certs
+  let checks =
+    List.map (fun (m, p) kc -> Threshold.verify_partial kc m p) shares
+    @ List.map (fun (threshold, m, s) kc -> Threshold.verify kc ~threshold m s) certs
   in
+  let answers kc = List.map (fun check -> check kc) checks in
   let once = answers warm in
-  let fresh = answers (Keychain.create ~n ()) in
+  (* each check on its own cold keychain, so no answer comes from a memo *)
+  let fresh = List.map (fun check -> check (Keychain.create ~n ())) checks in
   List.hd once && List.equal Bool.equal once fresh
   && List.equal Bool.equal (answers warm) fresh
+
+(* ---------- the keychain's certificate memo ---------- *)
+
+(* [cert_checked] vouches only for the exact recorded input: the same
+   threshold, an equal signer list (a copy as well as the same list) and
+   the same message under the same tag. *)
+let test_cert_memo_contract () =
+  let kc = Keychain.create ~n:7 () in
+  let tag = Sha256.string "held" and signers = [ 0; 2; 3; 5; 6 ] in
+  let checked ?(tag = tag) ?(threshold = 5) ?(msg = "m") signers =
+    Keychain.cert_checked kc tag ~threshold signers msg
+  in
+  Alcotest.(check bool) "empty memo" false (checked signers);
+  Keychain.note_cert kc tag ~threshold:5 signers "m";
+  Alcotest.(check bool) "same list" true (checked signers);
+  Alcotest.(check bool) "equal copy" true (checked (List.map Fun.id signers));
+  List.iter
+    (fun (what, verdict) -> Alcotest.(check bool) what false verdict)
+    [
+      ("signer dropped", checked (List.tl signers));
+      ("reversed", checked (List.rev signers));
+      ("extended", checked (signers @ [ 1 ]));
+      ("another message", checked ~msg:"m'" signers);
+      ("threshold - 1", checked ~threshold:4 signers);
+      ("threshold + 1", checked ~threshold:6 signers);
+      ("flipped tag", checked ~tag:(flip tag) signers);
+    ];
+  Keychain.note_cert kc tag ~threshold:4 signers "m";
+  Alcotest.(check bool) "a later entry replaces" false (checked signers)
+
+(* More than twice the capacity in distinct genuine certificates, then
+   the first again: warm and fresh keychains agree on it and on a
+   tampered copy, whether or not it is still held. *)
+let test_cert_memo_bounded () =
+  let n = 4 and threshold = 3 in
+  let warm = Keychain.create ~n () in
+  let cert kc msg =
+    match
+      Threshold.combine kc ~threshold msg
+        (List.init threshold (fun i -> Threshold.sign kc ~signer:i msg))
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "combine failed: %s" e
+  in
+  let first = cert warm "m-0" in
+  let checks =
+    [
+      (fun kc -> Threshold.verify kc ~threshold "m-0" first);
+      (fun kc -> Threshold.verify kc ~threshold:(threshold + 1) "m-0" first);
+      (fun kc ->
+        Threshold.verify kc ~threshold "m-0" { first with tag = flip first.tag });
+    ]
+  in
+  let probes kc = List.map (fun check -> check kc) checks in
+  let expected = List.map (fun check -> check (Keychain.create ~n ())) checks in
+  Alcotest.(check (list bool)) "held" expected (probes warm);
+  for k = 1 to (2 * Keychain.memo_capacity) + 1 do
+    let msg = Printf.sprintf "m-%d" k in
+    if not (Threshold.verify warm ~threshold msg (cert warm msg)) then
+      Alcotest.failf "certificate %d rejected" k
+  done;
+  Alcotest.(check (list bool)) "after the memo turned over" expected (probes warm);
+  Alcotest.(check (list bool)) "second pass" expected (probes warm)
 
 let qcheck_cases =
   let open QCheck in
@@ -476,6 +559,10 @@ let suite =
       ("mac memo equals a fresh mac, cold and warm", `Quick, test_mac_memo_exact);
       ("mac memo past its capacity", `Quick, test_mac_memo_bounded);
       ("mac memo is per keychain", `Quick, test_mac_memo_per_keychain);
+      ( "certificate memo vouches for exact inputs only",
+        `Quick,
+        test_cert_memo_contract );
+      ("certificate memo past its capacity", `Quick, test_cert_memo_bounded);
     ]
 
 let () = Alcotest.run "crypto" [ ("crypto", suite) ]
