@@ -237,9 +237,7 @@ let fig10h o =
     "marlin 150B";
   List.concat_map
     (fun f ->
-      let noop_params =
-        { (bench_params f) with Cluster.op_size = 0; reply_size = 0 }
-      in
+      let noop_params = { (bench_params f) with Cluster.op_size = 0 } in
       let m, h = peaks_at_common_point ~full:o.full ~params:noop_params f in
       let m150, _ = standard_peaks ~full:o.full f in
       Printf.printf "%4d | %12.2f %12.2f | %12.2f\n" f

@@ -6,16 +6,13 @@ type t = {
   cfg : C.config;
   store : Block_store.t;
   mutable pending : Qc.t option;
-  mutable committed : int;
 }
 
 type result = { committed : Block.t list; sends : C.action list }
 
 let nothing = { committed = []; sends = [] }
 
-let create cfg store = { cfg; store; pending = None; committed = 0 }
-
-let committed_count (t : t) = t.committed
+let create cfg store = { cfg; store; pending = None }
 
 type branch_gap = Gap_missing of Sha256.t | Gap_unresolved_virtual | Gap_none
 
@@ -86,7 +83,6 @@ let rec deliver t ~view (qc : Qc.t) =
           nothing
       | Ok blocks ->
           clear_pending ();
-          t.committed <- t.committed + List.length blocks;
           { nothing with committed = blocks }
       | Error e -> (
           match first_branch_gap t b with

@@ -35,5 +35,3 @@ val handle_fetch :
   t -> sender:int -> view:int -> Marlin_crypto.Sha256.t ->
   Consensus_intf.action list
 (** Answer a peer's fetch request if we hold the block. *)
-
-val committed_count : t -> int

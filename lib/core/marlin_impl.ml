@@ -32,7 +32,6 @@ type t = {
   mutable lb : Block.t;  (* last voted block (prepare phase) *)
   mutable mode : mode;
   (* leader state, reset on view entry *)
-  mutable current_proposals : Block.t list;  (* this view's PRE-PREPARE blocks *)
   mutable r2_locked : Qc.t option;  (* best prepareQC from R2 votes *)
   mutable formed_ppqcs : Qc.t list;  (* pre-prepareQCs formed this view *)
   vc_msgs : vc_record Replica.view_msgs;
@@ -43,7 +42,6 @@ let create cfg =
     rep = Replica.create cfg;
     lb = Block.genesis;
     mode = (if C.leader_of cfg 0 = cfg.C.id then Normal else Follower);
-    current_proposals = [];
     r2_locked = None;
     formed_ppqcs = [];
     vc_msgs = Replica.view_msgs ();
@@ -289,7 +287,6 @@ let start_pre_prepare t (records : vc_record list) =
         Block.make_virtual ~pview:qc.Qc.block.Qc.block_view ~view:r.cview
           ~height:(qc.Qc.block.Qc.height + 2) ~payload ~justify:(Block.J_qc qc)
       in
-      t.current_proposals <- [ b1; b2 ];
       ignore (Replica.note_block r b1);
       ignore (Replica.note_block r b2);
       [ C.Broadcast (Replica.msg r (Message.Pre_prepare { proposals = [ b1; b2 ] })) ]
@@ -302,7 +299,6 @@ let start_pre_prepare t (records : vc_record list) =
         Block.make_child_of_ref ~parent:qc.Qc.block ~view:r.cview ~payload
           ~justify:(High_qc.to_justify single)
       in
-      t.current_proposals <- [ b ];
       ignore (Replica.note_block r b);
       [ C.Broadcast (Replica.msg r (Message.Pre_prepare { proposals = [ b ] })) ]
   | two -> (
@@ -317,7 +313,6 @@ let start_pre_prepare t (records : vc_record list) =
       match List.map extend two with
       | [] -> []
       | proposals ->
-          t.current_proposals <- proposals;
           List.iter (fun b -> ignore (Replica.note_block r b)) proposals;
           [ C.Broadcast (Replica.msg r (Message.Pre_prepare { proposals })) ])
 
@@ -360,7 +355,6 @@ and enter_view t view ~send =
   let r = t.rep in
   let timer = Replica.enter r t.vc_msgs view ~send in
   t.mode <- (if Replica.is_leader r then Collecting_vc else Follower);
-  t.current_proposals <- [];
   t.r2_locked <- None;
   t.formed_ppqcs <- [];
   let vc_actions =

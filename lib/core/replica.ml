@@ -382,7 +382,7 @@ module Drive (P : PHASES) = struct
   let current_view t = (P.replica t).cview
   let is_leader t = is_leader (P.replica t)
   let committed_head t = Block_store.last_committed (P.replica t).store
-  let committed_count t = Committer.committed_count (P.replica t).com
+  let committed_count t = Block_store.committed_count (P.replica t).store
   let block_store t = (P.replica t).store
   let locked_qc t = (P.replica t).locked
   let high_qc t = (P.replica t).high

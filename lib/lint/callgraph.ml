@@ -192,6 +192,12 @@ let rec mod_shape b me =
   | Typedtree.Tmod_structure str -> Shape_structure str
   | Typedtree.Tmod_functor (_, body) -> mod_shape b body
   | Typedtree.Tmod_constraint (inner, _, _, _) -> mod_shape b inner
+  | Typedtree.Tmod_apply (f, _, _) -> (
+      (* [Cluster.Make (P)] reads as the functor: [Cl.run] is
+         ["Cluster"; "Make"; "run"] *)
+      match mod_shape b f with
+      | Shape_alias _ as functor_ -> functor_
+      | Shape_structure _ | Shape_opaque -> Shape_opaque)
   | _ -> Shape_opaque
 
 (* The structures a module expression passes to functors, e.g. the
@@ -283,6 +289,12 @@ let walk_node b ~key ~rel ~def_loc expr =
       expr =
         (fun self e ->
           match e.Typedtree.exp_desc with
+          | Typedtree.Texp_letmodule (Some id, _, _, me, _) ->
+              (match mod_shape b me with
+              | Shape_alias target ->
+                  Hashtbl.replace b.mods (Ident.unique_name id) target
+              | Shape_structure _ | Shape_opaque -> ());
+              Tast_iterator.default_iterator.expr self e
           | Typedtree.Texp_ident (p, _, _) ->
               let target = resolve b p in
               refs :=
@@ -421,6 +433,21 @@ let rec walk_structure b ~rel prefix (str : Typedtree.structure) =
       | Typedtree.Tstr_recmodule mbs ->
           List.iter (walk_module b ~rel prefix) mbs
       | Typedtree.Tstr_include incl ->
+          (* [include Replica.Drive (...)] re-exports every value of the
+             functor: one reference to the module itself *)
+          (match mod_shape b incl.Typedtree.incl_mod with
+          | Shape_alias target ->
+              let loc = incl.Typedtree.incl_loc in
+              b.out <-
+                {
+                  key = key_of (prefix @ [ "(include)" ]);
+                  rel;
+                  def_loc = loc;
+                  refs = [ { target = key_of target; ref_loc = loc; ref_depth = 0 } ];
+                  sends = [];
+                }
+                :: b.out
+          | Shape_structure _ | Shape_opaque -> ());
           walk_arguments b ~rel prefix incl.Typedtree.incl_mod
       | _ -> ())
     str.Typedtree.str_items
@@ -430,8 +457,7 @@ and walk_module b ~rel prefix (mb : Typedtree.module_binding) =
   | Some name -> (
       match mod_shape b mb.Typedtree.mb_expr with
       | Shape_structure str -> walk_structure b ~rel (prefix @ [ name ]) str
-      | Shape_alias _ -> ()
-      | Shape_opaque ->
+      | Shape_alias _ | Shape_opaque ->
           walk_arguments b ~rel (prefix @ [ name ]) mb.Typedtree.mb_expr)
   | None -> ()
 

@@ -1,10 +1,14 @@
 (** The cross-module call graph the interprocedural rules run on.
 
-    One node per structure-level value binding (functor bodies included).
-    Intra-unit references resolve exactly through Ident stamps; cross-unit
-    edges connect by normalized dotted path — dune wrapper prefixes and
-    [Stdlib] stripped, so ["Marlin_core__Auth.quorum"] and
-    ["Auth.quorum"] meet.
+    One node per structure-level value binding (functor bodies included),
+    and one ["(include)"] node per [include M] or [include F (...)] whose
+    single reference is the included module's path. Intra-unit references
+    resolve exactly through Ident stamps; cross-unit edges connect by
+    normalized dotted path — dune wrapper prefixes and [Stdlib] stripped,
+    so ["Marlin_core__Auth.quorum"] and ["Auth.quorum"] meet. A module
+    bound to a functor application, at top level or by [let module],
+    reads as the functor: [Cl.run] under [module Cl = Cluster.Make (P)]
+    is ["Cluster.Make.run"].
 
     Each body walk also tracks per-replica iteration depth and records
     send-class sites ([Consensus_intf.action] constructors,

@@ -337,8 +337,9 @@ let exhaustive_handler =
 (* ---------- dead-export ---------- *)
 
 (* Every [val] written in a signature, keyed by its dotted path: nested
-   [module X : sig ... end] included; [include]d items and functor
-   signatures are not walked. *)
+   [module X : sig ... end] and a functor's written result signature
+   [module F (A : S) : sig ... end] included; [include]d items are not
+   walked. *)
 let rec written_vals prefix (sg : Typedtree.signature) =
   List.concat_map
     (fun (item : Typedtree.signature_item) ->
@@ -348,12 +349,26 @@ let rec written_vals prefix (sg : Typedtree.signature) =
       | Tsig_module
           {
             md_name = { txt = Some name; _ };
-            md_type = { mty_desc = Tmty_signature sg; _ };
+            md_type =
+              {
+                mty_desc =
+                  ( Tmty_signature sg
+                  | Tmty_functor (_, { mty_desc = Tmty_signature sg; _ }) );
+                _;
+              };
             _;
           } ->
           written_vals (prefix @ [ name ]) sg
       | _ -> [])
     sg.sig_items
+
+(* The key and the paths of the modules that hold it, shortest first:
+   "A.B.c" gives "A", "A.B", "A.B.c". *)
+let enclosing_paths key =
+  let comps = String.split_on_char '.' key in
+  List.mapi
+    (fun i _ -> String.concat "." (List.filteri (fun j _ -> j <= i) comps))
+    comps
 
 let dead_export =
   {
@@ -383,13 +398,16 @@ let dead_export =
             match u.intf with
             | None -> []
             | Some intf ->
+                let referenced path =
+                  List.exists
+                    (fun rel -> not (String.equal rel u.rel))
+                    (Hashtbl.find_all callers path)
+                in
                 List.filter_map
                   (fun (key, loc) ->
-                    if
-                      List.exists
-                        (fun rel -> not (String.equal rel u.rel))
-                        (Hashtbl.find_all callers key)
-                    then None
+                    (* an [include] of a module that holds the val
+                       re-exports it: that counts as a reference *)
+                    if List.exists referenced (enclosing_paths key) then None
                     else
                       Some
                         {

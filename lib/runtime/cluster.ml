@@ -17,7 +17,6 @@ type params = {
   workload : Workload.t;
   mempool : Mempool.Config.t;
   op_size : int;
-  reply_size : int;
   batch_max : int;
   cost_model : Cost_model.t;
   base_timeout : float;
@@ -34,7 +33,6 @@ let default_params =
     workload = Workload.closed_loop ~clients:16;
     mempool = Mempool.Config.unbounded;
     op_size = 150;
-    reply_size = 150;
     batch_max = 400;
     cost_model = Cost_model.ecdsa_group;
     base_timeout = 1.0;
@@ -77,7 +75,6 @@ module Make (P : C.PROTOCOL) = struct
     mutable cpu_free : float;
     mutable timer_gen : int;
     mutable crashed : bool;
-    mutable executed : int;
     mutable commit_log : (float * int) list; (* (time, ops) newest first *)
   }
 
@@ -144,6 +141,7 @@ module Make (P : C.PROTOCOL) = struct
     reply_quorum_at : float array;
     select_buf : float array; (* one row, shared by every client *)
     open_loop : open_state option;
+    ts : Marlin_obs.Timeseries.t option; (* the run's windows, if any *)
     sig_bytes : int;
     mutable started : bool;
     mutable vc_start : float option;
@@ -152,20 +150,18 @@ module Make (P : C.PROTOCOL) = struct
 
   let sim t = t.sim
   let net t = t.net
-  let params t = t.params
   let protocol t id = t.replicas.(id).proto
 
   (* Accounting size: codec size plus the operation/reply body padding the
-     simulator does not materialize (bodies are empty in-sim). *)
+     simulator does not materialize (bodies are empty in-sim). A reply is
+     as large as the operation it answers. *)
   let message_size t (m : Message.t) =
-    let base = Message.wire_size ~sig_bytes:t.sig_bytes m in
-    let pad = Message.op_count m * t.params.op_size in
-    let reply_pad =
+    let bodies =
       match m.Message.payload with
-      | Message.Client_reply _ -> t.params.reply_size
-      | _ -> 0
+      | Message.Client_reply _ -> 1
+      | _ -> Message.op_count m
     in
-    base + pad + reply_pad
+    Message.wire_size ~sig_bytes:t.sig_bytes m + (bodies * t.params.op_size)
 
   let send t ~earliest ~src ~dst m =
     Netsim.send t.net ~earliest ~src ~dst ~size:(message_size t m) m
@@ -211,14 +207,11 @@ module Make (P : C.PROTOCOL) = struct
     cl.outstanding <- None;
     let now = Sim.now t.sim in
     cl.completed <- (now, now -. cl.submit_time) :: cl.completed;
-    (match t.params.obs with
-    | None -> ()
-    | Some run -> (
-        match Marlin_obs.Run.timeseries run with
-        | None -> ()
-        | Some ts ->
-            Marlin_obs.Timeseries.note_completion ts ~time:now
-              ~latency:(now -. cl.submit_time)));
+    (match t.ts with
+    | Some ts ->
+        Marlin_obs.Timeseries.note_completion ts ~time:now
+          ~latency:(now -. cl.submit_time)
+    | None -> ());
     submit_op t cl
 
   (* Replica [r] answers [op]. A client completes when the (f+1)-th
@@ -271,6 +264,14 @@ module Make (P : C.PROTOCOL) = struct
 
   (* ---------- replica side ---------- *)
 
+  (* Clients contact one replica, which forwards their operations to the
+     view's leader unless it is the leader itself. *)
+  let to_leader t (r : replica) ~earliest op =
+    let leader = P.current_view r.proto mod t.params.n in
+    if leader <> r.id then
+      send t ~earliest ~src:r.id ~dst:leader
+        (Message.make ~sender:r.id ~view:0 (Message.Client_op op))
+
   let rec apply_replica_actions t (r : replica) ~start actions =
     (* The protocol handler already ran; charge its crypto time plus any
        execution/disk work the commits imply, then release the outputs at
@@ -308,9 +309,7 @@ module Make (P : C.PROTOCOL) = struct
     (* record metrics *)
     (match commits with
     | [] -> ()
-    | _ :: _ ->
-        r.executed <- r.executed + List.length commits;
-        r.commit_log <- (finish, List.length commits) :: r.commit_log);
+    | _ :: _ -> r.commit_log <- (finish, List.length commits) :: r.commit_log);
     (* open loop: the first replica to execute an op closes its latency
        measurement (the mempool's first-commit filter means each op lands
        here once per replica, and the inflight lookup makes the first one
@@ -324,14 +323,11 @@ module Make (P : C.PROTOCOL) = struct
                 Pair_tbl.remove os.inflight op.client op.seq;
                 os.completed_ops <- os.completed_ops + 1;
                 Stats.Reservoir.add os.lat (finish -. t0);
-                (match t.params.obs with
-                | None -> ()
-                | Some run -> (
-                    match Marlin_obs.Run.timeseries run with
-                    | None -> ()
-                    | Some ts ->
-                        Marlin_obs.Timeseries.note_completion ts ~time:finish
-                          ~latency:(finish -. t0)))
+                (match t.ts with
+                | Some ts ->
+                    Marlin_obs.Timeseries.note_completion ts ~time:finish
+                      ~latency:(finish -. t0)
+                | None -> ())
             | exception Not_found -> ())
           commits
     | _ -> ());
@@ -354,15 +350,9 @@ module Make (P : C.PROTOCOL) = struct
                   Marlin_obs.Sink.timer_fired r.obs
                     ~view:(P.current_view r.proto)
                     ~cause:(C.timer_cause_label cause);
-                  let view_before = P.current_view r.proto in
-                  let start = Float.max (Sim.now t.sim) r.cpu_free in
-                  let actions = P.on_view_timeout r.proto in
-                  if P.current_view r.proto > view_before then begin
-                    if t.vc_start = None then t.vc_start <- Some (Sim.now t.sim);
-                    apply_replica_actions t r ~start actions;
-                    relay_pending t r
-                  end
-                  else apply_replica_actions t r ~start actions
+                  (* a timeout always enters the next view *)
+                  if t.vc_start = None then t.vc_start <- Some (Sim.now t.sim);
+                  drive t r P.on_view_timeout
                 end)
         | C.Commit _ -> ())
       actions;
@@ -375,6 +365,8 @@ module Make (P : C.PROTOCOL) = struct
       let start = Float.max (Sim.now t.sim) r.cpu_free in
       match m.Message.payload with
       | Message.Client_op op -> (
+          (* an op straight from a client is relayed before it is pooled *)
+          if src >= t.params.n then to_leader t r ~earliest:(Sim.now t.sim) op;
           let result = Mempool.add r.mempool op in
           Marlin_obs.Sink.mempool_admission r.obs
             (match result with
@@ -410,14 +402,19 @@ module Make (P : C.PROTOCOL) = struct
                   Pair_tbl.remove os.inflight op.client op.seq
               | _ -> ()))
       | _ ->
-          let view_before = P.current_view r.proto in
-          let actions = P.on_message r.proto m in
           (match m.Message.payload with
           | Message.Pre_prepare _ -> t.pre_prepare_seen <- true
           | _ -> ());
-          apply_replica_actions t r ~start actions;
-          if P.current_view r.proto > view_before then relay_pending t r
+          drive t r (fun p -> P.on_message p m)
     end
+
+  (* Run a protocol callback now and apply its actions, then relay what a
+     view change stranded. *)
+  and drive t (r : replica) callback =
+    let view_before = P.current_view r.proto in
+    let start = Float.max (Sim.now t.sim) r.cpu_free in
+    apply_replica_actions t r ~start (callback r.proto);
+    if P.current_view r.proto > view_before then relay_pending t r
 
   (* After a view change, operations stranded at this replica — pooled or
      batched into blocks the old view orphaned — must be re-proposed and
@@ -428,15 +425,8 @@ module Make (P : C.PROTOCOL) = struct
       apply_replica_actions t r
         ~start:(Float.max (Sim.now t.sim) r.cpu_free)
         (P.on_new_payload r.proto)
-    else begin
-      let leader = P.current_view r.proto mod t.params.n in
-      if leader <> r.id then
-        List.iter
-          (fun op ->
-            send t ~earliest:r.cpu_free ~src:r.id ~dst:leader
-              (Message.make ~sender:r.id ~view:0 (Message.Client_op op)))
-          (Mempool.snapshot r.mempool)
-    end
+    else
+      List.iter (to_leader t r ~earliest:r.cpu_free) (Mempool.snapshot r.mempool)
 
   (* ---------- open-loop sources ---------- *)
 
@@ -455,12 +445,9 @@ module Make (P : C.PROTOCOL) = struct
     let contact = s.s_index mod t.params.n in
     if Mempool.backpressure t.replicas.(contact).mempool then begin
       os.shed <- os.shed + 1;
-      match t.params.obs with
+      match t.ts with
+      | Some ts -> Marlin_obs.Timeseries.note_shed ts ~time:now
       | None -> ()
-      | Some run -> (
-          match Marlin_obs.Run.timeseries run with
-          | None -> ()
-          | Some ts -> Marlin_obs.Timeseries.note_shed ts ~time:now)
     end
     else begin
       os.sent <- os.sent + 1;
@@ -472,25 +459,6 @@ module Make (P : C.PROTOCOL) = struct
     let next = Arrival.Sampler.next s.s_sampler ~now in
     Sim.schedule_at t.sim ~time:next (fun () -> source_fire t os s)
 
-  (* ---------- relay: ops reach the leader ---------- *)
-
-  (* A non-leader holding fresh ops forwards them to the current leader.
-     Cheapest faithful model: when a replica's mempool gains an op and it
-     is not the leader, it relays the op message once. *)
-  let handle_replica_with_relay t r ~src (m : Message.t) =
-    (if not r.crashed then
-       match m.Message.payload with
-       | Message.Client_op op when src >= t.params.n ->
-           (* only relay ops arriving directly from clients *)
-           if not (P.is_leader r.proto) then begin
-             let leader = P.current_view r.proto mod t.params.n in
-             if leader <> r.id then
-               send t ~earliest:(Sim.now t.sim) ~src:r.id ~dst:leader
-                 (Message.make ~sender:r.id ~view:0 (Message.Client_op op))
-           end
-       | _ -> ());
-    handle_replica t r ~src m
-
   (* ---------- construction ---------- *)
 
   (* [n], [f] and the timeouts are checked by [C.Config.make], once per
@@ -501,7 +469,6 @@ module Make (P : C.PROTOCOL) = struct
     in
     if params.batch_max < 1 then reject "batch_max" ">= 1";
     if params.op_size < 0 then reject "op_size" ">= 0";
-    if params.reply_size < 0 then reject "reply_size" ">= 0";
     match params.rotation with
     | Some period when not (Float.is_finite period && period > 0.) ->
         reject "rotation" "finite and > 0"
@@ -544,13 +511,12 @@ module Make (P : C.PROTOCOL) = struct
         proto = P.create cfg;
         obs;
         mempool;
-        disk = Sim_disk.create Sim_disk.default_config;
+        disk = Sim_disk.create ();
         peers =
           Array.init (params.n - 1) (fun i -> if i < id then i else i + 1);
         cpu_free = 0.;
         timer_gen = 0;
         crashed = false;
-        executed = 0;
         commit_log = [];
       }
     in
@@ -620,6 +586,7 @@ module Make (P : C.PROTOCOL) = struct
         reply_quorum_at = Array.make reply_clients infinity;
         select_buf = Array.make params.n infinity;
         open_loop;
+        ts = Option.bind params.obs Marlin_obs.Run.timeseries;
         sig_bytes;
         started = false;
         vc_start = None;
@@ -627,7 +594,7 @@ module Make (P : C.PROTOCOL) = struct
       }
     in
     Array.iter
-      (fun r -> Netsim.register net ~id:r.id (handle_replica_with_relay t r))
+      (fun r -> Netsim.register net ~id:r.id (handle_replica t r))
       t.replicas;
     (* clients and open-loop sources register no handler: nothing is
        delivered to them (replies are posted, see [reply]) *)
@@ -667,13 +634,7 @@ module Make (P : C.PROTOCOL) = struct
           let rec rotate k =
             Sim.schedule_at t.sim ~time:(float_of_int k *. period) (fun () ->
                 Array.iter
-                  (fun r ->
-                    if not r.crashed then begin
-                      let start = Float.max (Sim.now t.sim) r.cpu_free in
-                      apply_replica_actions t r ~start
-                        (P.force_view_change r.proto);
-                      relay_pending t r
-                    end)
+                  (fun r -> if not r.crashed then drive t r P.force_view_change)
                   t.replicas;
                 rotate (k + 1))
           in
@@ -699,13 +660,8 @@ module Make (P : C.PROTOCOL) = struct
     if r.crashed then begin
       r.crashed <- false;
       Netsim.Fault.recover t.net ~id;
-      r.cpu_free <- Float.max r.cpu_free (Sim.now t.sim);
-      apply_replica_actions t r ~start:r.cpu_free (P.force_view_change r.proto);
-      relay_pending t r
+      drive t r P.force_view_change
     end
-
-  let recover t ~at id =
-    Sim.schedule_at t.sim ~time:at (fun () -> recover_now t id)
 
   let apply_scenario ?on_byzantine t (sc : Scenario.t) =
     if Scenario.has_byzantine sc && Option.is_none on_byzantine then
@@ -756,7 +712,8 @@ module Make (P : C.PROTOCOL) = struct
                if time >= since && time <= until then Some latency else None)
              cl.completed)
 
-  let total_executed t ~replica = t.replicas.(replica).executed
+  let total_executed t ~replica =
+    List.fold_left (fun acc (_, ops) -> acc + ops) 0 t.replicas.(replica).commit_log
 
   let first_commit_after t ~replica instant =
     List.fold_left

@@ -19,8 +19,9 @@ type params = {
   mempool : Mempool.Config.t;
       (** admission-control limits for every replica's pool
           ({!Mempool.Config.unbounded} preserves pre-bounded behaviour) *)
-  op_size : int;  (** bytes per operation body (150 in the paper, 0 for no-op) *)
-  reply_size : int;  (** bytes per reply (150) *)
+  op_size : int;
+      (** bytes per operation body and per reply (150 in the paper, 0 for
+          no-op) *)
   batch_max : int;  (** max operations per block *)
   cost_model : Marlin_crypto.Cost_model.t;
   base_timeout : float;
@@ -35,12 +36,12 @@ type params = {
 
 val default_params : params
 (** The paper's testbed defaults: f = 1 (n = 4), a closed loop of 16
-    clients, unbounded mempool, 150-byte ops/replies, 400-op batches,
+    clients, unbounded mempool, 150-byte ops and replies, 400-op batches,
     ECDSA costs, 1 s base timeout, no rotation. The network
     ({!Marlin_sim.Netsim.default_config}: 40 ms, 200 Mbps), the disk
-    ({!Marlin_sim.Sim_disk.default_config}: LevelDB-like, a checkpoint
-    every 5000 blocks) and the 2 µs CPU cost of executing one operation
-    are the testbed's fixed values, not parameters. *)
+    ({!Marlin_sim.Sim_disk}: LevelDB-like, a checkpoint every 5000
+    blocks) and the 2 µs CPU cost of executing one operation are the
+    testbed's fixed values, not parameters. *)
 
 val params_for_f : ?workload:Marlin_workload.Workload.t -> int -> params
 (** [params_for_f f] is {!default_params} with [n = 3f + 1]. *)
@@ -69,25 +70,19 @@ module Make (P : Marlin_core.Consensus_intf.PROTOCOL) : sig
 
   val create : params -> t
   (** @raise Invalid_argument naming the field when [batch_max < 1],
-      [op_size < 0], [reply_size < 0], or a [rotation] period is not
-      finite and positive; and through
+      [op_size < 0], or a [rotation] period is not finite and positive;
+      and through
       {!Marlin_core.Consensus_intf.Config.make} when [n], [f] or the
       timeouts are invalid. *)
 
   val sim : t -> Marlin_sim.Sim.t
   val net : t -> Marlin_sim.Netsim.t
-  val params : t -> params
 
   val run : t -> until:float -> unit
   (** Start (if not yet started) and run the simulation to [until]. *)
 
   val crash : t -> at:float -> int -> unit
   (** Schedule a crash fault. *)
-
-  val recover : t -> at:float -> int -> unit
-  (** Schedule a crashed replica's recovery: it rejoins with its pre-crash
-      state, forces a view change to announce itself, and catches up via
-      the protocol's view-synchronisation path. No-op if not crashed. *)
 
   val apply_scenario :
     ?on_byzantine:(int -> Marlin_faults.Scenario.behaviour -> unit) ->

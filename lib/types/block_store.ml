@@ -13,14 +13,13 @@ type t = {
   nodes : node Digest_tbl.t;
   mutable committed_head : Block.t;
   mutable committed_count : int;
-  mutable committed_log : Block.t list; (* newest first, for pp *)
 }
 
 let create () =
   let nodes = Digest_tbl.create 64 in
   Digest_tbl.replace nodes (Block.digest Block.genesis)
     { block = Block.genesis; parent = None };
-  { nodes; committed_head = Block.genesis; committed_count = 0; committed_log = [] }
+  { nodes; committed_head = Block.genesis; committed_count = 0 }
 
 let add t b =
   let d = Block.digest b in
@@ -109,5 +108,4 @@ let commit t b =
     | Some path ->
         t.committed_head <- b;
         t.committed_count <- t.committed_count + List.length path;
-        t.committed_log <- List.rev_append path t.committed_log;
         Ok path

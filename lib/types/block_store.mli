@@ -42,7 +42,7 @@ val chain_to : t -> Block.t -> above:Marlin_crypto.Sha256.t -> Block.t list opti
 
 val last_committed : t -> Block.t
 val committed_count : t -> int
-(** Number of commits performed (genesis excluded). *)
+(** Number of blocks committed (genesis excluded). *)
 
 val agree : t list -> bool
 (** Agreement across replicas' stores: every store's committed head lies

@@ -214,7 +214,7 @@ let test_committer_in_order () =
     (List.length r.Core.Committer.committed);
   Alcotest.(check bool) "oldest first" true
     (Block.equal (List.hd r.Core.Committer.committed) (List.hd chain));
-  Alcotest.(check int) "count" 3 (Core.Committer.committed_count com);
+  Alcotest.(check int) "count" 3 (Block_store.committed_count store);
   let again = Core.Committer.deliver com ~view:1 (commit_qc b3) in
   Alcotest.(check int) "idempotent" 0 (List.length again.Core.Committer.committed)
 
@@ -359,7 +359,33 @@ let test_drive_arms () =
            acts);
       Alcotest.(check bool) (name ^ ": the committed head") true
         (Block.equal (P.committed_head p) b1))
-    (Marlin_runtime.Registry.all ())
+    (Marlin_runtime.Registry.all ());
+  (* Cluster relays stranded operations only after a callback that raised
+     the view, and relies on a timeout or a forced view change always
+     doing so *)
+  let raises_view name (module P : C.PROTOCOL) =
+    let p = P.create (cfg 1) in
+    ignore (P.on_start p);
+    List.iter
+      (fun (what, callback) ->
+        let before = P.current_view p in
+        ignore (callback p);
+        Alcotest.(check bool) (name ^ ": " ^ what ^ " raises the view") true
+          (P.current_view p >= before + 1))
+      [
+        ("on_view_timeout", P.on_view_timeout);
+        ("force_view_change", P.force_view_change);
+        ("a second on_view_timeout", P.on_view_timeout);
+      ]
+  in
+  let registry = Marlin_runtime.Registry.all () in
+  List.iter (fun (name, proto) -> raises_view name proto) registry;
+  let name, proto = List.hd registry in
+  List.iter
+    (fun behaviour ->
+      raises_view ("byzantine " ^ name)
+        (Marlin_faults.Byzantine.wrap ~plan:(fun _ -> Some behaviour) proto))
+    Marlin_faults.Byzantine.[ Equivocator; Silent_leader; Vote_withholder; Stale_qc_voter ]
 
 (* ---------- the replica's lock and highQC ---------- *)
 

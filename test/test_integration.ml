@@ -140,7 +140,7 @@ let test_noop_faster () =
   let with_payload = Experiment.run marlin ~params (window 1.0 3.0) in
   let noop =
     Experiment.run marlin
-      ~params:{ params with Cluster.op_size = 0; reply_size = 0 }
+      ~params:{ params with Cluster.op_size = 0 }
       (window 1.0 3.0)
   in
   Alcotest.(check bool) "no-op at least as fast" true

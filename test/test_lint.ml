@@ -308,13 +308,18 @@ let dead_mli = "lib/core/bad_dead_export.mli"
 let test_typed_dead_export () =
   (* used_elsewhere and Nested.used_nested have a caller in
      dead_export_user.ml; from_include comes from an include; waived
-     carries an inline waiver *)
-  check_anchors "only the two uncalled vals, anchored at their names"
-    [ (4, 4); (8, 6) ]
+     carries an inline waiver. In the functor signatures, Make.made_used
+     is called through a module, Make.made_local through a local module,
+     and Drive.driven is re-exported by an include *)
+  check_anchors "only the three uncalled vals, anchored at their names"
+    [ (4, 4); (8, 6); (27, 6) ]
     (anchors "dead-export" dead_mli);
   Alcotest.(check bool) "message names the nested path" true
     (mentions "'Bad_dead_export.Nested.unused_nested'"
        (message_at "dead-export" dead_mli 8));
+  Alcotest.(check bool) "message names the path through the functor" true
+    (mentions "'Bad_dead_export.Make.made_unused'"
+       (message_at "dead-export" dead_mli 27));
   Alcotest.(check bool) "the inline waiver is used, not stale" true
     (List.for_all
        (fun d -> not (String.equal d.Diagnostic.file dead_mli))
@@ -351,7 +356,7 @@ let test_typed_dead_export_callers () =
       in
       Alcotest.(check (list (pair string int)))
         ("caller under " ^ dir ^ "/")
-        [ (dead_mli, 4); (dead_mli, 8); (dead_mli, 19) ]
+        [ (dead_mli, 4); (dead_mli, 8); (dead_mli, 19); (dead_mli, 27) ]
         (List.map
            (fun (f : Rules.finding) -> (f.rel, f.loc.loc_start.pos_lnum))
            (rule.check ctx)))

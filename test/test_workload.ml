@@ -203,7 +203,6 @@ let test_cluster_rejects_params () =
     [
       ("batch_max", { p with Cluster.batch_max = 0 });
       ("op_size", { p with Cluster.op_size = -1000 });
-      ("reply_size", { p with Cluster.reply_size = -1 });
       ("rotation", { p with Cluster.rotation = Some 0. });
     ]
 

@@ -14,3 +14,13 @@ end
 
 let from_include = 3
 let waived = 4
+
+module Make (X : sig val x : int end) = struct
+  let made_used = X.x
+  let made_local = X.x + 1
+  let made_unused = X.x + 2
+end
+
+module Drive (X : sig val x : int end) = struct
+  let driven = X.x
+end

@@ -17,3 +17,17 @@ include Shape
 
 (* lint: allow dead-export -- fixture: a waived export is dropped *)
 val waived : int
+
+(* A functor's written result signature is walked: [made_unused] has no
+   caller, [made_used] is called through a module and [made_local]
+   through a local module. *)
+module Make (X : sig val x : int end) : sig
+  val made_used : int
+  val made_local : int
+  val made_unused : int
+end
+
+(* [include Drive (...)] elsewhere re-exports [driven]: a reference. *)
+module Drive (X : sig val x : int end) : sig
+  val driven : int
+end
