@@ -605,6 +605,16 @@ let observe o =
 (* Smoke / spans: the machine-readable bench pipeline                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The span decomposition must stay exact: a run whose segments do not sum
+   to its commit latency fails the target, so no re-bless can record a
+   broken one. *)
+let require_exact_attribution ~label cp =
+  if cp.Obs.Critical_path.max_attribution_error > 1e-9 then begin
+    Printf.eprintf "%s: span attribution error %.3g s exceeds 1e-9\n" label
+      cp.Obs.Critical_path.max_attribution_error;
+    exit 1
+  end
+
 (* A tiny deterministic pass: fully traced profile runs of the basic
    protocols (critical-path breakdown included) plus one quick point from
    each experiment family. Running this with --json produces the document
@@ -618,13 +628,7 @@ let smoke _ =
         let _, _, cp, json = profile_run ~trace:true ~duration:3.0 ~label proto in
         let cp = Option.get cp in
         Format.printf "%a%!" Obs.Critical_path.pp cp;
-        (* the decomposition must stay exact, so no re-bless can record a
-           broken one *)
-        if cp.Obs.Critical_path.max_attribution_error > 1e-9 then begin
-          Printf.eprintf "%s: span attribution error %.3g s exceeds 1e-9\n" label
-            cp.Obs.Critical_path.max_attribution_error;
-          exit 1
-        end;
+        require_exact_attribution ~label cp;
         (label ^ "/profile", json))
       [ ("marlin", basic_marlin); ("hotstuff", basic_hotstuff); ("pbft", pbft) ]
   in
@@ -682,7 +686,8 @@ let smoke _ =
    [observe --trace FILE]), one critical-path report per run label. With
    --windows WIDTH the spans are additionally binned into fixed windows of
    WIDTH simulated seconds — the same windowed segment attribution a live
-   [attribution] run computes, but over any recorded trace. *)
+   [attribution] run computes, but over any recorded trace. Like [smoke],
+   it exits 1 when a run's decomposition is not exact. *)
 let spans o =
   let path =
     match o.trace_file with
@@ -708,6 +713,7 @@ let spans o =
       let sp = Obs.Span.reconstruct events in
       let cp = Obs.Critical_path.analyze ~label sp in
       Format.printf "%a%!" Obs.Critical_path.pp cp;
+      require_exact_attribution ~label cp;
       match width with
       | None -> (label, Obs.Critical_path.to_json cp)
       | Some width ->

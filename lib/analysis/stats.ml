@@ -79,20 +79,32 @@ let empty_summary =
     max = 0.;
   }
 
+(* One pass for the sum and extremes (in list order, as [mean], [minimum]
+   and [maximum] fold), then one stable sort for every percentile. *)
 let summarize = function
   | [] -> empty_summary
   | [ x ] ->
       { count = 1; mean = x; p50 = x; p95 = x; p99 = x; p999 = x; min = x; max = x }
   | xs ->
+      let a = Array.of_list xs in
+      let n = Array.length a in
+      let sum = ref 0. and lo = ref infinity and hi = ref neg_infinity in
+      for i = 0 to n - 1 do
+        let x = a.(i) in
+        sum := !sum +. x;
+        lo := Float.min !lo x;
+        hi := Float.max !hi x
+      done;
+      Array.stable_sort Float.compare a;
       {
-        count = List.length xs;
-        mean = mean xs;
-        p50 = median xs;
-        p95 = percentile xs ~p:95.;
-        p99 = percentile xs ~p:99.;
-        p999 = percentile xs ~p:99.9;
-        min = minimum xs;
-        max = maximum xs;
+        count = n;
+        mean = !sum /. float_of_int n;
+        p50 = a.(rank_of ~n 50.);
+        p95 = a.(rank_of ~n 95.);
+        p99 = a.(rank_of ~n 99.);
+        p999 = a.(rank_of ~n 99.9);
+        min = !lo;
+        max = !hi;
       }
 
 module Reservoir = struct

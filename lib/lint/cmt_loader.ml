@@ -83,20 +83,27 @@ let read_source path =
     In_channel.with_open_bin path In_channel.input_all
   else ""
 
+let unreadable cmt_path exn =
+  { cmt_path; message = "unreadable build artifact: " ^ Printexc.to_string exn }
+
 let load ?map ?(source_root = ".") ~paths () =
   let cmts =
     List.concat_map (fun p -> walk [] p) paths |> List.sort String.compare
   in
   let units = ref [] in
   let wrappers = ref [] in
-  let errors = ref [] in
+  (* a path that does not exist is an error, not an empty tree *)
+  let errors =
+    ref
+      (List.rev_map
+         (fun cmt_path -> { cmt_path; message = "no such file or directory" })
+         (List.filter (fun p -> not (Sys.file_exists p)) paths))
+  in
   let seen_rel : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun cmt_path ->
       match Cmt_format.read_cmt cmt_path with
-      | exception exn ->
-          errors :=
-            { cmt_path; message = Printexc.to_string exn } :: !errors
+      | exception exn -> errors := unreadable cmt_path exn :: !errors
       | cmt -> (
           let wrapper, modname = split_wrapped cmt.Cmt_format.cmt_modname in
           (match wrapper with
@@ -125,12 +132,7 @@ let load ?map ?(source_root = ".") ~paths () =
                           }
                     | _ -> None
                     | exception exn ->
-                        errors :=
-                          {
-                            cmt_path = cmti_path;
-                            message = Printexc.to_string exn;
-                          }
-                          :: !errors;
+                        errors := unreadable cmti_path exn :: !errors;
                         None
                 in
                 let load_path =

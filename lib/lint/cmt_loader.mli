@@ -27,11 +27,14 @@ type unit_info = {
 }
 
 type load_error = { cmt_path : string; message : string }
+(** An unreadable artifact, or a path in [paths] that does not exist
+    ([cmt_path] is then that path). *)
 
 type t = {
   units : unit_info list;  (** sorted by cmt path, deduped by [rel] *)
   wrappers : string list;  (** dune wrapper-module prefixes seen *)
-  errors : load_error list;  (** unreadable artifacts (version skew…) *)
+  errors : load_error list;
+      (** missing paths first, then unreadable artifacts (version skew…) *)
 }
 
 val split_wrapped : string -> string option * string

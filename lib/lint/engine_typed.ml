@@ -44,8 +44,7 @@ let run ?(clock = null_clock) ?(warn = []) ?map ?source_root ~paths () =
     List.map
       (fun (e : Cmt_loader.load_error) ->
         Diagnostic.make ~rule:"cmt-error" ~severity:Diagnostic.Error
-          ~file:e.cmt_path ~line:1 ~col:0
-          ("unreadable build artifact: " ^ e.message))
+          ~file:e.cmt_path ~line:1 ~col:0 e.message)
       loader.errors
   in
   let raw = cmt_errors @ List.concat_map run_rule Rules_typed.all in

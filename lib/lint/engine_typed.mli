@@ -16,5 +16,5 @@ val run :
     fixture tree be linted under a protocol path so scoped rules apply.
     [warn] demotes the named rules to {!Diagnostic.Warning}. [clock]
     (seconds) feeds the per-rule timings, which stay zero under the
-    default null clock. Unreadable artifacts surface as ["cmt-error"]
-    diagnostics rather than aborting the run. *)
+    default null clock. Unreadable artifacts and paths that do not exist
+    surface as ["cmt-error"] diagnostics rather than aborting the run. *)

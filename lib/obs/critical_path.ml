@@ -16,65 +16,71 @@ type t = {
   max_attribution_error : float; (* |total - attributed|, worst span *)
 }
 
+(* One walk over each complete span's segments fills every per-span
+   figure; each sum then adds its values in the order [Span.attributed] and
+   [Span.component_total] do, so the results match those helpers bit for
+   bit. *)
 let analyze ?(label = "run") spans =
   let complete = List.filter (fun s -> s.Span.complete) spans in
-  let totals = List.map Span.total complete in
-  let attributed_sum =
-    List.fold_left (fun acc s -> acc +. Span.attributed s) 0. complete
+  let n = List.length complete in
+  let totals = Array.make n 0. and attributed = Array.make n 0. in
+  (* per_comp.(c).(i): span i's seconds in the component of index c *)
+  let per_comp =
+    Array.init (List.length Span.all_components) (fun _ -> Array.make n 0.)
   in
+  let waits = ref 0 in
+  let phase_tbl = Hashtbl.create 8 in
+  List.iteri
+    (fun i (s : Span.t) ->
+      totals.(i) <- Span.total s;
+      List.iter
+        (fun (seg : Span.segment) ->
+          let d = Span.duration seg in
+          attributed.(i) <- attributed.(i) +. d;
+          let c = per_comp.(Span.component_index seg.Span.component) in
+          c.(i) <- c.(i) +. d;
+          if seg.Span.component = Span.Quorum_wait then begin
+            incr waits;
+            let cur =
+              Option.value ~default:[]
+                (Hashtbl.find_opt phase_tbl seg.Span.phase)
+            in
+            Hashtbl.replace phase_tbl seg.Span.phase (d :: cur)
+          end)
+        s.Span.segments)
+    complete;
+  let attributed_sum = Array.fold_left ( +. ) 0. attributed in
   let components =
     List.map
       (fun c ->
-        let per_span = List.map (fun s -> Span.component_total s c) complete in
-        let sum = List.fold_left ( +. ) 0. per_span in
+        let per_span = per_comp.(Span.component_index c) in
+        let sum = Array.fold_left ( +. ) 0. per_span in
         ( c,
           {
-            seconds = Stats.summarize per_span;
+            seconds = Stats.summarize (Array.to_list per_span);
             share = (if attributed_sum > 0. then sum /. attributed_sum else 0.);
           } ))
       Span.all_components
   in
-  let phase_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (seg : Span.segment) ->
-          if seg.Span.component = Span.Quorum_wait then begin
-            let cur =
-              match Hashtbl.find_opt phase_tbl seg.Span.phase with
-              | Some l -> l
-              | None -> []
-            in
-            Hashtbl.replace phase_tbl seg.Span.phase
-              (Span.duration seg :: cur)
-          end)
-        s.Span.segments)
-    complete;
   let phase_waits =
     Hashtbl.fold (fun p l acc -> (p, Stats.summarize l) :: acc) phase_tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let waits =
-    List.fold_left (fun acc s -> acc + Span.quorum_waits s) 0 complete
-  in
-  let max_err =
-    List.fold_left
-      (fun acc s ->
-        Float.max acc (Float.abs (Span.total s -. Span.attributed s)))
-      0. complete
-  in
+  let max_err = ref 0. in
+  Array.iteri
+    (fun i total ->
+      max_err := Float.max !max_err (Float.abs (total -. attributed.(i))))
+    totals;
   {
     label;
     commits = List.length spans;
-    complete = List.length complete;
-    end_to_end = Stats.summarize totals;
+    complete = n;
+    end_to_end = Stats.summarize (Array.to_list totals);
     quorum_waits_per_commit =
-      (match complete with
-      | [] -> 0.
-      | _ :: _ -> float_of_int waits /. float_of_int (List.length complete));
+      (if n = 0 then 0. else float_of_int !waits /. float_of_int n);
     components;
     phase_waits;
-    max_attribution_error = max_err;
+    max_attribution_error = !max_err;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -3,11 +3,10 @@ module Message = Marlin_types.Message
 
 type dir_counter = { mutable msgs : int; mutable bytes : int; mutable auths : int }
 
-type kind_counter = { sent : dir_counter; recv : dir_counter }
-
 type t = {
   replica : int;
-  by_kind : (string, kind_counter) Hashtbl.t;
+  sent : dir_counter array; (* by Message.kind_index *)
+  recv : dir_counter array;
   mutable proposals : int;
   mutable qcs : int;
   mutable blocks_committed : int;
@@ -25,10 +24,18 @@ type t = {
   vc_samples : Stats.Reservoir.t;
 }
 
+let zero () = { msgs = 0; bytes = 0; auths = 0 }
+
+(* Every slot starts as [unseen], which nothing writes: [bump] gives a kind
+   its own counter on first use, so a replica holds counters only for the
+   kinds it sent or received. *)
+let unseen = zero ()
+
 let create ~replica =
   {
     replica;
-    by_kind = Hashtbl.create 16;
+    sent = Array.make Message.kind_count unseen;
+    recv = Array.make Message.kind_count unseen;
     proposals = 0;
     qcs = 0;
     blocks_committed = 0;
@@ -50,62 +57,53 @@ let create ~replica =
 
 let replica t = t.replica
 
-let zero () = { msgs = 0; bytes = 0; auths = 0 }
-
-let counter t kind =
-  match Hashtbl.find_opt t.by_kind kind with
-  | Some c -> c
-  | None ->
-      let c = { sent = zero (); recv = zero () } in
-      Hashtbl.replace t.by_kind kind c;
-      c
-
-let bump (c : dir_counter) ~size ~auths =
+let bump table i ~size ~auths =
+  if table.(i) == unseen then table.(i) <- zero ();
+  let c = table.(i) in
   c.msgs <- c.msgs + 1;
   c.bytes <- c.bytes + size;
   c.auths <- c.auths + auths
 
 let count_sent t ~size m =
-  bump (counter t (Message.type_name m)).sent ~size
-    ~auths:(Message.authenticators m)
+  bump t.sent (Message.kind_index m) ~size ~auths:(Message.authenticators m)
 
 let count_recv t ~size m =
-  bump (counter t (Message.type_name m)).recv ~size
-    ~auths:(Message.authenticators m)
+  bump t.recv (Message.kind_index m) ~size ~auths:(Message.authenticators m)
+
+(* kind indices in name order *)
+let by_name =
+  List.init Message.kind_count Fun.id
+  |> List.sort (fun a b ->
+         String.compare (Message.kind_name a) (Message.kind_name b))
 
 let kinds t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.by_kind [] |> List.sort String.compare
+  List.filter_map
+    (fun i ->
+      if t.sent.(i) != unseen || t.recv.(i) != unseen then
+        Some (Message.kind_name i)
+      else None)
+    by_name
 
-let sent t ~kind =
-  match Hashtbl.find_opt t.by_kind kind with Some c -> c.sent | None -> zero ()
+let counter table ~kind =
+  match
+    List.find_opt (fun i -> String.equal (Message.kind_name i) kind) by_name
+  with
+  | Some i when table.(i) != unseen -> table.(i)
+  | Some _ | None -> zero ()
 
-let recv t ~kind =
-  match Hashtbl.find_opt t.by_kind kind with Some c -> c.recv | None -> zero ()
+let sent t ~kind = counter t.sent ~kind
+let recv t ~kind = counter t.recv ~kind
 
-let is_consensus_message (m : Message.t) =
-  match m.Message.payload with
-  | Message.Propose _ | Message.Vote _ | Message.Phase_cert _
-  | Message.View_change _ | Message.Pre_prepare _ | Message.New_view _
-  | Message.New_view_proof _ ->
-      true
-  | Message.Fetch _ | Message.Fetch_resp _ | Message.Client_op _
-  | Message.Client_reply _ ->
-      false
-
-let is_consensus_kind = function
-  | "FETCH" | "FETCH-RESP" | "CLIENT-OP" | "CLIENT-REPLY" -> false
-  | _ -> true
+let is_consensus_message m = Message.kind_index m < Message.consensus_kinds
 
 let consensus_sent t =
   let acc = zero () in
-  Hashtbl.iter
-    (fun kind c ->
-      if is_consensus_kind kind then begin
-        acc.msgs <- acc.msgs + c.sent.msgs;
-        acc.bytes <- acc.bytes + c.sent.bytes;
-        acc.auths <- acc.auths + c.sent.auths
-      end)
-    t.by_kind;
+  for i = 0 to Message.consensus_kinds - 1 do
+    let c = t.sent.(i) in
+    acc.msgs <- acc.msgs + c.msgs;
+    acc.bytes <- acc.bytes + c.bytes;
+    acc.auths <- acc.auths + c.auths
+  done;
   acc
 
 (* -- protocol events -- *)

@@ -9,6 +9,13 @@ let component_name = function
 
 let all_components = [ Cpu; Nic_queue; Serialize; Propagate; Quorum_wait ]
 
+let component_index = function
+  | Cpu -> 0
+  | Nic_queue -> 1
+  | Serialize -> 2
+  | Propagate -> 3
+  | Quorum_wait -> 4
+
 type segment = {
   component : component;
   start_time : float;
@@ -87,18 +94,17 @@ type pre = {
   causes : cause array array; (* per endpoint, ascending idx *)
   vote_delivers : vote_deliver array array;
   votes : vote_sent array array;
-  queued : (int, queued) Hashtbl.t; (* by message id *)
+  queued : (int, queued) Hashtbl.t; (* by message id, client kinds left out *)
   commits : commit_ev list; (* oldest first *)
 }
 
-let is_vote_kind k = String.length k >= 5 && String.sub k 0 5 = "VOTE-"
+let is_vote_kind k = String.starts_with ~prefix:"VOTE-" k
 
-let is_cause_kind k =
-  (not (is_vote_kind k))
-  &&
-  match k with
-  | "CLIENT-OP" | "CLIENT-REPLY" | "FETCH" | "FETCH-RESP" -> false
-  | _ -> true
+(* Client traffic and state transfer never explain a commit: [walk] only
+   looks up the ids of vote and cause deliveries. *)
+let is_client_kind = function
+  | "CLIENT-OP" | "CLIENT-REPLY" | "FETCH" | "FETCH-RESP" -> true
+  | _ -> false
 
 let preprocess (events : Trace.event list) =
   let max_ep =
@@ -146,21 +152,22 @@ let preprocess (events : Trace.event list) =
               cm_ops = ops;
             }
             :: !commits
-      | Trace.Net_queued { id; src; ready; depart; tx; _ } ->
-          Hashtbl.replace queued id
-            {
-              qu_idx = idx;
-              qu_time = e.Trace.time;
-              qu_src = src;
-              qu_ready = ready;
-              qu_depart = depart;
-              qu_tx = tx;
-            }
+      | Trace.Net_queued { id; src; msg; ready; depart; tx; _ } ->
+          if not (is_client_kind msg) then
+            Hashtbl.replace queued id
+              {
+                qu_idx = idx;
+                qu_time = e.Trace.time;
+                qu_src = src;
+                qu_ready = ready;
+                qu_depart = depart;
+                qu_tx = tx;
+              }
       | Trace.Net_delivered { id; dst; msg; _ } ->
           if dst >= 0 && dst < n then
             if is_vote_kind msg then
               vds.(dst) <- { vd_idx = idx; vd_id = id } :: vds.(dst)
-            else if is_cause_kind msg then
+            else if not (is_client_kind msg) then
               causes.(dst) <-
                 C_deliver { idx; time = e.Trace.time; id } :: causes.(dst)
       | Trace.View_enter _ | Trace.View_change_enter | Trace.View_change_exit

@@ -31,6 +31,10 @@ val component_name : component -> string
 
 val all_components : component list
 
+val component_index : component -> int
+(** The component's position in {!all_components}, for flat
+    per-component arrays. *)
+
 type segment = {
   component : component;
   start_time : float;

@@ -2,16 +2,6 @@ module Stats = Marlin_analysis.Stats
 
 let ncomp = List.length Span.all_components
 
-(* Span.all_components order: Cpu, Nic_queue, Serialize, Propagate,
-   Quorum_wait. The ring stores segment seconds in one flat float array of
-   [capacity * ncomp], so the index mapping must match that list. *)
-let comp_index = function
-  | Span.Cpu -> 0
-  | Span.Nic_queue -> 1
-  | Span.Serialize -> 2
-  | Span.Propagate -> 3
-  | Span.Quorum_wait -> 4
-
 type window = {
   index : int;
   start_time : float;
@@ -180,7 +170,7 @@ let bin_segments t spans =
           (fun (seg : Span.segment) ->
             bin_interval t ~start_time:seg.Span.start_time
               ~stop_time:seg.Span.stop_time
-              ~comp:(comp_index seg.Span.component))
+              ~comp:(Span.component_index seg.Span.component))
           sp.Span.segments)
     spans
 
@@ -208,7 +198,7 @@ let windows t =
     let rec go w acc = if w < t.first then acc else go (w - 1) (render t w :: acc) in
     go t.last []
 
-let component_seconds w comp = w.segment_seconds.(comp_index comp)
+let component_seconds w comp = w.segment_seconds.(Span.component_index comp)
 
 (* -- JSON (same conventions as Critical_path.to_json: fixed decimals so
    output is deterministic and diff-friendly) -- *)

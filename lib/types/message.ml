@@ -226,29 +226,40 @@ let op_count m =
   | Fetch _ | Client_reply _ ->
       0
 
-let type_name m =
+(* One dense index per {!type_name}; the consensus kinds come first. *)
+let kind_names =
+  [|
+    "PROPOSE"; "VOTE-PRE-PREPARE"; "VOTE-PREPARE"; "VOTE-PRECOMMIT";
+    "VOTE-COMMIT"; "CERT-PRE-PREPARE"; "CERT-PREPARE"; "CERT-PRECOMMIT";
+    "CERT-COMMIT"; "VIEW-CHANGE"; "PRE-PREPARE"; "NEW-VIEW"; "NEW-VIEW-PROOF";
+    "FETCH"; "FETCH-RESP"; "CLIENT-OP"; "CLIENT-REPLY";
+  |]
+
+let kind_count = Array.length kind_names
+let consensus_kinds = 13
+
+let phase_offset = function
+  | Qc.Pre_prepare -> 0
+  | Qc.Prepare -> 1
+  | Qc.Precommit -> 2
+  | Qc.Commit -> 3
+
+let kind_index m =
   match m.payload with
-  | Propose _ -> "PROPOSE"
-  | Vote { kind; _ } -> (
-      match kind with
-      | Qc.Pre_prepare -> "VOTE-PRE-PREPARE"
-      | Qc.Prepare -> "VOTE-PREPARE"
-      | Qc.Precommit -> "VOTE-PRECOMMIT"
-      | Qc.Commit -> "VOTE-COMMIT")
-  | Phase_cert qc -> (
-      match qc.Qc.phase with
-      | Qc.Pre_prepare -> "CERT-PRE-PREPARE"
-      | Qc.Prepare -> "CERT-PREPARE"
-      | Qc.Precommit -> "CERT-PRECOMMIT"
-      | Qc.Commit -> "CERT-COMMIT")
-  | View_change _ -> "VIEW-CHANGE"
-  | Pre_prepare _ -> "PRE-PREPARE"
-  | New_view _ -> "NEW-VIEW"
-  | New_view_proof _ -> "NEW-VIEW-PROOF"
-  | Fetch _ -> "FETCH"
-  | Fetch_resp _ -> "FETCH-RESP"
-  | Client_op _ -> "CLIENT-OP"
-  | Client_reply _ -> "CLIENT-REPLY"
+  | Propose _ -> 0
+  | Vote { kind; _ } -> 1 + phase_offset kind
+  | Phase_cert qc -> 5 + phase_offset qc.Qc.phase
+  | View_change _ -> 9
+  | Pre_prepare _ -> 10
+  | New_view _ -> 11
+  | New_view_proof _ -> 12
+  | Fetch _ -> 13
+  | Fetch_resp _ -> 14
+  | Client_op _ -> 15
+  | Client_reply _ -> 16
+
+let kind_name i = kind_names.(i)
+let type_name m = kind_names.(kind_index m)
 
 let pp fmt m =
   Format.fprintf fmt "%s(from %d, view %d)" (type_name m) m.sender m.view

@@ -69,4 +69,19 @@ val op_count : t -> int
     them. *)
 
 val type_name : t -> string
+(** The message's kind, e.g. ["VOTE-PREPARE"] or ["CLIENT-OP"]. *)
+
+val kind_count : int
+
+val kind_index : t -> int
+(** The dense index in [[0, kind_count)] of [type_name m], for per-kind
+    tables: [kind_name (kind_index m) = type_name m]. *)
+
+val kind_name : int -> string
+
+val consensus_kinds : int
+(** The consensus kinds (proposals, votes, certificates, view changes)
+    take the indices below this; state transfer (FETCH, FETCH-RESP) and
+    client traffic (CLIENT-OP, CLIENT-REPLY) take the rest. *)
+
 val pp : Format.formatter -> t -> unit

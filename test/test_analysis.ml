@@ -217,6 +217,32 @@ let qcheck_cases =
             && Array.for_all (fun x -> x >= b.(k))
                  (Array.sub b (k + 1) (len - k - 1)))
           (List.init len Fun.id));
+    (* [summarize] sorts once, stably; every field must equal the list
+       helper it replaces, bit for bit. Small integers repeat, and 0. and
+       -0. tie under [Float.compare] while their bits differ, so a sort
+       that moved ties would show. A singleton is its own summary. *)
+    Test.make ~count:300 ~name:"summarize equals the list helpers, bit for bit"
+      (list_of_size Gen.(2 -- 60)
+         (make
+            ~print:(Printf.sprintf "%h")
+            Gen.(
+              frequency
+                [
+                  (2, oneofl [ 0.; -0.; infinity; neg_infinity ]);
+                  (4, map float_of_int (int_range (-3) 3));
+                  (3, float_bound_inclusive 10.);
+                ])))
+      (fun xs ->
+        let s = Stats.summarize xs in
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        s.Stats.count = List.length xs
+        && same s.Stats.mean (Stats.mean xs)
+        && same s.Stats.min (Stats.minimum xs)
+        && same s.Stats.max (Stats.maximum xs)
+        && same s.Stats.p50 (Stats.percentile xs ~p:50.)
+        && same s.Stats.p95 (Stats.percentile xs ~p:95.)
+        && same s.Stats.p99 (Stats.percentile xs ~p:99.)
+        && same s.Stats.p999 (Stats.percentile xs ~p:99.9));
     Test.make ~count:100 ~name:"communication monotone in n"
       (pair (oneofl Complexity.all) (int_range 4 200))
       (fun (p, n) ->

@@ -362,6 +362,19 @@ let test_typed_dead_export_callers () =
            (rule.check ctx)))
     [ "test"; "examples" ]
 
+(* A path that does not exist is a load error naming it, not an empty
+   tree: the engine reports it as one cmt-error and scans nothing. *)
+let test_missing_path () =
+  let missing = "no/such/objs" in
+  let loader = Cmt_loader.load ~paths:[ missing; fixtures_objs ] () in
+  Alcotest.(check (list string)) "one error, naming the path" [ missing ]
+    (List.map (fun (e : Cmt_loader.load_error) -> e.cmt_path) loader.errors);
+  let report = Engine.run ~paths:[ missing ] () in
+  Alcotest.(check int) "nothing scanned" 0 report.Report.files_scanned;
+  Alcotest.(check (list (triple string int int))) "one cmt-error at the path"
+    [ (missing, 1, 0) ]
+    (typed_anchors ~report "cmt-error")
+
 let test_typed_waiver_interaction () =
   let r = Lazy.force typed_result in
   (* waived_linearity.ml is quadratic on purpose and carries a file-wide
@@ -464,10 +477,19 @@ let suite =
     ("typed: dead-export", `Quick, test_typed_dead_export);
     ("typed: dead-export callers anywhere", `Quick,
      test_typed_dead_export_callers);
+    ("typed: a missing path is a load error", `Quick, test_missing_path);
     ("typed: waivers and stale-waiver", `Quick, test_typed_waiver_interaction);
     ("canonical diagnostic ordering", `Quick, test_canonical_ordering);
     ("typed: json byte-identical", `Quick, test_json_byte_identical);
     ("github annotation format", `Quick, test_github_format);
   ]
 
-let () = Alcotest.run "lint" [ ("lint", suite) ]
+(* The fixture paths resolve only from _build/default/test, where dune
+   runs the suite: run from elsewhere, stop on the loader's error instead
+   of failing every case on an empty report. *)
+let () =
+  match findings "cmt-error" with
+  | [] -> Alcotest.run "lint" [ ("lint", suite) ]
+  | errors ->
+      List.iter (fun d -> prerr_endline (render d)) errors;
+      exit 1

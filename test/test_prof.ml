@@ -277,6 +277,44 @@ let test_attribution_sums () =
       ("pbft", pbft);
     ]
 
+(* ---------- client traffic never explains a commit ---------- *)
+
+let is_client_event (e : Trace.event) =
+  match e.Trace.kind with
+  | Trace.Net_queued { msg; _ } | Trace.Net_delivered { msg; _ } -> (
+      match msg with
+      | "CLIENT-OP" | "CLIENT-REPLY" | "FETCH" | "FETCH-RESP" -> true
+      | _ -> false)
+  | _ -> false
+
+(* [Span.reconstruct] files no client or state-transfer message: an
+   observed open-loop run through a leader crash rebuilds the same spans
+   from a trace with every such event removed. *)
+let test_client_traffic_ignored () =
+  let obs = Obs.Run.create ~trace:true ~n:4 () in
+  let workload =
+    Marlin_workload.Workload.open_loop ~sources:4
+      ~arrival:(Marlin_workload.Arrival.poisson ~rate:500.)
+      ~key_space:1000 ()
+  in
+  let params =
+    { (Cluster.params_for_f ~workload 1) with Cluster.seed = 5; obs = Some obs }
+  in
+  let r =
+    Experiment.run chained_marlin ~params
+      (Experiment.Scenario (Marlin_faults.Catalogue.leader_crash ()))
+  in
+  Alcotest.(check bool) "recovered" true r.Experiment.recovered;
+  let events = Obs.Run.trace_events obs in
+  let consensus = List.filter (fun e -> not (is_client_event e)) events in
+  Alcotest.(check bool) "the trace carries client traffic" true
+    (List.length consensus < List.length events);
+  let spans = Span.reconstruct events in
+  Alcotest.(check bool) "complete spans found" true
+    (List.exists (fun s -> s.Span.complete) spans);
+  Alcotest.(check bool) "same spans without client traffic" true
+    (spans = Span.reconstruct consensus)
+
 (* ---------- JSONL round trip ---------- *)
 
 let test_trace_reader_roundtrip () =
@@ -350,6 +388,7 @@ let suite =
     ("critical-path analysis + JSON", `Quick, test_critical_path_analysis);
     ("marlin 2 waits, hotstuff 3, pbft 2", `Quick, test_phase_counts);
     ("attribution sums to commit latency", `Quick, test_attribution_sums);
+    ("client traffic left out of spans", `Quick, test_client_traffic_ignored);
     ("JSONL trace round trip", `Quick, test_trace_reader_roundtrip);
     ("json_lite parses its own dialect", `Quick, test_json_lite);
   ]

@@ -36,8 +36,10 @@
 # balances matching, the replicas agreeing). Then three bench/main.exe
 # runs check its command line and observability targets: `observe
 # --trace T --metrics-out M` must write both files non-empty, `spans
-# --trace T --windows 0.5` must analyse that trace (each takes well under
-# a second), and an unknown target must exit 2.
+# --trace T --windows 0.5` must analyse that trace with every span's
+# attribution exact to 1e-9 s after the JSONL round trip (it exits 1
+# otherwise; each takes well under a second), and an unknown target must
+# exit 2.
 #
 # The smoke run includes a deterministic fault scenario (leader crash),
 # so the gate also covers recovery latency and view-change
