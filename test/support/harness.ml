@@ -15,11 +15,6 @@ open Marlin_types
 module C = Marlin_core.Consensus_intf
 module Mempool = Marlin_runtime.Mempool
 
-(* Registry-backed dispatch, so tests pick protocols by name instead of
-   spelling out module paths:
-     let module P = (val Harness.protocol "marlin") in ... *)
-let protocol name = Marlin_runtime.Registry.find_exn name
-
 (* Deliveries one cluster may make over its lifetime: four times the most
    any passing run of the harness suites needs, so a message storm fails
    with its schedule printed instead of running for hours. *)
@@ -166,6 +161,24 @@ module Make (P : C.PROTOCOL) = struct
   let timeout_all t =
     List.iter (fun node -> invoke t node P.on_view_timeout) (live t);
     run t
+
+  (* Fire view timers the way real clocks fire them after GST, until
+     [until ()] holds or 40 rounds have passed: each round, the live
+     replicas in the lowest view time out, in id order. Lockstep pumping
+     would keep view offsets forever, which bounded timers cannot do.
+     Returns the rounds fired. *)
+  let pump_timeouts t ~until =
+    let rounds = ref 0 in
+    while (not (until ())) && !rounds < 40 do
+      incr rounds;
+      let min_view =
+        List.fold_left (fun acc node -> min acc (P.current_view node.proto)) max_int (live t)
+      in
+      List.iter
+        (fun node -> if P.current_view node.proto = min_view then timeout t node.id)
+        (live t)
+    done;
+    !rounds
 
   (* ---------- Figure 2 (Section IV-B), in two steps ---------- *)
 

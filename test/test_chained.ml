@@ -1,122 +1,29 @@
-(* Tests for the chained (pipelined) variants — the mode the paper's
-   evaluation runs. Checks pipelining, the two-chain (Marlin) and
-   three-chain (HotStuff) commit rules, tail flushing, and view changes. *)
+(* The chained (pipelined) variants, the mode the paper's evaluation
+   runs: the two-chain (Marlin) against the three-chain (HotStuff) commit
+   rule, and Marlin's unhappy view change with a lock hidden from the new
+   leader. The cases every protocol shares, chained ones included, are in
+   test_protocols. *)
 
 open Marlin_types
 module CM = Marlin_runtime.Registry.Chained_marlin
-module CH = Marlin_runtime.Registry.Chained_hotstuff
 module HM = Test_support.Harness.Make (CM)
-module HH = Test_support.Harness.Make (CH)
 
-let test_marlin_commit () =
-  let t = HM.create () in
-  HM.start t;
-  HM.submit t (Operation.make ~client:1 ~seq:1 ~body:"solo");
-  Alcotest.(check bool) "safety" true (HM.check_safety t);
-  (* Tail flushing must let even a single operation commit. *)
-  Alcotest.(check bool) "committed everywhere" true (HM.min_committed t >= 1);
-  Alcotest.(check string) "op intact" "solo"
-    (List.hd (HM.committed_ops t 2)).Operation.body
-
-let test_hotstuff_commit () =
-  let t = HH.create () in
-  HH.start t;
-  HH.submit t (Operation.make ~client:1 ~seq:1 ~body:"solo");
-  Alcotest.(check bool) "safety" true (HH.check_safety t);
-  Alcotest.(check bool) "committed everywhere" true (HH.min_committed t >= 1);
-  Alcotest.(check string) "op intact" "solo"
-    (List.hd (HH.committed_ops t 2)).Operation.body
-
-let test_marlin_stream () =
-  let t = HM.create () in
-  HM.start t;
-  HM.submit_ops t ~client:1 ~count:60;
-  Alcotest.(check bool) "safety" true (HM.check_safety t);
-  List.iter
-    (fun id ->
-      Alcotest.(check int)
-        (Printf.sprintf "replica %d executed all" id)
-        60
-        (List.length (HM.committed_ops t id)))
-    [ 0; 1; 2; 3 ];
-  Alcotest.(check int) "no view change needed" 0 (CM.current_view (HM.proto t 1))
-
-let test_hotstuff_stream () =
-  let t = HH.create () in
-  HH.start t;
-  HH.submit_ops t ~client:1 ~count:60;
-  Alcotest.(check bool) "safety" true (HH.check_safety t);
-  List.iter
-    (fun id ->
-      Alcotest.(check int)
-        (Printf.sprintf "replica %d executed all" id)
-        60
-        (List.length (HH.committed_ops t id)))
-    [ 0; 1; 2; 3 ]
-
-(* Chained mode has exactly one voting round per block: no precommit or
-   commit votes on the wire for either protocol. *)
-let test_single_vote_round () =
-  let check (trace : (int * int * Message.t) list) name =
-    let count ty =
-      List.length (List.filter (fun (_, _, m) -> Message.type_name m = ty) trace)
-    in
-    Alcotest.(check int) (name ^ ": no precommit votes") 0 (count "VOTE-PRECOMMIT");
-    Alcotest.(check int) (name ^ ": no commit votes") 0 (count "VOTE-COMMIT");
-    Alcotest.(check bool) (name ^ ": prepare votes flow") true
-      (count "VOTE-PREPARE" > 0)
-  in
-  let tm = HM.create () in
-  HM.start tm;
-  HM.submit_ops tm ~client:1 ~count:10;
-  check tm.HM.trace "marlin";
-  let th = HH.create () in
-  HH.start th;
-  HH.submit_ops th ~client:1 ~count:10;
-  check th.HH.trace "hotstuff"
+let stored_after_one_op (module P : Marlin_core.Consensus_intf.PROTOCOL) =
+  let module H = Test_support.Harness.Make (P) in
+  let t = H.create () in
+  H.start t;
+  H.submit t (Operation.make ~client:1 ~seq:1 ~body:"x");
+  Block_store.size (P.block_store (H.proto t 1))
 
 (* The structural difference the paper measures: with the tail flushed,
-   chained Marlin needs a two-chain and chained HotStuff a three-chain,
-   so Marlin's flush appends one empty block, HotStuff's two. *)
+   chained Marlin needs a two-chain and chained HotStuff a three-chain, so
+   a lone operation leaves genesis, its block and one flush block in
+   Marlin's store, and two flush blocks in HotStuff's. *)
 let test_chain_depths () =
-  let tm = HM.create () in
-  HM.start tm;
-  HM.submit tm (Operation.make ~client:1 ~seq:1 ~body:"x");
-  let th = HH.create () in
-  HH.start th;
-  HH.submit th (Operation.make ~client:1 ~seq:1 ~body:"x");
-  (* Count blocks above the op-bearing block on the committed branch tip's
-     store: Marlin's store tip should be one shorter than HotStuff's. *)
-  let m_store_size = Block_store.size (CM.block_store (HM.proto tm 1)) in
-  let h_store_size = Block_store.size (CH.block_store (HH.proto th 1)) in
-  Alcotest.(check bool) "hotstuff needs a deeper flush chain" true
-    (h_store_size > m_store_size)
-
-let test_marlin_view_change () =
-  let t = HM.create () in
-  HM.start t;
-  HM.submit_ops t ~client:1 ~count:5;
-  let before = HM.min_committed t in
-  HM.crash t 0;
-  HM.submit t (Operation.make ~client:2 ~seq:1 ~body:"after-crash");
-  HM.timeout_all t;
-  Alcotest.(check bool) "safety" true (HM.check_safety t);
-  Alcotest.(check bool) "progress resumed" true (HM.min_committed t > before);
-  Alcotest.(check bool) "new op committed" true
-    (List.exists (fun o -> o.Operation.body = "after-crash") (HM.committed_ops t 2))
-
-let test_hotstuff_view_change () =
-  let t = HH.create () in
-  HH.start t;
-  HH.submit_ops t ~client:1 ~count:5;
-  let before = HH.min_committed t in
-  HH.crash t 0;
-  HH.submit t (Operation.make ~client:2 ~seq:1 ~body:"after-crash");
-  HH.timeout_all t;
-  Alcotest.(check bool) "safety" true (HH.check_safety t);
-  Alcotest.(check bool) "progress resumed" true (HH.min_committed t > before);
-  Alcotest.(check bool) "new op committed" true
-    (List.exists (fun o -> o.Operation.body = "after-crash") (HH.committed_ops t 2))
+  Alcotest.(check (pair int int))
+    "blocks stored (marlin, hotstuff)" (3, 4)
+    ( stored_after_one_op (module CM),
+      stored_after_one_op (module Marlin_runtime.Registry.Chained_hotstuff) )
 
 (* Marlin's unhappy view change (hidden lock, V1, virtual block) also
    works in chained mode. *)
@@ -195,32 +102,13 @@ let test_marlin_chained_unhappy_vc () =
         (List.exists (fun o -> o.Operation.body = "post-vc") ops))
     [ 1; 2; 3 ]
 
-let test_marlin_chains_identical () =
-  let t = HM.create () in
-  HM.start t;
-  HM.submit_ops t ~client:7 ~count:25;
-  let reference = HM.committed_ops t 0 in
-  List.iter
-    (fun id ->
-      let ops = HM.committed_ops t id in
-      Alcotest.(check int) "same length" (List.length reference) (List.length ops);
-      List.iter2
-        (fun a b -> Alcotest.(check bool) "same order" true (Operation.equal a b))
-        reference ops)
-    [ 1; 2; 3 ]
-
-let suite =
-  [
-    ("chained marlin: single op commits", `Quick, test_marlin_commit);
-    ("chained hotstuff: single op commits", `Quick, test_hotstuff_commit);
-    ("chained marlin: stream of ops", `Quick, test_marlin_stream);
-    ("chained hotstuff: stream of ops", `Quick, test_hotstuff_stream);
-    ("chained: one voting round per block", `Quick, test_single_vote_round);
-    ("chained: two-chain vs three-chain depth", `Quick, test_chain_depths);
-    ("chained marlin: view change", `Quick, test_marlin_view_change);
-    ("chained hotstuff: view change", `Quick, test_hotstuff_view_change);
-    ("chained marlin: unhappy VC with hidden lock", `Quick, test_marlin_chained_unhappy_vc);
-    ("chained marlin: chains identical", `Quick, test_marlin_chains_identical);
-  ]
-
-let () = Alcotest.run "chained" [ ("chained", suite) ]
+let () =
+  Alcotest.run "chained"
+    [
+      ( "chained",
+        [
+          ("chained: two-chain vs three-chain depth", `Quick, test_chain_depths);
+          ("chained marlin: unhappy VC with hidden lock", `Quick, test_marlin_chained_unhappy_vc);
+        ] 
+      );
+    ]

@@ -4,18 +4,15 @@
    - view-change authenticator traffic grows linearly in n for Marlin and
      HotStuff, as Table I predicts (and nowhere near quadratically);
    - equivocation cannot violate safety for any registered protocol except
-     twophase-insecure, whose known Figure 2 counterexample reproduces;
+     twophase-insecure (its Figure 2 livelock is staged in test_liveness);
    - random crash/recover churn (qcheck) never violates agreement. *)
 
-open Marlin_types
-module C = Marlin_core.Consensus_intf
 module Cluster = Marlin_runtime.Cluster
 module Experiment = Marlin_runtime.Experiment
 module Registry = Marlin_runtime.Registry
 module Scenario = Marlin_faults.Scenario
 module Catalogue = Marlin_faults.Catalogue
 module Complexity = Marlin_analysis.Complexity
-module Qc = Marlin_types.Qc
 
 (* The bench harness's deployment rule: view timers scale with cluster
    size so view changes do not thrash under load. *)
@@ -120,32 +117,6 @@ let test_equivocation_cannot_violate_safety () =
           true r.Experiment.agreement)
     (Registry.all ())
 
-(* The known counterexample (Figure 2, Section IV-B): two-phase HotStuff
-   without Marlin's pre-prepare is not equivocation-unsafe but it *is*
-   livelocked by a Byzantine leader that hides a QC during a view change.
-   Reproduce it through the registry to pin the behaviour down. *)
-let test_insecure_counterexample_reproduces () =
-  let module P = (val Test_support.Harness.protocol "twophase-insecure") in
-  let module H = Test_support.Harness.Make (P) in
-  let t = H.create () in
-  H.start t;
-  (* b1 commits; b2 reaches a prepareQC that only replica 2 sees (and
-     locks on) *)
-  H.hide_lock t ~locked:(Some 2);
-  Alcotest.(check int) "b1 committed" 1 (H.min_committed t);
-  Alcotest.(check int) "replica 2 locked at height 2" 2
-    (P.locked_qc (H.proto t 2)).Qc.block.Qc.height;
-  (* unsafe snapshot: drop replica 2's NEW-VIEW, forge replica 0's to hide
-     qc(b2), silence replica 0's votes *)
-  ignore (H.unsafe_snapshot t);
-  H.timeout_all t;
-  (* livelock: the locked replica refuses the conflicting re-proposal and
-     nothing commits in the new view — not even on retry *)
-  Alcotest.(check int) "b2 never committed anywhere" 1 (H.max_committed t);
-  H.submit t (Operation.make ~client:1 ~seq:3 ~body:"b3");
-  Alcotest.(check int) "still stuck" 1 (H.max_committed t);
-  Alcotest.(check bool) "yet safety was never violated" true (H.check_safety t)
-
 (* ---------- fault steps land in the trace ---------- *)
 
 let test_fault_events_traced () =
@@ -236,9 +207,6 @@ let suite =
     ( "equivocation cannot violate safety (all registered protocols)",
       `Quick,
       test_equivocation_cannot_violate_safety );
-    ( "twophase-insecure: Figure 2 livelock reproduces",
-      `Quick,
-      test_insecure_counterexample_reproduces );
     ("fault steps land in the trace + JSONL round trip", `Quick,
       test_fault_events_traced );
     QCheck_alcotest.to_alcotest prop_churn_preserves_agreement;

@@ -1,6 +1,7 @@
 (* Integration tests: full simulated clusters (network + CPU + disk models,
    closed-loop clients) running the chained protocols — the configuration
-   every benchmark uses, at a small scale. *)
+   every benchmark uses, at a small scale. That every protocol commits in
+   such a cluster is a case of test_protocols. *)
 
 module C = Marlin_core.Consensus_intf
 module Cluster = Marlin_runtime.Cluster
@@ -27,22 +28,6 @@ let window warmup duration =
 
 let view_change force_unhappy = Experiment.View_change { force_unhappy }
 
-let test_marlin_cluster_commits () =
-  let r = Experiment.run marlin ~params:(small_params ()) (window 1.0 3.0) in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "throughput positive" true (r.Experiment.throughput > 0.);
-  (* 16 closed-loop clients, RTT ~ 80ms+: tens of ops/s at least. *)
-  Alcotest.(check bool) "reasonable throughput" true (r.Experiment.throughput > 30.);
-  (* End-to-end latency at light load: above one network RTT, below 1s. *)
-  Alcotest.(check bool) "latency sane" true
-    (r.Experiment.latency.Marlin_analysis.Stats.mean > 0.08
-    && r.Experiment.latency.Marlin_analysis.Stats.mean < 1.0)
-
-let test_hotstuff_cluster_commits () =
-  let r = Experiment.run hotstuff ~params:(small_params ()) (window 1.0 3.0) in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "throughput positive" true (r.Experiment.throughput > 30.)
-
 (* The headline comparison: two phases beat three. At light load Marlin's
    client latency must be strictly lower, and its throughput at a fixed
    client count strictly higher. *)
@@ -55,14 +40,6 @@ let test_marlin_beats_hotstuff () =
     (m.Experiment.latency.mean < h.Experiment.latency.mean);
   Alcotest.(check bool) "Marlin throughput higher" true
     (m.Experiment.throughput > h.Experiment.throughput)
-
-let test_basic_protocols_in_cluster () =
-  List.iter
-    (fun proto ->
-      let r = Experiment.run proto ~params:(small_params ()) (window 1.0 2.0) in
-      Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-      Alcotest.(check bool) "commits" true (r.Experiment.throughput > 0.))
-    [ basic_marlin; basic_hotstuff ]
 
 let test_view_change_recovers () =
   let params = small_params () in
@@ -163,11 +140,6 @@ let test_latency_hop_ordering () =
   Alcotest.(check bool) "ratio order of magnitude" true
     (m /. p < 2.0 && h /. m < 2.0)
 
-let test_pbft_cluster () =
-  let r = Experiment.run pbft ~params:(small_params ()) (window 1.0 3.0) in
-  Alcotest.(check bool) "agreement" true r.Experiment.agreement;
-  Alcotest.(check bool) "throughput positive" true (r.Experiment.throughput > 30.)
-
 let test_sweep_and_peak () =
   let results =
     Experiment.sweep marlin ~params:(small_params ()) ~warmup:1.0 ~duration:2.0
@@ -228,10 +200,7 @@ let test_one_view_change_exit () =
 
 let suite =
   [
-    ("marlin cluster commits", `Quick, test_marlin_cluster_commits);
-    ("hotstuff cluster commits", `Quick, test_hotstuff_cluster_commits);
     ("marlin beats hotstuff", `Quick, test_marlin_beats_hotstuff);
-    ("basic protocols in cluster", `Quick, test_basic_protocols_in_cluster);
     ("view change recovers (happy)", `Quick, test_view_change_recovers);
     ("forced unhappy view change", `Quick, test_forced_unhappy_view_change);
     ("hotstuff view change", `Quick, test_hotstuff_view_change);
@@ -239,7 +208,6 @@ let suite =
     ("rotation under crashes", `Quick, test_rotation_under_crashes);
     ("no-op requests faster", `Quick, test_noop_faster);
     ("latency hop ordering (PBFT < Marlin < HotStuff)", `Quick, test_latency_hop_ordering);
-    ("pbft cluster commits", `Quick, test_pbft_cluster);
     ("sweep and peak", `Quick, test_sweep_and_peak);
     ("larger cluster (f=3)", `Quick, test_larger_cluster);
     ("one view-change exit per replica and view, every protocol", `Quick,

@@ -10,8 +10,8 @@
    - LIVENESS after healing: once drops stop and enough timeouts fire,
      every pending operation commits everywhere.
 
-   This runs against basic Marlin, chained Marlin, and both HotStuff
-   variants. *)
+   This runs against basic and chained Marlin, both HotStuff variants and
+   PBFT. *)
 
 open Marlin_types
 
@@ -128,36 +128,19 @@ module Run (P : Marlin_core.Consensus_intf.PROTOCOL) = struct
             end)
       schedule;
     let safety_mid = H.check_safety t in
-    (* Heal and pump timeouts until quiescent progress: every submitted op
-       must commit at every live replica. Timers are pumped the way real
-       clocks fire them — replicas that entered their view earliest time
-       out first — which is what re-synchronizes views after GST (lockstep
-       pumping would adversarially preserve view offsets forever, which
-       bounded timers cannot do). *)
+    (* Heal and pump timeouts until every submitted op has committed at
+       every live replica (see [Harness.pump_timeouts]). *)
     H.clear_filter t;
     drops := [];
     incr seq;
     H.submit t (Operation.make ~client:1 ~seq:!seq ~body:"");
     let target = !seq in
-    let live =
-      List.filter (fun id -> (not !crashed) || id <> 0) (List.init n Fun.id)
-    in
     let all_live_have_everything () =
-      List.for_all (fun id -> List.length (H.committed_ops t id) = target) live
+      List.for_all
+        (fun (node : H.node) -> List.length (H.committed_ops t node.H.id) = target)
+        (H.live t)
     in
-    let rounds = ref 0 in
-    while (not (all_live_have_everything ())) && !rounds < 40 do
-      incr rounds;
-      let min_view =
-        List.fold_left
-          (fun acc id -> min acc (P.current_view (H.proto t id)))
-          max_int live
-      in
-      List.iter
-        (fun id ->
-          if P.current_view (H.proto t id) = min_view then H.timeout t id)
-        live
-    done;
+    ignore (H.pump_timeouts t ~until:all_live_have_everything);
     (safety_mid && H.check_safety t, all_live_have_everything ())
 end
 
