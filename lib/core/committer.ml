@@ -6,13 +6,16 @@ type t = {
   cfg : C.config;
   store : Block_store.t;
   mutable pending : Qc.t option;
+  mutable outstanding : Sha256.t list;
+      (* fetched, not yet received: a few digests at most, since only a
+         certified block that is missing here is fetched *)
 }
 
 type result = { committed : Block.t list; sends : C.action list }
 
 let nothing = { committed = []; sends = [] }
 
-let create cfg store = { cfg; store; pending = None }
+let create cfg store = { cfg; store; pending = None; outstanding = [] }
 
 type branch_gap = Gap_missing of Sha256.t | Gap_unresolved_virtual | Gap_none
 
@@ -41,7 +44,9 @@ let first_branch_gap t (b : Block.t) =
    attempt rate is bounded by incoming certificates. *)
 let fetch t ~view ~from digest =
   if from = t.cfg.C.id then []
-  else
+  else begin
+    if not (List.exists (Sha256.equal digest) t.outstanding) then
+      t.outstanding <- digest :: t.outstanding;
     [
       C.Send
         {
@@ -49,6 +54,7 @@ let fetch t ~view ~from digest =
           msg = Message.make ~sender:t.cfg.C.id ~view (Message.Fetch { digest });
         };
     ]
+  end
 
 let rec deliver t ~view (qc : Qc.t) =
   (* Fetch from the certificate's leader, or any signer when we are it. *)
@@ -103,9 +109,18 @@ and retry t =
 
 let note_block t b =
   Block_store.add t.store b;
+  (match t.outstanding with
+  | [] -> ()
+  | outstanding ->
+      let d = Block.digest b in
+      t.outstanding <- List.filter (fun o -> not (Sha256.equal o d)) outstanding);
   match t.pending with
   | Some qc when Block_store.mem t.store qc.Qc.block.Qc.digest -> retry t
   | Some _ | None -> nothing
+
+let solicited t b =
+  let d = Block.digest b in
+  List.exists (Sha256.equal d) t.outstanding || Block_store.mem t.store d
 
 let handle_fetch t ~sender ~view digest =
   match Block_store.find t.store digest with

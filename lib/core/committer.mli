@@ -19,7 +19,13 @@ type result = {
 }
 
 val note_block : t -> Block.t -> result
-(** Record a block (idempotent) and retry any held certificate. *)
+(** Record a block (idempotent), drop its digest from the outstanding
+    fetch set, and retry any held certificate. *)
+
+val solicited : t -> Block.t -> bool
+(** Does a FETCH-RESP carrying this block answer a fetch? True when its
+    digest is in the outstanding fetch set (fetched, not yet received)
+    or the block is already stored, as a late or repeated answer is. *)
 
 val deliver : t -> view:int -> Qc.t -> result
 (** Apply a {e verified} commit certificate. If bodies are missing the

@@ -328,7 +328,10 @@ module Drive (P : PHASES) = struct
     match m.Message.payload with
     | Message.Fetch { digest } ->
         Committer.handle_fetch r.com ~sender:m.Message.sender ~view:r.cview digest
-    | Message.Fetch_resp { block } -> note_block r block
+    | Message.Fetch_resp { block } ->
+        (* only an answer to our own fetch is stored: the store is never
+           pruned, so unsolicited bodies would grow it without bound *)
+        if Committer.solicited r.com block then note_block r block else []
     | Message.Phase_cert ({ Qc.phase = Qc.Commit; _ } as qc) ->
         if Auth.verify_qc r.auth qc then deliver_commit r qc else []
     | Message.Phase_cert _ | Message.Propose _ | Message.Vote _

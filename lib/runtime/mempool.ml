@@ -25,8 +25,14 @@ type stats = {
   peak_occupancy : int;
 }
 
-(* [seen] keeps each known key's status in its slot's one byte *)
-type status = Unseen | In_pool | Taken | Committed
+(* [seen] keeps each known key's status in its slot's one byte; an unseen
+   key has no slot *)
+module Status = struct
+  let unseen = -1
+  let in_pool = 0
+  let taken = 1
+  let committed = 2
+end
 
 type t = {
   config : Config.t;
@@ -66,29 +72,23 @@ let occupancy t = Queue.length t.queue - t.stale + Pair_tbl.length t.taken
 
 let backpressure t = occupancy t >= t.config.Config.capacity
 
-let held_by t client =
-  match Pair_tbl.find t.held client 0 with k -> k | exception Not_found -> 0
-
+(* One probe of [held]. An in-flight op's client always has a count, and
+   a count that reaches 0 is removed, so [held] stays bounded by the
+   in-flight clients. *)
 let decr_held t client =
-  match held_by t client - 1 with
-  | 0 -> Pair_tbl.remove t.held client 0 (* keep [held] bounded by in-flight *)
-  | k -> Pair_tbl.replace t.held client 0 k
+  let h = Pair_tbl.slot t.held client 0 in
+  match Pair_tbl.get t.held h with
+  | 1 -> Pair_tbl.remove_slot t.held h
+  | k -> Pair_tbl.set t.held h (k - 1)
 
-let status t (op : Operation.t) =
-  match Pair_tbl.find t.seen op.client op.seq with
-  | 0 -> In_pool
-  | 1 -> Taken
-  | _ -> Committed
-  | exception Not_found -> Unseen
+(* The status at [s], the answer of one probe of [seen]. *)
+let status_at t s = if s < 0 then Status.unseen else Pair_tbl.get t.seen s
 
-let set_status t (op : Operation.t) = function
-  | Unseen -> Pair_tbl.remove t.seen op.client op.seq
-  | In_pool -> Pair_tbl.replace t.seen op.client op.seq 0
-  | Taken -> Pair_tbl.replace t.seen op.client op.seq 1
-  | Committed -> Pair_tbl.replace t.seen op.client op.seq 2
-
-let add t op =
-  if status t op <> Unseen then begin
+(* One probe of [seen] and one of [held]; the insert hints they answer
+   stay valid because nothing else changes either table in between. *)
+let add t (op : Operation.t) =
+  let s = Pair_tbl.slot t.seen op.client op.seq in
+  if s >= 0 then begin
     t.s_duplicates <- t.s_duplicates + 1;
     Duplicate
   end
@@ -97,15 +97,17 @@ let add t op =
     Rejected Pool_full
   end
   else
-    let held = held_by t op.Operation.client in
+    let h = Pair_tbl.slot t.held op.client 0 in
+    let held = if h >= 0 then Pair_tbl.get t.held h else 0 in
     if held >= t.config.Config.per_client_cap then begin
       t.s_rejected_client_cap <- t.s_rejected_client_cap + 1;
       Rejected Per_client_cap
     end
     else begin
-      set_status t op In_pool;
+      Pair_tbl.insert t.seen ~hint:s op.client op.seq Status.in_pool;
       Queue.push op t.queue;
-      Pair_tbl.replace t.held op.Operation.client 0 (held + 1);
+      if h >= 0 then Pair_tbl.set t.held h (held + 1)
+      else Pair_tbl.insert t.held ~hint:h op.client 0 1;
       t.s_admitted <- t.s_admitted + 1;
       t.s_peak_occupancy <- Int.max t.s_peak_occupancy (occupancy t);
       Admitted
@@ -136,38 +138,47 @@ let take t ~max =
     if k = 0 || Queue.is_empty t.queue then List.rev acc
     else
       let op = Queue.pop t.queue in
-      match status t op with
-      | In_pool ->
-          set_status t op Taken;
-          Pair_tbl.replace t.taken op.client op.seq op;
-          go (k - 1) (op :: acc)
-      | Committed ->
-          t.stale <- t.stale - 1;
-          go k acc
-      | Taken | Unseen -> go k acc
+      let s = Pair_tbl.slot t.seen op.client op.seq in
+      let status = status_at t s in
+      if status = Status.in_pool then begin
+        Pair_tbl.set t.seen s Status.taken;
+        Pair_tbl.replace t.taken op.client op.seq op;
+        go (k - 1) (op :: acc)
+      end
+      else begin
+        if status = Status.committed then t.stale <- t.stale - 1;
+        go k acc
+      end
   in
   sort_by_key (go max [])
 
-(* A repeat commit costs one [seen] lookup; a first commit also writes
-   the status in place, and only a [Taken] op touches [taken]. *)
+(* One probe of [seen] per op: a repeat commit stops there, a first
+   commit writes the status at the probed slot (or inserts at its hint),
+   and only a taken op touches [taken]. *)
 let mark_committed t ops =
   List.filter
     (fun (op : Operation.t) ->
-      match status t op with
-      | Committed -> false
-      | Unseen ->
-          set_status t op Committed;
-          true
-      | (In_pool | Taken) as s ->
-          if s = In_pool then t.stale <- t.stale + 1
-          else Pair_tbl.remove t.taken op.client op.seq;
-          decr_held t op.client;
-          set_status t op Committed;
-          true)
+      let s = Pair_tbl.slot t.seen op.client op.seq in
+      if s < 0 then begin
+        Pair_tbl.insert t.seen ~hint:s op.client op.seq Status.committed;
+        true
+      end
+      else
+        let status = Pair_tbl.get t.seen s in
+        status <> Status.committed
+        && begin
+             if status = Status.in_pool then t.stale <- t.stale + 1
+             else Pair_tbl.remove t.taken op.client op.seq;
+             decr_held t op.client;
+             Pair_tbl.set t.seen s Status.committed;
+             true
+           end)
     ops
 
 let pending t = Queue.length t.queue - t.stale
-let is_committed t op = status t op = Committed
+
+let is_committed t (op : Operation.t) =
+  status_at t (Pair_tbl.slot t.seen op.client op.seq) = Status.committed
 
 let requeue_taken t =
   (* the fold's order is a hashtable artifact; sort so the re-queued ops
@@ -179,13 +190,16 @@ let requeue_taken t =
   in
   Pair_tbl.reset t.taken;
   List.iter
-    (fun op ->
-      set_status t op In_pool;
+    (fun (op : Operation.t) ->
+      Pair_tbl.replace t.seen op.client op.seq Status.in_pool;
       Queue.push op t.queue)
     ops
 
 let snapshot t =
   Queue.fold
-    (fun acc op -> if status t op = In_pool then op :: acc else acc)
+    (fun acc (op : Operation.t) ->
+      if status_at t (Pair_tbl.slot t.seen op.client op.seq) = Status.in_pool then
+        op :: acc
+      else acc)
     [] t.queue
   |> List.rev

@@ -1,7 +1,16 @@
 (** A priority queue of timestamped events — an array-backed binary heap
     with O(log n) push/pop that allocates nothing once its arrays have
     grown. Ties break by insertion order (a monotonically increasing
-    sequence number), which keeps simulations deterministic. *)
+    sequence number), which keeps simulations deterministic.
+
+    The values live in a slab: each one stays in one slab slot from push
+    to pop, and the heap sifts only an unboxed [(time, seq, slot)] triple,
+    with seq and slot packed into one int, so a sift moves no pointer and
+    pays no GC write barrier. The free slots are kept in the same int
+    array, past the heap's end, so the slab costs no array of its own. A
+    popped value's slot is cleared, so the queue holds no popped value.
+    One queue holds at most 2{^24} events and takes at most 2{^38} pushes
+    in its lifetime; past either, {!push} raises [Failure]. *)
 
 type 'a t
 

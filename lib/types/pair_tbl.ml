@@ -4,7 +4,9 @@
    [In_marks] table keeps value [v] as the mark byte [v + 1] and has no
    value array. Removal shifts later members of the probe run back into
    the hole (Knuth's Algorithm R), so every run stays contiguous and an
-   empty slot always ends a search. *)
+   empty slot always ends a search. The slot-level calls let a caller
+   probe once per key and then read, write, insert or remove at the
+   slot that probe found. *)
 
 type _ kind = In_marks : int kind | Boxed : 'a -> 'a kind
 
@@ -69,25 +71,43 @@ let value (type a) (t : a t) i : a =
   | Boxed _ -> t.values.(i)
 
 (* Occupy slot [i] with value [v]; the key halves are the caller's. *)
-let set (type a) (t : a t) i (v : a) =
+let occupy (type a) (t : a t) i (v : a) =
   match t.kind with
-  | In_marks ->
-      if v < 0 || v > 254 then
-        invalid_arg "Pair_tbl.replace: byte value outside [0, 254]";
-      Bytes.set t.marks i (Char.unsafe_chr (v + 1))
+  | In_marks -> Bytes.set t.marks i (Char.unsafe_chr (v + 1))
   | Boxed _ ->
       Bytes.set t.marks i '\001';
       t.values.(i) <- v
+
+(* Every exported call that stores a value checks it first; [fn] names
+   that call in the error. *)
+let check_value (type a) ~fn (t : a t) (v : a) =
+  match t.kind with
+  | In_marks ->
+      if v < 0 || v > 254 then invalid_arg (fn ^ ": byte value outside [0, 254]")
+  | Boxed _ -> ()
 
 let clear (type a) (t : a t) i =
   Bytes.set t.marks i empty;
   match t.kind with In_marks -> () | Boxed dummy -> t.values.(i) <- dummy
 
-let mem t a b = index t a b (home t a b) >= 0
+let slot t a b = index t a b (home t a b)
+let mem t a b = slot t a b >= 0
 
 let find t a b =
-  let i = index t a b (home t a b) in
+  let i = slot t a b in
   if i < 0 then raise Not_found else value t i
+
+let check_occupied ~fn t i =
+  if Bytes.get t.marks i = empty then invalid_arg (fn ^ ": an empty slot")
+
+let get t i =
+  check_occupied ~fn:"Pair_tbl.get" t i;
+  value t i
+
+let set t i v =
+  check_occupied ~fn:"Pair_tbl.set" t i;
+  check_value ~fn:"Pair_tbl.set" t v;
+  occupy t i v
 
 let grow (type a) (t : a t) =
   let old = { t with size = t.size } (* a copy holding the old arrays *) in
@@ -106,26 +126,36 @@ let grow (type a) (t : a t) =
       let j = free_slot t (home t a b) in
       t.hi.(j) <- a;
       t.lo.(j) <- b;
-      set t j (value old i)
+      occupy t j (value old i)
     end
   done
 
+(* The hint is the empty slot that ended the key's search, which holds
+   until the table grows; a growing insert searches the new arrays. *)
+let insert_at ~fn t ~hint a b v =
+  if hint >= 0 then invalid_arg (fn ^ ": the hint is an occupied slot");
+  check_value ~fn t v;
+  let i =
+    if (t.size + 1) * 4 <= (t.mask + 1) * 3 then lnot hint
+    else begin
+      grow t;
+      free_slot t (home t a b)
+    end
+  in
+  occupy t i v;
+  t.hi.(i) <- a;
+  t.lo.(i) <- b;
+  t.size <- t.size + 1
+
+let insert t ~hint a b v = insert_at ~fn:"Pair_tbl.insert" t ~hint a b v
+
 let replace t a b v =
-  let i = index t a b (home t a b) in
-  if i >= 0 then set t i v
-  else begin
-    let i =
-      if (t.size + 1) * 4 <= (t.mask + 1) * 3 then lnot i
-      else begin
-        grow t;
-        free_slot t (home t a b)
-      end
-    in
-    set t i v;
-    t.hi.(i) <- a;
-    t.lo.(i) <- b;
-    t.size <- t.size + 1
+  let i = slot t a b in
+  if i >= 0 then begin
+    check_value ~fn:"Pair_tbl.replace" t v;
+    occupy t i v
   end
+  else insert_at ~fn:"Pair_tbl.replace" t ~hint:i a b v
 
 (* [hole] is empty and [j] walks the rest of its probe run. The entry at
    [j] may move into [hole] unless its home lies cyclically in
@@ -139,19 +169,24 @@ let rec close_hole t hole j =
     else begin
       t.hi.(hole) <- t.hi.(j);
       t.lo.(hole) <- t.lo.(j);
-      set t hole (value t j);
+      occupy t hole (value t j);
       clear t j;
       close_hole t j j
     end
   end
 
+let unbind t i =
+  clear t i;
+  t.size <- t.size - 1;
+  close_hole t i i
+
+let remove_slot t i =
+  check_occupied ~fn:"Pair_tbl.remove_slot" t i;
+  unbind t i
+
 let remove t a b =
-  let i = index t a b (home t a b) in
-  if i >= 0 then begin
-    clear t i;
-    t.size <- t.size - 1;
-    close_hole t i i
-  end
+  let i = slot t a b in
+  if i >= 0 then unbind t i
 
 let fold f t acc =
   let acc = ref acc in

@@ -331,7 +331,9 @@ let test_entry_point_contract () =
     (Marlin_runtime.Registry.all ())
 
 (* Fetch, Fetch_resp and verified commit certificates are answered by
-   [Replica.Drive], the same way for every protocol. *)
+   [Replica.Drive], the same way for every protocol. The store is seeded
+   the way a replica learns a body it missed: a commit certificate for an
+   unknown block makes it fetch the body, and the response commits it. *)
 let test_drive_arms () =
   List.iter
     (fun (name, (module P : C.PROTOCOL)) ->
@@ -342,7 +344,21 @@ let test_drive_arms () =
           ~payload:(Batch.of_list [ Operation.make ~client:1 ~seq:1 ~body:"op" ])
           ~justify:(Block.J_qc Qc.genesis)
       in
-      ignore (P.on_message p (from_2 (Message.Fetch_resp { block = b1 })));
+      let fetches =
+        P.on_message p (from_2 (Message.Phase_cert (commit_qc_at ~view:0 b1)))
+      in
+      Alcotest.(check bool) (name ^ ": an unknown certified block is fetched") true
+        (List.exists
+           (function
+             | C.Send { msg = { Message.payload = Message.Fetch { digest }; _ }; _ } ->
+                 Sha256.equal digest (Block.digest b1)
+             | _ -> false)
+           fetches);
+      let acts = P.on_message p (from_2 (Message.Fetch_resp { block = b1 })) in
+      Alcotest.(check bool) (name ^ ": a commit certificate commits the block") true
+        (List.exists
+           (function C.Commit [ b ] -> Block.equal b b1 | _ -> false)
+           acts);
       (match P.on_message p (from_2 (Message.Fetch { digest = Block.digest b1 })) with
       | [ C.Send { dst = 2; msg = { Message.payload = Message.Fetch_resp { block }; _ } } ]
         ->
@@ -352,11 +368,6 @@ let test_drive_arms () =
       Alcotest.(check int) (name ^ ": unknown digest gets nothing") 0
         (List.length
            (P.on_message p (from_2 (Message.Fetch { digest = Sha256.string "nope" }))));
-      let acts = P.on_message p (from_2 (Message.Phase_cert (commit_qc_at ~view:0 b1))) in
-      Alcotest.(check bool) (name ^ ": a commit certificate commits the block") true
-        (List.exists
-           (function C.Commit [ b ] -> Block.equal b b1 | _ -> false)
-           acts);
       Alcotest.(check bool) (name ^ ": the committed head") true
         (Block.equal (P.committed_head p) b1))
     (Marlin_runtime.Registry.all ());
@@ -386,6 +397,29 @@ let test_drive_arms () =
       raises_view ("byzantine " ^ name)
         (Marlin_faults.Byzantine.wrap ~plan:(fun _ -> Some behaviour) proto))
     Marlin_faults.Byzantine.[ Equivocator; Silent_leader; Vote_withholder; Stale_qc_voter ]
+
+(* A Byzantine peer floods an honest replica with FETCH-RESPs for blocks
+   it never asked for. The block store is never pruned, so storing them
+   would grow it without bound; every one is dropped. *)
+let test_unsolicited_fetch_resps () =
+  let (module P : C.PROTOCOL) = Marlin_runtime.Registry.find_exn "chained-marlin" in
+  let p = P.create (cfg 2) in
+  ignore (P.on_start p);
+  let acts = ref 0 in
+  for k = 1 to 10_000 do
+    let block =
+      Block.make_normal ~parent:Block.genesis ~view:0
+        ~payload:
+          (Batch.of_list [ Operation.make ~client:3 ~seq:k ~body:"unsolicited" ])
+        ~justify:(Block.J_qc Qc.genesis)
+    in
+    let m = Message.make ~sender:3 ~view:0 (Message.Fetch_resp { block }) in
+    acts := !acts + List.length (P.on_message p m)
+  done;
+  Alcotest.(check int) "the store holds genesis only" 1
+    (Block_store.size (P.block_store p));
+  Alcotest.(check int) "no action answers them" 0 !acts;
+  Alcotest.(check int) "the view stays" 0 (P.current_view p)
 
 (* ---------- the replica's lock and highQC ---------- *)
 
@@ -480,6 +514,7 @@ let suite =
     ("replica vote record and view entry", `Quick, test_vote_record);
     ("replica lock and highQC only rise", `Quick, test_raise_lock_high);
     ("Drive answers fetches and commit certificates", `Quick, test_drive_arms);
+    ("Drive drops 10,000 unsolicited fetch responses", `Quick, test_unsolicited_fetch_resps);
     ("auth cache rejects a spliced tag", `Quick, test_auth_cache_rejects_spliced_tag);
     ("auth charges each replica once", `Quick, test_auth_charges_per_replica);
   ]

@@ -124,6 +124,69 @@ let test_event_queue_releases_popped () =
       (not popped.(i)) (Weak.check weak i)
   done
 
+(* A slab slot is reused by the next push after its value is popped. Grow
+   the queue, drain it, refill it with fewer values than it has room for
+   and pop some of those: every popped value, first fill and refill
+   alike, must be collectable, and every queued one still held. *)
+let test_event_queue_refill_releases () =
+  let q = Event_queue.create () in
+  let first = 300 and refill = 120 and left = 9 in
+  let weak = Weak.create (first + refill) in
+  let fill ~from k =
+    let rng = Rng.create ~seed:from in
+    for i = from to from + k - 1 do
+      let v = ref i in
+      Weak.set weak i (Some v);
+      Event_queue.push q ~time:(float_of_int (Rng.int rng 40)) v
+    done
+  in
+  let popped = Array.make (first + refill) false in
+  let pop_some k =
+    for _ = 1 to k do
+      let v = Event_queue.pop_min q in
+      popped.(!v) <- true
+    done
+  in
+  fill ~from:0 first;
+  pop_some first;
+  fill ~from:first refill;
+  pop_some (refill - left);
+  Gc.full_major ();
+  Alcotest.(check int) "still queued" left (Event_queue.length q);
+  for i = 0 to first + refill - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "value %d held iff still queued" i)
+      (not popped.(i)) (Weak.check weak i)
+  done
+
+(* Once the queue has grown, pushing and popping heap values allocates
+   nothing. The times are boxed beforehand: a float read from a flat
+   array would be boxed again to be passed to [push]. *)
+let test_event_queue_no_alloc () =
+  let q = Event_queue.create () in
+  let n = 5000 in
+  let rng = Rng.create ~seed:12 in
+  let events =
+    Array.init n (fun i -> (0.040 +. Rng.float rng 0.001 +. float_of_int (i mod 7), ref i))
+  in
+  let round () =
+    for i = 0 to n - 1 do
+      let time, v = events.(i) in
+      Event_queue.push q ~time v
+    done;
+    let sum = ref 0 in
+    while not (Event_queue.is_empty q) do
+      sum := !sum + !(Event_queue.pop_min q)
+    done;
+    !sum
+  in
+  ignore (round ());
+  let before = Gc.minor_words () in
+  let sum = round () + round () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "minor words for 10k pushes and pops" 0 (int_of_float words);
+  Alcotest.(check int) "every value popped" (n * (n - 1)) sum
+
 let test_event_queue_high_water () =
   let q = Event_queue.create () in
   let push k = for i = 1 to k do Event_queue.push q ~time:(float_of_int i) i done in
@@ -603,6 +666,10 @@ let suite =
       ("event queue releases popped values", `Quick,
         test_event_queue_releases_popped);
       ("event queue high-water mark", `Quick, test_event_queue_high_water);
+      ("event queue releases values from reused slots", `Quick,
+        test_event_queue_refill_releases);
+      ("event queue push and pop allocate nothing once grown", `Quick,
+        test_event_queue_no_alloc);
     ]
 
 let () = Alcotest.run "sim" [ ("sim", suite) ]

@@ -574,12 +574,19 @@ let test_batch_count_bound () =
 
 (* Keys come from a few values per half, extremes and negatives included,
    so tables collide, wrap their probe runs past the last slot, and close
-   holes by backward shift; no key value marks an empty slot. *)
+   holes by backward shift; no key value marks an empty slot. The
+   [Slot_*] ops make the same changes through the slot-level calls: one
+   [Pair_tbl.slot] probe, then [set] or [insert] at its answer, [get] at
+   it, or [remove_slot] there. An insert that grows the table gets a hint
+   of the old arrays. *)
 type pair_op =
   | Replace of int * int * int
   | Remove of int * int
   | Find of int * int
   | Reset
+  | Slot_replace of int * int * int
+  | Slot_remove of int * int
+  | Slot_find of int * int
 
 let pair_op_gen =
   let open QCheck.Gen in
@@ -590,6 +597,9 @@ let pair_op_gen =
       (3, map2 (fun c s -> Remove (c, s)) half half);
       (3, map2 (fun c s -> Find (c, s)) half half);
       (1, return Reset);
+      (6, map3 (fun c s v -> Slot_replace (c, s, v)) half half (int_range 0 254));
+      (3, map2 (fun c s -> Slot_remove (c, s)) half half);
+      (3, map2 (fun c s -> Slot_find (c, s)) half half);
     ]
 
 let print_pair_op = function
@@ -597,6 +607,9 @@ let print_pair_op = function
   | Remove (c, s) -> Printf.sprintf "remove (%d,%d)" c s
   | Find (c, s) -> Printf.sprintf "find (%d,%d)" c s
   | Reset -> "reset"
+  | Slot_replace (c, s, v) -> Printf.sprintf "slot-replace (%d,%d) %d" c s v
+  | Slot_remove (c, s) -> Printf.sprintf "slot-remove (%d,%d)" c s
+  | Slot_find (c, s) -> Printf.sprintf "slot-find (%d,%d)" c s
 
 let pair_ops_arb =
   QCheck.make
@@ -644,6 +657,21 @@ let agrees_with_model (t : int Pair_tbl.t) ops =
             Pair_tbl.reset t;
             Hashtbl.reset model;
             true
+        | Slot_replace (c, s, v) ->
+            let i = Pair_tbl.slot t c s in
+            if i >= 0 then Pair_tbl.set t i v else Pair_tbl.insert t ~hint:i c s v;
+            Hashtbl.replace model (c, s) v;
+            true
+        | Slot_remove (c, s) ->
+            let i = Pair_tbl.slot t c s in
+            if i >= 0 then Pair_tbl.remove_slot t i;
+            Hashtbl.remove model (c, s);
+            true
+        | Slot_find (c, s) ->
+            let i = Pair_tbl.slot t c s in
+            Option.equal Int.equal
+              (if i >= 0 then Some (Pair_tbl.get t i) else None)
+              (Hashtbl.find_opt model (c, s))
       in
       answers_agree
       && Pair_tbl.length t = Hashtbl.length model
@@ -671,6 +699,40 @@ let test_pair_tbl_byte_range () =
     [ -1; 255 ];
   Alcotest.(check int) "a rejected value binds nothing" 1 (Pair_tbl.length t)
 
+(* Every insert goes through a hint, so every growth happens inside an
+   insert whose hint is a slot of the arrays it replaces; the key must
+   still land where a search finds it. Misused slots are refused. *)
+let test_pair_tbl_hint_across_growth () =
+  List.iter
+    (fun (name, (t : int Pair_tbl.t)) ->
+      let keys = 1000 in
+      for k = 0 to keys - 1 do
+        let hint = Pair_tbl.slot t k (-k) in
+        Alcotest.(check bool) (name ^ ": an absent key gives a hint") true (hint < 0);
+        Pair_tbl.insert t ~hint k (-k) (k land 127)
+      done;
+      Alcotest.(check int) (name ^ ": every insert bound a key") keys (Pair_tbl.length t);
+      for k = 0 to keys - 1 do
+        let i = Pair_tbl.slot t k (-k) in
+        if i < 0 || Pair_tbl.get t i <> k land 127 then
+          Alcotest.failf "%s: key %d lost across a growth" name k
+      done;
+      let occupied = Pair_tbl.slot t 0 0 and empty = Pair_tbl.slot t (-1) (-1) in
+      let raises what f =
+        match f () with
+        | () -> Alcotest.failf "%s: %s was accepted" name what
+        | exception Invalid_argument _ -> ()
+      in
+      raises "an occupied slot as a hint" (fun () ->
+          Pair_tbl.insert t ~hint:occupied (-1) (-1) 1);
+      raises "get at an empty slot" (fun () -> ignore (Pair_tbl.get t (lnot empty)));
+      raises "set at an empty slot" (fun () -> Pair_tbl.set t (lnot empty) 1);
+      raises "remove_slot at an empty slot" (fun () ->
+          Pair_tbl.remove_slot t (lnot empty));
+      Alcotest.(check int) (name ^ ": refused calls change nothing") keys
+        (Pair_tbl.length t))
+    [ ("boxed", Pair_tbl.create ~dummy:0 0); ("bytes", Pair_tbl.create_bytes 0) ]
+
 (* Once grown, the hot calls allocate nothing: keys stay unboxed and
    statuses live in the marker byte. *)
 let test_pair_tbl_no_alloc () =
@@ -689,12 +751,24 @@ let test_pair_tbl_no_alloc () =
     Pair_tbl.replace boxed i (-i) (i + 1);
     Pair_tbl.replace bytes (-i) i 200
   done;
+  (* the slot-level calls: a read-modify-write at one probe, then a
+     removal at it and a re-insert at the hint that removal leaves *)
+  for i = 0 to keys - 1 do
+    let b = Pair_tbl.slot boxed i (-i) and y = Pair_tbl.slot bytes (-i) i in
+    Pair_tbl.set boxed b (Pair_tbl.get boxed b + 1);
+    Pair_tbl.set bytes y (Pair_tbl.get bytes y - 1);
+    Pair_tbl.remove_slot boxed b;
+    Pair_tbl.remove_slot bytes y;
+    Pair_tbl.insert boxed ~hint:(Pair_tbl.slot boxed i (-i)) i (-i) i;
+    Pair_tbl.insert bytes ~hint:(Pair_tbl.slot bytes (-i) i) (-i) i 7
+  done;
   for i = 0 to keys - 1 do
     Pair_tbl.remove boxed i (-i);
     Pair_tbl.remove bytes (-i) i
   done;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "minor words for 100k mem/find/replace/remove" 0
+  Alcotest.(check int)
+    "minor words for 100k mem/find/replace/remove and slot/get/set/insert/remove_slot" 0
     (int_of_float words);
   Alcotest.(check int) "tables emptied" 0
     (Pair_tbl.length boxed + Pair_tbl.length bytes);
@@ -730,6 +804,7 @@ let suite =
   @ [ ("pair table rejects bytes outside [0, 254]", `Quick, test_pair_tbl_byte_range);
       ("pair table: once grown, mem/find/replace/remove allocate nothing", `Quick,
        test_pair_tbl_no_alloc);
+      ("pair table insert hints survive growth", `Quick, test_pair_tbl_hint_across_growth);
       ("decoder rejects overflowing varints", `Quick, test_varint_overflow);
       ("decoder rejects trailing bytes", `Quick, test_trailing_bytes);
       ("decoder rejects batch counts the input cannot hold", `Quick, test_batch_count_bound) ]
