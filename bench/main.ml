@@ -29,6 +29,7 @@ module Arrival = Marlin_workload.Arrival
 module Faults = Marlin_faults
 module Obs = Marlin_obs
 module Gate = Test_support.Gate
+module J = Obs.Json_lite
 
 (* The command-line options a target may read. *)
 type opts = {
@@ -350,9 +351,9 @@ let related_work o =
         Printf.printf "%-10s | %12.0f %9.1f | %16.0f\n" name (lat *. 1000.)
           (lat /. hop) per_op;
         ( name,
-          Printf.sprintf
-            {|{"latency_mean":%.6f,"hops":%.2f,"bytes_per_op":%.1f}|} lat
-            (lat /. hop) per_op ))
+          J.obj
+            [ ("latency_mean", J.num ~dp:6 lat); ("hops", J.num ~dp:2 (lat /. hop));
+              ("bytes_per_op", J.num ~dp:1 per_op) ] ))
       [ ("pbft", pbft); ("marlin", basic_marlin); ("hotstuff", basic_hotstuff) ]
   in
   Printf.printf
@@ -448,7 +449,7 @@ let ablate_shadow _ =
       Printf.printf "%10d | %14d %14d | %7.1f%%\n" ops shadow naive
         (100. *. (1. -. (float_of_int shadow /. float_of_int naive)));
       ( Printf.sprintf "batch=%d" ops,
-        Printf.sprintf {|{"with_shadow":%d,"without":%d}|} shadow naive ))
+        J.obj [ ("with_shadow", J.int shadow); ("without", J.int naive) ] ))
     [ 0; 16; 128; 1024 ]
 
 (* Batch size drives the block rate / latency trade-off. *)
@@ -512,7 +513,7 @@ let faults o =
 
 let micro _ =
   List.map
-    (fun (name, ns) -> (name, Printf.sprintf {|{"ns_per_op":%.1f}|} ns))
+    (fun (name, ns) -> (name, J.obj [ ("ns_per_op", J.num ~dp:1 ns) ]))
     (Bench_micro.run ())
 
 (* ------------------------------------------------------------------ *)
@@ -731,9 +732,9 @@ let spans o =
             (fun w -> Format.printf "  %a@." Obs.Timeseries.pp_window w)
             (Obs.Timeseries.windows ts);
           ( label,
-            Printf.sprintf {|{"critical_path":%s,"timeseries":%s}|}
-              (Obs.Critical_path.to_json cp)
-              (Obs.Timeseries.to_json ~label ts) ))
+            J.obj
+              [ ("critical_path", Obs.Critical_path.to_json cp);
+                ("timeseries", Obs.Timeseries.to_json ~label ts) ] ))
     (Obs.Trace_reader.runs (Obs.Trace_reader.read_file path))
 
 (* ------------------------------------------------------------------ *)
@@ -844,15 +845,25 @@ let scaling o =
               vc.Experiment.vc_authenticators peak_events wall;
             ( (name, n, vc.Experiment.vc_authenticators),
               ( Printf.sprintf "%s n=%d" name n,
-                Printf.sprintf
-                  {|{"n":%d,"f":%d,"clients":%d,"throughput":%.2f,"latency_mean":%.6f,"blocks":%d,"happy_msgs":%d,"happy_auths":%d,"happy_bytes":%d,"msgs_per_block":%.4f,"auths_per_block":%.4f,"vc_latency":%.6f,"vc_msgs":%d,"vc_auths":%d,"vc_bytes":%d,"peak_events":%d,"agreement":%b,"wall_seconds":%.3f}|}
-                  n params.Cluster.f
-                  (Workload.closed_clients params.Cluster.workload)
-                  throughput latency.Stats.mean blocks msgs auths
-                  sent.Obs.Metrics.bytes (per_block msgs) (per_block auths)
-                  vc_latency vc.Experiment.vc_messages
-                  vc.Experiment.vc_authenticators vc.Experiment.vc_bytes
-                  peak_events agreement wall ) ))
+                J.obj
+                  [ ("n", J.int n); ("f", J.int params.Cluster.f);
+                    ( "clients",
+                      J.int (Workload.closed_clients params.Cluster.workload) );
+                    ("throughput", J.num ~dp:2 throughput);
+                    ("latency_mean", J.num ~dp:6 latency.Stats.mean);
+                    ("blocks", J.int blocks); ("happy_msgs", J.int msgs);
+                    ("happy_auths", J.int auths);
+                    ("happy_bytes", J.int sent.Obs.Metrics.bytes);
+                    ("msgs_per_block", J.num ~dp:4 (per_block msgs));
+                    ("auths_per_block", J.num ~dp:4 (per_block auths));
+                    ("vc_latency", J.num ~dp:6 vc_latency);
+                    ("vc_msgs", J.int vc.Experiment.vc_messages);
+                    ("vc_auths", J.int vc.Experiment.vc_authenticators);
+                    ("vc_bytes", J.int vc.Experiment.vc_bytes);
+                    ("peak_events", J.int peak_events);
+                    ("agreement", J.bool agreement);
+                    ("wall_seconds", J.num ~dp:3 wall) ]
+              ) ))
           (List.filter (fun n -> n <= cap) ns))
       (Registry.all ())
   in
@@ -967,9 +978,9 @@ let load o =
           point_recs
           @ [
               ( Printf.sprintf "%s n=%d knee" name n,
-                Printf.sprintf {|{"sustainable":%b,"point":%s}|}
-                  (cap = `Within_cap)
-                  (Experiment.open_loop_to_json k) );
+                J.obj
+                  [ ("sustainable", J.bool (cap = `Within_cap));
+                    ("point", Experiment.open_loop_to_json k) ] );
             ])
         open_loop_ns)
     (* chained marlin/hotstuff first, under their PR 7 labels, so the
@@ -1198,16 +1209,6 @@ let regress t g (o : opts) =
 (* Machine-readable output: --json FILE                                *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* [ran]: each target run, in order, with its records. *)
 let write_json ~path ~wall_seconds ran =
   let wall_seconds =
@@ -1217,16 +1218,23 @@ let write_json ~path ~wall_seconds ran =
     List.concat_map (fun (t, recs, _) -> List.map (fun r -> (t.name, r)) recs) ran
   in
   let oc = open_out path in
-  Printf.fprintf oc {|{"schema":"%s","wall_seconds":%.1f,"records":[|}
-    Gate.schema wall_seconds;
+  Printf.fprintf oc {|{"schema":%s,"wall_seconds":%.1f,"records":[|}
+    (J.str Gate.schema) wall_seconds;
   List.iteri
     (fun i (tgt, (label, data)) ->
       if i > 0 then output_char oc ',';
-      Printf.fprintf oc "\n  {\"target\":\"%s\",\"label\":\"%s\",\"data\":%s}"
-        (escape tgt) (escape label) data)
+      Printf.fprintf oc "\n  {\"target\":%s,\"label\":%s,\"data\":%s}"
+        (J.str tgt) (J.str label) data)
     records;
   output_string oc "\n]}\n";
   close_out oc;
+  (* a record that is not valid JSON fails the run here, not in a later
+     reader *)
+  (match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok _ -> ()
+  | Error e ->
+      Printf.eprintf "%s: the JSON written does not parse: %s\n" path e;
+      exit 1);
   Printf.printf "\njson    -> %s (%d records)\n" path (List.length records)
 
 (* ------------------------------------------------------------------ *)

@@ -91,21 +91,16 @@ let classify ~drop_rate ~shed ~rejected ~peak_occupancy ~latency_p99 ts =
   }
 
 let verdict_to_json v =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"bottleneck":"%s","windows":%d,"attributed":%.9f,"drop_rate":%.6f,"shed":%d,"rejected":%d,"peak_occupancy":%d,"latency_p99":%.6f,"shares":{|}
-       (name v.bottleneck) v.evidence.windows v.evidence.attributed
-       v.evidence.drop_rate v.evidence.shed v.evidence.rejected
-       v.evidence.peak_occupancy v.evidence.latency_p99);
-  List.iteri
-    (fun i (c, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|"%s":%.6f|} (Span.component_name c) s))
-    v.evidence.shares;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let open Json_lite in
+  let e = v.evidence in
+  let share (c, s) = (Span.component_name c, num ~dp:6 s) in
+  obj
+    [ ("bottleneck", str (name v.bottleneck)); ("windows", int e.windows);
+      ("attributed", num ~dp:9 e.attributed);
+      ("drop_rate", num ~dp:6 e.drop_rate); ("shed", int e.shed);
+      ("rejected", int e.rejected); ("peak_occupancy", int e.peak_occupancy);
+      ("latency_p99", num ~dp:6 e.latency_p99);
+      ("shares", obj (List.map share e.shares)) ]
 
 let pp_verdict fmt v =
   Format.fprintf fmt "%s (drop=%.1f%% p99=%.3fs occ=%d;" (name v.bottleneck)

@@ -122,31 +122,19 @@ let pp fmt t =
       t.max_attribution_error
   end
 
-let summary_json (s : Stats.summary) =
-  Printf.sprintf
-    {|{"count":%d,"mean":%.9f,"p50":%.9f,"p95":%.9f,"p99":%.9f,"min":%.9f,"max":%.9f}|}
-    s.Stats.count s.Stats.mean s.Stats.p50 s.Stats.p95 s.Stats.p99 s.Stats.min
-    s.Stats.max
-
 let to_json t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"label":"%s","commits":%d,"complete":%d,"end_to_end":%s,"quorum_waits_per_commit":%.4f,"max_attribution_error":%.3g,"components":{|}
-       t.label t.commits t.complete (summary_json t.end_to_end)
-       t.quorum_waits_per_commit t.max_attribution_error);
-  List.iteri
-    (fun i (c, st) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|"%s":{"share":%.6f,"seconds":%s}|}
-           (Span.component_name c) st.share (summary_json st.seconds)))
-    t.components;
-  Buffer.add_string buf {|},"phase_waits":{|};
-  List.iteri
-    (fun i (p, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf {|"%s":%s|} p (summary_json s)))
-    t.phase_waits;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let open Json_lite in
+  let summary = summary ~dp:9 [ `Mean; `P50; `P95; `P99; `Min; `Max ] in
+  let component (c, st) =
+    ( Span.component_name c,
+      obj [ ("share", num ~dp:6 st.share); ("seconds", summary st.seconds) ] )
+  in
+  obj
+    [ ("label", str t.label); ("commits", int t.commits);
+      ("complete", int t.complete); ("end_to_end", summary t.end_to_end);
+      ("quorum_waits_per_commit", num ~dp:4 t.quorum_waits_per_commit);
+      ( "max_attribution_error",
+        raw (Printf.sprintf "%.3g" t.max_attribution_error) );
+      ("components", obj (List.map component t.components));
+      ( "phase_waits",
+        obj (List.map (fun (p, s) -> (p, summary s)) t.phase_waits) ) ]

@@ -187,3 +187,41 @@ let float_at path v = Option.bind (mem path v) to_float
 let int_at path v = Option.bind (mem path v) to_int
 let string_at path v = Option.bind (mem path v) to_string
 let bool_at path v = Option.bind (mem path v) to_bool
+
+(* -- writer -- *)
+
+let needs_escape c = c = '"' || c = '\\' || c < ' '
+
+let str s =
+  if not (String.exists needs_escape s) then "\"" ^ s ^ "\""
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | ('"' | '\\') as c -> Buffer.add_char buf '\\'; Buffer.add_char buf c
+        | c when c < ' ' -> Printf.bprintf buf "\\u%04x" (Char.code c)
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+  end
+
+let int = string_of_int
+let num ~dp v = Printf.sprintf "%.*f" dp v
+let bool = string_of_bool
+let raw s = s
+let arr items = "[" ^ String.concat "," items ^ "]"
+
+let obj fields =
+  let field (k, v) = str k ^ ":" ^ v in
+  "{" ^ String.concat "," (List.map field fields) ^ "}"
+
+let summary ~dp stats (s : Marlin_analysis.Stats.summary) =
+  let stat = function
+    | `Mean -> ("mean", s.mean) | `P50 -> ("p50", s.p50)
+    | `P95 -> ("p95", s.p95) | `P99 -> ("p99", s.p99)
+    | `P999 -> ("p999", s.p999) | `Min -> ("min", s.min) | `Max -> ("max", s.max)
+  in
+  let field k = let name, v = stat k in (name, num ~dp v) in
+  obj (("count", int s.count) :: List.map field stats)

@@ -1,7 +1,8 @@
-(** A minimal JSON reader — just enough to parse the repo's own output
-    (JSONL traces, [BENCH_*.json] baselines) with no external dependency.
-    Not a general-purpose JSON library: [\uXXXX] escapes outside ASCII
-    decode to ['?'], and numbers are plain [float]s. *)
+(** A minimal JSON reader and writer — just enough to write and parse the
+    repo's own output (JSONL traces, [BENCH_*.json] baselines, span
+    reports) with no external dependency. Not a general-purpose JSON
+    library: [\uXXXX] escapes outside ASCII decode to ['?'], and numbers
+    are plain [float]s. *)
 
 type t =
   | Null
@@ -31,3 +32,27 @@ val float_at : string list -> t -> float option
 val int_at : string list -> t -> int option
 val string_at : string list -> t -> string option
 val bool_at : string list -> t -> bool option
+
+(** {1 Writing}
+
+    Pure combinators over JSON text: each returns one rendered value and
+    containers take rendered values, so a record's fields are listed once,
+    each number at fixed decimals ([num ~dp] is [%.*f]). [obj] quotes its
+    keys with [str]; [raw] inserts rendered text as is (a [%.3g] number,
+    [null]). *)
+
+val obj : (string * string) list -> string
+val arr : string list -> string
+val int : int -> string
+val num : dp:int -> float -> string
+val bool : bool -> string
+val raw : string -> string
+
+val str : string -> string
+(** The one place a string is quoted: ['"'], ['\\'] and bytes below 0x20
+    are escaped, every other byte is copied as is. *)
+
+val summary :
+  dp:int -> [ `Mean | `P50 | `P95 | `P99 | `P999 | `Min | `Max ] list ->
+  Marlin_analysis.Stats.summary -> string
+(** [{"count":…}], then the listed statistics in order, at [dp] decimals. *)

@@ -52,10 +52,9 @@ let net_queued t ~time ~id ~src ~dst ~size ~ready ~depart ~tx m =
   match t.trace with
   | None -> ()
   | Some b ->
-      Trace.add b
-        { Trace.time; replica = src; view = -1; height = -1;
-          kind = Trace.Net_queued
-              { id; src; dst; size; msg = Message.type_name m; ready; depart; tx } }
+      Trace.add b ~time ~replica:src ~view:(-1) ~height:(-1)
+        (Trace.Net_queued
+           { id; src; dst; size; msg = Message.type_name m; ready; depart; tx })
 
 let net_delivered t ~time ~id ~src ~dst ~size m =
   if dst >= 0 && dst < Array.length t.metrics then
@@ -63,18 +62,15 @@ let net_delivered t ~time ~id ~src ~dst ~size m =
   match t.trace with
   | None -> ()
   | Some b ->
-      Trace.add b
-        { Trace.time; replica = dst; view = -1; height = -1;
-          kind = Trace.Net_delivered
-              { id; src; dst; size; msg = Message.type_name m } }
+      Trace.add b ~time ~replica:dst ~view:(-1) ~height:(-1)
+        (Trace.Net_delivered { id; src; dst; size; msg = Message.type_name m })
 
 let fault_injected t ~time ?(target = -1) ~label () =
   match t.trace with
   | None -> ()
   | Some b ->
-      Trace.add b
-        { Trace.time; replica = target; view = -1; height = -1;
-          kind = Trace.Fault_injected { label } }
+      Trace.add b ~time ~replica:target ~view:(-1) ~height:(-1)
+        (Trace.Fault_injected { label })
 
 (* -- exporters -- *)
 
@@ -90,15 +86,32 @@ let csv_counter_row buf ~label ~replica ~row ~name (c : Metrics.dir_counter) =
     (Printf.sprintf "%s,%d,%s,%s,%d,%d,%d,,,,,,,,\n" label replica row name
        c.Metrics.msgs c.Metrics.bytes c.Metrics.auths)
 
-let csv_event_row buf ~label ~replica ~name value =
-  Buffer.add_string buf
-    (Printf.sprintf "%s,%d,counter,%s,%d,,,,,,,,,,\n" label replica name value)
-
-let csv_hist_row buf ~label ~replica ~name (s : Stats.summary) =
-  Buffer.add_string buf
-    (Printf.sprintf "%s,%d,hist,%s,,,,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n"
-       label replica name s.Stats.count s.Stats.mean s.Stats.p50 s.Stats.p95
-       s.Stats.p99 s.Stats.p999 s.Stats.min s.Stats.max)
+(* The per-replica rows after the sent/recv counters, in export order:
+   each row's name, and its accessor rendering the row kind and every
+   cell after the name. *)
+let scalar_rows =
+  let counter get m = ("counter", Printf.sprintf "%d,,,,,,,,,," (get m)) in
+  let hist get m =
+    let s : Stats.summary = get m in
+    ( "hist",
+      Printf.sprintf ",,,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f" s.count s.mean
+        s.p50 s.p95 s.p99 s.p999 s.min s.max )
+  in
+  [
+    ("proposals", counter Metrics.proposals);
+    ("qcs", counter Metrics.qcs);
+    ("blocks_committed", counter Metrics.blocks_committed);
+    ("ops_committed", counter Metrics.ops_committed);
+    ("view_changes", counter Metrics.view_changes);
+    ("timer_fires", counter Metrics.timer_fires);
+    ("ops_admitted", counter Metrics.ops_admitted);
+    ("ops_duplicate", counter Metrics.ops_duplicate);
+    ("ops_rejected_full", counter Metrics.ops_rejected_full);
+    ("ops_rejected_client_cap", counter Metrics.ops_rejected_client_cap);
+    ("mempool_peak_occupancy", counter Metrics.mempool_peak_occupancy);
+    ("commit_latency", hist Metrics.commit_latency);
+    ("vc_latency", hist Metrics.vc_latency);
+  ]
 
 let metrics_csv ?(label = "run") t =
   let buf = Buffer.create 1024 in
@@ -112,29 +125,11 @@ let metrics_csv ?(label = "run") t =
           csv_counter_row buf ~label ~replica ~row:"recv" ~name:kind
             (Metrics.recv m ~kind))
         (Metrics.kinds m);
-      csv_event_row buf ~label ~replica ~name:"proposals" (Metrics.proposals m);
-      csv_event_row buf ~label ~replica ~name:"qcs" (Metrics.qcs m);
-      csv_event_row buf ~label ~replica ~name:"blocks_committed"
-        (Metrics.blocks_committed m);
-      csv_event_row buf ~label ~replica ~name:"ops_committed"
-        (Metrics.ops_committed m);
-      csv_event_row buf ~label ~replica ~name:"view_changes"
-        (Metrics.view_changes m);
-      csv_event_row buf ~label ~replica ~name:"timer_fires"
-        (Metrics.timer_fires m);
-      csv_event_row buf ~label ~replica ~name:"ops_admitted"
-        (Metrics.ops_admitted m);
-      csv_event_row buf ~label ~replica ~name:"ops_duplicate"
-        (Metrics.ops_duplicate m);
-      csv_event_row buf ~label ~replica ~name:"ops_rejected_full"
-        (Metrics.ops_rejected_full m);
-      csv_event_row buf ~label ~replica ~name:"ops_rejected_client_cap"
-        (Metrics.ops_rejected_client_cap m);
-      csv_event_row buf ~label ~replica ~name:"mempool_peak_occupancy"
-        (Metrics.mempool_peak_occupancy m);
-      csv_hist_row buf ~label ~replica ~name:"commit_latency"
-        (Metrics.commit_latency m);
-      csv_hist_row buf ~label ~replica ~name:"vc_latency"
-        (Metrics.vc_latency m))
+      List.iter
+        (fun (name, cells) ->
+          let row, rest = cells m in
+          Buffer.add_string buf
+            (Printf.sprintf "%s,%d,%s,%s,%s\n" label replica row name rest))
+        scalar_rows)
     t.metrics;
   Buffer.contents buf

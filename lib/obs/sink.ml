@@ -29,9 +29,8 @@ let propose h ~view ~height ~txs =
       Metrics.note_proposal_seen s.metrics ~height ~time;
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time; replica = s.replica; view; height;
-              kind = Trace.Propose { txs } }
+          Trace.add buf ~time ~replica:s.replica ~view ~height
+            (Trace.Propose { txs })
       | None -> ())
 
 let vote h ~view ~height ~phase =
@@ -42,9 +41,8 @@ let vote h ~view ~height ~phase =
       Metrics.note_proposal_seen s.metrics ~height ~time;
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time; replica = s.replica; view; height;
-              kind = Trace.Vote_sent { phase } }
+          Trace.add buf ~time ~replica:s.replica ~view ~height
+            (Trace.Vote_sent { phase })
       | None -> ())
 
 let qc_formed h ~view ~height ~phase =
@@ -55,9 +53,8 @@ let qc_formed h ~view ~height ~phase =
       Metrics.note_qc s.metrics;
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time; replica = s.replica; view; height;
-              kind = Trace.Qc_formed { phase } }
+          Trace.add buf ~time ~replica:s.replica ~view ~height
+            (Trace.Qc_formed { phase })
       | None -> ())
 
 let commit h ~view ~height ~blocks ~ops =
@@ -68,9 +65,8 @@ let commit h ~view ~height ~blocks ~ops =
       Metrics.note_commit s.metrics ~height ~blocks ~ops ~time;
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time; replica = s.replica; view; height;
-              kind = Trace.Commit { blocks; ops } }
+          Trace.add buf ~time ~replica:s.replica ~view ~height
+            (Trace.Commit { blocks; ops })
       | None -> ())
 
 let view_enter h ~view ~cause =
@@ -79,9 +75,8 @@ let view_enter h ~view ~cause =
   | Some s -> (
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time = s.clock (); replica = s.replica; view; height = -1;
-              kind = Trace.View_enter { cause } }
+          Trace.add buf ~time:(s.clock ()) ~replica:s.replica ~view ~height:(-1)
+            (Trace.View_enter { cause })
       | None -> ())
 
 let view_change_enter h ~view =
@@ -92,9 +87,8 @@ let view_change_enter h ~view =
       Metrics.note_view_change_enter s.metrics ~time;
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time; replica = s.replica; view; height = -1;
-              kind = Trace.View_change_enter }
+          Trace.add buf ~time ~replica:s.replica ~view ~height:(-1)
+            Trace.View_change_enter
       | None -> ())
 
 let view_change_exit h ~view =
@@ -105,9 +99,8 @@ let view_change_exit h ~view =
       Metrics.note_view_change_exit s.metrics ~time;
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time; replica = s.replica; view; height = -1;
-              kind = Trace.View_change_exit }
+          Trace.add buf ~time ~replica:s.replica ~view ~height:(-1)
+            Trace.View_change_exit
       | None -> ())
 
 (* Metrics only — admissions are per-operation and would swamp the trace
@@ -128,9 +121,8 @@ let timer_armed h ~view ~after ~cause =
   | Some s -> (
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time = s.clock (); replica = s.replica; view; height = -1;
-              kind = Trace.Timer_armed { after; cause } }
+          Trace.add buf ~time:(s.clock ()) ~replica:s.replica ~view ~height:(-1)
+            (Trace.Timer_armed { after; cause })
       | None -> ())
 
 let timer_fired h ~view ~cause =
@@ -140,7 +132,6 @@ let timer_fired h ~view ~cause =
       Metrics.note_timer_fired s.metrics;
       match s.trace with
       | Some buf ->
-          Trace.add buf
-            { Trace.time = s.clock (); replica = s.replica; view; height = -1;
-              kind = Trace.Timer_fired { cause } }
+          Trace.add buf ~time:(s.clock ()) ~replica:s.replica ~view ~height:(-1)
+            (Trace.Timer_fired { cause })
       | None -> ())

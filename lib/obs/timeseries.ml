@@ -200,43 +200,24 @@ let windows t =
 
 let component_seconds w comp = w.segment_seconds.(Span.component_index comp)
 
-(* -- JSON (same conventions as Critical_path.to_json: fixed decimals so
-   output is deterministic and diff-friendly) -- *)
-
-let summary_json (s : Stats.summary) =
-  Printf.sprintf
-    {|{"count":%d,"mean":%.6f,"p50":%.6f,"p99":%.6f,"max":%.6f}|}
-    s.Stats.count s.Stats.mean s.Stats.p50 s.Stats.p99 s.Stats.max
-
-let window_to_json w =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"index":%d,"start":%.6f,"stop":%.6f,"committed":%d,"latency":%s,"admitted":%d,"duplicate":%d,"rejected":%d,"shed":%d,"occupancy_peak":%d,"nic_backlog_peak":%.9f,"attributed":%.9f,"segments":{|}
-       w.index w.start_time w.stop_time w.committed (summary_json w.latency)
-       w.admitted w.duplicate w.rejected w.shed w.occupancy_peak
-       w.nic_backlog_peak w.attributed);
-  List.iteri
-    (fun i comp ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|"%s":%.9f|} (Span.component_name comp)
-           w.segment_seconds.(i)))
-    Span.all_components;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
-
 let to_json ?(label = "run") t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf {|{"label":"%s","width":%.6f,"windows":[|} label t.width);
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (window_to_json w))
-    (windows t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Json_lite in
+  let window w =
+    let segment i c = (Span.component_name c, num ~dp:9 w.segment_seconds.(i)) in
+    obj
+      [ ("index", int w.index); ("start", num ~dp:6 w.start_time);
+        ("stop", num ~dp:6 w.stop_time); ("committed", int w.committed);
+        ("latency", summary ~dp:6 [ `Mean; `P50; `P99; `Max ] w.latency);
+        ("admitted", int w.admitted); ("duplicate", int w.duplicate);
+        ("rejected", int w.rejected); ("shed", int w.shed);
+        ("occupancy_peak", int w.occupancy_peak);
+        ("nic_backlog_peak", num ~dp:9 w.nic_backlog_peak);
+        ("attributed", num ~dp:9 w.attributed);
+        ("segments", obj (List.mapi segment Span.all_components)) ]
+  in
+  obj
+    [ ("label", str label); ("width", num ~dp:6 t.width);
+      ("windows", arr (List.map window (windows t))) ]
 
 let pp_window fmt w =
   Format.fprintf fmt

@@ -43,57 +43,54 @@ let kind_name = function
   | Net_delivered _ -> "net-delivered"
   | Fault_injected _ -> "fault-injected"
 
-(* The per-kind payload as JSON fields, leading comma included. *)
-let kind_fields = function
-  | Propose { txs } -> Printf.sprintf {|,"txs":%d|} txs
-  | Vote_sent { phase } | Qc_formed { phase } ->
-      Printf.sprintf {|,"phase":"%s"|} phase
-  | Commit { blocks; ops } -> Printf.sprintf {|,"blocks":%d,"ops":%d|} blocks ops
-  | View_enter { cause } -> Printf.sprintf {|,"cause":"%s"|} cause
-  | View_change_enter | View_change_exit -> ""
-  | Timer_armed { after; cause } ->
-      Printf.sprintf {|,"after":%.6f,"cause":"%s"|} after cause
-  | Timer_fired { cause } -> Printf.sprintf {|,"cause":"%s"|} cause
-  | Net_queued { id; src; dst; size; msg; ready; depart; tx } ->
-      Printf.sprintf
-        {|,"id":%d,"src":%d,"dst":%d,"size":%d,"msg":"%s","ready":%.9f,"depart":%.9f,"tx":%.9f|}
-        id src dst size msg ready depart tx
-  | Net_delivered { id; src; dst; size; msg } ->
-      Printf.sprintf {|,"id":%d,"src":%d,"dst":%d,"size":%d,"msg":"%s"|} id src
-        dst size msg
-  | Fault_injected { label } -> Printf.sprintf {|,"label":"%s"|} label
-
-let to_json e =
-  let context =
-    if e.view < 0 then ""
-    else Printf.sprintf {|,"view":%d,"height":%d|} e.view e.height
+(* The per-kind payload, as JSON fields after the event's stamp. *)
+let payload =
+  let open Json_lite in
+  let link id src dst size msg =
+    [ ("id", int id); ("src", int src); ("dst", int dst); ("size", int size);
+      ("msg", str msg) ]
   in
-  Printf.sprintf {|{"t":%.9f,"replica":%d,"event":"%s"%s%s}|} e.time e.replica
-    (kind_name e.kind) context (kind_fields e.kind)
+  function
+  | Propose { txs } -> [ ("txs", int txs) ]
+  | Vote_sent { phase } | Qc_formed { phase } -> [ ("phase", str phase) ]
+  | Commit { blocks; ops } -> [ ("blocks", int blocks); ("ops", int ops) ]
+  | View_enter { cause } | Timer_fired { cause } -> [ ("cause", str cause) ]
+  | View_change_enter | View_change_exit -> []
+  | Timer_armed { after; cause } ->
+      [ ("after", num ~dp:6 after); ("cause", str cause) ]
+  | Net_queued { id; src; dst; size; msg; ready; depart; tx } ->
+      link id src dst size msg
+      @ [ ("ready", num ~dp:9 ready); ("depart", num ~dp:9 depart);
+          ("tx", num ~dp:9 tx) ]
+  | Net_delivered { id; src; dst; size; msg } -> link id src dst size msg
+  | Fault_injected { label } -> [ ("label", str label) ]
 
-type buffer = { mutable rev_events : event list; mutable count : int }
+let to_json ?run e =
+  let open Json_lite in
+  let run = match run with None -> [] | Some r -> [ ("run", str r) ] in
+  let context =
+    if e.view < 0 then []
+    else [ ("view", int e.view); ("height", int e.height) ]
+  in
+  obj
+    (run
+    @ [ ("t", num ~dp:9 e.time); ("replica", int e.replica);
+        ("event", str (kind_name e.kind)) ]
+    @ context @ payload e.kind)
 
-let create_buffer () = { rev_events = []; count = 0 }
+type buffer = { mutable rev_events : event list }
 
-let add b e =
-  b.rev_events <- e :: b.rev_events;
-  b.count <- b.count + 1
+let create_buffer () = { rev_events = [] }
+
+let add b ~time ~replica ~view ~height kind =
+  b.rev_events <- { time; replica; view; height; kind } :: b.rev_events
 
 let events b = List.rev b.rev_events
 
 (* lint: allow transitive-impurity -- exporter: writes to the caller's channel after the run *)
 let write_jsonl ?run oc b =
-  let run_field =
-    match run with
-    | None -> ""
-    | Some name -> Printf.sprintf {|"run":"%s",|} name
-  in
   List.iter
     (fun e ->
-      let json = to_json e in
-      (* splice the run label just inside the opening brace *)
-      output_string oc "{";
-      output_string oc run_field;
-      output_string oc (String.sub json 1 (String.length json - 1));
+      output_string oc (to_json ?run e);
       output_char oc '\n')
     (events b)

@@ -51,15 +51,19 @@ type event = {
   kind : kind;
 }
 
-
-val to_json : event -> string
-(** One self-contained JSON object, no trailing newline. *)
+val to_json : ?run:string -> event -> string
+(** One self-contained JSON object, no trailing newline. [run], when
+    given, is the object's first field. *)
 
 (** Append-only event buffer. *)
 type buffer
 
 val create_buffer : unit -> buffer
-val add : buffer -> event -> unit
+
+val add :
+  buffer -> time:float -> replica:int -> view:int -> height:int -> kind -> unit
+(** Stamp [kind] and append it: simulated [time], the emitting [replica],
+    and its [view] and [height] ([-1] for both outside a protocol). *)
 
 val events : buffer -> event list
 (** Oldest first. *)

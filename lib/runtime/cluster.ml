@@ -65,6 +65,18 @@ type open_stats = {
 }
 
 module Make (P : C.PROTOCOL) = struct
+  (* Client-visible open-loop totals since the start of the run. *)
+  type open_counts = {
+    mutable generated : int;
+    mutable sent : int;
+    mutable shed : int;
+    mutable rejected : int; (* by admission control at the contact *)
+    mutable completed : int;
+  }
+
+  let zero_counts () =
+    { generated = 0; sent = 0; shed = 0; rejected = 0; completed = 0 }
+
   type replica = {
     id : int;
     proto : P.t;
@@ -109,18 +121,10 @@ module Make (P : C.PROTOCOL) = struct
        bounded by true in-flight, not by key space *)
     inflight : float Pair_tbl.t;
     lat : Stats.Reservoir.t;
-    mutable generated : int;
-    mutable sent : int;
-    mutable shed : int;
-    mutable ingress_rejected : int;
-    mutable completed_ops : int;
+    counts : open_counts;
+    mutable base : open_counts;
+        (* a copy of [counts] at the last [open_loop_reset_window] *)
     mutable peak_occ : int;
-    (* window marks: totals at the last [open_loop_reset_window] *)
-    mutable base_generated : int;
-    mutable base_sent : int;
-    mutable base_shed : int;
-    mutable base_rejected : int;
-    mutable base_completed : int;
   }
 
   type t = {
@@ -321,7 +325,7 @@ module Make (P : C.PROTOCOL) = struct
             match Pair_tbl.find os.inflight op.client op.seq with
             | t0 ->
                 Pair_tbl.remove os.inflight op.client op.seq;
-                os.completed_ops <- os.completed_ops + 1;
+                os.counts.completed <- os.counts.completed + 1;
                 Stats.Reservoir.add os.lat (finish -. t0);
                 (match t.ts with
                 | Some ts ->
@@ -398,7 +402,7 @@ module Make (P : C.PROTOCOL) = struct
                  contact, so they are not client-visible drops) *)
               match t.open_loop with
               | Some os when src >= t.params.n ->
-                  os.ingress_rejected <- os.ingress_rejected + 1;
+                  os.counts.rejected <- os.counts.rejected + 1;
                   Pair_tbl.remove os.inflight op.client op.seq
               | _ -> ()))
       | _ ->
@@ -436,7 +440,7 @@ module Make (P : C.PROTOCOL) = struct
      Arrivals keep coming whatever the cluster does — that is the point. *)
   let rec source_fire t (os : open_state) (s : source) =
     let now = Sim.now t.sim in
-    os.generated <- os.generated + 1;
+    os.counts.generated <- os.counts.generated + 1;
     let client = Rng.int s.s_rng os.key_space in
     (* interleaved seqs keep (client, seq) globally unique across sources
        without any shared counter *)
@@ -444,13 +448,13 @@ module Make (P : C.PROTOCOL) = struct
     s.s_next_seq <- s.s_next_seq + 1;
     let contact = s.s_index mod t.params.n in
     if Mempool.backpressure t.replicas.(contact).mempool then begin
-      os.shed <- os.shed + 1;
+      os.counts.shed <- os.counts.shed + 1;
       match t.ts with
       | Some ts -> Marlin_obs.Timeseries.note_shed ts ~time:now
       | None -> ()
     end
     else begin
-      os.sent <- os.sent + 1;
+      os.counts.sent <- os.counts.sent + 1;
       let op = Operation.make ~client ~seq ~body:"" in
       Pair_tbl.replace os.inflight client seq now;
       send t ~earliest:now ~src:s.s_endpoint ~dst:contact
@@ -559,17 +563,9 @@ module Make (P : C.PROTOCOL) = struct
                     });
               inflight = Pair_tbl.create ~dummy:0. 256;
               lat = Stats.Reservoir.create ~capacity:8192 ();
-              generated = 0;
-              sent = 0;
-              shed = 0;
-              ingress_rejected = 0;
-              completed_ops = 0;
+              counts = zero_counts ();
+              base = zero_counts ();
               peak_occ = 0;
-              base_generated = 0;
-              base_sent = 0;
-              base_shed = 0;
-              base_rejected = 0;
-              base_completed = 0;
             }
     in
     let reply_clients = Workload.closed_clients params.workload in
@@ -742,22 +738,19 @@ module Make (P : C.PROTOCOL) = struct
      latency reservoir and occupancy high-water mark restart). *)
   let open_loop_reset_window t =
     let os = open_state_exn t in
-    os.base_generated <- os.generated;
-    os.base_sent <- os.sent;
-    os.base_shed <- os.shed;
-    os.base_rejected <- os.ingress_rejected;
-    os.base_completed <- os.completed_ops;
+    os.base <- { os.counts with generated = os.counts.generated };
     os.peak_occ <- 0;
     Stats.Reservoir.clear os.lat
 
   let open_loop_stats t =
     let os = open_state_exn t in
+    let c = os.counts and b = os.base in
     {
-      generated = os.generated - os.base_generated;
-      sent = os.sent - os.base_sent;
-      shed = os.shed - os.base_shed;
-      rejected = os.ingress_rejected - os.base_rejected;
-      completed = os.completed_ops - os.base_completed;
+      generated = c.generated - b.generated;
+      sent = c.sent - b.sent;
+      shed = c.shed - b.shed;
+      rejected = c.rejected - b.rejected;
+      completed = c.completed - b.completed;
       latency = Stats.Reservoir.summarize os.lat;
       peak_occupancy = os.peak_occ;
       inflight = Pair_tbl.length os.inflight;

@@ -49,81 +49,44 @@ type open_loop_result = {
   agreement : bool;
 }
 
-(* -- JSON: one field-list renderer behind every record -- *)
+(* -- JSON: one field list per record, rendered through Json_lite -- *)
 
-(* Every record's to_json is an [obj] of [fld_*] combinators: field
-   names and formats live in exactly one list per record, so adding a
-   record (or a field) cannot drift from the others' conventions. *)
-let obj fields = "{" ^ String.concat "," fields ^ "}"
-let fld_int key v = Printf.sprintf {|"%s":%d|} key v
-let fld_float key ~dp v = Printf.sprintf {|"%s":%.*f|} key dp v
-let fld_bool key v = Printf.sprintf {|"%s":%b|} key v
-let fld_str key v = Printf.sprintf {|"%s":"%s"|} key v
-let fld_raw key v = Printf.sprintf {|"%s":%s|} key v
+module J = Obs.Json_lite
 
-let summary_json (s : Stats.summary) =
-  obj
-    [
-      fld_int "count" s.Stats.count;
-      fld_float "mean" ~dp:6 s.Stats.mean;
-      fld_float "p50" ~dp:6 s.Stats.p50;
-      fld_float "p95" ~dp:6 s.Stats.p95;
-      fld_float "p99" ~dp:6 s.Stats.p99;
-      fld_float "p999" ~dp:6 s.Stats.p999;
-      fld_float "min" ~dp:6 s.Stats.min;
-      fld_float "max" ~dp:6 s.Stats.max;
-    ]
+let summary_json =
+  J.summary ~dp:6 [ `Mean; `P50; `P95; `P99; `P999; `Min; `Max ]
 
 let throughput_to_json (r : throughput_result) =
-  obj
-    [
-      fld_int "clients" r.clients;
-      fld_float "throughput" ~dp:2 r.throughput;
-      fld_raw "latency" (summary_json r.latency);
-      fld_bool "agreement" r.agreement;
-      fld_int "executed" r.executed;
-    ]
+  J.obj
+    [ ("clients", J.int r.clients); ("throughput", J.num ~dp:2 r.throughput);
+      ("latency", summary_json r.latency); ("agreement", J.bool r.agreement);
+      ("executed", J.int r.executed) ]
 
 let view_change_to_json (r : vc_result) =
-  obj
-    [
-      fld_float "vc_latency" ~dp:6 r.vc_latency;
-      fld_bool "unhappy" r.unhappy;
-      fld_int "vc_bytes" r.vc_bytes;
-      fld_int "vc_authenticators" r.vc_authenticators;
-      fld_int "vc_messages" r.vc_messages;
-    ]
+  J.obj
+    [ ("vc_latency", J.num ~dp:6 r.vc_latency); ("unhappy", J.bool r.unhappy);
+      ("vc_bytes", J.int r.vc_bytes);
+      ("vc_authenticators", J.int r.vc_authenticators);
+      ("vc_messages", J.int r.vc_messages) ]
 
 (* recovery_latency is -1 when the cluster never committed again *)
 let fault_to_json (r : fault_result) =
-  obj
-    [
-      fld_str "scenario" r.scenario;
-      fld_bool "recovered" r.recovered;
-      fld_float "recovery_latency" ~dp:6 r.recovery_latency;
-      fld_int "vc_messages" r.vc_messages;
-      fld_int "vc_bytes" r.vc_bytes;
-      fld_int "vc_authenticators" r.vc_authenticators;
-      fld_int "committed" r.committed;
-      fld_bool "agreement" r.agreement;
-      fld_raw "latency" (summary_json r.latency);
-    ]
+  J.obj
+    [ ("scenario", J.str r.scenario); ("recovered", J.bool r.recovered);
+      ("recovery_latency", J.num ~dp:6 r.recovery_latency);
+      ("vc_messages", J.int r.vc_messages); ("vc_bytes", J.int r.vc_bytes);
+      ("vc_authenticators", J.int r.vc_authenticators);
+      ("committed", J.int r.committed); ("agreement", J.bool r.agreement);
+      ("latency", summary_json r.latency) ]
 
 let open_loop_to_json (r : open_loop_result) =
-  obj
-    [
-      fld_str "workload" r.workload;
-      fld_float "offered" ~dp:2 r.offered;
-      fld_float "goodput" ~dp:2 r.goodput;
-      fld_int "generated" r.generated;
-      fld_int "sent" r.sent;
-      fld_int "shed" r.shed;
-      fld_int "rejected" r.rejected;
-      fld_float "drop_rate" ~dp:6 r.drop_rate;
-      fld_int "peak_occupancy" r.peak_occupancy;
-      fld_raw "latency" (summary_json r.latency);
-      fld_bool "agreement" r.agreement;
-    ]
+  J.obj
+    [ ("workload", J.str r.workload); ("offered", J.num ~dp:2 r.offered);
+      ("goodput", J.num ~dp:2 r.goodput); ("generated", J.int r.generated);
+      ("sent", J.int r.sent); ("shed", J.int r.shed);
+      ("rejected", J.int r.rejected); ("drop_rate", J.num ~dp:6 r.drop_rate);
+      ("peak_occupancy", J.int r.peak_occupancy);
+      ("latency", summary_json r.latency); ("agreement", J.bool r.agreement) ]
 
 (* ---------- the driver ---------- *)
 
@@ -307,12 +270,15 @@ let profile_json ~label ~sim_seconds (r : throughput_result) obs cp =
   let per_block v =
     if blocks = 0 then 0. else float_of_int v /. float_of_int blocks
   in
-  Printf.sprintf
-    {|{"label":"%s","sim_seconds":%.3f,"throughput":%s,"blocks_committed":%d,"msgs_per_block":%.4f,"auths_per_block":%.4f,"commit_latency":%s,"phase_breakdown":%s}|}
-    label sim_seconds (throughput_to_json r) blocks
-    (per_block sent.Obs.Metrics.msgs) (per_block sent.Obs.Metrics.auths)
-    (summary_json (Obs.Metrics.commit_latency (Obs.Run.metrics obs).(0)))
-    (Option.fold ~none:"null" ~some:Obs.Critical_path.to_json cp)
+  J.obj
+    [ ("label", J.str label); ("sim_seconds", J.num ~dp:3 sim_seconds);
+      ("throughput", throughput_to_json r); ("blocks_committed", J.int blocks);
+      ("msgs_per_block", J.num ~dp:4 (per_block sent.Obs.Metrics.msgs));
+      ("auths_per_block", J.num ~dp:4 (per_block sent.Obs.Metrics.auths));
+      ( "commit_latency",
+        summary_json (Obs.Metrics.commit_latency (Obs.Run.metrics obs).(0)) );
+      ( "phase_breakdown",
+        Option.fold ~none:(J.raw "null") ~some:Obs.Critical_path.to_json cp ) ]
 
 let sweep proto ~params ~warmup ~duration ~client_counts =
   List.map
@@ -422,26 +388,21 @@ let attribute_knee ?(window = 0.25) proto ~name ~params ~warmup ~duration
   }
 
 let attributed_point_to_json ?(windows = false) p =
-  obj
-    ([
-       fld_raw "point" (open_loop_to_json p.point);
-       fld_raw "verdict" (Obs.Bottleneck.verdict_to_json p.verdict);
-     ]
+  J.obj
+    ([ ("point", open_loop_to_json p.point);
+       ("verdict", Obs.Bottleneck.verdict_to_json p.verdict) ]
     @
     if windows then
-      [ fld_raw "timeseries" (Obs.Timeseries.to_json ~label:"windows" p.timeseries) ]
+      [ ("timeseries", Obs.Timeseries.to_json ~label:"windows" p.timeseries) ]
     else [])
 
 let attribution_to_json a =
-  obj
-    [
-      fld_str "protocol" a.protocol;
-      fld_int "n" a.n;
-      fld_bool "sustainable" a.sustainable;
+  let verdict = a.past_knee.verdict.Obs.Bottleneck.bottleneck in
+  J.obj
+    [ ("protocol", J.str a.protocol); ("n", J.int a.n);
+      ("sustainable", J.bool a.sustainable);
       (* what breaks first: the resource that binds past the knee *)
-      fld_str "verdict"
-        (Obs.Bottleneck.name a.past_knee.verdict.Obs.Bottleneck.bottleneck);
-      fld_raw "knee" (open_loop_to_json a.knee_point);
-      fld_raw "at_knee" (attributed_point_to_json a.at_knee);
-      fld_raw "past_knee" (attributed_point_to_json ~windows:true a.past_knee);
-    ]
+      ("verdict", J.str (Obs.Bottleneck.name verdict));
+      ("knee", open_loop_to_json a.knee_point);
+      ("at_knee", attributed_point_to_json a.at_knee);
+      ("past_knee", attributed_point_to_json ~windows:true a.past_knee) ]

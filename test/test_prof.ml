@@ -317,19 +317,26 @@ let test_client_traffic_ignored () =
 
 (* ---------- JSONL round trip ---------- *)
 
+(* A run label that needs escaping: a quote and a backslash. *)
+let odd_label = "a\"b\\c"
+
 let test_trace_reader_roundtrip () =
   let _, obs = instrumented basic_marlin in
   let path = Filename.temp_file "marlin_prof" ".jsonl" in
   let oc = open_out path in
   Obs.Run.write_trace ~run:"m" oc obs;
+  Obs.Run.write_trace ~run:odd_label oc obs;
   close_out oc;
   let entries = Obs.Trace_reader.read_file path in
   Sys.remove path;
   let direct = Obs.Run.trace_events obs in
-  Alcotest.(check int) "every line parsed" (List.length direct)
+  Alcotest.(check int) "every line parsed" (2 * List.length direct)
     (List.length entries);
   (match Obs.Trace_reader.runs entries with
-  | [ ("m", replayed) ] ->
+  | [ ("m", replayed); (odd, again) ] ->
+      Alcotest.(check string) "escaped run label read back" odd_label odd;
+      Alcotest.(check bool) "both runs replay the same events" true
+        (replayed = again);
       (* the replayed trace reconstructs the same critical path *)
       let a = Obs.Critical_path.analyze (Span.reconstruct direct) in
       let b = Obs.Critical_path.analyze (Span.reconstruct replayed) in
@@ -348,7 +355,22 @@ let test_trace_reader_roundtrip () =
       Alcotest.(check bool) "attribution stays within 1e-9" true
         (b.Obs.Critical_path.max_attribution_error <= 1e-9)
   | other ->
-      Alcotest.failf "expected one run labelled m, got %d" (List.length other));
+      Alcotest.failf "expected runs m and %S, got %d" odd_label
+        (List.length other));
+  (* the analyses' JSON stays valid under that label and keeps it *)
+  let spans = Span.reconstruct direct in
+  let ts = Obs.Timeseries.create ~width:0.5 () in
+  Obs.Timeseries.bin_segments ts spans;
+  List.iter
+    (fun (what, json) ->
+      Alcotest.(check (option string)) (what ^ " label") (Some odd_label)
+        (J.string_at [ "label" ] (J.parse_exn json)))
+    [
+      ( "critical path",
+        Obs.Critical_path.to_json
+          (Obs.Critical_path.analyze ~label:odd_label spans) );
+      ("timeseries", Obs.Timeseries.to_json ~label:odd_label ts);
+    ];
   match Obs.Trace_reader.parse_line "{\"event\":\"nope\"}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "junk line accepted"
@@ -380,6 +402,31 @@ let test_json_lite () =
       | Ok _ -> Alcotest.failf "accepted %S" bad)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "{} trailing" ]
 
+(* The writer half: [str] is the one quoting site, and the number
+   writers print exactly the [Printf] forms the old writers used. *)
+let test_json_lite_writer () =
+  let check = Alcotest.(check string) in
+  check "num ~dp:6" (Printf.sprintf "%.6f" 0.1234567) (J.num ~dp:6 0.1234567);
+  check "num ~dp:9" (Printf.sprintf "%.9f" (-2.5)) (J.num ~dp:9 (-2.5));
+  check "num ~dp:2 rounds" (Printf.sprintf "%.2f" 1.005) (J.num ~dp:2 1.005);
+  check "negative int" (Printf.sprintf "%d" (-42)) (J.int (-42));
+  check "bool" (Printf.sprintf "%b,%b" true false)
+    (J.bool true ^ "," ^ J.bool false);
+  check "plain string" {|"abc"|} (J.str "abc");
+  check "escapes" {|"q\"b\\n\u000a"|} (J.str "q\"b\\n\n");
+  check "obj and arr" {|{"a":1,"b\"":[true,"x"]}|}
+    (J.obj [ ("a", J.int 1); ("b\"", J.arr [ J.bool true; J.str "x" ]) ]);
+  check "summary" {|{"count":2,"p99":3.00,"mean":2.00}|}
+    (J.summary ~dp:2 [ `P99; `Mean ] (Stats.summarize [ 1.; 3. ]))
+
+let qcheck_cases =
+  [
+    (* ASCII only: the reader decodes non-ASCII \u escapes to '?' *)
+    QCheck.Test.make ~count:500 ~name:"json_lite reads back every string it writes"
+      QCheck.(string_gen Gen.(map Char.chr (0 -- 127)))
+      (fun s -> J.parse (J.str s) = Ok (J.Str s));
+  ]
+
 let suite =
   [
     ("tiny trace decomposes exactly", `Quick, test_tiny_trace);
@@ -391,6 +438,8 @@ let suite =
     ("client traffic left out of spans", `Quick, test_client_traffic_ignored);
     ("JSONL trace round trip", `Quick, test_trace_reader_roundtrip);
     ("json_lite parses its own dialect", `Quick, test_json_lite);
+    ("json_lite writes the Printf forms", `Quick, test_json_lite_writer);
   ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_cases
 
 let () = Alcotest.run "prof" [ ("prof", suite) ]

@@ -36,10 +36,10 @@
 # balances matching, the replicas agreeing). Then three bench/main.exe
 # runs check its command line and observability targets: `observe
 # --trace T --metrics-out M` must write both files non-empty, `spans
-# --trace T --windows 0.5` must analyse that trace with every span's
-# attribution exact to 1e-9 s after the JSONL round trip (it exits 1
-# otherwise; each takes well under a second), and an unknown target must
-# exit 2.
+# --trace T --windows 0.5 --json J` must analyse that trace with every
+# span's attribution exact to 1e-9 s after the JSONL round trip, and
+# write a span report that parses back as JSON (it exits 1 otherwise;
+# each takes well under a second), and an unknown target must exit 2.
 #
 # The smoke run includes a deterministic fault scenario (leader crash),
 # so the gate also covers recovery latency and view-change
@@ -134,7 +134,8 @@ if [ ! -s "$obs_trace" ] || [ ! -s "$obs_metrics" ]; then
   echo "ci: bench/main.exe observe left $obs_trace or $obs_metrics empty" >&2
   exit 1
 fi
-demo _build/default/bench/main.exe spans --trace "$obs_trace" --windows 0.5
+demo _build/default/bench/main.exe spans --trace "$obs_trace" --windows 0.5 \
+  --json _build/ci-spans.json
 status=0
 _build/default/bench/main.exe no-such-target > /dev/null 2>&1 || status=$?
 if [ "$status" -ne 2 ]; then
