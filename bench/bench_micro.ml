@@ -1,9 +1,9 @@
 (* Bechamel micro-benchmarks: real CPU costs of the substrate primitives
-   (hashing, the simulated signatures, the codec, the event queue, the
-   mempool and its (client, seq) tables). These are measurements of THIS
-   implementation; the simulator's protocol-level CPU accounting instead
-   uses the calibrated Cost_model figures for real ECDSA/BLS, as explained
-   in DESIGN.md. *)
+   (hashing, the simulated signatures, vote collection, the codec and
+   message accounting, the event queue, the mempool and its (client, seq)
+   tables). These are measurements of THIS implementation; the
+   simulator's protocol-level CPU accounting instead uses the calibrated
+   Cost_model figures for real ECDSA/BLS, as explained in DESIGN.md. *)
 
 open Bechamel
 open Toolkit
@@ -46,6 +46,56 @@ let qc_256 =
   with
   | Ok t -> t
   | Error e -> failwith e
+
+(* The 171 shares of one prepare vote at n = 256, signed through
+   [kc_256]'s MAC memo as a run's votes are, so checking them hits it. *)
+let vote_ref = Block.to_ref Block.genesis
+
+let votes_256 =
+  List.init 171 (fun i ->
+      Qc.sign_vote kc_256 ~signer:i ~phase:Qc.Prepare ~view:1 vote_ref)
+
+(* The leader's side of one happy-path phase: a fresh collector takes the
+   171 shares and forms the QC. *)
+let vote_collection () =
+  let module Core = Marlin_core in
+  let auth =
+    Core.Auth.create ~keychain:kc_256
+      ~meter:(Core.Cpu_meter.create Marlin_crypto.Cost_model.ecdsa_group)
+      ~quorum:171
+  in
+  fun () ->
+    let vc = Core.Vote_collector.create auth in
+    List.iter
+      (fun share ->
+        ignore
+          (Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:vote_ref share))
+      votes_256
+
+let sig_bytes_256 =
+  Marlin_crypto.Cost_model.(combined_size ecdsa_group ~n:256 ~shares:171)
+
+(* What the network layer asks of each PROPOSE it sends at n = 256: the
+   authenticator count and the accounting size of a proposal whose block
+   justify is a 171-signer QC, shipped beside it as the sender's highQC,
+   one shared certificate as in a run. *)
+let propose_256 =
+  let qc =
+    match
+      Qc.combine kc_256 ~threshold:171 ~phase:Qc.Prepare ~view:1 vote_ref votes_256
+    with
+    | Ok qc -> qc
+    | Error e -> failwith e
+  in
+  let high = High_qc.Single qc in
+  Message.make ~sender:1 ~view:2
+    (Message.Propose
+       {
+         block =
+           Block.make_normal ~parent:Block.genesis ~view:2
+             ~payload:sample_block.Block.payload ~justify:(High_qc.to_justify high);
+         justify = high;
+       })
 
 (* Distinct inputs for "sim-sign" and the "first check" rows: one more
    message than the keychain's memos hold (its MAC memo and its
@@ -183,6 +233,12 @@ let tests () =
     Test.make ~name:"threshold verify (171/256), repeat check"
       (Staged.stage (fun () ->
            Threshold.verify kc_256 ~threshold:171 "digest-to-certify" qc_256));
+    Test.make ~name:"vote collector: 171 shares to one QC, n=256"
+      (Staged.stage (vote_collection ()));
+    Test.make ~name:"PROPOSE authenticators + wire_size, n=256 justify"
+      (Staged.stage (fun () ->
+           Message.authenticators propose_256
+           + Message.wire_size ~sig_bytes:sig_bytes_256 propose_256));
     Test.make ~name:"block digest (64 ops)"
       (Staged.stage (fun () ->
            (* defeat the cache: rebuild the block *)

@@ -22,18 +22,24 @@ val create :
   keychain:Marlin_crypto.Keychain.t -> meter:Cpu_meter.t -> quorum:int -> t
 
 val quorum : t -> int
+
+val replicas : t -> int
+(** The cluster size n: replica ids are [0 .. n-1]. *)
+
 val meter : t -> Cpu_meter.t
 
 val sign_vote :
   t -> signer:int -> phase:Qc.phase -> view:int -> Qc.block_ref ->
   Marlin_crypto.Threshold.partial
 
-val verify_vote :
-  t -> phase:Qc.phase -> view:int -> Qc.block_ref ->
-  Marlin_crypto.Threshold.partial -> bool
+val verify_vote : t -> Qc.ballot -> Marlin_crypto.Threshold.partial -> bool
+(** One share against a ballot ({!Qc.verify_ballot}); charges one partial
+    verify. *)
 
 val combine :
-  t -> phase:Qc.phase -> view:int -> Qc.block_ref ->
-  Marlin_crypto.Threshold.partial list -> (Qc.t, string) result
+  t -> Qc.ballot -> Marlin_crypto.Threshold.partial list ->
+  (Qc.t, string) result
+(** {!Qc.combine_ballot} at the quorum; charges one combine over every
+    share passed. *)
 
 val verify_qc : t -> Qc.t -> bool

@@ -329,7 +329,8 @@ let maybe_start_view_change_leadership t =
         if all_same then begin
           let partials = List.map (fun r -> r.vc_parsig) records in
           match
-            Auth.combine r.auth ~phase:Qc.Prepare ~view:r.cview first.Block.b_ref
+            Auth.combine r.auth
+              (Qc.ballot ~phase:Qc.Prepare ~view:r.cview first.Block.b_ref)
               partials
           with
           | Ok qc ->

@@ -1,57 +1,94 @@
 open Marlin_types
-module Sha256 = Marlin_crypto.Sha256
 module Threshold = Marlin_crypto.Threshold
 
-type key = { phase : Qc.phase; view : int; digest : string }
+(* Entries by block digest. The entries under one digest (one per phase
+   and view, and any hostile vote's other reference) form a short list,
+   searched with Qc.ballot_matches. *)
+module By_digest = Hashtbl.Make (Marlin_crypto.Sha256)
 
-type entry = {
-  block : Qc.block_ref;
-  mutable partials : Threshold.partial list;
-  mutable signers : int list;
-  mutable complete : bool;
-}
+type state =
+  | Collecting of {
+      mutable partials : Threshold.partial list;
+      mutable count : int;  (* = List.length partials *)
+      seen : Bytes.t;  (* byte i is 1 once replica i's share counted *)
+    }
+  | Formed  (* the shares are released with the Collecting state *)
 
-type t = { auth : Auth.t; entries : (key, entry) Hashtbl.t }
+type entry = { ballot : Qc.ballot; view : int; mutable state : state }
+type t = { auth : Auth.t; entries : entry list By_digest.t }
 
-let create auth = { auth; entries = Hashtbl.create 32 }
+let create auth = { auth; entries = By_digest.create 32 }
 
-type outcome = Quorum of Qc.t | Counted of int | Rejected of string
+type rejection =
+  | Complete
+  | Duplicate_signer
+  | Invalid_share
+  | Combine_failed of string
 
-let key ~phase ~view ~digest = { phase; view; digest = Sha256.to_raw digest }
+type outcome = Quorum of Qc.t | Counted of int | Rejected of rejection
+
+let bucket t digest =
+  match By_digest.find t.entries digest with
+  | entries -> entries
+  | exception Not_found -> []
+
+let rec find ~phase ~view block = function
+  | [] -> raise_notrace Not_found
+  | e :: rest ->
+      if Qc.ballot_matches e.ballot ~phase ~view block then e
+      else find ~phase ~view block rest
+
+let find_or_add t ~phase ~view block =
+  let entries = bucket t block.Qc.digest in
+  match find ~phase ~view block entries with
+  | e -> e
+  | exception Not_found ->
+      let seen = Bytes.make (Auth.replicas t.auth) '\000' in
+      let e =
+        {
+          ballot = Qc.ballot ~phase ~view block;
+          view;
+          state = Collecting { partials = []; count = 0; seen };
+        }
+      in
+      By_digest.replace t.entries block.Qc.digest (e :: entries);
+      e
 
 let add t ~phase ~view ~block partial =
-  let k = key ~phase ~view ~digest:block.Qc.digest in
-  let entry =
-    match Hashtbl.find_opt t.entries k with
-    | Some e -> e
-    | None ->
-        let e = { block; partials = []; signers = []; complete = false } in
-        Hashtbl.replace t.entries k e;
-        e
-  in
-  if entry.complete then Rejected "quorum already formed"
-  else if List.mem partial.Threshold.signer entry.signers then
-    Rejected "duplicate signer"
-  else if not (Auth.verify_vote t.auth ~phase ~view block partial) then
-    Rejected "invalid partial signature"
-  else begin
-    entry.partials <- partial :: entry.partials;
-    entry.signers <- partial.Threshold.signer :: entry.signers;
-    if List.length entry.signers >= Auth.quorum t.auth then begin
-      entry.complete <- true;
-      match Auth.combine t.auth ~phase ~view block entry.partials with
-      | Ok qc -> Quorum qc
-      | Error e -> Rejected ("combine failed: " ^ e)
-    end
-    else Counted (List.length entry.signers)
-  end
+  let e = find_or_add t ~phase ~view block in
+  match e.state with
+  | Formed -> Rejected Complete
+  | Collecting c ->
+      let id = partial.Threshold.signer in
+      (* a hostile id is out of range: not a duplicate, and its share
+         fails verification below *)
+      if id >= 0 && id < Bytes.length c.seen && Bytes.get c.seen id <> '\000'
+      then Rejected Duplicate_signer
+      else if not (Auth.verify_vote t.auth e.ballot partial) then
+        Rejected Invalid_share
+      else begin
+        Bytes.set c.seen id '\001';
+        c.partials <- partial :: c.partials;
+        c.count <- c.count + 1;
+        if c.count >= Auth.quorum t.auth then begin
+          e.state <- Formed;
+          match Auth.combine t.auth e.ballot c.partials with
+          | Ok qc -> Quorum qc
+          | Error err -> Rejected (Combine_failed err)
+        end
+        else Counted c.count
+      end
 
-let count t ~phase ~view ~digest =
-  match Hashtbl.find_opt t.entries (key ~phase ~view ~digest) with
-  | Some e -> List.length e.signers
-  | None -> 0
+let count t ~phase ~view ~block =
+  match find ~phase ~view block (bucket t block.Qc.digest) with
+  | { state = Collecting c; _ } -> c.count
+  | { state = Formed; _ } -> Auth.quorum t.auth
+  | exception Not_found -> 0
 
 let gc_below_view t view =
-  Hashtbl.filter_map_inplace
-    (fun k e -> if k.view < view then None else Some e)
+  By_digest.filter_map_inplace
+    (fun _ entries ->
+      match List.filter (fun e -> e.view >= view) entries with
+      | [] -> None
+      | kept -> Some kept)
     t.entries

@@ -10,10 +10,10 @@ end)
 
 (* Combined threshold signatures verified under this keychain, by tag.
    An entry is the exact input that was checked: the threshold, the
-   signer list and the message. *)
+   signer list and the message, plus the list's length. *)
 module Certs = Hashtbl.Make (Sha256)
 
-type cert = { threshold : int; signers : int list; msg : string }
+type cert = { threshold : int; signers : int list; size : int; msg : string }
 
 (* Entries either memo holds before it is emptied: a few phases of a
    large cluster's shares and certificates. *)
@@ -86,4 +86,10 @@ let cert_checked kc tag ~threshold signers msg =
 
 let note_cert kc tag ~threshold signers msg =
   if Certs.length kc.certs >= memo_capacity then Certs.clear kc.certs;
-  Certs.replace kc.certs tag { threshold; signers; msg }
+  Certs.replace kc.certs tag
+    { threshold; signers; size = List.length signers; msg }
+
+let cert_size kc tag signers =
+  match Certs.find kc.certs tag with
+  | c when c.signers == signers -> c.size
+  | _ | (exception Not_found) -> List.length signers

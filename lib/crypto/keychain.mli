@@ -78,3 +78,8 @@ val note_cert : t -> Sha256.t -> threshold:int -> int list -> string -> unit
     under the same tag replaces the earlier one. The memo holds at most
     {!memo_capacity} entries and is emptied when full. Simulated CPU time
     is charged per replica by the callers, memo or not. *)
+
+val cert_size : t -> Sha256.t -> int list -> int
+(** [cert_size kc tag signers] is [List.length signers]. When the memo
+    holds [tag] with this very list ([==]), it answers with the length
+    {!note_cert} counted, without walking the list. *)

@@ -8,10 +8,13 @@ let share_msg msg = "tshare|" ^ msg
 let sign kc ~signer msg =
   { signer; tag = Keychain.mac kc signer (share_msg msg) }
 
-let verify_partial kc msg p =
+(* [smsg] is [share_msg msg], built once by the caller. *)
+let verify_share kc smsg p =
   p.signer >= 0
   && p.signer < Keychain.n kc
-  && Sha256.equal p.tag (Keychain.mac kc p.signer (share_msg msg))
+  && Sha256.equal p.tag (Keychain.mac kc p.signer smsg)
+
+let verify_partial kc msg p = verify_share kc (share_msg msg) p
 
 (* Decimal digits of a non-negative [i], without an intermediate string. *)
 let rec add_id b i =
@@ -33,7 +36,7 @@ let combined_tag kc msg signers =
   Keychain.mac kc Keychain.system (Buffer.contents b)
 
 let combine kc ~threshold msg partials =
-  let valid = List.filter (verify_partial kc msg) partials in
+  let valid = List.filter (verify_share kc (share_msg msg)) partials in
   let signers = List.sort_uniq Int.compare (List.map (fun p -> p.signer) valid) in
   if List.length signers < threshold then
     Error
@@ -55,6 +58,10 @@ let verify kc ~threshold msg s =
      && (Keychain.note_cert kc s.tag ~threshold s.signers msg;
          true)
 
+(* Both fields are immutable, so a value is equal to itself: a
+   certificate shared by reference is compared without walking its
+   signers. The tag is compared first, as it differs first. *)
 let equal a b =
-  List.equal Int.equal a.signers b.signers && Sha256.equal a.tag b.tag
+  a == b
+  || (Sha256.equal a.tag b.tag && List.equal Int.equal a.signers b.signers)
 

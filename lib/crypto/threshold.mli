@@ -20,6 +20,8 @@ val sign : Keychain.t -> signer:int -> string -> partial
 (** [sign kc ~signer msg] produces replica [signer]'s share over [msg]. *)
 
 val verify_partial : Keychain.t -> string -> partial -> bool
+(** [verify_partial kc msg p] checks that [p] is its in-range signer's
+    share over [msg]. *)
 
 val combine :
   Keychain.t -> threshold:int -> string -> partial list ->
@@ -27,7 +29,9 @@ val combine :
 (** [combine kc ~threshold msg partials] combines shares over [msg].
     Fails (with a human-readable reason) if fewer than [threshold] distinct
     valid shares are supplied. Extra shares beyond the threshold are
-    allowed; invalid or duplicate shares are rejected. *)
+    allowed; invalid or duplicate shares are rejected. Every share is
+    checked as {!verify_partial} checks it, against one share message
+    built once per call. *)
 
 val verify : Keychain.t -> threshold:int -> string -> t -> bool
 (** [verify kc ~threshold msg s] checks a combined signature: the tag must
@@ -38,3 +42,7 @@ val verify : Keychain.t -> threshold:int -> string -> t -> bool
     checked in full, and recorded there if it verifies. *)
 
 val equal : t -> t -> bool
+(** Structural equality: the same tag and the same signer list. A value
+    is equal to itself without a walk of its signers ([==] first; both
+    fields are immutable), so a certificate shared by reference compares
+    in O(1). A copy is compared element by element. *)

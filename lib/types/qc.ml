@@ -51,16 +51,49 @@ let vote_payload ~phase ~view block =
   encode_block_ref enc block;
   Wire.Enc.contents enc
 
+let phase_equal a b = phase_to_int a = phase_to_int b
+
+let block_ref_equal a b =
+  a == b
+  || Sha256.equal a.digest b.digest
+     && a.block_view = b.block_view && a.height = b.height && a.pview = b.pview
+     && a.is_virtual = b.is_virtual
+
+type ballot = {
+  vote_phase : phase;
+  vote_view : int;
+  vote_block : block_ref;
+  payload : string; (* vote_payload of the three above *)
+}
+
+let ballot ~phase ~view block =
+  {
+    vote_phase = phase;
+    vote_view = view;
+    vote_block = block;
+    payload = vote_payload ~phase ~view block;
+  }
+
+let ballot_matches b ~phase ~view block =
+  phase_equal b.vote_phase phase && b.vote_view = view
+  && block_ref_equal b.vote_block block
+
 let sign_vote kc ~signer ~phase ~view block =
   Threshold.sign kc ~signer (vote_payload ~phase ~view block)
+
+let verify_ballot kc b partial = Threshold.verify_partial kc b.payload partial
 
 let verify_vote kc ~phase ~view block partial =
   Threshold.verify_partial kc (vote_payload ~phase ~view block) partial
 
-let combine kc ~threshold ~phase ~view block partials =
-  match Threshold.combine kc ~threshold (vote_payload ~phase ~view block) partials with
+let combine_ballot kc ~threshold b partials =
+  match Threshold.combine kc ~threshold b.payload partials with
   | Error _ as e -> e
-  | Ok tsig -> Ok { phase; view; block; tsig }
+  | Ok tsig ->
+      Ok { phase = b.vote_phase; view = b.vote_view; block = b.vote_block; tsig }
+
+let combine kc ~threshold ~phase ~view block partials =
+  combine_ballot kc ~threshold (ballot ~phase ~view block) partials
 
 let genesis_ref =
   {
@@ -79,17 +112,13 @@ let genesis =
     tsig = { Threshold.signers = []; tag = Sha256.string "marlin/genesis-qc/v1" };
   }
 
-let phase_equal a b = phase_to_int a = phase_to_int b
-
-let block_ref_equal a b =
-  Sha256.equal a.digest b.digest
-  && a.block_view = b.block_view && a.height = b.height && a.pview = b.pview
-  && a.is_virtual = b.is_virtual
-
+(* Every field is immutable, so a QC shared by reference is equal to
+   itself without a walk of its signers; a copy is compared in full. *)
 let equal a b =
-  phase_equal a.phase b.phase && a.view = b.view
-  && block_ref_equal a.block b.block
-  && Threshold.equal a.tsig b.tsig
+  a == b
+  || phase_equal a.phase b.phase && a.view = b.view
+     && block_ref_equal a.block b.block
+     && Threshold.equal a.tsig b.tsig
 
 let is_genesis qc = equal qc genesis
 

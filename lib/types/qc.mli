@@ -46,6 +46,34 @@ val combine :
   Marlin_crypto.Keychain.t -> threshold:int -> phase:phase -> view:int ->
   block_ref -> Marlin_crypto.Threshold.partial list -> (t, string) result
 
+(** {2 Ballots}
+
+    A ballot is what one vote signs: a phase, a vote view and a block
+    reference, with their encoded vote payload. A vote collector builds
+    one per (phase, view, block) it collects for and checks every share
+    and the final combination against it, so the payload is encoded once
+    however many votes arrive. *)
+
+type ballot
+
+val ballot : phase:phase -> view:int -> block_ref -> ballot
+
+val ballot_matches : ballot -> phase:phase -> view:int -> block_ref -> bool
+(** [true] iff the ballot was built from this phase, view and block
+    reference (every field of the reference compared). Allocates
+    nothing. *)
+
+val verify_ballot :
+  Marlin_crypto.Keychain.t -> ballot -> Marlin_crypto.Threshold.partial -> bool
+(** [verify_ballot kc (ballot ~phase ~view block) p] is
+    [verify_vote kc ~phase ~view block p]. *)
+
+val combine_ballot :
+  Marlin_crypto.Keychain.t -> threshold:int -> ballot ->
+  Marlin_crypto.Threshold.partial list -> (t, string) result
+(** [combine_ballot kc ~threshold (ballot ~phase ~view block) ps] is
+    [combine kc ~threshold ~phase ~view block ps]. *)
+
 val verify : Marlin_crypto.Keychain.t -> threshold:int -> t -> bool
 (** Checks the threshold signature. The genesis QC verifies by
     construction. *)
@@ -75,7 +103,13 @@ val encode_block_ref : Wire.Enc.t -> block_ref -> unit
 val decode_block_ref : Wire.Dec.t -> block_ref
 
 val block_ref_equal : block_ref -> block_ref -> bool
+
 val equal : t -> t -> bool
+(** Structural equality over every field, signer list included. A QC is
+    equal to itself without a walk of its signers ([==] first; every
+    field is immutable), so comparing a certificate shared by reference
+    is O(1); a copy is compared in full. *)
+
 val encode : Wire.Enc.t -> t -> unit
 (** Reference codec (used by tests and the examples); spells the signer set
     out as a list. *)

@@ -9,6 +9,7 @@ module C = Core.Consensus_intf
 module Keychain = Marlin_crypto.Keychain
 module Cost_model = Marlin_crypto.Cost_model
 module Sha256 = Marlin_crypto.Sha256
+module Threshold = Marlin_crypto.Threshold
 
 let kc = Keychain.create ~n:4 ()
 
@@ -142,10 +143,207 @@ let test_vote_collector_invalid_and_gc () =
   let vote i = Qc.sign_vote kc ~signer:i ~phase:Qc.Prepare ~view:1 b in
   ignore (Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:b (vote 0));
   Alcotest.(check int) "count" 1
-    (Core.Vote_collector.count vc ~phase:Qc.Prepare ~view:1 ~digest:b.Qc.digest);
+    (Core.Vote_collector.count vc ~phase:Qc.Prepare ~view:1 ~block:b);
   Core.Vote_collector.gc_below_view vc 2;
   Alcotest.(check int) "gc clears old views" 0
-    (Core.Vote_collector.count vc ~phase:Qc.Prepare ~view:1 ~digest:b.Qc.digest)
+    (Core.Vote_collector.count vc ~phase:Qc.Prepare ~view:1 ~block:b)
+
+(* A Byzantine replica's vote whose reference has the honest block's
+   digest but another height verifies against its own reference. It must
+   not share an entry with the honest votes: wherever it arrives, the
+   three honest votes form exactly one QC, over the honest reference. *)
+let test_vote_collector_hostile_ref () =
+  let b = block_ref () in
+  let hostile_ref = { b with Qc.height = 7 } in
+  let vote block i = (block, Qc.sign_vote kc ~signer:i ~phase:Qc.Prepare ~view:1 block) in
+  let honest = vote b and hostile = vote hostile_ref 3 in
+  List.iter
+    (fun (position, votes) ->
+      let a = auth () in
+      let vc = Core.Vote_collector.create a in
+      let qcs =
+        List.filter_map
+          (fun (block, partial) ->
+            match Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block partial with
+            | Core.Vote_collector.Quorum qc -> Some qc
+            | Core.Vote_collector.Counted _ | Core.Vote_collector.Rejected _ -> None)
+          votes
+      in
+      match qcs with
+      | [ qc ] ->
+          Alcotest.(check bool) (position ^ ": over the honest reference") true
+            (Qc.block_ref_equal qc.Qc.block b);
+          Alcotest.(check (list int)) (position ^ ": honest signers") [ 0; 1; 2 ]
+            qc.Qc.tsig.Threshold.signers;
+          Alcotest.(check bool) (position ^ ": verifies") true (Core.Auth.verify_qc a qc)
+      | qcs -> Alcotest.failf "%s: %d QCs formed, expected 1" position (List.length qcs))
+    [
+      ("hostile first", [ hostile; honest 0; honest 1; honest 2 ]);
+      ("hostile in the middle", [ honest 0; hostile; honest 1; honest 2 ]);
+      ("hostile as the quorum-th vote", [ honest 0; honest 1; hostile; honest 2 ]);
+    ]
+
+(* Once an entry's QC forms, nothing reads its shares: the collector must
+   not keep them reachable. A vote the entry rejects allocates nothing. *)
+let test_vote_collector_releases_shares () =
+  let a = auth () in
+  let vc = Core.Vote_collector.create a in
+  let b = block_ref () in
+  let weak = Weak.create 3 in
+  let add_quorum () =
+    for i = 0 to 2 do
+      let partial = Qc.sign_vote kc ~signer:i ~phase:Qc.Prepare ~view:1 b in
+      Weak.set weak i (Some partial);
+      ignore (Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:b partial)
+    done
+  in
+  add_quorum ();
+  Gc.full_major ();
+  for i = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "share %d released" i) false (Weak.check weak i)
+  done;
+  Alcotest.(check int) "the entry stays formed" 3
+    (Core.Vote_collector.count vc ~phase:Qc.Prepare ~view:1 ~block:b);
+  let late = Qc.sign_vote kc ~signer:3 ~phase:Qc.Prepare ~view:1 b in
+  let other = block_ref ~height:2 () in
+  let dup = Qc.sign_vote kc ~signer:0 ~phase:Qc.Prepare ~view:1 other in
+  (match Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:other dup with
+  | Core.Vote_collector.Counted 1 -> ()
+  | _ -> Alcotest.fail "expected Counted 1");
+  let rejected = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    (match Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:b late with
+    | Core.Vote_collector.Rejected Core.Vote_collector.Complete -> incr rejected
+    | _ -> ());
+    match Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:other dup with
+    | Core.Vote_collector.Rejected Core.Vote_collector.Duplicate_signer -> incr rejected
+    | _ -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every late and duplicate vote rejected" 2000 !rejected;
+  Alcotest.(check bool)
+    (Printf.sprintf "2000 rejections allocate nothing (%.0f minor words)" words)
+    true (words < 64.)
+
+(* The collector against a list-based reference model keyed by the whole
+   reference: streams of valid, misdirected, forged and out-of-range
+   shares over two references per digest, with garbage collection of old
+   views, give the same outcomes and the same QCs. *)
+type vop = Vote of { phase : int; view : int; block : int; signer : int; kind : int } | Gc of int
+
+let pp_vop = function
+  | Vote { phase; view; block; signer; kind } ->
+      Printf.sprintf "Vote(p%d v%d b%d s%d k%d)" phase view block signer kind
+  | Gc v -> Printf.sprintf "Gc %d" v
+
+type mentry = {
+  m_phase : Qc.phase;
+  m_view : int;
+  m_block : Qc.block_ref;
+  mutable m_partials : Threshold.partial list;
+  mutable m_formed : bool;
+}
+
+let model_add entries ~kc ~quorum ~phase ~view ~block partial =
+  let matches e = e.m_phase = phase && e.m_view = view && e.m_block = block in
+  let e =
+    match List.find_opt matches !entries with
+    | Some e -> e
+    | None ->
+        let e = { m_phase = phase; m_view = view; m_block = block; m_partials = []; m_formed = false } in
+        entries := e :: !entries;
+        e
+  in
+  let signer = partial.Threshold.signer in
+  if e.m_formed then Core.Vote_collector.Rejected Core.Vote_collector.Complete
+  else if List.exists (fun p -> p.Threshold.signer = signer) e.m_partials then
+    Core.Vote_collector.Rejected Core.Vote_collector.Duplicate_signer
+  else if not (Qc.verify_vote kc ~phase ~view block partial) then
+    Core.Vote_collector.Rejected Core.Vote_collector.Invalid_share
+  else begin
+    e.m_partials <- partial :: e.m_partials;
+    let count = List.length e.m_partials in
+    if count < quorum then Core.Vote_collector.Counted count
+    else begin
+      e.m_formed <- true;
+      match Qc.combine kc ~threshold:quorum ~phase ~view block e.m_partials with
+      | Ok qc -> Core.Vote_collector.Quorum qc
+      | Error err -> Core.Vote_collector.Rejected (Core.Vote_collector.Combine_failed err)
+    end
+  end
+
+let outcome_equal (a : Core.Vote_collector.outcome) (b : Core.Vote_collector.outcome) =
+  match (a, b) with
+  | Quorum x, Quorum y -> x = y
+  | Counted x, Counted y -> x = y
+  | Rejected x, Rejected y -> x = y
+  | (Quorum _ | Counted _ | Rejected _), _ -> false
+
+let prop_vote_collector_model (n, ops) =
+  let kc = Keychain.create ~n () in
+  let quorum = n - ((n - 1) / 3) in
+  let a =
+    Core.Auth.create ~keychain:kc
+      ~meter:(Core.Cpu_meter.create Cost_model.ecdsa_group) ~quorum
+  in
+  let vc = Core.Vote_collector.create a in
+  let d0 = Sha256.string "model-0" and d1 = Sha256.string "model-1" in
+  let r digest height is_virtual =
+    { Qc.digest; block_view = 1; height; pview = 0; is_virtual }
+  in
+  (* two references per digest; [refs.(i lxor 1)] shares [refs.(i)]'s *)
+  let refs = [| r d0 1 false; r d0 2 false; r d1 1 false; r d1 1 true |] in
+  let phases = [| Qc.Prepare; Qc.Commit |] in
+  let entries = ref [] in
+  List.for_all
+    (function
+      | Gc v ->
+          Core.Vote_collector.gc_below_view vc v;
+          entries := List.filter (fun e -> e.m_view >= v) !entries;
+          true
+      | Vote { phase; view; block; signer; kind } ->
+          let phase = phases.(phase) and other = refs.(block lxor 1) in
+          let block = refs.(block) in
+          let partial =
+            if signer < 0 || signer >= n || kind = 3 then
+              { Threshold.signer; tag = Sha256.string "junk" }
+            else if kind = 1 then
+              Qc.sign_vote kc ~signer ~phase ~view other
+            else if kind = 2 then
+              { (Qc.sign_vote kc ~signer:((signer + 1) mod n) ~phase ~view block) with
+                Threshold.signer }
+            else Qc.sign_vote kc ~signer ~phase ~view block
+          in
+          let got = Core.Vote_collector.add vc ~phase ~view ~block partial in
+          let want = model_add entries ~kc ~quorum ~phase ~view ~block partial in
+          outcome_equal got want)
+    ops
+
+let arb_vote_stream =
+  let open QCheck.Gen in
+  let op n =
+    frequency
+      [
+        ( 12,
+          let* phase = 0 -- 1 and* view = 1 -- 3 and* block = 0 -- 3
+          and* signer = frequency [ (8, 0 -- (n - 1)); (1, return (-1)); (1, return n) ]
+          and* kind = frequency [ (6, return 0); (1, return 1); (1, return 2); (1, return 3) ] in
+          return (Vote { phase; view; block; signer; kind }) );
+        (1, map (fun v -> Gc v) (1 -- 4));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (n, ops) -> Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map pp_vop ops)))
+    (let* n = oneofl [ 4; 7 ] in
+     let* ops = list_size (1 -- 120) (op n) in
+     return (n, ops))
+
+let qcheck_cases =
+  [
+    QCheck.Test.make ~count:300 ~name:"vote collector matches a reference model keyed by the whole ref"
+      arb_vote_stream prop_vote_collector_model;
+  ]
 
 (* ---------- pacemaker ---------- *)
 
@@ -504,6 +702,10 @@ let suite =
     ("auth verify cache", `Quick, test_auth_verify_cache);
     ("vote collector quorum", `Quick, test_vote_collector_quorum);
     ("vote collector invalid & gc", `Quick, test_vote_collector_invalid_and_gc);
+    ("vote collector: a hostile ref under an honest digest blocks no QC", `Quick,
+     test_vote_collector_hostile_ref);
+    ("vote collector releases a formed entry's shares", `Quick,
+     test_vote_collector_releases_shares);
     ("pacemaker backoff", `Quick, test_pacemaker_backoff);
     ("pacemaker saturation + reset", `Quick, test_pacemaker_saturation);
     ("committer commits in order", `Quick, test_committer_in_order);
@@ -518,5 +720,6 @@ let suite =
     ("auth cache rejects a spliced tag", `Quick, test_auth_cache_rejects_spliced_tag);
     ("auth charges each replica once", `Quick, test_auth_charges_per_replica);
   ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_cases
 
 let () = Alcotest.run "core-units" [ ("core-units", suite) ]

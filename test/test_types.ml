@@ -461,9 +461,66 @@ let gen_qc =
 
 let arb_qc = QCheck.make ~print:(Format.asprintf "%a" Qc.pp) gen_qc
 
+(* The identity fast paths of [Threshold.equal], [Qc.equal] and
+   [Block.justify_equal] against the structural definition (polymorphic
+   [=], which walks every field): values drawn from small pools so that
+   equal-but-distinct values are common, each compared with itself, with
+   a deep copy of itself and with another draw and its copy. *)
+let copy_digest d = Sha256.of_raw (Bytes.to_string (Bytes.of_string (Sha256.to_raw d)))
+
+let copy_tsig (s : Threshold.t) =
+  { Threshold.signers = List.map Fun.id s.Threshold.signers; tag = copy_digest s.tag }
+
+let copy_qc (q : Qc.t) =
+  { q with Qc.block = { q.Qc.block with Qc.digest = copy_digest q.Qc.block.Qc.digest };
+           tsig = copy_tsig q.tsig }
+
+let copy_justify = function
+  | Block.J_genesis -> Block.J_genesis
+  | Block.J_qc q -> Block.J_qc (copy_qc q)
+  | Block.J_paired (q, v) -> Block.J_paired (copy_qc q, copy_qc v)
+
+let gen_justify =
+  QCheck.Gen.(
+    let digest = map (fun i -> Sha256.string (Printf.sprintf "eq-%d" i)) (0 -- 1) in
+    let tsig =
+      let* signers = oneofl [ [ 0; 1; 2 ]; [ 0; 1; 3 ]; [ 1; 2; 3 ]; [ 0; 1; 2; 3 ] ] in
+      let* tag = digest in
+      return { Threshold.signers; tag }
+    in
+    let qc =
+      let* phase = oneofl [ Qc.Prepare; Qc.Commit ] in
+      let* view = 1 -- 2 and* height = 1 -- 2 and* digest = digest in
+      let* tsig = tsig in
+      return { Qc.phase; view; block = dummy_ref ~digest ~height (); tsig }
+    in
+    frequency
+      [
+        (1, return Block.J_genesis);
+        (3, map (fun q -> Block.J_qc q) qc);
+        (2, map2 (fun q v -> Block.J_paired (q, v)) qc qc);
+      ])
+
+let prop_equal_is_structural (a, b) =
+  let primary = function
+    | Block.J_genesis -> Qc.genesis
+    | Block.J_qc q | Block.J_paired (q, _) -> q
+  in
+  List.for_all
+    (fun (x, y) ->
+      let p = primary x and q = primary y in
+      Bool.equal (Block.justify_equal x y) (x = y)
+      && Bool.equal (Qc.equal p q) (p = q)
+      && Bool.equal (Threshold.equal p.Qc.tsig q.Qc.tsig) (p.Qc.tsig = q.Qc.tsig))
+    [ (a, a); (a, copy_justify a); (a, b); (a, copy_justify b) ]
+
 let qcheck_cases =
   let open QCheck in
   [
+    Test.make ~count:1000
+      ~name:"Threshold/Qc/justify equal: structural on shared and copied values"
+      (pair (make gen_justify) (make gen_justify))
+      prop_equal_is_structural;
     Test.make ~count:500 ~name:"rank is antisymmetric" (pair arb_qc arb_qc)
       (fun (a, b) ->
         match (Rank.qc a b, Rank.qc b a) with

@@ -80,6 +80,10 @@
 # only host time (crypto, codec, queue) fails CI if it moves any
 # simulated number.
 #
+# `sh -n` checks the syntax of tools/perf_pairs.sh, the pair-protocol
+# comparison of two checkouts on one benchmark workload, which CI does
+# not run.
+#
 # To re-bless the baselines after an intentional change:
 #   dune exec bench/main.exe -- smoke --json bench/baselines/BENCH_smoke.json
 #   dune exec bench/main.exe -- scaling --smoke --json bench/baselines/BENCH_scaling.json
@@ -90,6 +94,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 dune build
+sh -n tools/perf_pairs.sh
 dune build @check
 dune build @lint
 (cd _build/default \
