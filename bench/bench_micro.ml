@@ -55,14 +55,16 @@ let votes_256 =
   List.init 171 (fun i ->
       Qc.sign_vote kc_256 ~signer:i ~phase:Qc.Prepare ~view:1 vote_ref)
 
-(* The leader's side of one happy-path phase: a fresh collector takes the
-   171 shares and forms the QC. *)
-let vote_collection () =
+(* The leader's side of one phase: a fresh collector takes the quorum's
+   shares and forms the QC. At n = 256 these are [votes_256], a happy
+   path's prepare quorum; at n = 32 the 22 shares of a PBFT-sized
+   quorum. *)
+let vote_collection kc ~quorum votes =
   let module Core = Marlin_core in
   let auth =
-    Core.Auth.create ~keychain:kc_256
+    Core.Auth.create ~keychain:kc
       ~meter:(Core.Cpu_meter.create Marlin_crypto.Cost_model.ecdsa_group)
-      ~quorum:171
+      ~quorum
   in
   fun () ->
     let vc = Core.Vote_collector.create auth in
@@ -70,7 +72,13 @@ let vote_collection () =
       (fun share ->
         ignore
           (Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:vote_ref share))
-      votes_256
+      votes
+
+let kc_32 = Keychain.create ~n:32 ()
+
+let votes_32 =
+  List.init 22 (fun i ->
+      Qc.sign_vote kc_32 ~signer:i ~phase:Qc.Prepare ~view:1 vote_ref)
 
 let sig_bytes_256 =
   Marlin_crypto.Cost_model.(combined_size ecdsa_group ~n:256 ~shares:171)
@@ -137,12 +145,14 @@ let cycling inputs f =
    events, most of them message deliveries ~40 ms ahead within 1 ms of
    jitter, the rest client retry timers ~9 s ahead. Each op pops the
    earliest event and schedules one relative to its time (a hold model),
-   so the population stays at 13k and near its steady-state mix; the
-   queue is prefilled with that mix (deliveries over the next 41 ms, 18%
-   timers over the next 9 s). [value i] is the i-th event's value: an int,
-   or a closure as the simulator queues, which lives in the major heap
-   once the queue is built, so moving it costs a GC write barrier. *)
-let sim_shaped_queue value =
+   so the population stays at [pending] and near its steady-state mix;
+   the queue is prefilled with that mix (deliveries over the next 41 ms,
+   18% timers over the next 9 s). [pending] is 13k for happy-n256 and 7k
+   for pbft-n32 (its peak pending count is about 7,080). [value i] is the
+   i-th event's value: an int, or a closure as the simulator queues,
+   which lives in the major heap once the queue is built, so moving it
+   costs a GC write barrier. *)
+let sim_shaped_queue ~pending value =
   let module Q = Marlin_sim.Event_queue in
   let rng = Marlin_sim.Rng.create ~seed:17 in
   let jitter () = Marlin_sim.Rng.float rng 0.001 in
@@ -151,7 +161,7 @@ let sim_shaped_queue value =
         if i mod 1024 = 0 then 9.0 +. jitter () else 0.040 +. jitter ())
   in
   let q = Q.create () in
-  for i = 0 to 12_999 do
+  for i = 0 to pending - 1 do
     let horizon = if i mod 100 < 18 then 9.001 else 0.041 in
     Q.push q ~time:(Marlin_sim.Rng.float rng horizon) (value i)
   done;
@@ -234,7 +244,9 @@ let tests () =
       (Staged.stage (fun () ->
            Threshold.verify kc_256 ~threshold:171 "digest-to-certify" qc_256));
     Test.make ~name:"vote collector: 171 shares to one QC, n=256"
-      (Staged.stage (vote_collection ()));
+      (Staged.stage (vote_collection kc_256 ~quorum:171 votes_256));
+    Test.make ~name:"vote collector: 22 shares to one QC, n=32"
+      (Staged.stage (vote_collection kc_32 ~quorum:22 votes_32));
     Test.make ~name:"PROPOSE authenticators + wire_size, n=256 justify"
       (Staged.stage (fun () ->
            Message.authenticators propose_256
@@ -261,10 +273,12 @@ let tests () =
              ignore (Marlin_sim.Event_queue.pop q)
            done));
     Test.make ~name:"event queue push+pop, 13k sim-shaped"
-      (Staged.stage (sim_shaped_queue Fun.id));
+      (Staged.stage (sim_shaped_queue ~pending:13_000 Fun.id));
     Test.make ~name:"event queue push+pop, 13k sim-shaped, closure values"
       (Staged.stage
-         (sim_shaped_queue (fun i () -> ignore (Sys.opaque_identity i))));
+         (sim_shaped_queue ~pending:13_000 (fun i () -> ignore (Sys.opaque_identity i))));
+    Test.make ~name:"event queue push+pop, 7k sim-shaped"
+      (Staged.stage (sim_shaped_queue ~pending:7_000 Fun.id));
     Test.make ~name:"mempool add+take+commit, 2000-op batch"
       (Staged.stage (mempool_batches ()));
     Test.make ~name:"op table replace/find/remove, 100k keys"

@@ -161,28 +161,48 @@ module Reservoir = struct
   let is_empty t = t.count = 0
   let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
 
+  (* Selection permutes, and [add] replaces samples by slot, so ranks
+     are taken in a copy of the kept sample. *)
+  let kept_sample t = Array.sub t.samples 0 (kept t)
+
   let percentile t ~p =
     let n = kept t in
     if n = 0 then 0.
     else begin
-      let sorted = Array.sub t.samples 0 n in
-      Array.sort Float.compare sorted;
-      sorted.(rank_of ~n p)
+      let a = kept_sample t in
+      let k = rank_of ~n p in
+      select a ~len:n ~k;
+      a.(k)
     end
 
   let summarize t =
     let n = kept t in
     if n = 0 then empty_summary
     else begin
-      let sorted = Array.sub t.samples 0 n in
-      Array.sort Float.compare sorted;
+      let a = kept_sample t in
+      (* Largest rank first: once rank k is selected, a.(0 .. k - 1) hold
+         the k smallest values, so each smaller rank is selected within
+         that prefix. *)
+      let len = ref n in
+      let at p =
+        let k = rank_of ~n p in
+        if k < !len then begin
+          select a ~len:!len ~k;
+          len := k
+        end;
+        a.(k)
+      in
+      let p999 = at 99.9 in
+      let p99 = at 99. in
+      let p95 = at 95. in
+      let p50 = at 50. in
       {
         count = t.count;
         mean = mean t;
-        p50 = sorted.(rank_of ~n 50.);
-        p95 = sorted.(rank_of ~n 95.);
-        p99 = sorted.(rank_of ~n 99.);
-        p999 = sorted.(rank_of ~n 99.9);
+        p50;
+        p95;
+        p99;
+        p999;
         (* min/max are exact over the whole stream, not just the kept set *)
         min = t.min;
         max = t.max;

@@ -58,13 +58,20 @@ module Reservoir : sig
   val mean : t -> float
   (** Exact over the whole stream. *)
 
+  val kept_sample : t -> float array
+  (** A fresh copy of the kept sample, in slot order. *)
+
   val percentile : t -> p:float -> float
   (** Nearest-rank over the kept sample; exact until the reservoir
-      overflows, an unbiased estimate after. 0. when empty. *)
+      overflows, an unbiased estimate after. 0. when empty. The rank is
+      taken by {!select} in a copy of the sample, so the value is the one
+      a sort of it gives; NaN samples are not allowed. *)
 
   val summarize : t -> summary
   (** [count]/[mean]/[min]/[max] are exact over the stream; the
-      percentiles come from the kept sample. *)
+      percentiles come from the kept sample, each taken by {!select} as
+      {!percentile} takes it (largest rank first, each next one within
+      the prefix the last selection left below it). *)
 
   val clear : t -> unit
 

@@ -27,6 +27,10 @@ let combine t ballot partials =
   Cpu_meter.charge_combine t.meter ~shares:(List.length partials);
   Qc.combine_ballot t.kc ~threshold:t.quorum ballot partials
 
+let aggregate t ballot partials =
+  Cpu_meter.charge_combine t.meter ~shares:(List.length partials);
+  Qc.aggregate_ballot t.kc ~threshold:t.quorum ballot partials
+
 let verify_qc t qc =
   if Qc.is_genesis qc then true
   else

@@ -40,6 +40,15 @@ val combine :
   t -> Qc.ballot -> Marlin_crypto.Threshold.partial list ->
   (Qc.t, string) result
 (** {!Qc.combine_ballot} at the quorum; charges one combine over every
-    share passed. *)
+    share passed. For shares that arrive unchecked, such as the shares
+    of VIEW-CHANGE messages. *)
+
+val aggregate :
+  t -> Qc.ballot -> Marlin_crypto.Threshold.partial list ->
+  (Qc.t, string) result
+(** {!Qc.aggregate_ballot} at the quorum, for shares that each passed
+    {!verify_vote} against this ballot; charges exactly what {!combine}
+    charges, one combine over every share passed, so the simulated CPU
+    time does not depend on which of the two the caller uses. *)
 
 val verify_qc : t -> Qc.t -> bool

@@ -3,18 +3,25 @@ module Threshold = Marlin_crypto.Threshold
 
 (* Entries by block digest. The entries under one digest (one per phase
    and view, and any hostile vote's other reference) form a short list,
-   searched with Qc.ballot_matches. *)
+   searched by phase, view and the whole block reference. *)
 module By_digest = Hashtbl.Make (Marlin_crypto.Sha256)
 
 type state =
   | Collecting of {
+      ballot : Qc.ballot;  (* every counted share verified against it *)
       mutable partials : Threshold.partial list;
       mutable count : int;  (* = List.length partials *)
       seen : Bytes.t;  (* byte i is 1 once replica i's share counted *)
     }
-  | Formed  (* the shares are released with the Collecting state *)
+  | Formed  (* ballot, shares and bitmap are released with Collecting *)
 
-type entry = { ballot : Qc.ballot; view : int; mutable state : state }
+type entry = {
+  phase : Qc.phase;
+  view : int;
+  block : Qc.block_ref;
+  mutable state : state;
+}
+
 type t = { auth : Auth.t; entries : entry list By_digest.t }
 
 let create auth = { auth; entries = By_digest.create 32 }
@@ -35,7 +42,9 @@ let bucket t digest =
 let rec find ~phase ~view block = function
   | [] -> raise_notrace Not_found
   | e :: rest ->
-      if Qc.ballot_matches e.ballot ~phase ~view block then e
+      if Qc.phase_equal e.phase phase && e.view = view
+         && Qc.block_ref_equal e.block block
+      then e
       else find ~phase ~view block rest
 
 let find_or_add t ~phase ~view block =
@@ -44,16 +53,21 @@ let find_or_add t ~phase ~view block =
   | e -> e
   | exception Not_found ->
       let seen = Bytes.make (Auth.replicas t.auth) '\000' in
+      let ballot = Qc.ballot ~phase ~view block in
       let e =
         {
-          ballot = Qc.ballot ~phase ~view block;
+          phase;
           view;
-          state = Collecting { partials = []; count = 0; seen };
+          block;
+          state = Collecting { ballot; partials = []; count = 0; seen };
         }
       in
       By_digest.replace t.entries block.Qc.digest (e :: entries);
       e
 
+(* Each counted share was verified against the entry's ballot, which
+   names the whole reference the entry is keyed by, so the quorum is
+   aggregated without a second check of any share. *)
 let add t ~phase ~view ~block partial =
   let e = find_or_add t ~phase ~view block in
   match e.state with
@@ -64,7 +78,7 @@ let add t ~phase ~view ~block partial =
          fails verification below *)
       if id >= 0 && id < Bytes.length c.seen && Bytes.get c.seen id <> '\000'
       then Rejected Duplicate_signer
-      else if not (Auth.verify_vote t.auth e.ballot partial) then
+      else if not (Auth.verify_vote t.auth c.ballot partial) then
         Rejected Invalid_share
       else begin
         Bytes.set c.seen id '\001';
@@ -72,7 +86,7 @@ let add t ~phase ~view ~block partial =
         c.count <- c.count + 1;
         if c.count >= Auth.quorum t.auth then begin
           e.state <- Formed;
-          match Auth.combine t.auth e.ballot c.partials with
+          match Auth.aggregate t.auth c.ballot c.partials with
           | Ok qc -> Quorum qc
           | Error err -> Rejected (Combine_failed err)
         end

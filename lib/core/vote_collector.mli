@@ -6,15 +6,19 @@
     whose reference shares an honest block's digest but differs in
     height, parent view, view or virtual flag goes to an entry of its own
     and cannot block the honest certificate. Each entry encodes its vote
-    payload once ({!Qc.ballot}); every share and the final combination
-    are checked against it.
+    payload and share message once ({!Qc.ballot}).
 
-    Each vote is verified (and metered) through {!Auth} before it counts.
-    Duplicate signers are found in an n-byte bitmap per entry; an
-    out-of-range signer id is never a duplicate and fails verification.
-    [Quorum] fires exactly once per key, and the entry's shares and
-    bitmap are released when it does: a formed entry keeps only its
-    ballot, until {!gc_below_view} drops it. *)
+    Each vote is verified (and metered) through {!Auth} before it counts,
+    and that is the only check of its share: the quorum is aggregated
+    from the counted shares ({!Auth.aggregate}) without a second one.
+    The simulated CPU time is charged as before, one partial verify per
+    checked share and one combine per QC. Duplicate signers are found in
+    an n-byte bitmap per entry; an out-of-range signer id is never a
+    duplicate and fails verification. [Quorum] fires exactly once per
+    key, and the entry's ballot, shares and bitmap are released when it
+    does: a formed entry keeps only its phase, view and block reference,
+    enough to reject a late vote as [Complete] with no verify charged,
+    until {!gc_below_view} drops it. *)
 
 open Marlin_types
 

@@ -3,12 +3,14 @@ type t = { signers : int list; tag : Sha256.t }
 
 let partial_size_bytes = 64
 
+(* What each share's MAC is over: "tshare|" ^ msg. *)
+type share_msg = string
+
 let share_msg msg = "tshare|" ^ msg
 
 let sign kc ~signer msg =
   { signer; tag = Keychain.mac kc signer (share_msg msg) }
 
-(* [smsg] is [share_msg msg], built once by the caller. *)
 let verify_share kc smsg p =
   p.signer >= 0
   && p.signer < Keychain.n kc
@@ -35,14 +37,15 @@ let combined_tag kc msg signers =
   Buffer.add_string b msg;
   Keychain.mac kc Keychain.system (Buffer.contents b)
 
-let combine kc ~threshold msg partials =
-  let valid = List.filter (verify_share kc (share_msg msg)) partials in
-  let signers = List.sort_uniq Int.compare (List.map (fun p -> p.signer) valid) in
-  if List.length signers < threshold then
-    Error
-      (Printf.sprintf "combine: %d distinct valid shares, need %d"
-         (List.length signers) threshold)
+let aggregate kc ~threshold msg partials =
+  let signers = List.sort_uniq Int.compare (List.map (fun p -> p.signer) partials) in
+  let count = List.length signers in
+  if count < threshold then
+    Error (Printf.sprintf "combine: %d distinct valid shares, need %d" count threshold)
   else Ok { signers; tag = combined_tag kc msg signers }
+
+let combine kc ~threshold msg partials =
+  aggregate kc ~threshold msg (List.filter (verify_share kc (share_msg msg)) partials)
 
 let verify kc ~threshold msg s =
   let n = Keychain.n kc in

@@ -100,6 +100,7 @@ let send_fns =
     (("Auth", "verify_vote"), (Auth_op, "Auth.verify_vote"));
     (("Auth", "verify_qc"), (Auth_op, "Auth.verify_qc"));
     (("Auth", "combine"), (Auth_op, "Auth.combine"));
+    (("Auth", "aggregate"), (Auth_op, "Auth.aggregate"));
   ]
 
 let last2 comps =

@@ -53,10 +53,6 @@ let grow t =
   Array.blit t.keys 0 keys 0 old;
   t.keys <- keys
 
-(* Does heap position [i] sort before position [j]? *)
-let[@inline] lt t i j =
-  t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.keys.(i) < t.keys.(j))
-
 let[@inline] move t ~src ~dst =
   t.times.(dst) <- t.times.(src);
   t.keys.(dst) <- t.keys.(src)
@@ -88,23 +84,44 @@ let pop_min t =
   let top = t.keys.(0) land slot_mask and n = t.size - 1 in
   let v = t.values.(top) in
   t.values.(top) <- vacant ();
-  (* sift down: re-seat the last entry, from the root, in a heap of n;
-     the top's slot becomes the free slot at position n *)
+  (* Floyd's bottom-up pop in a heap of n: walk the hole from the root to
+     a leaf along the smaller child, one comparison per level, then sift
+     the last entry up from there, which it rarely climbs. The top's slot
+     becomes the free slot at position n. *)
   let time = t.times.(n) and key = t.keys.(n) in
   t.keys.(n) <- top;
   t.size <- n;
+  let times = t.times and keys = t.keys in
   let i = ref 0 and c = ref 1 in
-  while
-    if !c + 1 < n && lt t (!c + 1) !c then incr c;
-    !c < n && (t.times.(!c) < time || (t.times.(!c) = time && t.keys.(!c) < key))
-  do
-    move t ~src:!c ~dst:!i;
-    i := !c;
-    c := (2 * !c) + 1
+  (* Unchecked, as every index is below n: the walk reads l = !c < n,
+     reads r only once r < n, and writes i < m; and n < the capacity,
+     the length of both arrays. Bounds checks here cost pbft-n32 5% of
+     its run (DESIGN.md §6). *)
+  while !c < n do
+    let l = !c in
+    let r = l + 1 in
+    let m =
+      if r < n
+         && (Array.unsafe_get times r < Array.unsafe_get times l
+            || Array.unsafe_get times r = Array.unsafe_get times l
+               && Array.unsafe_get keys r < Array.unsafe_get keys l)
+      then r
+      else l
+    in
+    Array.unsafe_set times !i (Array.unsafe_get times m);
+    Array.unsafe_set keys !i (Array.unsafe_get keys m);
+    i := m;
+    c := (2 * m) + 1
+  done;
+  let p = ref ((!i - 1) / 2) in
+  while !i > 0 && (time < times.(!p) || (time = times.(!p) && key < keys.(!p))) do
+    move t ~src:!p ~dst:!i;
+    i := !p;
+    p := (!p - 1) / 2
   done;
   if n > 0 then begin
-    t.times.(!i) <- time;
-    t.keys.(!i) <- key
+    times.(!i) <- time;
+    keys.(!i) <- key
   end;
   v
 

@@ -9,7 +9,10 @@
     pays no GC write barrier. The free slots are kept in the same int
     array, past the heap's end, so the slab costs no array of its own. A
     popped value's slot is cleared, so the queue holds no popped value.
-    One queue holds at most 2{^24} events and takes at most 2{^38} pushes
+    A pop is Floyd's bottom-up one: the hole walks from the root to a
+    leaf at one comparison per level, and the last entry climbs back
+    from there, rarely more than a level. One queue holds at most
+    2{^24} events and takes at most 2{^38} pushes
     in its lifetime; past either, {!push} raises [Failure]. *)
 
 type 'a t

@@ -64,33 +64,37 @@ type ballot = {
   vote_view : int;
   vote_block : block_ref;
   payload : string; (* vote_payload of the three above *)
+  share : Threshold.share_msg; (* of payload *)
 }
 
 let ballot ~phase ~view block =
+  let payload = vote_payload ~phase ~view block in
   {
     vote_phase = phase;
     vote_view = view;
     vote_block = block;
-    payload = vote_payload ~phase ~view block;
+    payload;
+    share = Threshold.share_msg payload;
   }
-
-let ballot_matches b ~phase ~view block =
-  phase_equal b.vote_phase phase && b.vote_view = view
-  && block_ref_equal b.vote_block block
 
 let sign_vote kc ~signer ~phase ~view block =
   Threshold.sign kc ~signer (vote_payload ~phase ~view block)
 
-let verify_ballot kc b partial = Threshold.verify_partial kc b.payload partial
+let verify_ballot kc b partial = Threshold.verify_share kc b.share partial
 
 let verify_vote kc ~phase ~view block partial =
   Threshold.verify_partial kc (vote_payload ~phase ~view block) partial
 
-let combine_ballot kc ~threshold b partials =
-  match Threshold.combine kc ~threshold b.payload partials with
+let of_tsig b = function
   | Error _ as e -> e
   | Ok tsig ->
       Ok { phase = b.vote_phase; view = b.vote_view; block = b.vote_block; tsig }
+
+let combine_ballot kc ~threshold b partials =
+  of_tsig b (Threshold.combine kc ~threshold b.payload partials)
+
+let aggregate_ballot kc ~threshold b partials =
+  of_tsig b (Threshold.aggregate kc ~threshold b.payload partials)
 
 let combine kc ~threshold ~phase ~view block partials =
   combine_ballot kc ~threshold (ballot ~phase ~view block) partials

@@ -49,19 +49,15 @@ val combine :
 (** {2 Ballots}
 
     A ballot is what one vote signs: a phase, a vote view and a block
-    reference, with their encoded vote payload. A vote collector builds
-    one per (phase, view, block) it collects for and checks every share
-    and the final combination against it, so the payload is encoded once
-    however many votes arrive. *)
+    reference, with their encoded vote payload and the share message
+    built from it ({!Marlin_crypto.Threshold.share_msg}). A vote
+    collector builds one per (phase, view, block) it collects for and
+    checks every share against it, so the payload and share message are
+    built once however many votes arrive. *)
 
 type ballot
 
 val ballot : phase:phase -> view:int -> block_ref -> ballot
-
-val ballot_matches : ballot -> phase:phase -> view:int -> block_ref -> bool
-(** [true] iff the ballot was built from this phase, view and block
-    reference (every field of the reference compared). Allocates
-    nothing. *)
 
 val verify_ballot :
   Marlin_crypto.Keychain.t -> ballot -> Marlin_crypto.Threshold.partial -> bool
@@ -72,7 +68,16 @@ val combine_ballot :
   Marlin_crypto.Keychain.t -> threshold:int -> ballot ->
   Marlin_crypto.Threshold.partial list -> (t, string) result
 (** [combine_ballot kc ~threshold (ballot ~phase ~view block) ps] is
-    [combine kc ~threshold ~phase ~view block ps]. *)
+    [combine kc ~threshold ~phase ~view block ps]: every share is
+    checked. *)
+
+val aggregate_ballot :
+  Marlin_crypto.Keychain.t -> threshold:int -> ballot ->
+  Marlin_crypto.Threshold.partial list -> (t, string) result
+(** The certificate of shares already checked against this ballot with
+    {!verify_ballot} ({!Marlin_crypto.Threshold.aggregate}): duplicate
+    signers are dropped and the threshold enforced, but no share is
+    checked again. On such shares it equals {!combine_ballot}. *)
 
 val verify : Marlin_crypto.Keychain.t -> threshold:int -> t -> bool
 (** Checks the threshold signature. The genesis QC verifies by

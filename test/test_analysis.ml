@@ -243,6 +243,38 @@ let qcheck_cases =
         && same s.Stats.p95 (Stats.percentile xs ~p:95.)
         && same s.Stats.p99 (Stats.percentile xs ~p:99.)
         && same s.Stats.p999 (Stats.percentile xs ~p:99.9));
+    (* The reservoir takes its ranks by selection; a sort of the kept
+       sample is the reference, compared bit for bit. Counts run below,
+       at and above the capacity, so Algorithm R's replacements are in
+       the sample, and small integers repeat. -0. is left out: it ties
+       with 0. under any order, so which of the two a rank holds is the
+       algorithm's choice, and no latency is -0. *)
+    Test.make ~count:300 ~name:"reservoir ranks equal a sort of its kept sample, bit for bit"
+      (pair (int_range 1 16)
+         (list_of_size Gen.(0 -- 48)
+            (make
+               ~print:(Printf.sprintf "%h")
+               Gen.(
+                 frequency
+                   [
+                     (1, return infinity);
+                     (4, map float_of_int (int_range 0 5));
+                     (3, float_bound_inclusive 10.);
+                   ]))))
+      (fun (capacity, xs) ->
+        let r = Stats.Reservoir.create ~capacity () in
+        List.iter (Stats.Reservoir.add r) xs;
+        let kept = Array.to_list (Stats.Reservoir.kept_sample r) in
+        let s = Stats.Reservoir.summarize r in
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        let want p = if kept = [] then 0. else Stats.percentile kept ~p in
+        List.length kept = Stats.Reservoir.kept r
+        && List.for_all
+             (fun (got, p) -> same got (want p) && same (Stats.Reservoir.percentile r ~p) (want p))
+             [ (s.Stats.p50, 50.); (s.Stats.p95, 95.); (s.Stats.p99, 99.); (s.Stats.p999, 99.9) ]
+        && List.for_all
+             (fun p -> same (Stats.Reservoir.percentile r ~p) (want p))
+             [ 0.; 1.; 25.; 75.; 100. ]);
     Test.make ~count:100 ~name:"communication monotone in n"
       (pair (oneofl Complexity.all) (int_range 4 200))
       (fun (p, n) ->

@@ -226,6 +226,79 @@ let test_vote_collector_releases_shares () =
     (Printf.sprintf "2000 rejections allocate nothing (%.0f minor words)" words)
     true (words < 64.)
 
+(* A formed entry keeps only what matching a late vote needs: its phase,
+   view and block reference. Its ballot (the encoded payload and share
+   message) goes with its shares, so past the reference the entry costs
+   only its bookkeeping: a table bucket, a list cell and the entry
+   record, 12 words. The keychain and meter the collector reaches
+   through its Auth are left out of the count. *)
+let test_vote_collector_formed_entry_size () =
+  let a = auth () in
+  let vc = Core.Vote_collector.create a in
+  let b = block_ref () in
+  let words () = Obj.reachable_words (Obj.repr vc) - Obj.reachable_words (Obj.repr a) in
+  let empty = words () in
+  for i = 0 to 2 do
+    ignore
+      (Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:b
+         (Qc.sign_vote kc ~signer:i ~phase:Qc.Prepare ~view:1 b))
+  done;
+  let formed = words () - empty - Obj.reachable_words (Obj.repr b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "a formed entry holds %d words past its reference" formed)
+    true (formed <= 12)
+
+(* The collector checks each share once, when it arrives, and forms its
+   QC from the shares it counted without checking them again. The QC is
+   the one Qc.combine forms from the same shares, and forming it charges
+   what it always has: one partial verify per checked share (a duplicate
+   signer is caught before its check) and one combine over the quorum. A
+   late vote is rejected with nothing charged. *)
+let test_vote_collector_aggregates_checked_shares () =
+  let a = auth () in
+  let meter = Core.Auth.meter a in
+  let vc = Core.Vote_collector.create a in
+  let b = block_ref () in
+  let vote i = Qc.sign_vote kc ~signer:i ~phase:Qc.Prepare ~view:1 b in
+  let add p = Core.Vote_collector.add vc ~phase:Qc.Prepare ~view:1 ~block:b p in
+  let expect what want got =
+    Alcotest.(check bool) what true (got = Core.Vote_collector.Rejected want)
+  in
+  let ops0 = Core.Cpu_meter.op_count meter in
+  ignore (Core.Cpu_meter.take meter);
+  (* replica 2 claims replica 1's share *)
+  expect "a forged share" Core.Vote_collector.Invalid_share
+    (add { (vote 1) with Threshold.signer = 2 });
+  ignore (add (vote 3));
+  expect "a duplicate signer" Core.Vote_collector.Duplicate_signer (add (vote 3));
+  ignore (add (vote 0));
+  let qc =
+    match add (vote 1) with
+    | Core.Vote_collector.Quorum qc -> qc
+    | _ -> Alcotest.fail "the third valid share forms no QC"
+  in
+  let want =
+    match
+      Qc.combine kc ~threshold:3 ~phase:Qc.Prepare ~view:1 b [ vote 1; vote 0; vote 3 ]
+    with
+    | Ok qc -> qc
+    | Error e -> Alcotest.failf "combine: %s" e
+  in
+  Alcotest.(check (list int)) "signers" want.Qc.tsig.Threshold.signers
+    qc.Qc.tsig.Threshold.signers;
+  Alcotest.(check string) "tag" (Sha256.to_hex want.Qc.tsig.Threshold.tag)
+    (Sha256.to_hex qc.Qc.tsig.Threshold.tag);
+  Alcotest.(check bool) "the QC Qc.combine forms" true (Qc.equal want qc);
+  Alcotest.(check bool) "verifies" true (Qc.verify kc ~threshold:3 qc);
+  let cost = Cost_model.ecdsa_group in
+  Alcotest.(check int) "four partial verifies and one combine" 5
+    (Core.Cpu_meter.op_count meter - ops0);
+  Alcotest.(check (float 1e-12)) "time charged"
+    ((4. *. Cost_model.partial_verify_cost cost) +. Cost_model.combine_cost cost ~shares:3)
+    (Core.Cpu_meter.take meter);
+  expect "a late vote" Core.Vote_collector.Complete (add (vote 2));
+  Alcotest.(check int) "a late vote is not charged" 5 (Core.Cpu_meter.op_count meter - ops0)
+
 (* The collector against a list-based reference model keyed by the whole
    reference: streams of valid, misdirected, forged and out-of-range
    shares over two references per digest, with garbage collection of old
@@ -706,6 +779,10 @@ let suite =
      test_vote_collector_hostile_ref);
     ("vote collector releases a formed entry's shares", `Quick,
      test_vote_collector_releases_shares);
+    ("vote collector: a formed entry keeps only its key", `Quick,
+     test_vote_collector_formed_entry_size);
+    ("vote collector aggregates the shares it checked", `Quick,
+     test_vote_collector_aggregates_checked_shares);
     ("pacemaker backoff", `Quick, test_pacemaker_backoff);
     ("pacemaker saturation + reset", `Quick, test_pacemaker_saturation);
     ("committer commits in order", `Quick, test_committer_in_order);

@@ -279,6 +279,40 @@ let test_threshold_insufficient () =
   | Ok _ -> Alcotest.fail "combined with an invalid share"
   | Error _ -> ()
 
+(* [aggregate] checks no share, but over checked shares it is [combine]:
+   the same signers and tag, duplicates dropped, the threshold enforced
+   on distinct signers. [combine] over a list with invalid shares is
+   [aggregate] over the valid ones. *)
+let test_threshold_aggregate () =
+  let kc = Keychain.create ~n:4 () in
+  let msg = "m" in
+  let share i = Threshold.sign kc ~signer:i msg in
+  let result = Alcotest.(result (pair (list int) string) string) in
+  let view = Result.map (fun t -> (t.Threshold.signers, Sha256.to_hex t.tag)) in
+  let valid = [ share 3; share 0; share 1 ] in
+  Alcotest.check result "aggregate = combine on checked shares"
+    (view (Threshold.combine kc ~threshold:3 msg valid))
+    (view (Threshold.aggregate kc ~threshold:3 msg valid));
+  (match Threshold.aggregate kc ~threshold:3 msg (share 1 :: valid) with
+  | Ok t ->
+      Alcotest.(check (list int)) "duplicate signer counted once" [ 0; 1; 3 ] t.signers;
+      Alcotest.(check bool) "verifies" true (Threshold.verify kc ~threshold:3 msg t)
+  | Error e -> Alcotest.failf "aggregate failed: %s" e);
+  Alcotest.check result "two distinct signers fall short"
+    (Error "combine: 2 distinct valid shares, need 3")
+    (view (Threshold.aggregate kc ~threshold:3 msg [ share 0; share 0; share 1 ]));
+  let bad = Threshold.sign kc ~signer:2 "other-msg" in
+  let mixed = [ share 0; bad; share 1; share 3; share 1 ] in
+  let smsg = Threshold.share_msg msg in
+  Alcotest.check result "combine = aggregate over the valid shares"
+    (view (Threshold.aggregate kc ~threshold:3 msg
+             (List.filter (Threshold.verify_share kc smsg) mixed)))
+    (view (Threshold.combine kc ~threshold:3 msg mixed));
+  Alcotest.(check bool) "verify_share = verify_partial" true
+    (List.for_all
+       (fun p -> Threshold.verify_share kc smsg p = Threshold.verify_partial kc msg p)
+       mixed)
+
 let test_threshold_forgery_resistance () =
   let kc = Keychain.create ~n:4 () in
   let msg = "m" in
@@ -547,6 +581,7 @@ let suite =
     ("keychain determinism", `Quick, test_keychain_determinism);
     ("threshold combine & verify", `Quick, test_threshold_combine);
     ("threshold insufficient shares", `Quick, test_threshold_insufficient);
+    ("threshold aggregate of checked shares", `Quick, test_threshold_aggregate);
     ("threshold forgery resistance", `Quick, test_threshold_forgery_resistance);
     ("cost model sanity", `Quick, test_cost_model);
     ("sha256 padding boundaries", `Quick, test_sha256_padding_boundaries);

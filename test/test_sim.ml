@@ -289,6 +289,62 @@ let queue_model_test =
         ops
       && drain ())
 
+let queue_stable_sort_test =
+  (* Small queues with few distinct times: every pop must return the
+     first entry of a stable sort by time of what is pending (in push
+     order, so equal times pop in push order). Runs of pushes and pops
+     keep the queue at 0 to 3 entries most of the time, where a sift
+     walks zero or one level, and drains empty it for a refill. *)
+  let open QCheck in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (4, map (fun i -> `Push (float_of_int i)) (int_bound 2));
+          (3, return `Pop);
+          (1, return `Drain);
+        ])
+  in
+  Test.make ~count:500 ~name:"event queue pops a stable sort by (time, push order)"
+    (make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (function
+                | `Push t -> Printf.sprintf "push %g" t
+                | `Pop -> "pop"
+                | `Drain -> "drain")
+              ops))
+       (Gen.list_size Gen.(0 -- 40) op_gen))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let pending = ref [] (* (time, value), oldest first *) and next = ref 0 in
+      let ref_pop () =
+        match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !pending with
+        | [] -> None
+        | ((_, v) as e) :: _ ->
+            pending := List.filter (fun (_, w) -> w <> v) !pending;
+            Some e
+      in
+      let step = function
+        | `Push time ->
+            incr next;
+            pending := !pending @ [ (time, !next) ];
+            Event_queue.push q ~time !next;
+            true
+        | `Pop -> Event_queue.pop q = ref_pop ()
+        | `Drain ->
+            let rec drain () =
+              match ref_pop () with
+              | None -> Event_queue.is_empty q
+              | Some (time, v) ->
+                  Event_queue.next_time q = time && Event_queue.pop_min q = v && drain ()
+            in
+            drain ()
+      in
+      List.for_all step ops && Event_queue.length q = List.length !pending
+      && step `Drain)
+
 (* ---------- sim clock ---------- *)
 
 let test_sim_run_order () =
@@ -661,7 +717,8 @@ let suite =
     ("broadcast zero-delay self delivery", `Quick, test_broadcast_self_delivery);
     ("broadcast under duplication", `Quick, test_broadcast_duplicates);
   ]
-  @ List.map QCheck_alcotest.to_alcotest (queue_model_test :: qcheck_cases)
+  @ List.map QCheck_alcotest.to_alcotest
+      (queue_model_test :: queue_stable_sort_test :: qcheck_cases)
   @ [
       ("event queue releases popped values", `Quick,
         test_event_queue_releases_popped);

@@ -41,6 +41,11 @@
 # write a span report that parses back as JSON (it exits 1 otherwise;
 # each takes well under a second), and an unknown target must exit 2.
 #
+# Then `bench/main.exe micro` runs every Bechamel layer instrument once
+# (about 6 s) and must exit 0, so no micro-benchmark row can stop
+# building or start raising unnoticed. Its timings are host-dependent
+# and not compared with anything.
+#
 # The smoke run includes a deterministic fault scenario (leader crash),
 # so the gate also covers recovery latency and view-change
 # message/authenticator counts from the marlin_faults subsystem.
@@ -148,6 +153,8 @@ if [ "$status" -ne 2 ]; then
   exit 1
 fi
 echo "ci: observe, spans and the unknown-target exit hold"
+demo _build/default/bench/main.exe micro
+echo "ci: every micro-benchmark row ran"
 dune build @bench-smoke
 dune build @bench-scaling
 dune build @bench-load
